@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__ as _version
+from . import __version__ as _version, rng
 
 SCENARIO_NAMES = (
     "esl-gap",
@@ -365,11 +365,9 @@ class RunManifest:
             seed_ledger={
                 "master_seed": cfg.master_seed,
                 "streams": {
-                    "step_noise": 0,
-                    "init": 1,
-                    "task": 2,
-                    "probe": 3,
-                    "oracle": 4,
+                    name.removeprefix("STREAM_").lower(): tag
+                    for name, tag in vars(rng).items()
+                    if name.startswith("STREAM_")
                 },
             },
         )

@@ -25,7 +25,7 @@ from .config import (
 )
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, numerical_rank, singular_values
-from .tasks import QuadraticTask, combine, make_task_pair, random_rotation, value
+from .tasks import QuadraticTask, _half_quadratic, combine, make_task_pair, random_rotation, value
 from .transport import StepRule, propagate, step_jacobian
 
 
@@ -287,12 +287,11 @@ def _sweep_cell(payload: dict) -> list:
     target = pair.task_b.minimizer
     y = np.zeros(u_target)
     eps_b = payload["epsilon_b"]
-    loss = value(pair.task_b, theta_start + survivors @ y)
-    for _ in range(payload["phase2_step_limit"]):
-        if loss <= eps_b:
+    for n_updates in range(payload["phase2_step_limit"] + 1):
+        loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
+        if loss <= eps_b or n_updates == payload["phase2_step_limit"]:
             break
-        y = y - eta * (survivors.T @ (h_b @ (theta_start + survivors @ y - target)))
-        loss = value(pair.task_b, theta_start + survivors @ y)
+        y = y - eta * (survivors.T @ h_d)
     theta_stage1 = theta_start + survivors @ y
     stage1_reached = bool(loss <= eps_b)
     forgetting_s1 = capacity.measure_forgetting(
@@ -310,12 +309,13 @@ def _sweep_cell(payload: dict) -> list:
             theta_stage1, pair.task_b, rule, payload["phase2_step_limit"],
             payload["master_seed"], realization=payload["cell_index"] + 10_000,
         )
-        losses = [value(pair.task_b, s) for s in traj2.states]
-        reached_at = next((i for i, v in enumerate(losses) if v <= eps_b), len(losses) - 1)
-        escape_reached = bool(losses[reached_at] <= eps_b)
-        phase2_steps = reached_at
+        # stops at the first state within eps_b, or at the last state
+        for phase2_steps, s in enumerate(traj2.states):
+            if _half_quadratic(h_b, s - target)[0] <= eps_b:
+                escape_reached = True
+                break
         forgetting_s2 = capacity.measure_forgetting(
-            (theta_start, traj2.states[reached_at]), pair.task_a, payload["epsilon_a"]
+            (theta_start, traj2.states[phase2_steps]), pair.task_a, payload["epsilon_a"]
         )
         exit_flag = forgetting_s2.exited_manifold
         forgetting_after_escape = forgetting_s2.forgetting

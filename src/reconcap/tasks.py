@@ -43,9 +43,15 @@ class QuadraticTask:
         object.__setattr__(self, "minimizer", theta_star)
 
 
+def _half_quadratic(h: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
+    """Unvalidated ``(0.5 d^T H d, H d)`` for an offset ``d = theta - theta*``."""
+    hd = h @ d
+    return float(0.5 * d @ hd), hd
+
+
 def value(task: QuadraticTask, theta) -> float:
     d = as_vector(theta, dim=task.dim, name="theta") - task.minimizer
-    return float(0.5 * d @ (task.hessian @ d))
+    return _half_quadratic(task.hessian, d)[0]
 
 
 def gradient(task: QuadraticTask, theta) -> np.ndarray:

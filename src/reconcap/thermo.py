@@ -35,7 +35,7 @@ import numpy as np
 from .gaussian import GaussianState, clamped_state
 from .spectral import RANK_TOL_REL, require_symmetric
 from .tasks import QuadraticTask
-from .transport import StepKind, StepRule
+from .transport import StepKind, StepRule, step_jacobian
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 
@@ -77,11 +77,7 @@ def free_energy(g: GaussianState, task: QuadraticTask, temperature: float) -> fl
 
 
 def _drift_matrix(task: QuadraticTask, rule: StepRule) -> np.ndarray:
-    eye = np.eye(task.dim)
-    if rule.kind is StepKind.GRADIENT_DESCENT:
-        a = eye - rule.step_size * (task.hessian + rule.weight_decay * eye)
-    else:
-        a = eye - rule.step_size * task.hessian
+    a = step_jacobian(task, rule)
     radius = float(np.max(np.abs(np.linalg.eigvalsh((a + a.T) / 2.0))))
     if radius > 1.0 + 1e-12:
         raise ValueError(

@@ -1,11 +1,11 @@
 """Discrete-time parameter transport and its Jacobians.
 
 A step rule turns a task into an update map on parameters; a trajectory is
-the orbit of one initial point together with the per-step Jacobians and their
-ordered product.  Because tasks are quadratic and noise enters additively,
-every step Jacobian is state-independent and the cumulative Jacobian is an
-exact matrix product, which is what makes the composition and rank algebra
-checkable to near machine precision.
+the orbit of one initial point.  Because tasks are quadratic and noise enters
+additively, every step Jacobian is state-independent: a trajectory keeps the
+one step matrix and computes the cumulative Jacobian, an exact matrix
+product, on first use.  That exactness is what makes the composition and rank
+algebra checkable to near machine precision.
 
 Update rules (eta = step_size, s = noise_scale, wd = weight_decay, xi a fresh
 standard normal draw keyed by (omega_seed, realization, step)):
@@ -21,14 +21,16 @@ standard normal draw keyed by (omega_seed, realization, step)):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import rng
 from .gaussian import GaussianState, sample_point
 from .spectral import as_vector
-from .tasks import QuadraticTask, gradient
+from .tasks import QuadraticTask
 
 # Trajectories whose parameter norm passes this limit are treated as diverged.
 DIVERGENCE_LIMIT = 1e8
@@ -75,32 +77,35 @@ def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
     return eye - rule.step_size * task.hessian
 
 
+def _advance(th, task: QuadraticTask, rule: StepRule, xi) -> np.ndarray:
+    """The update rule on validated inputs, shared by step() and propagate()."""
+    eta = rule.step_size
+    grad = task.hessian @ (th - task.minimizer)
+    if rule.kind is StepKind.GRADIENT_DESCENT:
+        return th - eta * (grad + rule.weight_decay * th)
+    if rule.kind is StepKind.NOISY_GRADIENT:
+        return th - eta * grad + eta * rule.noise_scale * xi
+    return th - eta * grad + np.sqrt(2.0 * rule.noise_scale * eta) * xi
+
+
 def step(theta, task: QuadraticTask, rule: StepRule, noise_draw=None):
     """One update step; returns (theta_next, jacobian)."""
     th = as_vector(theta, dim=task.dim, name="theta")
-    eta = rule.step_size
-    if rule.uses_noise():
-        xi = as_vector(noise_draw, dim=task.dim, name="noise_draw")
-    if rule.kind is StepKind.GRADIENT_DESCENT:
-        nxt = th - eta * (gradient(task, th) + rule.weight_decay * th)
-    elif rule.kind is StepKind.NOISY_GRADIENT:
-        nxt = th - eta * gradient(task, th) + eta * rule.noise_scale * xi
-    else:
-        nxt = th - eta * gradient(task, th) + np.sqrt(2.0 * rule.noise_scale * eta) * xi
-    return nxt, step_jacobian(task, rule)
+    xi = as_vector(noise_draw, dim=task.dim, name="noise_draw") if rule.uses_noise() else None
+    return _advance(th, task, rule, xi), step_jacobian(task, rule)
 
 
 @dataclass(frozen=True)
 class Trajectory:
     initial: np.ndarray
     states: np.ndarray  # (n_steps + 1, dim)
-    step_jacobians: tuple
-    cumulative_jacobian: np.ndarray
     omega_seed: int | None
     rule: StepRule | None
     task_label: str
     realization: int = 0
     step_offset: int = 0
+    step_matrix: np.ndarray | None = field(default=None, repr=False)  # of a propagated segment
+    parts: tuple = field(default=(), repr=False)  # (first, second) of a composed trajectory
 
     @property
     def n_steps(self) -> int:
@@ -114,6 +119,16 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    @cached_property
+    def cumulative_jacobian(self) -> np.ndarray:
+        if self.parts:
+            first, second = self.parts
+            return second.cumulative_jacobian @ first.cumulative_jacobian
+        cumulative = np.eye(self.dim)
+        for _ in range(self.n_steps):
+            cumulative = self.step_matrix @ cumulative
+        return cumulative
+
 
 def propagate(
     theta0,
@@ -125,7 +140,7 @@ def propagate(
     realization: int = 0,
     step_offset: int = 0,
 ) -> Trajectory:
-    """Roll the step map forward, recording states and Jacobians.
+    """Roll the step map forward, recording states.
 
     Noise draws are keyed by (omega_seed, realization, step_offset + k), so a
     trajectory split at any step and resumed with the matching offset replays
@@ -137,8 +152,6 @@ def propagate(
     d = task.dim
     states = np.empty((n_steps + 1, d))
     states[0] = th
-    j_step = step_jacobian(task, rule)
-    cumulative = np.eye(d)
     needs_noise = rule.uses_noise()
     for k in range(n_steps):
         xi = (
@@ -146,25 +159,25 @@ def propagate(
             if needs_noise
             else None
         )
-        nxt, _ = step(states[k], task, rule, xi)
-        norm = float(np.linalg.norm(nxt))
-        if norm > DIVERGENCE_LIMIT:
+        nxt = _advance(states[k], task, rule, xi)
+        # np.linalg.norm's own formula, without its per-call dispatch
+        norm = math.sqrt(nxt.dot(nxt))
+        # written so that a NaN norm fails it too: nothing else checks the states
+        if not norm <= DIVERGENCE_LIMIT:
             raise DivergenceError(
                 f"propagate: |theta| = {norm:.3e} exceeded {DIVERGENCE_LIMIT:.1e} "
                 f"at step {step_offset + k} (task {task.label!r})"
             )
         states[k + 1] = nxt
-        cumulative = j_step @ cumulative
     return Trajectory(
         initial=th,
         states=states,
-        step_jacobians=(j_step,) * n_steps,
-        cumulative_jacobian=cumulative,
         omega_seed=int(omega_seed),
         rule=rule,
         task_label=task.label,
         realization=int(realization),
         step_offset=int(step_offset),
+        step_matrix=step_jacobian(task, rule),
     )
 
 
@@ -187,8 +200,6 @@ def compose(first: Trajectory, second: Trajectory) -> Trajectory:
     return Trajectory(
         initial=first.initial,
         states=states,
-        step_jacobians=first.step_jacobians + second.step_jacobians,
-        cumulative_jacobian=second.cumulative_jacobian @ first.cumulative_jacobian,
         omega_seed=first.omega_seed if same_stream else None,
         rule=first.rule if first.rule == second.rule else None,
         task_label=first.task_label
@@ -196,6 +207,7 @@ def compose(first: Trajectory, second: Trajectory) -> Trajectory:
         else f"{first.task_label}|{second.task_label}",
         realization=first.realization,
         step_offset=first.step_offset,
+        parts=(first, second),
     )
 
 
@@ -252,17 +264,3 @@ def trajectories_to_rows(trajectories) -> tuple[list, list]:
             rows.append([traj.realization, traj.step_offset + k] + [float(x) for x in traj.states[k]])
     return header, rows
 
-
-def summarize_trajectories(trajectories) -> dict:
-    """JSON-ready summary: seeds plus final cumulative-Jacobian spectra."""
-    from .spectral import singular_values
-
-    return {
-        "n_realizations": len(trajectories),
-        "n_steps": trajectories[0].n_steps if trajectories else 0,
-        "omega_seeds": [t.omega_seed for t in trajectories],
-        "realizations": [t.realization for t in trajectories],
-        "final_jacobian_singular_values": [
-            [float(s) for s in singular_values(t.cumulative_jacobian)] for t in trajectories
-        ],
-    }

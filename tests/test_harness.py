@@ -219,6 +219,9 @@ def test_manifest_covers_outputs(tmp_path):
     names = set(manifest["files"])
     assert {"config.json", "dynamics.csv", "geodesic.csv", "summary.json"} <= names
     assert manifest["seed_ledger"]["master_seed"] == 2024
+    assert manifest["seed_ledger"]["streams"] == {
+        "step_noise": 0, "init": 1, "task": 2, "probe": 3, "oracle": 4,
+    }
     assert manifest["artifact_version"]
 
 

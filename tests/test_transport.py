@@ -1,3 +1,6 @@
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -120,17 +123,7 @@ def test_replay_check_detects_tampering():
     assert transport.verify_replay(traj, task)
     states = traj.states.copy()
     states[7] += 1e-12
-    forged = transport.Trajectory(
-        initial=traj.initial,
-        states=states,
-        step_jacobians=traj.step_jacobians,
-        cumulative_jacobian=traj.cumulative_jacobian,
-        omega_seed=traj.omega_seed,
-        rule=traj.rule,
-        task_label=traj.task_label,
-        realization=traj.realization,
-        step_offset=traj.step_offset,
-    )
+    forged = dataclasses.replace(traj, states=states)
     assert not transport.verify_replay(forged, task)
 
 
@@ -139,6 +132,78 @@ def test_divergence_raises():
     rule = transport.StepRule(kind="gradient_descent", step_size=50.0)
     with pytest.raises(transport.DivergenceError):
         transport.propagate(np.ones(task.dim), task, rule, 400, omega_seed=0)
+
+
+def test_nan_on_the_final_step_raises():
+    # the gradient term overflows to -inf and, on draws with xi > 0, the noise
+    # term to +inf, so the state is NaN; a NaN norm is not above the limit
+    task = tasks.QuadraticTask(dim=1, hessian=np.array([[1e10]]), minimizer=np.zeros(1))
+    rule = transport.StepRule(kind="noisy_gradient", step_size=1e300, noise_scale=1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for seed in range(1, 9):
+            with pytest.raises(transport.DivergenceError):
+                transport.propagate(np.ones(1), task, rule, 1, omega_seed=seed)
+
+
+BITWISE_RULES = (
+    transport.StepRule(kind="gradient_descent", step_size=0.05, weight_decay=0.1),
+    transport.StepRule(kind="noisy_gradient", step_size=0.05, noise_scale=0.7),
+    transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.3),
+)
+
+
+@pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
+def test_propagate_matches_public_step_bitwise(rule):
+    from reconcap import rng
+
+    task = random_task(17)
+    offset, n = 5, 12
+    traj = transport.propagate(
+        np.ones(task.dim), task, rule, n, omega_seed=19, realization=2, step_offset=offset
+    )
+    theta = np.ones(task.dim)
+    expected = [theta]
+    for k in range(n):
+        xi = (
+            rng.normal_draw(19, rng.STREAM_STEP_NOISE, 2, offset + k, task.dim)
+            if rule.uses_noise()
+            else None
+        )
+        theta, _ = transport.step(theta, task, rule, xi)
+        expected.append(theta)
+    assert np.array_equal(traj.states, np.array(expected))
+
+
+@pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
+def test_cumulative_jacobian_is_the_left_product_bitwise(rule):
+    task = random_task(18)
+    head = transport.propagate(np.ones(task.dim), task, rule, 7, omega_seed=3)
+    tail = transport.propagate(head.final, task, rule, 9, omega_seed=3, step_offset=7)
+    j = transport.step_jacobian(task, rule)
+    m = np.eye(task.dim)
+    for _ in range(9):
+        m = j @ m
+    assert np.array_equal(tail.cumulative_jacobian, m)
+    glued = transport.compose(head, tail)
+    assert np.array_equal(
+        glued.cumulative_jacobian, tail.cumulative_jacobian @ head.cumulative_jacobian
+    )
+
+
+def test_trajectory_pickle_round_trip():
+    task = random_task(19)
+    rule = transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.2)
+    head = transport.propagate(np.ones(task.dim), task, rule, 4, omega_seed=5)
+    tail = transport.propagate(head.final, task, rule, 6, omega_seed=5, step_offset=4)
+    for traj in (head, transport.compose(head, tail)):
+        copy = pickle.loads(pickle.dumps(traj))
+        assert np.array_equal(copy.states, traj.states)
+        assert (copy.omega_seed, copy.rule, copy.step_offset) == (
+            traj.omega_seed,
+            traj.rule,
+            traj.step_offset,
+        )
+        assert np.array_equal(copy.cumulative_jacobian, traj.cumulative_jacobian)
 
 
 def test_singular_value_submultiplicativity_on_products():
