@@ -22,11 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    RANK_TOL_ABS,
     RANK_TOL_REL,
     SubspaceBasis,
     as_matrix,
     as_vector,
+    log_volume,
     singular_values,
     stable_rank,
 )
@@ -52,13 +52,6 @@ def _as_jacobian_list(jacobians, dim: int | None = None) -> list[np.ndarray]:
     return mats
 
 
-def _log_volume_from_singulars(sigma: np.ndarray) -> float:
-    floor = max(RANK_TOL_REL * float(sigma[0]), RANK_TOL_ABS)
-    if float(sigma[-1]) <= floor:
-        return float("-inf")
-    return float(2.0 * np.sum(np.log(sigma)))
-
-
 def effective_rank(jacobians) -> float:
     """exp of the mean per-dimension log volume of J^T J; 0.0 once any
     realization has collapsed a direction to numerical rank deficiency."""
@@ -66,7 +59,7 @@ def effective_rank(jacobians) -> float:
     d = mats[0].shape[0]
     logs = []
     for m in mats:
-        lv = _log_volume_from_singulars(singular_values(m))
+        lv = log_volume(singular_values(m))
         if lv == float("-inf"):
             return 0.0
         logs.append(lv)
@@ -92,7 +85,7 @@ def compatible_effective_rank(
     for m in mats:
         sigma = singular_values(m @ preserving_basis.basis)
         counts.append(int(np.sum(sigma > tau_sigma)))
-        lv = _log_volume_from_singulars(sigma)
+        lv = log_volume(sigma)
         if lv == float("-inf"):
             collapsed = True
         else:
@@ -132,47 +125,6 @@ class CapacityReport:
     predicted_incompatible: bool
     predicted_incompatible_raw: bool
     tau_sigma: float
-
-    def to_dict(self) -> dict:
-        return {
-            "effective_rank": self.effective_rank,
-            "compatible_effective_rank": self.compatible_effective_rank,
-            "usable_direction_count": self.usable_direction_count,
-            "singular_profile": list(self.singular_profile),
-            "m_b": self.m_b,
-            "predicted_incompatible": self.predicted_incompatible,
-            "predicted_incompatible_raw": self.predicted_incompatible_raw,
-            "tau_sigma": self.tau_sigma,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CapacityReport":
-        allowed = {
-            "effective_rank",
-            "compatible_effective_rank",
-            "usable_direction_count",
-            "singular_profile",
-            "m_b",
-            "predicted_incompatible",
-            "predicted_incompatible_raw",
-            "tau_sigma",
-        }
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ValueError(f"CapacityReport: unknown keys {sorted(unknown)}")
-        missing = allowed - set(payload)
-        if missing:
-            raise ValueError(f"CapacityReport: missing keys {sorted(missing)}")
-        return cls(
-            effective_rank=float(payload["effective_rank"]),
-            compatible_effective_rank=float(payload["compatible_effective_rank"]),
-            usable_direction_count=int(payload["usable_direction_count"]),
-            singular_profile=tuple(float(x) for x in payload["singular_profile"]),
-            m_b=float(payload["m_b"]),
-            predicted_incompatible=bool(payload["predicted_incompatible"]),
-            predicted_incompatible_raw=bool(payload["predicted_incompatible_raw"]),
-            tau_sigma=float(payload["tau_sigma"]),
-        )
 
 
 def predict_incompatibility(

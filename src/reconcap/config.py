@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import types
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -37,14 +40,49 @@ class ConfigError(ValueError):
     """Configuration rejected before any computation started."""
 
 
+def _check_type(hint, value, where: str) -> None:
+    """Reject a JSON value that does not match a field annotation: ints are
+    never bools or floats, floats are finite numbers, tuples are lists whose
+    entries follow the same rules, and an optional field may be null."""
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return
+        (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        for i, x in enumerate(value):
+            _check_type(typing.get_args(hint)[0], x, f"{where}[{i}]")
+        return
+    if hint is float:
+        try:
+            ok = not isinstance(value, bool) and math.isfinite(value)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            ok = False
+        want = "finite float"
+    else:
+        ok = isinstance(value, hint) and not isinstance(value, bool)
+        want = hint.__name__
+    if not ok:
+        raise ConfigError(f"{where}: expected {want}, got {value!r}")
+
+
 def _build(cls, payload: dict, context: str):
     if not isinstance(payload, dict):
         raise ConfigError(f"{context}: expected an object, got {type(payload).__name__}")
-    allowed = {f for f in cls.__dataclass_fields__}
-    unknown = set(payload) - allowed
+    hints = typing.get_type_hints(cls)
+    unknown = set(payload) - set(hints)
     if unknown:
         raise ConfigError(f"{context}: unknown keys {sorted(unknown)}")
-    return cls(**payload)
+    kwargs = {}
+    for name, value in payload.items():
+        where = name if cls is ExperimentConfig else f"{context}.{name}"
+        if is_dataclass(hints[name]):
+            kwargs[name] = _build(hints[name], value, where)
+        else:
+            _check_type(hints[name], value, where)
+            kwargs[name] = value
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -57,11 +95,9 @@ class RuleConfig:
 
 @dataclass(frozen=True)
 class PairConfig:
-    spectrum_b_on_a: tuple = (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-    a_spectrum: tuple | None = None
+    spectrum_b_on_a: tuple[float, ...] = (1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+    a_spectrum: tuple[float, ...] | None = None
     rotation_seed: int = 7
-    offset_scale: float = 0.0
-    tilt: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "spectrum_b_on_a", tuple(float(x) for x in self.spectrum_b_on_a))
@@ -71,8 +107,8 @@ class PairConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    m_b_targets: tuple = (0, 1, 2, 3, 4, 5, 6, 7, 8)
-    usable_targets: tuple = (0, 1, 2, 3, 4, 5, 6, 7, 8)
+    m_b_targets: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8)
+    usable_targets: tuple[int, ...] = (0, 1, 2, 3, 4, 5, 6, 7, 8)
     collapse_strength: float = 0.9
     settle_steps: int = 200
     phase2_step_limit: int = 2000
@@ -87,9 +123,9 @@ class SweepConfig:
 @dataclass(frozen=True)
 class ThermoConfig:
     temperature: float = 0.5
-    start_mean: tuple = (2.0, -1.5)
+    start_mean: tuple[float, ...] = (2.0, -1.5)
     start_cov_scale: float = 0.02
-    hessian_spectrum: tuple = (2.0, 0.5)
+    hessian_spectrum: tuple[float, ...] = (2.0, 0.5)
     n_geodesic_steps: int = 1000
 
     def __post_init__(self):
@@ -119,7 +155,6 @@ class ExperimentConfig:
     dim: int = 16
     k_a: int = 8
     n_steps: int = 2000
-    n_realizations: int = 64
     n_trials: int = 1000
     master_seed: int = 2024
     output_dir: str = "runs"
@@ -137,27 +172,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        if not isinstance(payload, dict):
-            raise ConfigError("config: expected a JSON object at top level")
-        allowed = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - allowed
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        kwargs = dict(payload)
-        for name, sub in [
-            ("rule", RuleConfig),
-            ("pair", PairConfig),
-            ("sweep", SweepConfig),
-            ("thermo", ThermoConfig),
-            ("probe", ProbeConfig),
-            ("thresholds", ThresholdConfig),
-        ]:
-            if name in kwargs:
-                kwargs[name] = _build(sub, kwargs[name], name)
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigError(f"config: {exc}") from exc
+        cfg = _build(cls, payload, "config")
         cfg.validate()
         return cfg
 
@@ -170,8 +185,8 @@ class ExperimentConfig:
             raise ConfigError("dim: must be >= 2")
         if not 0 < self.k_a < self.dim:
             raise ConfigError("k_a: must satisfy 0 < k_a < dim")
-        if self.n_steps < 1 or self.n_realizations < 1 or self.n_trials < 1:
-            raise ConfigError("n_steps, n_realizations, n_trials: must be >= 1")
+        if self.n_steps < 1 or self.n_trials < 1:
+            raise ConfigError("n_steps, n_trials: must be >= 1")
         if self.master_seed < 0:
             raise ConfigError("master_seed: must be >= 0")
         r = self.rule
@@ -206,6 +221,9 @@ class ExperimentConfig:
         spectra.extend(abs(x) for x in self.pair.spectrum_b_on_a)
         if self.scenario == "esl-gap":
             spectra.extend(self.thermo.hessian_spectrum)
+        if self.scenario == "threshold-sweep":
+            # sweep cells demand unit curvature, which a tilt scales to 1 + tilt^2
+            spectra.append(1.0 + self.sweep.tilt**2)
         return max(spectra)
 
     def _validate_esl_gap(self) -> None:
@@ -277,7 +295,6 @@ def default_config(scenario: str) -> ExperimentConfig:
             dim=2,
             k_a=1,
             n_steps=20,
-            n_realizations=1,
             rule=RuleConfig(kind="langevin", step_size=0.05, noise_scale=0.5),
             pair=PairConfig(spectrum_b_on_a=(1.0,)),
         )
@@ -290,9 +307,7 @@ def default_config(scenario: str) -> ExperimentConfig:
     elif scenario == "threshold-sweep":
         cfg = ExperimentConfig(
             scenario=scenario,
-            pair=PairConfig(
-                spectrum_b_on_a=(1.0,) * 8, offset_scale=1.0, tilt=1.0
-            ),
+            pair=PairConfig(spectrum_b_on_a=(1.0,) * 8),
         )
     elif scenario == "composition-check":
         cfg = ExperimentConfig(scenario=scenario)

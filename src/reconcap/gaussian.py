@@ -54,9 +54,10 @@ def clamped_state(mean, covariance) -> tuple[GaussianState, bool]:
     return GaussianState(mean=mean, covariance=cov), clamped
 
 
-def covariance_sqrt(state: GaussianState) -> np.ndarray:
-    """Symmetric PSD square root of the covariance (eigendecomposition route)."""
-    eigvals, eigvecs = np.linalg.eigh(state.covariance)
+def covariance_sqrt(m: np.ndarray) -> np.ndarray:
+    """Symmetric PSD square root of a symmetric matrix (eigendecomposition
+    route); negative eigenvalues from roundoff are clipped to zero."""
+    eigvals, eigvecs = np.linalg.eigh(m)
     root = eigvecs @ np.diag(np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
     return (root + root.T) / 2.0
 
@@ -64,10 +65,10 @@ def covariance_sqrt(state: GaussianState) -> np.ndarray:
 def sample_point(state: GaussianState, master_seed: int, realization: int) -> np.ndarray:
     """One draw from the state on the (master_seed, INIT, realization) stream."""
     xi = rng.normal_draw(master_seed, rng.STREAM_INIT, realization, 0, state.dim)
-    return state.mean + covariance_sqrt(state) @ xi
+    return state.mean + covariance_sqrt(state.covariance) @ xi
 
 
 def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = rng.STREAM_ORACLE) -> np.ndarray:
     """(n, dim) draws on a single keyed stream; for probes and test oracles."""
     xi = rng.stream(master_seed, tag).standard_normal((n, state.dim))
-    return state.mean + xi @ covariance_sqrt(state).T
+    return state.mean + xi @ covariance_sqrt(state.covariance).T

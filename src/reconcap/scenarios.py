@@ -125,8 +125,6 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
         cfg.pair.spectrum_b_on_a,
         cfg.pair.rotation_seed,
         a_spectrum=cfg.pair.a_spectrum,
-        offset_scale=cfg.pair.offset_scale,
-        tilt=cfg.pair.tilt,
     )
     rule = _rule_from_config(cfg)
     a_mat = step_jacobian(pair.task_a, rule)
@@ -236,22 +234,22 @@ def check_rank_decay(summary: dict) -> None:
 # threshold-sweep: predicted vs observed incompatibility over a target grid
 
 
-def _sweep_cell(payload: dict) -> list:
-    d = payload["dim"]
-    k_a = payload["k_a"]
-    m_target = payload["m_b_target"]
-    u_target = payload["usable_target"]
-    eta = payload["step_size"]
-    tau = payload["tau_sigma"]
+def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target: int) -> list:
+    sweep = cfg.sweep
+    limits = cfg.thresholds
+    d = cfg.dim
+    k_a = cfg.k_a
+    eta = cfg.rule.step_size
+    tau = limits.tau_sigma
 
     spectrum = (1.0,) * m_target + (0.0,) * (k_a - m_target)
     pair = make_task_pair(
         d,
         k_a,
         spectrum,
-        payload["rotation_seed"] + payload["cell_index"],
-        offset_scale=payload["offset_scale"],
-        tilt=payload["tilt"] if m_target > 0 else 0.0,
+        cfg.pair.rotation_seed + cell_index,
+        offset_scale=sweep.offset_scale,
+        tilt=sweep.tilt if m_target > 0 else 0.0,
     )
     q = pair.preserving_basis.basis
     rule = StepRule(kind="gradient_descent", step_size=eta)
@@ -259,7 +257,7 @@ def _sweep_cell(payload: dict) -> list:
     # phase 1: anchor the last k_a - u preserved directions so exactly u survive;
     # collapse order runs opposite to demand order so the two targets decouple
     collapsed = q[:, u_target:]
-    anchor_h = payload["collapse_strength"] * collapsed @ collapsed.T
+    anchor_h = sweep.collapse_strength * collapsed @ collapsed.T
     anchor = QuadraticTask(
         dim=d,
         hessian=(anchor_h + anchor_h.T) / 2.0,
@@ -267,15 +265,10 @@ def _sweep_cell(payload: dict) -> list:
         label="direction-anchor",
     )
     phase1_task = combine(pair.task_a, anchor)
-    contraction = 1.0 - eta * payload["collapse_strength"]
-    k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), payload["settle_steps"])
-    theta0 = rng.normal_draw(
-        payload["master_seed"], rng.STREAM_INIT, payload["cell_index"], 0, d
-    )
-    traj = propagate(
-        theta0, phase1_task, rule, k1, payload["master_seed"],
-        realization=payload["cell_index"],
-    )
+    contraction = 1.0 - eta * sweep.collapse_strength
+    k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
+    theta0 = rng.normal_draw(cfg.master_seed, rng.STREAM_INIT, cell_index, 0, d)
+    traj = propagate(theta0, phase1_task, rule, k1, cfg.master_seed, realization=cell_index)
     report = capacity.predict_incompatibility(
         [traj], pair.preserving_basis, pair.task_b, tau
     )
@@ -286,18 +279,18 @@ def _sweep_cell(payload: dict) -> list:
     h_b = pair.task_b.hessian
     target = pair.task_b.minimizer
     y = np.zeros(u_target)
-    eps_b = payload["epsilon_b"]
-    for n_updates in range(payload["phase2_step_limit"] + 1):
+    eps_b = limits.epsilon_b
+    for n_updates in range(sweep.phase2_step_limit + 1):
         loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
-        if loss <= eps_b or n_updates == payload["phase2_step_limit"]:
+        if loss <= eps_b or n_updates == sweep.phase2_step_limit:
             break
         y = y - eta * (survivors.T @ h_d)
     theta_stage1 = theta_start + survivors @ y
     stage1_reached = bool(loss <= eps_b)
     forgetting_s1 = capacity.measure_forgetting(
-        (theta_start, theta_stage1), pair.task_a, payload["epsilon_a"]
+        (theta_start, theta_stage1), pair.task_a, limits.epsilon_a
     )
-    observed = not (stage1_reached and forgetting_s1.forgetting <= payload["epsilon_low"])
+    observed = not (stage1_reached and forgetting_s1.forgetting <= limits.epsilon_low)
 
     # stage 2: unconstrained escape, recorded for the exit audit
     phase2_steps = 0
@@ -306,8 +299,8 @@ def _sweep_cell(payload: dict) -> list:
     forgetting_after_escape = 0.0
     if not stage1_reached:
         traj2 = propagate(
-            theta_stage1, pair.task_b, rule, payload["phase2_step_limit"],
-            payload["master_seed"], realization=payload["cell_index"] + 10_000,
+            theta_stage1, pair.task_b, rule, sweep.phase2_step_limit,
+            cfg.master_seed, realization=cell_index + 10_000,
         )
         # stops at the first state within eps_b, or at the last state
         for phase2_steps, s in enumerate(traj2.states):
@@ -315,7 +308,7 @@ def _sweep_cell(payload: dict) -> list:
                 escape_reached = True
                 break
         forgetting_s2 = capacity.measure_forgetting(
-            (theta_start, traj2.states[phase2_steps]), pair.task_a, payload["epsilon_a"]
+            (theta_start, traj2.states[phase2_steps]), pair.task_a, limits.epsilon_a
         )
         exit_flag = forgetting_s2.exited_manifold
         forgetting_after_escape = forgetting_s2.forgetting
@@ -363,35 +356,16 @@ SWEEP_HEADER = [
 
 def run_threshold_sweep(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     s = cfg.sweep
-    payloads = []
-    for i, m_target in enumerate(s.m_b_targets):
-        for j, u_target in enumerate(s.usable_targets):
-            payloads.append(
-                {
-                    "cell_index": i * len(s.usable_targets) + j,
-                    "dim": cfg.dim,
-                    "k_a": cfg.k_a,
-                    "m_b_target": m_target,
-                    "usable_target": u_target,
-                    "step_size": cfg.rule.step_size,
-                    "tau_sigma": cfg.thresholds.tau_sigma,
-                    "epsilon_a": cfg.thresholds.epsilon_a,
-                    "epsilon_b": cfg.thresholds.epsilon_b,
-                    "epsilon_low": cfg.thresholds.epsilon_low,
-                    "rotation_seed": cfg.pair.rotation_seed,
-                    "offset_scale": s.offset_scale,
-                    "tilt": s.tilt,
-                    "collapse_strength": s.collapse_strength,
-                    "settle_steps": s.settle_steps,
-                    "phase2_step_limit": s.phase2_step_limit,
-                    "master_seed": cfg.master_seed,
-                }
-            )
+    cells = [
+        (cfg, i * len(s.usable_targets) + j, m_target, u_target)
+        for i, m_target in enumerate(s.m_b_targets)
+        for j, u_target in enumerate(s.usable_targets)
+    ]
     if workers > 1:
         with Pool(workers) as pool:
-            rows = pool.map(_sweep_cell, payloads)
+            rows = pool.starmap(_sweep_cell, cells)
     else:
-        rows = [_sweep_cell(p) for p in payloads]
+        rows = [_sweep_cell(*cell) for cell in cells]
 
     write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     n_cells = len(rows)

@@ -1,5 +1,5 @@
 """Dense spectral primitives: singular values, log Gram volumes, subspace
-projections, and numerical rank with explicit tolerance conventions.
+bases, and numerical rank with explicit tolerance conventions.
 
 Conventions fixed here and used across the library:
 
@@ -70,21 +70,6 @@ def require_symmetric(h, *, rel_tol: float = SYMMETRY_TOL, name: str = "matrix")
 
 
 @dataclass(frozen=True)
-class SpectralDecomposition:
-    """SVD triple with singular values stored in descending order."""
-
-    singular_values: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray  # rows are right singular vectors (V^T)
-
-    @classmethod
-    def compute(cls, a) -> "SpectralDecomposition":
-        m = as_matrix(a)
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-        return cls(singular_values=s, left_basis=u, right_basis=vt)
-
-
-@dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal columns spanning a subspace of R^ambient_dim."""
 
@@ -119,18 +104,22 @@ def _collapse_cutoff(s: np.ndarray) -> float:
     return max(RANK_TOL_REL * smax, RANK_TOL_ABS)
 
 
-def log_gram_volume(j) -> float:
-    """log det(J^T J) computed as ``2 * sum(log sigma_i)``.
+def log_volume(s: np.ndarray) -> float:
+    """log det of the Gram matrix with descending singular values ``s``,
+    computed as ``2 * sum(log sigma_i)``.
 
-    Returns exactly ``-inf`` when any singular value is at or below the
-    collapse cutoff, so a collapsed direction zeroes the exponentiated
+    Returns exactly ``-inf`` when the smallest singular value is at or below
+    the collapse cutoff, so a collapsed direction zeroes the exponentiated
     volume no matter what the other directions do.
     """
-    s = singular_values(as_matrix(j, square=True, name="jacobian"))
-    cutoff = _collapse_cutoff(s)
-    if np.any(s <= cutoff):
+    if float(s[-1]) <= _collapse_cutoff(s):
         return NEGATIVE_INFINITY
     return float(2.0 * np.sum(np.log(s)))
+
+
+def log_gram_volume(j) -> float:
+    """log det(J^T J) of a square Jacobian; see ``log_volume``."""
+    return log_volume(singular_values(as_matrix(j, square=True, name="jacobian")))
 
 
 def stable_rank(h) -> float:
@@ -160,18 +149,6 @@ def null_space_basis(h, tol: float = 1e-8) -> SubspaceBasis:
     # eigh returns ascending order; flip the selected block to descending.
     cols = eigvecs[:, mask][:, ::-1]
     return SubspaceBasis(ambient_dim=m.shape[0], dim=cols.shape[1], basis=np.ascontiguousarray(cols))
-
-
-def project_gram(j, q: SubspaceBasis) -> np.ndarray:
-    """Q^T J^T J Q, symmetrized exactly; the Gram of J restricted to span(Q)."""
-    m = as_matrix(j, square=True, name="jacobian")
-    if m.shape[0] != q.ambient_dim:
-        raise ValueError(
-            f"project_gram: jacobian dim {m.shape[0]} != basis ambient dim {q.ambient_dim}"
-        )
-    b = m @ q.basis
-    g = b.T @ b
-    return (g + g.T) / 2.0
 
 
 def numerical_rank(a, rel_tol: float = 1e-8) -> int:

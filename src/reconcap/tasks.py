@@ -59,11 +59,6 @@ def gradient(task: QuadraticTask, theta) -> np.ndarray:
     return task.hessian @ d
 
 
-def hessian(task: QuadraticTask, theta=None) -> np.ndarray:
-    """Constant curvature; theta is accepted for interface uniformity."""
-    return task.hessian.copy()
-
-
 def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
     """Q_A^T H_B Q_A: task-B curvature seen inside the A-preserving subspace."""
     if q_a.ambient_dim != task_b.dim:
@@ -110,14 +105,7 @@ class TaskPair:
     preserving_basis: SubspaceBasis
     restricted: np.ndarray
     target_m_b: float
-    # Generating parameters; sufficient to rebuild the pair bit-exactly.
-    dim: int
-    k_a: int
-    spectrum_b_on_a: tuple
-    a_spectrum: tuple
-    rotation_seed: int
-    offset_scale: float
-    tilt: float
+    a_spectrum: tuple  # task A's curvature along its normal directions
 
     def __post_init__(self):
         q = self.preserving_basis
@@ -132,33 +120,6 @@ class TaskPair:
             raise ValueError(
                 f"TaskPair: restricted stable rank {got!r} != target {self.target_m_b!r}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "k_a": self.k_a,
-            "spectrum_b_on_a": list(self.spectrum_b_on_a),
-            "a_spectrum": list(self.a_spectrum),
-            "rotation_seed": self.rotation_seed,
-            "offset_scale": self.offset_scale,
-            "tilt": self.tilt,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TaskPair":
-        keys = {"dim", "k_a", "spectrum_b_on_a", "a_spectrum", "rotation_seed", "offset_scale", "tilt"}
-        unknown = set(payload) - keys
-        if unknown:
-            raise ValueError(f"TaskPair.from_dict: unknown keys {sorted(unknown)}")
-        return make_task_pair(
-            payload["dim"],
-            payload["k_a"],
-            payload["spectrum_b_on_a"],
-            payload["rotation_seed"],
-            a_spectrum=payload.get("a_spectrum"),
-            offset_scale=payload.get("offset_scale", 0.0),
-            tilt=payload.get("tilt", 0.0),
-        )
 
 
 def make_task_pair(
@@ -245,11 +206,5 @@ def make_task_pair(
         preserving_basis=basis,
         restricted=restricted,
         target_m_b=target,
-        dim=d,
-        k_a=k_a,
-        spectrum_b_on_a=tuple(float(x) for x in spectrum),
         a_spectrum=tuple(float(x) for x in a_vals),
-        rotation_seed=int(rotation_seed),
-        offset_scale=float(offset_scale),
-        tilt=float(tilt),
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, clamped_state
+from .gaussian import GaussianState, clamped_state, covariance_sqrt
 from .spectral import RANK_TOL_REL, require_symmetric
 from .tasks import QuadraticTask
 from .transport import StepKind, StepRule, step_jacobian
@@ -42,12 +42,6 @@ LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 # Default variance assigned to zero-curvature directions of a Gibbs state;
 # a flat direction has no preferred scale, so one is fixed by convention.
 GIBBS_NULL_VARIANCE = 100.0
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    eigvals, eigvecs = np.linalg.eigh(m)
-    root = eigvecs @ np.diag(np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
-    return (root + root.T) / 2.0
 
 
 def _check_pair(g: GaussianState, task: QuadraticTask):
@@ -96,7 +90,14 @@ def evolve_gaussian(g: GaussianState, task: QuadraticTask, rule: StepRule) -> Ga
     clamped at the module floor when pure contraction drives them under it.
     """
     _check_pair(g, task)
-    a = _drift_matrix(task, rule)
+    return _moment_step(g, task, rule, _drift_matrix(task, rule))[0]
+
+
+def _moment_step(
+    g: GaussianState, task: QuadraticTask, rule: StepRule, a: np.ndarray
+) -> tuple[GaussianState, bool]:
+    """evolve_gaussian's recursion under an already-checked drift matrix ``a``;
+    returns ``(state, clamped)`` as clamped_state does."""
     eta = rule.step_size
     mean = a @ g.mean + eta * task.hessian @ task.minimizer
     cov = a @ g.covariance @ a.T
@@ -104,8 +105,7 @@ def evolve_gaussian(g: GaussianState, task: QuadraticTask, rule: StepRule) -> Ga
         cov = cov + 2.0 * rule.noise_scale * eta * np.eye(task.dim)
     elif rule.kind is StepKind.NOISY_GRADIENT:
         cov = cov + (eta * rule.noise_scale) ** 2 * np.eye(task.dim)
-    state, _ = clamped_state(mean, cov)
-    return state
+    return clamped_state(mean, cov)
 
 
 def entropy_production_step(g: GaussianState, task: QuadraticTask, rule: StepRule) -> float:
@@ -172,8 +172,6 @@ def simulate_relaxation(
         raise ValueError("simulate_relaxation: requires a langevin rule")
     t = rule.noise_scale
     a = _drift_matrix(task, rule)
-    drive = rule.step_size * task.hessian @ task.minimizer
-    diffusion = 2.0 * t * rule.step_size * np.eye(task.dim)
     states = [g0]
     sigmas = np.empty(n_steps)
     energies = np.empty(n_steps + 1)
@@ -182,7 +180,7 @@ def simulate_relaxation(
     for k in range(n_steps):
         energies[k] = free_energy(g, task, t)
         sigmas[k] = entropy_production_step(g, task, rule)
-        g, clamped = clamped_state(a @ g.mean + drive, a @ g.covariance @ a.T + diffusion)
+        g, clamped = _moment_step(g, task, rule, a)
         clamp_events += int(clamped)
         states.append(g)
     energies[n_steps] = free_energy(g, task, t)
@@ -194,7 +192,7 @@ def w2_gaussian(g1: GaussianState, g2: GaussianState) -> float:
     if g1.dim != g2.dim:
         raise ValueError("w2_gaussian: dimension mismatch")
     dmu = g1.mean - g2.mean
-    root2 = _psd_sqrt(g2.covariance)
+    root2 = covariance_sqrt(g2.covariance)
     cross = require_symmetric(root2 @ g1.covariance @ root2, rel_tol=1e-6, name="w2 cross term")
     cross_eigs = np.maximum(np.linalg.eigvalsh(cross), 0.0)
     sq = (
@@ -221,7 +219,7 @@ def ot_geodesic(g0: GaussianState, g1: GaussianState, n_steps: int) -> list:
         raise ValueError("ot_geodesic: start covariance not positive definite")
     root0 = eigvecs @ np.diag(np.sqrt(eigvals)) @ eigvecs.T
     inv_root0 = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-    mid = _psd_sqrt((root0 @ g1.covariance @ root0 + (root0 @ g1.covariance @ root0).T) / 2.0)
+    mid = covariance_sqrt((root0 @ g1.covariance @ root0 + (root0 @ g1.covariance @ root0).T) / 2.0)
     t_map = inv_root0 @ mid @ inv_root0
     t_map = (t_map + t_map.T) / 2.0
     eye = np.eye(g0.dim)

@@ -250,17 +250,3 @@ def ensemble_propagate(
         theta0 = sample_point(initial, master_seed, r)
         out.append(propagate(theta0, task, rule, n_steps, master_seed, realization=r))
     return out
-
-
-def trajectories_to_rows(trajectories) -> tuple[list, list]:
-    """Flatten trajectories for CSV export: header plus one row per state."""
-    if not trajectories:
-        raise ValueError("trajectories_to_rows: empty trajectory list")
-    d = trajectories[0].dim
-    header = ["realization", "step"] + [f"theta_{i}" for i in range(d)]
-    rows = []
-    for traj in trajectories:
-        for k in range(traj.states.shape[0]):
-            rows.append([traj.realization, traj.step_offset + k] + [float(x) for x in traj.states[k]])
-    return header, rows
-

@@ -287,7 +287,7 @@ def _standardized_batch(state, n, master_seed):
     centered = x - x.mean(axis=0)
     emp = centered.T @ centered / (n - 1)
     white = np.linalg.solve(np.linalg.cholesky(emp), centered.T)
-    return state.mean + (covariance_sqrt(state) @ white).T
+    return state.mean + (covariance_sqrt(state.covariance) @ white).T
 
 
 @pytest.mark.slow

@@ -84,19 +84,6 @@ def test_prediction_flags_overdemand():
     assert not report_ok.predicted_incompatible
 
 
-def test_report_round_trip():
-    pair = make_task_pair(d=6, k_a=2, spectrum_b_on_a=(1.0, 0.5), rotation_seed=8)
-    report = capacity.predict_incompatibility([np.eye(6)], pair.preserving_basis, pair.task_b)
-    rebuilt = capacity.CapacityReport.from_dict(report.to_dict())
-    assert rebuilt == report
-    payload = report.to_dict()
-    payload["extra"] = 0
-    with pytest.raises(ValueError):
-        capacity.CapacityReport.from_dict(payload)
-    payload2 = report.to_dict()
-    del payload2["m_b"]
-    with pytest.raises(ValueError):
-        capacity.CapacityReport.from_dict(payload2)
 
 
 def flat_axis_task():

@@ -45,5 +45,5 @@ def test_batch_sampling_moments():
 def test_covariance_sqrt_squares_back():
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
     state = gaussian.GaussianState(mean=np.zeros(2), covariance=cov)
-    root = gaussian.covariance_sqrt(state)
+    root = gaussian.covariance_sqrt(state.covariance)
     assert np.allclose(root @ root, cov, atol=1e-12)

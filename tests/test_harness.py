@@ -1,11 +1,13 @@
 """Config contract, scenario runs, CLI exit codes, and replay determinism."""
 
 import json
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
+import reconcap
 from reconcap import cli
 from reconcap.config import (
     ConfigError,
@@ -108,6 +110,15 @@ def test_sweep_targets_bounded_by_k_a():
     payload = default_config("threshold-sweep").to_dict()
     payload["sweep"]["usable_targets"] = [0, 9]
     with pytest.raises(ConfigError, match="usable_targets"):
+        ExperimentConfig.from_dict(payload)
+
+
+def test_sweep_tilt_counts_in_stability_bound():
+    # a tilted demand has curvature 1 + tilt^2: 5 * 0.5 >= 2 diverges at run time
+    payload = default_config("threshold-sweep").to_dict()
+    payload["sweep"]["tilt"] = 2.0
+    payload["rule"]["step_size"] = 0.5
+    with pytest.raises(ConfigError, match="unstable"):
         ExperimentConfig.from_dict(payload)
 
 
@@ -230,7 +241,13 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.1.0"
+    assert capsys.readouterr().out.strip() == "0.2.0"
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == reconcap.__version__
 
 
 def test_cli_scenarios(capsys):
@@ -253,6 +270,39 @@ def test_cli_validate_rejects_unknown_key(tmp_path, capsys):
     assert cli.main(["validate", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("reconcap-error code=1 kind=config")
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        (None, "dim", "16"),
+        (None, "n_steps", True),
+        (None, "master_seed", 1.5),
+        ("pair", "spectrum_b_on_a", [float("nan")] + [1.0] * 7),
+    ],
+    ids=["str-for-int", "bool-for-int", "float-for-int", "nan-in-tuple"],
+)
+def test_cli_validate_rejects_mistyped_field(tmp_path, capsys, section, key, value):
+    payload = default_config("composition-check").to_dict()
+    (payload[section] if section else payload)[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reconcap-error code=1 kind=config")
+    assert key in err and err.count("\n") == 1
+
+
+def test_cli_validate_rejects_pair_tilt(tmp_path, capsys):
+    # rank-decay never read pair.tilt; an untiltable pair once passed
+    # validate and then failed the run as a numerical error
+    payload = default_config("rank-decay").to_dict()
+    payload.update(dim=6, k_a=4)
+    payload["pair"].update(spectrum_b_on_a=[1.0] * 4, tilt=1.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 1
+    assert "unknown keys ['tilt']" in capsys.readouterr().err
 
 
 def test_cli_validate_missing_file(capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reconcap import thermo
+from reconcap.config import default_config
 from reconcap.gaussian import GaussianState
 from reconcap.tasks import QuadraticTask
 from reconcap.transport import StepRule
@@ -153,6 +154,35 @@ def test_relaxation_dissipates_free_energy():
     assert f[-1] < f[0]
     assert ledger.total > 0.0
     assert ledger.excess > -1e-6
+
+
+def _esl_gap_default():
+    cfg = default_config("esl-gap")
+    t = cfg.thermo
+    task = QuadraticTask(dim=2, hessian=np.diag(t.hessian_spectrum), minimizer=np.zeros(2))
+    g0 = GaussianState(mean=np.array(t.start_mean), covariance=t.start_cov_scale * np.eye(2))
+    rule = StepRule(kind="langevin", step_size=cfg.rule.step_size, noise_scale=cfg.rule.noise_scale)
+    return g0, task, rule, cfg.n_steps
+
+
+def _collapsing_start():
+    # contraction plus almost no diffusion drives the covariance under the floor
+    g0 = GaussianState(mean=np.zeros(2), covariance=1e-12 * np.eye(2))
+    return g0, toy_task(), hot_rule(eta=0.5, temp=1e-14), 10
+
+
+@pytest.mark.parametrize(
+    "case, clamps", [(_esl_gap_default, False), (_collapsing_start, True)], ids=["esl-gap", "clamped"]
+)
+def test_relaxation_equals_iterated_evolve_bitwise(case, clamps):
+    g0, task, rule, n = case()
+    states, _, clamp_events = thermo.simulate_relaxation(g0, task, rule, n)
+    assert (clamp_events > 0) == clamps
+    g = g0
+    for state in states[1:]:
+        g = thermo.evolve_gaussian(g, task, rule)
+        assert np.array_equal(state.mean, g.mean)
+        assert np.array_equal(state.covariance, g.covariance)
 
 
 def test_w2_frozen_values():

@@ -218,7 +218,7 @@ def test_singular_value_submultiplicativity_on_products():
         assert np.all(left <= sa[0] * sb + 1e-10)
 
 
-def test_ensemble_and_row_export():
+def test_ensemble_realizations_are_distinct():
     from reconcap.gaussian import GaussianState
 
     task = random_task(16, d=3)
@@ -228,7 +228,3 @@ def test_ensemble_and_row_export():
     assert len(trajs) == 4
     finals = {tuple(t.final) for t in trajs}
     assert len(finals) == 4
-    header, rows = transport.trajectories_to_rows(trajs)
-    assert header[:2] == ["realization", "step"]
-    assert len(rows) == 4 * 7
-    assert len(rows[0]) == 2 + 3
