@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version, rng
+from .tasks import TaskPair, make_task_pair
+from .transport import StepKind, StepRule
 
 SCENARIO_NAMES = (
     "esl-gap",
@@ -48,6 +50,8 @@ def _check_type(hint, value, where: str) -> None:
         if value is None:
             return
         (hint,) = (a for a in typing.get_args(hint) if a is not type(None))
+    if isinstance(hint, type) and issubclass(hint, str):  # a str-valued enum
+        hint = str
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
@@ -82,15 +86,10 @@ def _build(cls, payload: dict, context: str):
         else:
             _check_type(hints[name], value, where)
             kwargs[name] = value
-    return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class RuleConfig:
-    kind: str = "gradient_descent"
-    step_size: float = 0.1
-    noise_scale: float = 0.0
-    weight_decay: float = 0.0
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a section that checks itself, such as StepRule
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,6 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class ThermoConfig:
-    temperature: float = 0.5
     start_mean: tuple[float, ...] = (2.0, -1.5)
     start_cov_scale: float = 0.02
     hessian_spectrum: tuple[float, ...] = (2.0, 0.5)
@@ -158,7 +156,7 @@ class ExperimentConfig:
     n_trials: int = 1000
     master_seed: int = 2024
     output_dir: str = "runs"
-    rule: RuleConfig = field(default_factory=RuleConfig)
+    rule: StepRule = field(default_factory=StepRule)
     pair: PairConfig = field(default_factory=PairConfig)
     sweep: SweepConfig = field(default_factory=SweepConfig)
     thermo: ThermoConfig = field(default_factory=ThermoConfig)
@@ -177,67 +175,54 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
+        """Check the fields the scenario reads, on the tasks its run steps on."""
         if self.scenario not in SCENARIO_NAMES:
             raise ConfigError(
                 f"scenario: {self.scenario!r} not one of {list(SCENARIO_NAMES)}"
             )
-        if self.dim < 2:
-            raise ConfigError("dim: must be >= 2")
-        if not 0 < self.k_a < self.dim:
-            raise ConfigError("k_a: must satisfy 0 < k_a < dim")
-        if self.n_steps < 1 or self.n_trials < 1:
-            raise ConfigError("n_steps, n_trials: must be >= 1")
-        if self.master_seed < 0:
+        if self.master_seed < 0:  # every run's seed ledger records it
             raise ConfigError("master_seed: must be >= 0")
-        r = self.rule
-        if r.kind not in ("gradient_descent", "noisy_gradient", "langevin"):
-            raise ConfigError(f"rule.kind: unknown kind {r.kind!r}")
-        if r.step_size <= 0:
-            raise ConfigError("rule.step_size: must be > 0")
-        if r.noise_scale < 0 or r.weight_decay < 0:
-            raise ConfigError("rule: noise_scale and weight_decay must be >= 0")
-        if r.weight_decay > 0 and r.kind != "gradient_descent":
-            raise ConfigError("rule.weight_decay: only valid with gradient_descent")
-        if len(self.pair.spectrum_b_on_a) != self.k_a:
-            raise ConfigError(
-                f"pair.spectrum_b_on_a: length {len(self.pair.spectrum_b_on_a)} != k_a {self.k_a}"
-            )
-        if self.pair.a_spectrum is not None and len(self.pair.a_spectrum) != self.dim - self.k_a:
-            raise ConfigError("pair.a_spectrum: length must be dim - k_a")
-        lam_max = self._stiffest_curvature()
-        if r.step_size * (lam_max + r.weight_decay) >= 2.0:
-            raise ConfigError(
-                f"rule.step_size: eta * lambda_max = "
-                f"{r.step_size * (lam_max + r.weight_decay):.4f} >= 2 (unstable)"
-            )
         getattr(self, f"_validate_{self.scenario.replace('-', '_')}")()
 
-    def _stiffest_curvature(self) -> float:
-        spectra = []
-        if self.pair.a_spectrum is not None:
-            spectra.extend(self.pair.a_spectrum)
-        else:
-            spectra.append(2.0)
-        spectra.extend(abs(x) for x in self.pair.spectrum_b_on_a)
-        if self.scenario == "esl-gap":
-            spectra.extend(self.thermo.hessian_spectrum)
-        if self.scenario == "threshold-sweep":
-            # sweep cells demand unit curvature, which a tilt scales to 1 + tilt^2
-            spectra.append(1.0 + self.sweep.tilt**2)
-        return max(spectra)
+    def _require_stable(self, lam_max: float) -> None:
+        r = self.rule
+        growth = r.step_size * (lam_max + r.weight_decay)
+        if growth >= 2.0:
+            raise ConfigError(
+                f"rule.step_size: eta * lambda_max = {growth:.4f} >= 2 (unstable)"
+            )
+
+    def _task_pair(self, spectrum_b_on_a, **kwargs) -> TaskPair:
+        """The task pair a run builds, so that building it cannot fail later."""
+        try:
+            return make_task_pair(
+                self.dim, self.k_a, spectrum_b_on_a, self.pair.rotation_seed, **kwargs
+            )
+        except ValueError as exc:
+            raise ConfigError(f"{self.scenario}: {exc}") from exc
+
+    def _decaying_pair(self) -> TaskPair:
+        """rank-decay and proxy-probe iterate a decaying step map on task A."""
+        if self.n_steps < 1:
+            raise ConfigError("n_steps: must be >= 1")
+        if self.rule.kind is not StepKind.GRADIENT_DESCENT or self.rule.weight_decay <= 0:
+            raise ConfigError(f"{self.scenario}: needs gradient_descent with weight_decay > 0")
+        pair = self._task_pair(self.pair.spectrum_b_on_a, a_spectrum=self.pair.a_spectrum)
+        self._require_stable(max(pair.a_spectrum))
+        return pair
 
     def _validate_esl_gap(self) -> None:
         t = self.thermo
-        if self.rule.kind != "langevin":
+        if self.n_steps < 1:
+            raise ConfigError("n_steps: must be >= 1")
+        if self.rule.kind is not StepKind.LANGEVIN:
             raise ConfigError("esl-gap: rule.kind must be langevin")
-        if self.rule.noise_scale <= 0 or t.temperature <= 0:
-            raise ConfigError("esl-gap: needs a positive temperature")
-        if abs(self.rule.noise_scale - t.temperature) > 1e-12:
-            raise ConfigError("esl-gap: rule.noise_scale must equal thermo.temperature")
+        if self.rule.noise_scale <= 0:
+            raise ConfigError("esl-gap: rule.noise_scale is the temperature and must be > 0")
         if len(t.start_mean) != len(t.hessian_spectrum):
             raise ConfigError("esl-gap: start_mean and hessian_spectrum lengths differ")
-        if min(t.hessian_spectrum) <= 0:
-            raise ConfigError("esl-gap: hessian_spectrum must be positive definite")
+        if not t.hessian_spectrum or min(t.hessian_spectrum) <= 0:
+            raise ConfigError("esl-gap: hessian_spectrum must be nonempty and positive definite")
         if t.start_cov_scale <= 0:
             raise ConfigError("esl-gap: start_cov_scale must be > 0")
         if t.n_geodesic_steps < 2:
@@ -248,37 +233,56 @@ class ExperimentConfig:
                 f"esl-gap: n_steps * step_size = {horizon:.4f} exceeds the unit-time "
                 "horizon the transport floor is stated for"
             )
+        self._require_stable(max(t.hessian_spectrum))
 
     def _validate_rank_decay(self) -> None:
-        if self.rule.kind != "gradient_descent":
-            raise ConfigError("rank-decay: rule.kind must be gradient_descent")
+        pair = self._decaying_pair()
+        # closed-form singular-value rates: 1 - eta*wd on A's null directions,
+        # |1 - eta*(a_i + wd)| on its normals; the summary takes logs of the top
+        # rate and of the bottom-to-top ratio, so the rates must stay inside
+        # (0, 1) and apart, by a margin above roundoff
+        eta, wd, margin = self.rule.step_size, self.rule.weight_decay, 1e-9
+        rates = [1.0 - eta * wd] + [abs(1.0 - eta * (a + wd)) for a in pair.a_spectrum]
+        lo, hi = min(rates), max(rates)
+        if not (margin < lo and hi < 1.0 - margin and hi - lo > margin):
+            raise ConfigError(f"rank-decay: contraction rates {lo!r}..{hi!r} not apart in (0, 1)")
 
     def _validate_threshold_sweep(self) -> None:
         s = self.sweep
+        eta = self.rule.step_size
+        if self.rule != StepRule(step_size=eta):
+            raise ConfigError(
+                "threshold-sweep: cells step with plain gradient_descent; "
+                "rule may set only step_size"
+            )
         if not s.m_b_targets or not s.usable_targets:
             raise ConfigError("threshold-sweep: sweep grids must be nonempty")
         if any(not 0 <= m <= self.k_a for m in s.m_b_targets):
             raise ConfigError("threshold-sweep: m_b_targets must lie in [0, k_a]")
         if any(not 0 <= u <= self.k_a for u in s.usable_targets):
             raise ConfigError("threshold-sweep: usable_targets must lie in [0, k_a]")
-        if max(s.m_b_targets) > self.dim - self.k_a and s.tilt != 0.0:
-            raise ConfigError(
-                "threshold-sweep: tilted demands need m_b_targets <= dim - k_a"
-            )
-        if not 0 < s.collapse_strength * self.rule.step_size < 1:
+        if not 0 < s.collapse_strength * eta < 1:
             raise ConfigError(
                 "threshold-sweep: eta * collapse_strength must be in (0, 1) for "
                 "monotone contraction"
             )
         if s.settle_steps < 1 or s.phase2_step_limit < 1:
             raise ConfigError("threshold-sweep: step counts must be >= 1")
+        # cells differ only in rotation and demand: the largest demand builds
+        # the stiffest task B, and every cell's task A has the default spectrum
+        m = max(s.m_b_targets)
+        pair = self._task_pair((1.0,) * m + (0.0,) * (self.k_a - m), tilt=s.tilt if m else 0.0)
+        self._require_stable(max(*pair.a_spectrum, np.linalg.eigvalsh(pair.task_b.hessian)[-1]))
 
     def _validate_composition_check(self) -> None:
-        pass
+        # the trials draw their own tasks and step with fixed rules
+        if self.dim < 2:
+            raise ConfigError("dim: must be >= 2")
+        if self.n_trials < 1:
+            raise ConfigError("n_trials: must be >= 1")
 
     def _validate_proxy_probe(self) -> None:
-        if self.rule.kind != "gradient_descent" or self.rule.weight_decay <= 0:
-            raise ConfigError("proxy-probe: needs gradient_descent with weight_decay > 0")
+        self._decaying_pair()
         if self.probe.checkpoint_every < 1 or self.probe.checkpoint_every > self.n_steps:
             raise ConfigError("probe.checkpoint_every: must be in [1, n_steps]")
         if self.probe.n_probe_samples < 2:
@@ -295,14 +299,14 @@ def default_config(scenario: str) -> ExperimentConfig:
             dim=2,
             k_a=1,
             n_steps=20,
-            rule=RuleConfig(kind="langevin", step_size=0.05, noise_scale=0.5),
+            rule=StepRule(kind=StepKind.LANGEVIN, step_size=0.05, noise_scale=0.5),
             pair=PairConfig(spectrum_b_on_a=(1.0,)),
         )
     elif scenario == "rank-decay":
         cfg = ExperimentConfig(
             scenario=scenario,
             n_steps=1400,
-            rule=RuleConfig(kind="gradient_descent", step_size=0.1, weight_decay=0.1),
+            rule=StepRule(step_size=0.1, weight_decay=0.1),
         )
     elif scenario == "threshold-sweep":
         cfg = ExperimentConfig(
@@ -318,7 +322,7 @@ def default_config(scenario: str) -> ExperimentConfig:
         cfg = ExperimentConfig(
             scenario=scenario,
             n_steps=270,
-            rule=RuleConfig(kind="gradient_descent", step_size=0.1, weight_decay=0.5),
+            rule=StepRule(step_size=0.1, weight_decay=0.5),
             probe=ProbeConfig(checkpoint_every=4),
         )
     else:

@@ -33,16 +33,6 @@ class CheckError(RuntimeError):
     """A scenario ran to completion but its output failed validation."""
 
 
-def _rule_from_config(cfg: ExperimentConfig) -> StepRule:
-    r = cfg.rule
-    return StepRule(
-        kind=r.kind,
-        step_size=r.step_size,
-        noise_scale=r.noise_scale,
-        weight_decay=r.weight_decay,
-    )
-
-
 # ---------------------------------------------------------------------------
 # esl-gap: relaxation dissipation vs the transport floor
 
@@ -56,7 +46,7 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
         minimizer=np.zeros(d),
         label="relaxation-target",
     )
-    rule = _rule_from_config(cfg)
+    rule = cfg.rule
     g0 = GaussianState(
         mean=np.asarray(t_cfg.start_mean, dtype=np.float64),
         covariance=t_cfg.start_cov_scale * np.eye(d),
@@ -69,10 +59,10 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
 
     n_geo = t_cfg.n_geodesic_steps
     geo = thermo.ot_geodesic(g0, g_end, n_geo)
-    geo_ledger = thermo.geodesic_action_ledger(geo, task, t_cfg.temperature)
+    geo_ledger = thermo.geodesic_action_ledger(geo, task, rule.noise_scale)
     n_coarse = max(n_geo // 10, 2)
     coarse = thermo.ot_geodesic(g0, g_end, n_coarse)
-    coarse_ledger = thermo.geodesic_action_ledger(coarse, task, t_cfg.temperature)
+    coarse_ledger = thermo.geodesic_action_ledger(coarse, task, rule.noise_scale)
 
     header, rows = thermo.series_rows(states, ledger, g0)
     write_csv(out / "dynamics.csv", header, rows)
@@ -80,7 +70,7 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     write_csv(out / "geodesic.csv", header, rows)
 
     summary = {
-        "temperature": t_cfg.temperature,
+        "temperature": rule.noise_scale,
         "step_size": rule.step_size,
         "n_steps": cfg.n_steps,
         "time_horizon": cfg.n_steps * rule.step_size,
@@ -126,7 +116,7 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
         cfg.pair.rotation_seed,
         a_spectrum=cfg.pair.a_spectrum,
     )
-    rule = _rule_from_config(cfg)
+    rule = cfg.rule
     a_mat = step_jacobian(pair.task_a, rule)
     eigvals = np.linalg.eigvalsh(a_mat)
     rates = np.sort(np.abs(eigvals))[::-1]
@@ -223,9 +213,10 @@ def check_rank_decay(summary: dict) -> None:
             f"rank-decay: usable count hit zero at step {summary['usable_zero_step']}, "
             f"closed form says {summary['usable_zero_step_closed_form']}"
         )
-    if abs(summary["collapse_step"] - summary["collapse_step_closed_form"]) > 2:
+    collapse = summary["collapse_step"]
+    if collapse is None or abs(collapse - summary["collapse_step_closed_form"]) > 2:
         raise CheckError(
-            f"rank-decay: volume collapse at step {summary['collapse_step']}, "
+            f"rank-decay: volume collapse at step {collapse}, "
             f"closed form says {summary['collapse_step_closed_form']}"
         )
 
@@ -239,7 +230,8 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     limits = cfg.thresholds
     d = cfg.dim
     k_a = cfg.k_a
-    eta = cfg.rule.step_size
+    rule = cfg.rule  # plain gradient descent, as validate requires
+    eta = rule.step_size
     tau = limits.tau_sigma
 
     spectrum = (1.0,) * m_target + (0.0,) * (k_a - m_target)
@@ -252,7 +244,6 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
         tilt=sweep.tilt if m_target > 0 else 0.0,
     )
     q = pair.preserving_basis.basis
-    rule = StepRule(kind="gradient_descent", step_size=eta)
 
     # phase 1: anchor the last k_a - u preserved directions so exactly u survive;
     # collapse order runs opposite to demand order so the two targets decouple
@@ -362,7 +353,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, out: Path, workers: int = 1) -> d
         for j, u_target in enumerate(s.usable_targets)
     ]
     if workers > 1:
-        with Pool(workers) as pool:
+        with Pool(min(workers, len(cells))) as pool:
             rows = pool.starmap(_sweep_cell, cells)
     else:
         rows = [_sweep_cell(*cell) for cell in cells]
@@ -568,7 +559,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
         a_spectrum=cfg.pair.a_spectrum,
     )
     task_a = pair.task_a
-    rule = _rule_from_config(cfg)
+    rule = cfg.rule
     a_mat = step_jacobian(task_a, rule)
     basis = pair.preserving_basis
     tau = cfg.thresholds.tau_sigma

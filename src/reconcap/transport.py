@@ -40,7 +40,7 @@ class DivergenceError(RuntimeError):
     pass
 
 
-class StepKind(enum.Enum):
+class StepKind(str, enum.Enum):
     GRADIENT_DESCENT = "gradient_descent"
     NOISY_GRADIENT = "noisy_gradient"
     LANGEVIN = "langevin"
@@ -48,8 +48,10 @@ class StepKind(enum.Enum):
 
 @dataclass(frozen=True)
 class StepRule:
-    kind: StepKind
-    step_size: float
+    """One update rule; the only place its fields are checked."""
+
+    kind: StepKind = StepKind.GRADIENT_DESCENT
+    step_size: float = 0.1
     noise_scale: float = 0.0
     weight_decay: float = 0.0
 

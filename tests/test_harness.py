@@ -1,5 +1,6 @@
 """Config contract, scenario runs, CLI exit codes, and replay determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 from unittest import mock
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 import reconcap
-from reconcap import cli
+from reconcap import cli, scenarios
 from reconcap.config import (
     ConfigError,
     ExperimentConfig,
+    PairConfig,
     ProbeConfig,
-    RuleConfig,
     SweepConfig,
     ThermoConfig,
     config_hash,
@@ -24,7 +25,7 @@ from reconcap.config import (
     write_csv,
 )
 from reconcap.scenarios import CheckError, run_scenario
-from reconcap.transport import DivergenceError
+from reconcap.transport import DivergenceError, StepRule
 
 
 # -- config contract --------------------------------------------------------
@@ -71,15 +72,16 @@ def test_bad_scenario_rejected():
 
 
 def test_unstable_step_size_rejected():
-    cfg = ExperimentConfig(rule=RuleConfig(step_size=1.5))
+    cfg = ExperimentConfig(scenario="rank-decay", rule=StepRule(step_size=1.5, weight_decay=0.1))
     with pytest.raises(ConfigError, match="unstable"):
         cfg.validate()
 
 
 def test_weight_decay_needs_gradient_descent():
-    cfg = ExperimentConfig(rule=RuleConfig(kind="langevin", noise_scale=0.3, weight_decay=0.1))
+    payload = default_config("rank-decay").to_dict()
+    payload["rule"] = {"kind": "langevin", "noise_scale": 0.3, "weight_decay": 0.1}
     with pytest.raises(ConfigError, match="weight_decay"):
-        cfg.validate()
+        ExperimentConfig.from_dict(payload)
 
 
 def test_esl_gap_requires_langevin():
@@ -100,7 +102,7 @@ def test_esl_gap_horizon_capped():
 
 
 def test_spectrum_length_must_match_k_a():
-    payload = default_config("composition-check").to_dict()
+    payload = default_config("rank-decay").to_dict()
     payload["pair"]["spectrum_b_on_a"] = [1.0, 1.0]
     with pytest.raises(ConfigError, match="spectrum_b_on_a"):
         ExperimentConfig.from_dict(payload)
@@ -120,6 +122,21 @@ def test_sweep_tilt_counts_in_stability_bound():
     payload["rule"]["step_size"] = 0.5
     with pytest.raises(ConfigError, match="unstable"):
         ExperimentConfig.from_dict(payload)
+
+
+def test_sweep_rejects_a_rule_it_does_not_step_with():
+    # sweep cells step with plain gradient descent; a noisy rule would be ignored
+    payload = default_config("threshold-sweep").to_dict()
+    payload["rule"].update(kind="langevin", noise_scale=0.3)
+    with pytest.raises(ConfigError, match="threshold-sweep"):
+        ExperimentConfig.from_dict(payload)
+
+
+def test_composition_check_ignores_rule():
+    # its trials step with fixed rules, so the configured one is never iterated
+    payload = default_config("composition-check").to_dict()
+    payload["rule"]["step_size"] = 1.5
+    assert ExperimentConfig.from_dict(payload).rule.step_size == 1.5
 
 
 def test_format_float_and_csv(tmp_path):
@@ -166,6 +183,17 @@ def test_rank_decay_run(tmp_path):
     assert summary["max_monotonicity_violation"] <= 1e-10
 
 
+def test_rank_decay_check_reports_a_missing_collapse(tmp_path):
+    # near-equal rates: the usable count hits zero long before the volume
+    # collapses, so a short run ends with no collapse step to compare
+    cfg = dataclasses.replace(
+        default_config("rank-decay"), n_steps=1000, pair=PairConfig(a_spectrum=(0.01,) * 8)
+    )
+    cfg.validate()
+    with pytest.raises(CheckError, match="volume collapse at step None"):
+        run_scenario(cfg, out_dir=tmp_path, check=True)
+
+
 def test_proxy_probe_run(tmp_path):
     summary = run_scenario(default_config("proxy-probe"), out_dir=tmp_path, check=True)
     assert summary["spearman_pr_vs_usable"] >= 0.8
@@ -196,6 +224,47 @@ def test_threshold_sweep_workers_match(tmp_path):
     assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
         tmp_path / "pooled" / "sweep.csv"
     ).read_bytes()
+
+
+def test_threshold_sweep_ignores_pair_spectra(tmp_path):
+    # sweep cells build their own pairs, so a stiff configured A spectrum is
+    # neither read nor counted in the stability bound
+    cfg = ExperimentConfig(
+        scenario="threshold-sweep",
+        sweep=SweepConfig(m_b_targets=(0, 8), usable_targets=(0, 8)),
+    )
+    stiff = dataclasses.replace(cfg, pair=PairConfig(a_spectrum=(30.0,) * 8))
+    stiff.validate()
+    run_scenario(cfg, out_dir=tmp_path / "default")
+    run_scenario(stiff, out_dir=tmp_path / "stiff")
+    assert (tmp_path / "default" / "sweep.csv").read_bytes() == (
+        tmp_path / "stiff" / "sweep.csv"
+    ).read_bytes()
+
+
+def test_sweep_pool_capped_at_cell_count(tmp_path, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, cells):
+            return [fn(*cell) for cell in cells]
+
+    monkeypatch.setattr(scenarios, "Pool", SerialPool)
+    cfg = ExperimentConfig(
+        scenario="threshold-sweep",
+        sweep=SweepConfig(m_b_targets=(0, 8), usable_targets=(0, 8)),
+    )
+    run_scenario(cfg, out_dir=tmp_path, workers=1000)
+    assert started == [4]
 
 
 def test_noisy_probe_fails_check(tmp_path):
@@ -241,7 +310,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.2.0"
+    assert capsys.readouterr().out.strip() == "0.3.0"
 
 
 def test_version_matches_pyproject():
@@ -305,6 +374,38 @@ def test_cli_validate_rejects_pair_tilt(tmp_path, capsys):
     assert "unknown keys ['tilt']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"dim": 2, "k_a": 1, "pair": {"spectrum_b_on_a": [1.0]}, "rule": {"weight_decay": 0.0}},
+        {
+            "dim": 2,
+            "k_a": 1,
+            "pair": {"spectrum_b_on_a": [1.0], "a_spectrum": [3.8]},
+            "rule": {"step_size": 0.5, "weight_decay": 0.1},
+        },
+        {"rule": {"weight_decay": 2.5e-150}},
+        {"pair": {"spectrum_b_on_a": [-1.0] + [1.0] * 7}},
+    ],
+    ids=["no-decay", "equal-rates", "decay-below-roundoff", "negative-demand"],
+)
+def test_cli_rank_decay_that_cannot_run_is_a_config_error(tmp_path, capsys, overrides):
+    # each once passed validate, then crashed, failed as "numerical", or
+    # failed its check against a closed form that took the log of a rate of 1
+    payload = default_config("rank-decay").to_dict()
+    for key, value in overrides.items():
+        if isinstance(value, dict):
+            payload[key].update(value)
+        else:
+            payload[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
+
+
 def test_cli_validate_missing_file(capsys):
     assert cli.main(["validate", "/nonexistent/cfg.json"]) == 1
 
@@ -347,7 +448,7 @@ def test_cli_bad_workers_env(monkeypatch, capsys, tmp_path):
 def test_probe_config_bounds():
     cfg = ExperimentConfig(
         scenario="proxy-probe",
-        rule=RuleConfig(step_size=0.1, weight_decay=0.5),
+        rule=StepRule(step_size=0.1, weight_decay=0.5),
         probe=ProbeConfig(checkpoint_every=0),
     )
     with pytest.raises(ConfigError, match="checkpoint_every"):
