@@ -55,15 +55,19 @@ def _as_jacobian_list(jacobians, dim: int | None = None) -> list[np.ndarray]:
 def effective_rank(jacobians) -> float:
     """exp of the mean per-dimension log volume of J^T J; 0.0 once any
     realization has collapsed a direction to numerical rank deficiency."""
-    mats = _as_jacobian_list(jacobians)
-    d = mats[0].shape[0]
+    return spectra_effective_rank(singular_values(m) for m in _as_jacobian_list(jacobians))
+
+
+def spectra_effective_rank(spectra) -> float:
+    """``effective_rank`` from each realization's descending singular values;
+    stops at the first collapsed one."""
     logs = []
-    for m in mats:
-        lv = log_volume(singular_values(m))
+    for s in spectra:
+        lv = log_volume(s)
         if lv == float("-inf"):
             return 0.0
         logs.append(lv)
-    return float(np.exp(np.mean(logs) / d))
+    return float(np.exp(np.mean(logs) / s.size))
 
 
 def compatible_effective_rank(

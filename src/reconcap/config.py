@@ -192,6 +192,11 @@ class ExperimentConfig:
                 f"rule.step_size: eta * lambda_max = {growth:.4f} >= 2 (unstable)"
             )
 
+    def _require_positive_thresholds(self, *names: str) -> None:
+        for name in names:
+            if not getattr(self.thresholds, name) > 0:
+                raise ConfigError(f"thresholds.{name}: must be > 0")
+
     def _task_pair(self, spectrum_b_on_a, **kwargs) -> TaskPair:
         """The task pair a run builds, so that building it cannot fail later."""
         try:
@@ -207,6 +212,7 @@ class ExperimentConfig:
             raise ConfigError("n_steps: must be >= 1")
         if self.rule.kind is not StepKind.GRADIENT_DESCENT or self.rule.weight_decay <= 0:
             raise ConfigError(f"{self.scenario}: needs gradient_descent with weight_decay > 0")
+        self._require_positive_thresholds("tau_sigma")
         pair = self._task_pair(self.pair.spectrum_b_on_a, a_spectrum=self.pair.a_spectrum)
         self._require_stable(max(pair.a_spectrum))
         return pair
@@ -268,6 +274,10 @@ class ExperimentConfig:
             )
         if s.settle_steps < 1 or s.phase2_step_limit < 1:
             raise ConfigError("threshold-sweep: step counts must be >= 1")
+        # the run reads the first four, its check reads epsilon_high
+        self._require_positive_thresholds(
+            "tau_sigma", "epsilon_a", "epsilon_b", "epsilon_low", "epsilon_high"
+        )
         # cells differ only in rotation and demand: the largest demand builds
         # the stiffest task B, and every cell's task A has the default spectrum
         m = max(s.m_b_targets)
@@ -383,6 +393,7 @@ class RunManifest:
             started_at=datetime.now(timezone.utc).isoformat(),
             seed_ledger={
                 "master_seed": cfg.master_seed,
+                "chunk_steps": rng.CHUNK_STEPS,
                 "streams": {
                     name.removeprefix("STREAM_").lower(): tag
                     for name, tag in vars(rng).items()

@@ -13,7 +13,6 @@ from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import capacity, rng, thermo, transport
 from .config import (
@@ -24,7 +23,7 @@ from .config import (
     write_json,
 )
 from .gaussian import GaussianState
-from .spectral import RANK_TOL_REL, numerical_rank, singular_values
+from .spectral import RANK_TOL_REL, singular_values, spectrum_rank
 from .tasks import QuadraticTask, _half_quadratic, combine, make_task_pair, random_rotation, value
 from .transport import StepRule, propagate, step_jacobian
 
@@ -90,7 +89,7 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     return summary
 
 
-def check_esl_gap(summary: dict) -> None:
+def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
     if summary["slack"] < -1e-6:
         raise CheckError(f"esl-gap: slack {summary['slack']:.3e} below -1e-6")
     if summary["geodesic_rel_error"] > 0.05:
@@ -138,9 +137,9 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     m = np.eye(cfg.dim)
     for step_idx in range(cfg.n_steps + 1):
         sv = singular_values(m)
-        eff = capacity.effective_rank([m])
+        eff = capacity.spectra_effective_rank([sv])
         compat, usable = capacity.compatible_effective_rank([m], basis, tau)
-        row = [step_idx, eff, compat, usable, numerical_rank(m)]
+        row = [step_idx, eff, compat, usable, spectrum_rank(sv)]
         row += [float(x) for x in sv]
         rows.append(row)
 
@@ -193,7 +192,7 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     return summary
 
 
-def check_rank_decay(summary: dict) -> None:
+def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
     if summary["max_monotonicity_violation"] > 1e-10:
         raise CheckError(
             f"rank-decay: rank rose by {summary['max_monotonicity_violation']:.3e}"
@@ -384,7 +383,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, out: Path, workers: int = 1) -> d
     return summary
 
 
-def check_threshold_sweep(summary: dict) -> None:
+def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
     if summary["agreement_rate"] < 0.95:
         raise CheckError(
             f"threshold-sweep: agreement {summary['agreement_rate']:.1%} below 95%"
@@ -393,6 +392,12 @@ def check_threshold_sweep(summary: dict) -> None:
         raise CheckError(
             "threshold-sweep: a zero-usable cell with live demand was not "
             "flagged incompatible"
+        )
+    forced_min = summary["forced_exit_forgetting_min"]
+    if forced_min is not None and forced_min < cfg.thresholds.epsilon_high:
+        raise CheckError(
+            f"threshold-sweep: forced-exit forgetting {forced_min:.3e} below "
+            f"epsilon_high {cfg.thresholds.epsilon_high:g}"
         )
 
 
@@ -477,7 +482,7 @@ def run_composition_check(cfg: ExperimentConfig, out: Path, workers: int = 1) ->
         slack = float(np.max(sv_p - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b)))
         rank_a = int(np.sum(s_a > 0.0))
         rank_b = int(np.sum(s_b > 0.0))
-        rank_p = numerical_rank(prod)
+        rank_p = spectrum_rank(sv_p)
         rank_ok = rank_p <= min(rank_a, rank_b)
         sigma_ok = slack <= 1e-10 * max(top, 1.0)
         if not (rank_ok and sigma_ok):
@@ -529,7 +534,7 @@ def run_composition_check(cfg: ExperimentConfig, out: Path, workers: int = 1) ->
     return summary
 
 
-def check_composition_check(summary: dict) -> None:
+def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
     if summary["max_composition_error"] > 1e-10:
         raise CheckError(
             f"composition-check: split/compose mismatch {summary['max_composition_error']:.3e}"
@@ -599,6 +604,9 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     write_csv(out / "proxy.csv", ["step", "pr", "usable", "surviving_normals"], rows)
 
     if len(set(usable_series)) > 1:
+        # imported here: scipy.stats is most of `import reconcap`'s time
+        from scipy import stats
+
         spearman = float(stats.spearmanr(pr_series, usable_series).statistic)
     else:
         spearman = float("nan")
@@ -624,7 +632,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
     return summary
 
 
-def check_proxy_probe(summary: dict) -> None:
+def check_proxy_probe(summary: dict, cfg: ExperimentConfig) -> None:
     sp = summary["spearman_pr_vs_usable"]
     if not sp >= 0.8:
         raise CheckError(f"proxy-probe: rank correlation {sp} below 0.8")
@@ -658,8 +666,8 @@ def run_scenario(
     """Run one scenario end to end: data files, summary, manifest.
 
     Returns the summary dict.  With check=True the scenario's validator runs
-    on the summary and raises CheckError on violation (after all files are
-    written, so failures stay inspectable).
+    on the summary and the config and raises CheckError on violation (after
+    all files are written, so failures stay inspectable).
     """
     runner, checker = SCENARIOS[cfg.scenario]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir) / cfg.scenario
@@ -672,5 +680,5 @@ def run_scenario(
             manifest.record(path)
     manifest.finish(out / "manifest.json")
     if check:
-        checker(summary)
+        checker(summary, cfg)
     return summary

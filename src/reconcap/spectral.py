@@ -153,7 +153,11 @@ def null_space_basis(h, tol: float = 1e-8) -> SubspaceBasis:
 
 def numerical_rank(a, rel_tol: float = 1e-8) -> int:
     """Count of singular values above ``rel_tol * sigma_max``."""
-    s = singular_values(a)
+    return spectrum_rank(singular_values(a), rel_tol)
+
+
+def spectrum_rank(s: np.ndarray, rel_tol: float = 1e-8) -> int:
+    """``numerical_rank`` of a matrix with descending singular values ``s``."""
     smax = float(s[0]) if s.size else 0.0
     if smax <= RANK_TOL_ABS:
         return 0

@@ -198,7 +198,8 @@ def make_task_pair(
     basis = SubspaceBasis(ambient_dim=d, dim=k_a, basis=null_dirs)
     restricted = restricted_hessian(task_b, basis)
     top = float(np.max(spectrum)) if demanded.size else 0.0
-    target = float(np.sum(spectrum**2) / top**2) if top > 0.0 else 0.0
+    # scaled before squaring: top**2 underflows to 0 below about 1e-154
+    target = float(np.sum((spectrum / top) ** 2)) if top > 0.0 else 0.0
 
     return TaskPair(
         task_a=task_a,

@@ -7,8 +7,8 @@ one step matrix and computes the cumulative Jacobian, an exact matrix
 product, on first use.  That exactness is what makes the composition and rank
 algebra checkable to near machine precision.
 
-Update rules (eta = step_size, s = noise_scale, wd = weight_decay, xi a fresh
-standard normal draw keyed by (omega_seed, realization, step)):
+Update rules (eta = step_size, s = noise_scale, wd = weight_decay, xi row
+`step` of the standard normal sequence keyed by (omega_seed, realization)):
 
   gradient_descent: theta' = theta - eta * (grad(theta) + wd * theta)
                     J = I - eta * (H + wd * I)
@@ -144,9 +144,10 @@ def propagate(
 ) -> Trajectory:
     """Roll the step map forward, recording states.
 
-    Noise draws are keyed by (omega_seed, realization, step_offset + k), so a
-    trajectory split at any step and resumed with the matching offset replays
-    the same draws and recomposes exactly.
+    Step k reads noise row step_offset + k of the (omega_seed, realization)
+    sequence, drawn as one block before the loop, so a trajectory split at
+    any step and resumed with the matching offset replays the same draws and
+    recomposes exactly.
     """
     if n_steps < 0:
         raise ValueError(f"propagate: n_steps must be >= 0, got {n_steps}")
@@ -154,14 +155,13 @@ def propagate(
     d = task.dim
     states = np.empty((n_steps + 1, d))
     states[0] = th
-    needs_noise = rule.uses_noise()
+    noise = (
+        rng.normal_rows(omega_seed, rng.STREAM_STEP_NOISE, realization, step_offset, n_steps, d)
+        if rule.uses_noise()
+        else None
+    )
     for k in range(n_steps):
-        xi = (
-            rng.normal_draw(omega_seed, rng.STREAM_STEP_NOISE, realization, step_offset + k, d)
-            if needs_noise
-            else None
-        )
-        nxt = _advance(states[k], task, rule, xi)
+        nxt = _advance(states[k], task, rule, None if noise is None else noise[k])
         # np.linalg.norm's own formula, without its per-call dispatch
         norm = math.sqrt(nxt.dot(nxt))
         # written so that a NaN norm fails it too: nothing else checks the states
@@ -240,7 +240,7 @@ def ensemble_propagate(
     """Independent trajectories from Gaussian initial draws.
 
     Realization r draws its start on the (master_seed, INIT, r) stream and its
-    step noise on (master_seed, STEP, r, k); no state is shared between
+    step noise on the (master_seed, STEP, r) sequence; no state is shared between
     realizations, so any subset can be reproduced in isolation.
     """
     if n_realizations < 1:

@@ -43,6 +43,10 @@ def _spectrum(draw, usual_lo, lo, hi):
 # weight decays down to the subnormal range, where 1 - eta * wd rounds to 1
 _WEIGHT_DECAYS = _floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 2.5e-150, 1e-12])
 _KINDS = st.sampled_from([k.value for k in StepKind])
+# thresholds outside the usual range: nonpositive ones, and a tau above 1; a
+# tau near the subnormal range would make a sweep's settle phase run for
+# hundreds of thousands of steps, which is slow but not a failure
+_THRESHOLDS_WIDE = st.sampled_from([0.0, -1e-3, -1.0]) | _floats(1e-6, 2.0)
 
 
 @st.composite
@@ -98,6 +102,16 @@ def payloads(draw):
             "start_cov_scale": draw(_usually(draw, _floats(0.01, 1.0), _floats(0.0, 1.0))),
             "hessian_spectrum": _list_of(draw, _spectrum(draw, 0.1, -1.0, 5.0), n_thermo),
             "n_geodesic_steps": draw(_usually(draw, st.integers(2, 20), st.integers(1, 20))),
+        },
+        "thresholds": {
+            name: draw(_usually(draw, _floats(lo, hi), _THRESHOLDS_WIDE))
+            for name, lo, hi in (
+                ("tau_sigma", 1e-6, 0.5),
+                ("epsilon_a", 1e-8, 0.1),
+                ("epsilon_b", 1e-8, 0.1),
+                ("epsilon_low", 1e-8, 0.1),
+                ("epsilon_high", 1e-8, 1.0),
+            )
         },
         "probe": {
             "checkpoint_every": draw(_usually(draw, st.integers(1, n_steps), st.integers(0, 10))),

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -302,6 +304,7 @@ def test_manifest_covers_outputs(tmp_path):
     assert manifest["seed_ledger"]["streams"] == {
         "step_noise": 0, "init": 1, "task": 2, "probe": 3, "oracle": 4,
     }
+    assert manifest["seed_ledger"]["chunk_steps"] == 256
     assert manifest["artifact_version"]
 
 
@@ -310,7 +313,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.3.0"
+    assert capsys.readouterr().out.strip() == "0.4.0"
 
 
 def test_version_matches_pyproject():
@@ -404,6 +407,60 @@ def test_cli_rank_decay_that_cannot_run_is_a_config_error(tmp_path, capsys, over
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "scenario, thresholds",
+    [
+        ("rank-decay", {"tau_sigma": 0.0}),
+        ("rank-decay", {"tau_sigma": -1.0}),
+        ("proxy-probe", {"tau_sigma": 0.0}),
+        ("threshold-sweep", {"tau_sigma": 0.0}),
+        ("threshold-sweep", {"epsilon_high": 0.0}),
+    ],
+    ids=["rank-decay-zero-tau", "rank-decay-negative-tau", "proxy-probe-zero-tau",
+         "sweep-zero-tau", "sweep-zero-epsilon-high"],
+)
+def test_cli_threshold_the_run_reads_is_validated(tmp_path, capsys, scenario, thresholds):
+    # tau_sigma = 0 once passed validate, then failed the run as "numerical"
+    # (rank-decay, proxy-probe) or in math.log (threshold-sweep)
+    payload = default_config(scenario).to_dict()
+    payload["thresholds"].update(thresholds)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
+    assert f"thresholds.{next(iter(thresholds))}" in err
+
+
+def test_sweep_check_enforces_forced_exit_threshold(tmp_path):
+    cfg = dataclasses.replace(
+        default_config("threshold-sweep"),
+        sweep=SweepConfig(m_b_targets=(0, 4), usable_targets=(0, 4)),
+    )
+    cfg.validate()
+    summary = run_scenario(cfg, out_dir=tmp_path / "ok", check=True)
+    forced_min = summary["forced_exit_forgetting_min"]
+    assert forced_min >= cfg.thresholds.epsilon_high
+    strict = dataclasses.replace(
+        cfg, thresholds=dataclasses.replace(cfg.thresholds, epsilon_high=2.0 * forced_min)
+    )
+    strict.validate()
+    with pytest.raises(CheckError, match="forced-exit forgetting"):
+        run_scenario(strict, out_dir=tmp_path / "strict", check=True)
+    # the data files do not depend on epsilon_high
+    for name in ("sweep.csv", "summary.json"):
+        assert (tmp_path / "ok" / name).read_bytes() == (tmp_path / "strict" / name).read_bytes()
+    no_exits = dict(summary, forced_exit_forgetting_min=None)
+    scenarios.check_threshold_sweep(no_exits, strict)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    code = "import sys, reconcap; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_validate_missing_file(capsys):

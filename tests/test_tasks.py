@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,14 @@ class TestTaskPair:
                 rotation_seed=2,
                 tilt=0.5,
             )
+
+    @pytest.mark.parametrize("top", [1e-13, 1e-200])
+    def test_demand_below_the_resolution_is_rejected_alike(self, top):
+        # below about 1e-154 the target was 0/0 = NaN, which no check rejects
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="restricted stable rank 0.0 != target 1.0"):
+                tasks.make_task_pair(4, 2, (top, 0.0), 7)
 
     def test_round_trip_is_bit_exact(self):
         # the generating arguments are all a config stores to replay a pair

@@ -228,3 +228,17 @@ def test_ensemble_realizations_are_distinct():
     assert len(trajs) == 4
     finals = {tuple(t.final) for t in trajs}
     assert len(finals) == 4
+
+
+@pytest.mark.parametrize("rule", BITWISE_RULES[1:], ids=lambda r: r.kind.value)
+def test_split_across_a_noise_chunk_composes_bitwise(rule):
+    # the split at 250 and the run's end fall in different noise chunks
+    task = random_task(20, d=3)
+    full = transport.propagate(np.ones(3), task, rule, 600, omega_seed=8, realization=1)
+    head = transport.propagate(np.ones(3), task, rule, 250, omega_seed=8, realization=1)
+    tail = transport.propagate(
+        head.final, task, rule, 350, omega_seed=8, realization=1, step_offset=250
+    )
+    glued = transport.compose(head, tail)
+    assert np.array_equal(glued.states, full.states)
+    assert glued.omega_seed == 8 and transport.verify_replay(tail, task)
