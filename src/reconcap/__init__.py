@@ -5,7 +5,7 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .capacity import (
     DEFAULT_TAU_SIGMA,
@@ -17,7 +17,6 @@ from .capacity import (
     participation_ratio,
     predict_incompatibility,
     reconfiguration_dimension,
-    singular_profile,
 )
 from .config import (
     ConfigError,
@@ -32,7 +31,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .gaussian import COVARIANCE_FLOOR, GaussianState, clamped_state, sample_batch, sample_point
+from .gaussian import COVARIANCE_FLOOR, GaussianState, clamped_state
 from .rng import (
     STREAM_INIT,
     STREAM_ORACLE,
@@ -44,8 +43,6 @@ from .rng import (
 )
 from .spectral import (
     SubspaceBasis,
-    log_gram_volume,
-    null_space_basis,
     numerical_rank,
     singular_values,
     stable_rank,
@@ -54,7 +51,6 @@ from .tasks import (
     QuadraticTask,
     TaskPair,
     combine,
-    gradient,
     make_task_pair,
     random_rotation,
     restricted_hessian,
@@ -65,10 +61,8 @@ from .thermo import (
     entropy,
     entropy_production_step,
     esl_slack,
-    evolve_gaussian,
     free_energy,
     geodesic_action_ledger,
-    gibbs_state,
     ot_geodesic,
     simulate_relaxation,
     w2_gaussian,
@@ -80,11 +74,8 @@ from .transport import (
     StepRule,
     Trajectory,
     compose,
-    ensemble_propagate,
     propagate,
-    step,
     step_jacobian,
-    verify_replay,
 )
 
 __all__ = [
@@ -121,21 +112,15 @@ __all__ = [
     "compatible_effective_rank",
     "compose",
     "effective_rank",
-    "ensemble_propagate",
     "entropy",
     "entropy_production_step",
     "esl_slack",
-    "evolve_gaussian",
     "free_energy",
     "geodesic_action_ledger",
-    "gibbs_state",
-    "gradient",
     "load_config",
-    "log_gram_volume",
     "make_task_pair",
     "measure_forgetting",
     "normal_draw",
-    "null_space_basis",
     "numerical_rank",
     "ot_geodesic",
     "participation_ratio",
@@ -145,17 +130,12 @@ __all__ = [
     "reconfiguration_dimension",
     "restricted_hessian",
     "run_scenario",
-    "sample_batch",
-    "sample_point",
     "save_config",
     "simulate_relaxation",
-    "singular_profile",
     "singular_values",
     "stable_rank",
-    "step",
     "step_jacobian",
     "stream",
     "value",
-    "verify_replay",
     "w2_gaussian",
 ]

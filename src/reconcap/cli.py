@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration error, 2 numerical failure during a
-run, 3 a --check validation failed.  Errors print as a single machine-
-parseable line on stderr: ``reconcap-error code=<n> kind=<name> msg=<text>``.
+Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
+failure during a run, 3 a --check validation failed.  Errors print as a
+single machine-parseable line on stderr:
+``reconcap-error code=<n> kind=<name> msg=<text>``.
 """
 
 from __future__ import annotations
@@ -31,8 +32,15 @@ def _fail(code: int, kind: str, msg: str) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error: exit 1 with the one-line format,
+        # not argparse's usage dump and exit 2 (the numerical-failure code)
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reconcap",
         description="Run capacity, incompatibility, and dissipation experiments.",
     )
@@ -50,12 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output directory (default: RECONCAP_OUT_DIR or <output_dir>/<scenario>)",
     )
     run.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for sweep cells (default: RECONCAP_WORKERS or 1)",
-    )
-    run.add_argument(
         "--check",
         action="store_true",
         help="validate the scenario's summary after the run",
@@ -70,7 +72,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except ConfigError as exc:
+        return _fail(EXIT_CONFIG, "config", exc)
 
     if args.command == "version":
         print(__version__)
@@ -98,20 +103,12 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, "config", exc)
 
     out_dir = args.out_dir or os.environ.get("RECONCAP_OUT_DIR") or None
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        try:
-            workers = int(os.environ.get("RECONCAP_WORKERS", "1"))
-        except ValueError:
-            return _fail(EXIT_CONFIG, "config", "RECONCAP_WORKERS must be an integer")
-    if workers < 1:
-        return _fail(EXIT_CONFIG, "config", "workers must be >= 1")
-
     try:
-        summary = run_scenario(cfg, out_dir=out_dir, workers=workers, check=args.check)
+        summary = run_scenario(cfg, out_dir=out_dir, check=args.check)
     except CheckError as exc:
         return _fail(EXIT_CHECK, "check", exc)
+    except OSError as exc:
+        return _fail(EXIT_CONFIG, "config", exc)
     except (DivergenceError, FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", exc)
     print(json.dumps(summary, sort_keys=True))

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .spectral import as_vector, require_symmetric
 
 # Covariance eigenvalues are clamped at this floor before any state is built,
@@ -61,14 +60,3 @@ def covariance_sqrt(m: np.ndarray) -> np.ndarray:
     root = eigvecs @ np.diag(np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
     return (root + root.T) / 2.0
 
-
-def sample_point(state: GaussianState, master_seed: int, realization: int) -> np.ndarray:
-    """One draw from the state on the (master_seed, INIT, realization) stream."""
-    xi = rng.normal_draw(master_seed, rng.STREAM_INIT, realization, 0, state.dim)
-    return state.mean + covariance_sqrt(state.covariance) @ xi
-
-
-def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = rng.STREAM_ORACLE) -> np.ndarray:
-    """(n, dim) draws on a single keyed stream; for probes and test oracles."""
-    xi = rng.stream(master_seed, tag).standard_normal((n, state.dim))
-    return state.mean + xi @ covariance_sqrt(state.covariance).T

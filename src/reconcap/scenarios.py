@@ -9,7 +9,6 @@ the manifest (timestamps) is the only file allowed to differ.
 from __future__ import annotations
 
 import math
-from multiprocessing import Pool
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ class CheckError(RuntimeError):
 # esl-gap: relaxation dissipation vs the transport floor
 
 
-def run_esl_gap(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
+def run_esl_gap(cfg: ExperimentConfig, out: Path) -> dict:
     t_cfg = cfg.thermo
     d = len(t_cfg.start_mean)
     task = QuadraticTask(
@@ -99,15 +98,17 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
     # refinement can only lower the discrete action, modulo float fuzz
     if summary["geodesic_action"] > summary["geodesic_action_coarse"] + 1e-7:
         raise CheckError("esl-gap: refining the geodesic raised its action")
-    if summary["total_production"] < summary["geodesic_action"]:
-        raise CheckError("esl-gap: dynamics dissipated less than ideal transport")
+    # criterion 6 asks slack > geodesic_action - floor, strictly; with
+    # slack = total_production - floor that is total > geodesic_action
+    if summary["total_production"] <= summary["geodesic_action"]:
+        raise CheckError("esl-gap: dynamics dissipated no more than ideal transport")
 
 
 # ---------------------------------------------------------------------------
 # rank-decay: closed-form contraction audit under weight decay
 
 
-def run_rank_decay(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
+def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     pair = make_task_pair(
         cfg.dim,
         cfg.k_a,
@@ -278,7 +279,7 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     theta_stage1 = theta_start + survivors @ y
     stage1_reached = bool(loss <= eps_b)
     forgetting_s1 = capacity.measure_forgetting(
-        (theta_start, theta_stage1), pair.task_a, limits.epsilon_a
+        theta_start, theta_stage1, pair.task_a, limits.epsilon_a
     )
     observed = not (stage1_reached and forgetting_s1.forgetting <= limits.epsilon_low)
 
@@ -298,7 +299,7 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
                 escape_reached = True
                 break
         forgetting_s2 = capacity.measure_forgetting(
-            (theta_start, traj2.states[phase2_steps]), pair.task_a, limits.epsilon_a
+            theta_start, traj2.states[phase2_steps], pair.task_a, limits.epsilon_a
         )
         exit_flag = forgetting_s2.exited_manifold
         forgetting_after_escape = forgetting_s2.forgetting
@@ -344,18 +345,13 @@ SWEEP_HEADER = [
 ]
 
 
-def run_threshold_sweep(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
+def run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     s = cfg.sweep
-    cells = [
-        (cfg, i * len(s.usable_targets) + j, m_target, u_target)
+    rows = [
+        _sweep_cell(cfg, i * len(s.usable_targets) + j, m_target, u_target)
         for i, m_target in enumerate(s.m_b_targets)
         for j, u_target in enumerate(s.usable_targets)
     ]
-    if workers > 1:
-        with Pool(min(workers, len(cells))) as pool:
-            rows = pool.starmap(_sweep_cell, cells)
-    else:
-        rows = [_sweep_cell(*cell) for cell in cells]
 
     write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     n_cells = len(rows)
@@ -422,7 +418,7 @@ _COMPOSITION_RULES = (
 )
 
 
-def run_composition_check(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
+def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
     d = cfg.dim
     seed = cfg.master_seed
 
@@ -555,7 +551,7 @@ def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
 # proxy-probe: gradient-spread proxy tracked against the usable count
 
 
-def run_proxy_probe(cfg: ExperimentConfig, out: Path, workers: int = 1) -> dict:
+def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
     pair = make_task_pair(
         cfg.dim,
         cfg.k_a,
@@ -657,12 +653,7 @@ SCENARIOS = {
 }
 
 
-def run_scenario(
-    cfg: ExperimentConfig,
-    out_dir=None,
-    workers: int = 1,
-    check: bool = False,
-) -> dict:
+def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> dict:
     """Run one scenario end to end: data files, summary, manifest.
 
     Returns the summary dict.  With check=True the scenario's validator runs
@@ -674,7 +665,7 @@ def run_scenario(
     out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest.start(cfg)
     save_config(cfg, out / "config.json")
-    summary = runner(cfg, out, workers=workers)
+    summary = runner(cfg, out)
     for path in sorted(out.iterdir()):
         if path.name != "manifest.json":
             manifest.record(path)

@@ -88,11 +88,6 @@ class SubspaceBasis:
             raise ValueError("basis: columns not orthonormal within 1e-10")
         object.__setattr__(self, "basis", b)
 
-    @classmethod
-    def from_columns(cls, columns) -> "SubspaceBasis":
-        b = as_matrix(columns, name="basis")
-        return cls(ambient_dim=b.shape[0], dim=b.shape[1], basis=b)
-
 
 def singular_values(a) -> np.ndarray:
     """Singular values of ``a`` in descending order (LAPACK dense SVD)."""
@@ -117,11 +112,6 @@ def log_volume(s: np.ndarray) -> float:
     return float(2.0 * np.sum(np.log(s)))
 
 
-def log_gram_volume(j) -> float:
-    """log det(J^T J) of a square Jacobian; see ``log_volume``."""
-    return log_volume(singular_values(as_matrix(j, square=True, name="jacobian")))
-
-
 def stable_rank(h) -> float:
     """||H||_F^2 / ||H||_2^2 for a symmetric matrix; 0 for the zero matrix."""
     m = require_symmetric(h, name="stable_rank input")
@@ -130,25 +120,6 @@ def stable_rank(h) -> float:
     if top <= RANK_TOL_ABS:
         return 0.0
     return float(np.sum(eigs**2) / top**2)
-
-
-def null_space_basis(h, tol: float = 1e-8) -> SubspaceBasis:
-    """Orthonormal basis of the near-null eigenspace of a symmetric PSD matrix.
-
-    Eigendirections with eigenvalue ``<= tol * lambda_max`` are selected
-    (``<= tol`` when the matrix has no positive eigenvalue).  Columns are
-    ordered by descending eigenvalue, ties broken by eigensolver order.
-    """
-    m = require_symmetric(h, name="null_space_basis input")
-    eigvals, eigvecs = np.linalg.eigh(m)
-    lam_max = float(eigvals[-1])
-    cutoff = tol * lam_max if lam_max > 0.0 else tol
-    mask = eigvals <= cutoff
-    if not np.any(mask):
-        raise ValueError("null_space_basis: no eigenvalue at or below the cutoff")
-    # eigh returns ascending order; flip the selected block to descending.
-    cols = eigvecs[:, mask][:, ::-1]
-    return SubspaceBasis(ambient_dim=m.shape[0], dim=cols.shape[1], basis=np.ascontiguousarray(cols))
 
 
 def numerical_rank(a, rel_tol: float = 1e-8) -> int:

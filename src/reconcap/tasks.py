@@ -54,11 +54,6 @@ def value(task: QuadraticTask, theta) -> float:
     return _half_quadratic(task.hessian, d)[0]
 
 
-def gradient(task: QuadraticTask, theta) -> np.ndarray:
-    d = as_vector(theta, dim=task.dim, name="theta") - task.minimizer
-    return task.hessian @ d
-
-
 def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
     """Q_A^T H_B Q_A: task-B curvature seen inside the A-preserving subspace."""
     if q_a.ambient_dim != task_b.dim:

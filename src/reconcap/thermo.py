@@ -33,15 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import GaussianState, clamped_state, covariance_sqrt
-from .spectral import RANK_TOL_REL, require_symmetric
+from .spectral import require_symmetric
 from .tasks import QuadraticTask
 from .transport import StepKind, StepRule, step_jacobian
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
-
-# Default variance assigned to zero-curvature directions of a Gibbs state;
-# a flat direction has no preferred scale, so one is fixed by convention.
-GIBBS_NULL_VARIANCE = 100.0
 
 
 def _check_pair(g: GaussianState, task: QuadraticTask):
@@ -79,33 +75,6 @@ def _drift_matrix(task: QuadraticTask, rule: StepRule) -> np.ndarray:
             "(need eta * lambda_max < 2)"
         )
     return a
-
-
-def evolve_gaussian(g: GaussianState, task: QuadraticTask, rule: StepRule) -> GaussianState:
-    """Exact one-step moment recursion for the additive-noise update rules.
-
-    mean' = A mean + eta H theta*,   Sigma' = A Sigma A^T + D, with
-    A the step Jacobian and D = 2*T*eta*I (langevin), (eta*s)^2*I
-    (noisy_gradient), 0 (gradient_descent).  Covariance eigenvalues are
-    clamped at the module floor when pure contraction drives them under it.
-    """
-    _check_pair(g, task)
-    return _moment_step(g, task, rule, _drift_matrix(task, rule))[0]
-
-
-def _moment_step(
-    g: GaussianState, task: QuadraticTask, rule: StepRule, a: np.ndarray
-) -> tuple[GaussianState, bool]:
-    """evolve_gaussian's recursion under an already-checked drift matrix ``a``;
-    returns ``(state, clamped)`` as clamped_state does."""
-    eta = rule.step_size
-    mean = a @ g.mean + eta * task.hessian @ task.minimizer
-    cov = a @ g.covariance @ a.T
-    if rule.kind is StepKind.LANGEVIN:
-        cov = cov + 2.0 * rule.noise_scale * eta * np.eye(task.dim)
-    elif rule.kind is StepKind.NOISY_GRADIENT:
-        cov = cov + (eta * rule.noise_scale) ** 2 * np.eye(task.dim)
-    return clamped_state(mean, cov)
 
 
 def entropy_production_step(g: GaussianState, task: QuadraticTask, rule: StepRule) -> float:
@@ -163,15 +132,21 @@ class DissipationLedger:
 def simulate_relaxation(
     g0: GaussianState, task: QuadraticTask, rule: StepRule, n_steps: int
 ) -> tuple[list, DissipationLedger, int]:
-    """Langevin moment recursion with full bookkeeping.
+    """Exact Langevin moment recursion with full bookkeeping.
 
-    Returns (states, ledger, clamp_events); sigma is evaluated at the state a
-    step departs from, free energy at every visited state.
+    mean' = A mean + eta H theta*,  Sigma' = A Sigma A^T + 2 T eta I, with A
+    the step Jacobian; covariance eigenvalues are clamped at the module floor
+    when pure contraction drives them under it.  Returns (states, ledger,
+    clamp_events); sigma is evaluated at the state a step departs from, free
+    energy at every visited state.
     """
     if rule.kind is not StepKind.LANGEVIN:
         raise ValueError("simulate_relaxation: requires a langevin rule")
     t = rule.noise_scale
+    eta = rule.step_size
     a = _drift_matrix(task, rule)
+    shift = eta * task.hessian @ task.minimizer
+    diffusion = 2.0 * t * eta * np.eye(task.dim)
     states = [g0]
     sigmas = np.empty(n_steps)
     energies = np.empty(n_steps + 1)
@@ -180,7 +155,7 @@ def simulate_relaxation(
     for k in range(n_steps):
         energies[k] = free_energy(g, task, t)
         sigmas[k] = entropy_production_step(g, task, rule)
-        g, clamped = _moment_step(g, task, rule, a)
+        g, clamped = clamped_state(a @ g.mean + shift, a @ g.covariance @ a.T + diffusion)
         clamp_events += int(clamped)
         states.append(g)
     energies[n_steps] = free_energy(g, task, t)
@@ -261,28 +236,6 @@ def esl_slack(ledger: DissipationLedger, g_start: GaussianState, g_end: Gaussian
     nonnegative up to numerical fuzz, and zero only for ideal transport.
     """
     return float(ledger.total - 0.5 * w2_gaussian(g_start, g_end) ** 2)
-
-
-def gibbs_state(
-    task: QuadraticTask, temperature: float, null_variance: float = GIBBS_NULL_VARIANCE
-) -> GaussianState:
-    """Stationary state N(theta*, T H^{-1}) with flat directions pinned.
-
-    Directions with curvature below the rank tolerance get variance
-    ``null_variance`` instead of T / lambda.
-    """
-    if temperature <= 0.0:
-        raise ValueError("gibbs_state: temperature must be > 0")
-    eigvals, eigvecs = np.linalg.eigh(task.hessian)
-    lam_max = float(eigvals[-1])
-    variances = np.empty_like(eigvals)
-    for i, lam in enumerate(eigvals):
-        if lam > RANK_TOL_REL * max(lam_max, 1.0):
-            variances[i] = temperature / lam
-        else:
-            variances[i] = null_variance
-    cov = eigvecs @ np.diag(variances) @ eigvecs.T
-    return GaussianState(mean=task.minimizer.copy(), covariance=(cov + cov.T) / 2.0)
 
 
 def series_rows(states, ledger: DissipationLedger, g_start: GaussianState) -> tuple[list, list]:

@@ -28,7 +28,6 @@ from functools import cached_property
 import numpy as np
 
 from . import rng
-from .gaussian import GaussianState, sample_point
 from .spectral import as_vector
 from .tasks import QuadraticTask
 
@@ -80,7 +79,7 @@ def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
 
 
 def _advance(th, task: QuadraticTask, rule: StepRule, xi) -> np.ndarray:
-    """The update rule on validated inputs, shared by step() and propagate()."""
+    """The update rule on validated inputs."""
     eta = rule.step_size
     grad = task.hessian @ (th - task.minimizer)
     if rule.kind is StepKind.GRADIENT_DESCENT:
@@ -90,22 +89,9 @@ def _advance(th, task: QuadraticTask, rule: StepRule, xi) -> np.ndarray:
     return th - eta * grad + np.sqrt(2.0 * rule.noise_scale * eta) * xi
 
 
-def step(theta, task: QuadraticTask, rule: StepRule, noise_draw=None):
-    """One update step; returns (theta_next, jacobian)."""
-    th = as_vector(theta, dim=task.dim, name="theta")
-    xi = as_vector(noise_draw, dim=task.dim, name="noise_draw") if rule.uses_noise() else None
-    return _advance(th, task, rule, xi), step_jacobian(task, rule)
-
-
 @dataclass(frozen=True)
 class Trajectory:
-    initial: np.ndarray
     states: np.ndarray  # (n_steps + 1, dim)
-    omega_seed: int | None
-    rule: StepRule | None
-    task_label: str
-    realization: int = 0
-    step_offset: int = 0
     step_matrix: np.ndarray | None = field(default=None, repr=False)  # of a propagated segment
     parts: tuple = field(default=(), repr=False)  # (first, second) of a composed trajectory
 
@@ -171,16 +157,7 @@ def propagate(
                 f"at step {step_offset + k} (task {task.label!r})"
             )
         states[k + 1] = nxt
-    return Trajectory(
-        initial=th,
-        states=states,
-        omega_seed=int(omega_seed),
-        rule=rule,
-        task_label=task.label,
-        realization=int(realization),
-        step_offset=int(step_offset),
-        step_matrix=step_jacobian(task, rule),
-    )
+    return Trajectory(states=states, step_matrix=step_jacobian(task, rule))
 
 
 def compose(first: Trajectory, second: Trajectory) -> Trajectory:
@@ -193,62 +170,5 @@ def compose(first: Trajectory, second: Trajectory) -> Trajectory:
         raise ValueError("compose: dimension mismatch")
     if not np.array_equal(first.states[-1], second.states[0]):
         raise ValueError("compose: second segment does not start at first segment's endpoint")
-    same_stream = (
-        first.omega_seed == second.omega_seed
-        and first.realization == second.realization
-        and second.step_offset == first.step_offset + first.n_steps
-    )
     states = np.concatenate([first.states, second.states[1:]], axis=0)
-    return Trajectory(
-        initial=first.initial,
-        states=states,
-        omega_seed=first.omega_seed if same_stream else None,
-        rule=first.rule if first.rule == second.rule else None,
-        task_label=first.task_label
-        if first.task_label == second.task_label
-        else f"{first.task_label}|{second.task_label}",
-        realization=first.realization,
-        step_offset=first.step_offset,
-        parts=(first, second),
-    )
-
-
-def verify_replay(traj: Trajectory, task: QuadraticTask) -> bool:
-    """Re-run the trajectory from its own seed and compare states bitwise."""
-    if traj.rule is None or traj.omega_seed is None:
-        raise ValueError("verify_replay: trajectory lacks a single (rule, seed) stream")
-    redo = propagate(
-        traj.initial,
-        task,
-        traj.rule,
-        traj.n_steps,
-        traj.omega_seed,
-        realization=traj.realization,
-        step_offset=traj.step_offset,
-    )
-    return bool(np.array_equal(redo.states, traj.states))
-
-
-def ensemble_propagate(
-    initial: GaussianState,
-    task: QuadraticTask,
-    rule: StepRule,
-    n_steps: int,
-    n_realizations: int,
-    master_seed: int,
-) -> list[Trajectory]:
-    """Independent trajectories from Gaussian initial draws.
-
-    Realization r draws its start on the (master_seed, INIT, r) stream and its
-    step noise on the (master_seed, STEP, r) sequence; no state is shared between
-    realizations, so any subset can be reproduced in isolation.
-    """
-    if n_realizations < 1:
-        raise ValueError(f"ensemble_propagate: n_realizations must be >= 1, got {n_realizations}")
-    if initial.dim != task.dim:
-        raise ValueError("ensemble_propagate: initial state dim != task dim")
-    out = []
-    for r in range(n_realizations):
-        theta0 = sample_point(initial, master_seed, r)
-        out.append(propagate(theta0, task, rule, n_steps, master_seed, realization=r))
-    return out
+    return Trajectory(states=states, parts=(first, second))

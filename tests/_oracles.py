@@ -3,12 +3,42 @@
 Everything here recomputes a quantity by a different route than the package
 (finite differences, Monte Carlo, dense matrix powers, scipy solvers, or a
 from-scratch entropic OT solver) so agreement is evidence, not tautology.
+Two builders supply test inputs and targets instead: ``sample_batch`` (seeded
+Gaussian clouds) and ``gibbs_state`` (the stationary Langevin target).
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
+
+from reconcap import rng
+from reconcap.gaussian import GaussianState, covariance_sqrt
+from reconcap.spectral import RANK_TOL_REL
+
+
+def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = rng.STREAM_ORACLE) -> np.ndarray:
+    """(n, dim) draws from ``state`` on the single keyed stream (master_seed, tag)."""
+    xi = rng.stream(master_seed, tag).standard_normal((n, state.dim))
+    return state.mean + xi @ covariance_sqrt(state.covariance).T
+
+
+def gibbs_state(task, temperature: float, null_variance: float = 100.0) -> GaussianState:
+    """Stationary state N(theta*, T H^{-1}) of a quadratic task.
+
+    A flat direction has no preferred scale, so directions with curvature
+    below the rank tolerance get variance ``null_variance`` instead of T / lambda.
+    """
+    eigvals, eigvecs = np.linalg.eigh(task.hessian)
+    lam_max = float(eigvals[-1])
+    variances = np.empty_like(eigvals)
+    for i, lam in enumerate(eigvals):
+        if lam > RANK_TOL_REL * max(lam_max, 1.0):
+            variances[i] = temperature / lam
+        else:
+            variances[i] = null_variance
+    cov = eigvecs @ np.diag(variances) @ eigvecs.T
+    return GaussianState(mean=task.minimizer.copy(), covariance=(cov + cov.T) / 2.0)
 
 
 def singulars_via_gram(a: np.ndarray) -> np.ndarray:

@@ -10,13 +10,13 @@ import pytest
 
 from reconcap import capacity, rng, thermo
 from reconcap.config import default_config
-from reconcap.gaussian import GaussianState, covariance_sqrt, sample_batch
+from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import SubspaceBasis, numerical_rank, singular_values
 from reconcap.tasks import QuadraticTask, make_task_pair, random_rotation
 from reconcap.transport import StepRule, compose, propagate, step_jacobian
 
-from _oracles import sinkhorn_w2, sorted_coupling_w2
+from _oracles import sample_batch, sinkhorn_w2, sorted_coupling_w2
 
 SEED = 42
 
@@ -100,7 +100,7 @@ def test_criterion_03_effective_rank_closed_forms(criterion):
         for c in (0.3, 0.9, 1.7):
             errs.append(abs(capacity.effective_rank([c * np.eye(4)]) - c * c))
         # one contracted direction inside a 2-dim preserved subspace
-        basis = SubspaceBasis.from_columns(np.eye(6)[:, :2])
+        basis = SubspaceBasis(ambient_dim=6, dim=2, basis=np.eye(6)[:, :2])
         for c in (0.2, 0.8):
             j = np.eye(6)
             j[0, 0] = c
@@ -108,7 +108,7 @@ def test_criterion_03_effective_rank_closed_forms(criterion):
             errs.append(abs(compat - c))
         worst = max(errs)
 
-        full_basis = SubspaceBasis.from_columns(np.eye(7))
+        full_basis = SubspaceBasis(ambient_dim=7, dim=7, basis=np.eye(7))
         gen = rng.stream(SEED, rng.STREAM_TASK, 0, 3)
         exact = True
         for _ in range(50):
@@ -354,7 +354,7 @@ def test_criterion_08_forgetting_lower_bound(criterion):
             q = pair.preserving_basis.basis
             start = pair.task_a.minimizer + q @ gen.standard_normal(k_a)
             final = start + 0.7 * gen.standard_normal(d)
-            result = capacity.measure_forgetting((start, final), pair.task_a)
+            result = capacity.measure_forgetting(start, final, pair.task_a)
             worst = min(worst, result.bound_check)
         rec.detail = f"min bound_check {worst:.2e} over 1000 exits (tol -1e-10)"
         rec.ok = worst >= -1e-10

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,21 @@ def test_esl_gap_run(tmp_path):
     assert len(lines) == 22  # header + 21 states
 
 
+def test_esl_gap_check_is_strict_at_the_geodesic_action():
+    # criterion 6 is strict: production equal to the ideal transport's fails
+    cfg = default_config("esl-gap")
+    summary = {
+        "slack": 0.1,
+        "geodesic_rel_error": 0.0,
+        "geodesic_action": 1.0,
+        "geodesic_action_coarse": 1.0,
+        "total_production": 1.0,
+    }
+    with pytest.raises(CheckError, match="ideal transport"):
+        scenarios.check_esl_gap(summary, cfg)
+    scenarios.check_esl_gap(dict(summary, total_production=1.0 + 1e-12), cfg)
+
+
 def test_rank_decay_run(tmp_path):
     summary = run_scenario(default_config("rank-decay"), out_dir=tmp_path, check=True)
     assert summary["usable_zero_step"] == summary["usable_zero_step_closed_form"]
@@ -215,19 +231,6 @@ def test_threshold_sweep_reduced(tmp_path):
     assert summary["zero_usable_all_incompatible"]
 
 
-def test_threshold_sweep_workers_match(tmp_path):
-    cfg = ExperimentConfig(
-        scenario="threshold-sweep",
-        sweep=SweepConfig(m_b_targets=(0, 8), usable_targets=(0, 8)),
-    )
-    cfg.validate()
-    run_scenario(cfg, out_dir=tmp_path / "serial", workers=1)
-    run_scenario(cfg, out_dir=tmp_path / "pooled", workers=2)
-    assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
-        tmp_path / "pooled" / "sweep.csv"
-    ).read_bytes()
-
-
 def test_threshold_sweep_ignores_pair_spectra(tmp_path):
     # sweep cells build their own pairs, so a stiff configured A spectrum is
     # neither read nor counted in the stability bound
@@ -242,31 +245,6 @@ def test_threshold_sweep_ignores_pair_spectra(tmp_path):
     assert (tmp_path / "default" / "sweep.csv").read_bytes() == (
         tmp_path / "stiff" / "sweep.csv"
     ).read_bytes()
-
-
-def test_sweep_pool_capped_at_cell_count(tmp_path, monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, cells):
-            return [fn(*cell) for cell in cells]
-
-    monkeypatch.setattr(scenarios, "Pool", SerialPool)
-    cfg = ExperimentConfig(
-        scenario="threshold-sweep",
-        sweep=SweepConfig(m_b_targets=(0, 8), usable_targets=(0, 8)),
-    )
-    run_scenario(cfg, out_dir=tmp_path, workers=1000)
-    assert started == [4]
 
 
 def test_noisy_probe_fails_check(tmp_path):
@@ -313,13 +291,83 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.4.0"
+    assert capsys.readouterr().out.strip() == "0.5.0"
 
 
 def test_version_matches_pyproject():
-    tomllib = pytest.importorskip("tomllib")
-    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
-        assert tomllib.load(fh)["project"]["version"] == reconcap.__version__
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    # a regex, not tomllib, which Python 3.10 lacks
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None and match.group(1) == reconcap.__version__
+
+
+PUBLIC_NAMES = [
+    "COVARIANCE_FLOOR",
+    "CapacityReport",
+    "ConfigError",
+    "DEFAULT_TAU_SIGMA",
+    "DissipationLedger",
+    "DivergenceError",
+    "ExperimentConfig",
+    "ForgettingResult",
+    "GaussianState",
+    "PairConfig",
+    "ProbeConfig",
+    "QuadraticTask",
+    "RunManifest",
+    "SCENARIOS",
+    "STREAM_INIT",
+    "STREAM_ORACLE",
+    "STREAM_PROBE",
+    "STREAM_STEP_NOISE",
+    "STREAM_TASK",
+    "StepKind",
+    "StepRule",
+    "SubspaceBasis",
+    "SweepConfig",
+    "TaskPair",
+    "ThermoConfig",
+    "ThresholdConfig",
+    "Trajectory",
+    "clamped_state",
+    "combine",
+    "compatible_effective_rank",
+    "compose",
+    "default_config",
+    "effective_rank",
+    "entropy",
+    "entropy_production_step",
+    "esl_slack",
+    "free_energy",
+    "geodesic_action_ledger",
+    "load_config",
+    "make_task_pair",
+    "measure_forgetting",
+    "normal_draw",
+    "numerical_rank",
+    "ot_geodesic",
+    "participation_ratio",
+    "predict_incompatibility",
+    "propagate",
+    "random_rotation",
+    "reconfiguration_dimension",
+    "restricted_hessian",
+    "run_scenario",
+    "save_config",
+    "simulate_relaxation",
+    "singular_values",
+    "stable_rank",
+    "step_jacobian",
+    "stream",
+    "value",
+    "w2_gaussian",
+]
+
+
+def test_public_surface():
+    assert sorted(reconcap.__all__) == PUBLIC_NAMES
+    for name in reconcap.__all__:
+        assert hasattr(reconcap, name), name
 
 
 def test_cli_scenarios(capsys):
@@ -497,9 +545,37 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
     assert "kind=numerical" in capsys.readouterr().err
 
 
-def test_cli_bad_workers_env(monkeypatch, capsys, tmp_path):
-    monkeypatch.setenv("RECONCAP_WORKERS", "many")
-    assert cli.main(["run", "--scenario", "esl-gap", "--out-dir", str(tmp_path)]) == 1
+def _single_error_line(err: str, code: int, kind: str) -> bool:
+    return err.startswith(f"reconcap-error code={code} kind={kind} msg=") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "nope"],
+        ["run", "--scenario", "esl-gap", "--workers", "2"],
+        ["run", "--scenario", "esl-gap", "--bogus"],
+    ],
+    ids=["invalid-choice", "removed-workers", "unknown-flag"],
+)
+def test_cli_usage_error_is_a_config_error(argv, capsys):
+    assert cli.main(argv) == 1
+    assert _single_error_line(capsys.readouterr().err, 1, "config")
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--out-dir" in capsys.readouterr().out
+
+
+def test_cli_run_io_error_exits_1(tmp_path, capsys):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    code = cli.main(["run", "--scenario", "esl-gap", "--out-dir", str(blocker / "sub")])
+    assert code == 1
+    assert _single_error_line(capsys.readouterr().err, 1, "config")
 
 
 def test_probe_config_bounds():

@@ -3,11 +3,12 @@ import pytest
 
 from reconcap import thermo
 from reconcap.config import default_config
-from reconcap.gaussian import GaussianState
+from reconcap.gaussian import GaussianState, clamped_state
 from reconcap.tasks import QuadraticTask
 from reconcap.transport import StepRule
 
 from _oracles import (
+    gibbs_state,
     mc_entropy,
     mc_evolved_moments,
     sinkhorn_w2,
@@ -41,7 +42,7 @@ def test_entropy_frozen_value_and_mc():
 def test_gibbs_minimizes_free_energy():
     task = toy_task()
     temp = 0.4
-    g_star = thermo.gibbs_state(task, temp)
+    g_star = gibbs_state(task, temp)
     best = thermo.free_energy(g_star, task, temp)
     rng = np.random.default_rng(2)
     for _ in range(25):
@@ -54,7 +55,7 @@ def test_gibbs_minimizes_free_energy():
 
 def test_gibbs_state_pins_flat_directions():
     task = QuadraticTask(dim=3, hessian=np.diag([2.0, 1.0, 0.0]), minimizer=np.zeros(3))
-    g = thermo.gibbs_state(task, temperature=0.5, null_variance=7.0)
+    g = gibbs_state(task, temperature=0.5, null_variance=7.0)
     assert np.allclose(np.diag(g.covariance), [0.25, 0.5, 7.0], atol=1e-12)
 
 
@@ -62,9 +63,7 @@ def test_evolution_matches_monte_carlo():
     task = toy_task()
     rule = hot_rule()
     g = GaussianState(mean=np.array([2.0, 2.0]), covariance=0.4 * np.eye(2))
-    state = g
-    for _ in range(30):
-        state = thermo.evolve_gaussian(state, task, rule)
+    state = thermo.simulate_relaxation(g, task, rule, 30)[0][-1]
     drift = np.eye(2) - rule.step_size * task.hessian
     shift = rule.step_size * task.hessian @ task.minimizer
     emp_mean, emp_cov = mc_evolved_moments(
@@ -86,9 +85,8 @@ def test_long_run_reaches_discrete_stationary_covariance():
     rule = hot_rule()
     drift = np.eye(2) - rule.step_size * task.hessian
     target = stationary_covariance(drift, 2.0 * rule.noise_scale * rule.step_size * np.eye(2))
-    state = GaussianState(mean=np.zeros(2), covariance=3.0 * np.eye(2))
-    for _ in range(2000):
-        state = thermo.evolve_gaussian(state, task, rule)
+    start = GaussianState(mean=np.zeros(2), covariance=3.0 * np.eye(2))
+    state = thermo.simulate_relaxation(start, task, rule, 2000)[0][-1]
     assert np.allclose(state.covariance, target, atol=1e-10)
     # discretization shifts the fixed point away from T H^{-1} only at O(eta)
     ideal = rule.noise_scale * np.linalg.inv(task.hessian)
@@ -99,13 +97,15 @@ def test_evolution_rejects_unstable_step():
     task = QuadraticTask(dim=1, hessian=np.array([[3.0]]), minimizer=np.zeros(1))
     g = GaussianState(mean=np.zeros(1), covariance=np.eye(1))
     with pytest.raises(ValueError):
-        thermo.evolve_gaussian(g, task, StepRule(kind="langevin", step_size=0.7, noise_scale=0.1))
+        thermo.simulate_relaxation(
+            g, task, StepRule(kind="langevin", step_size=0.7, noise_scale=0.1), 1
+        )
 
 
 def test_entropy_production_vanishes_at_equilibrium():
     task = toy_task()
     rule = hot_rule()
-    g_star = thermo.gibbs_state(task, rule.noise_scale)
+    g_star = gibbs_state(task, rule.noise_scale)
     assert thermo.entropy_production_step(g_star, task, rule) < 1e-12
     g = GaussianState(mean=np.array([3.0, 0.0]), covariance=0.2 * np.eye(2))
     assert thermo.entropy_production_step(g, task, rule) > 0.1
@@ -175,12 +175,17 @@ def _collapsing_start():
     "case, clamps", [(_esl_gap_default, False), (_collapsing_start, True)], ids=["esl-gap", "clamped"]
 )
 def test_relaxation_equals_iterated_evolve_bitwise(case, clamps):
+    # the moment recursion of simulate_relaxation's docstring, iterated here
     g0, task, rule, n = case()
     states, _, clamp_events = thermo.simulate_relaxation(g0, task, rule, n)
     assert (clamp_events > 0) == clamps
+    eta, temp = rule.step_size, rule.noise_scale
+    a = np.eye(task.dim) - eta * task.hessian
     g = g0
     for state in states[1:]:
-        g = thermo.evolve_gaussian(g, task, rule)
+        mean = a @ g.mean + eta * task.hessian @ task.minimizer
+        cov = a @ g.covariance @ a.T + 2.0 * temp * eta * np.eye(task.dim)
+        g, _ = clamped_state(mean, cov)
         assert np.array_equal(state.mean, g.mean)
         assert np.array_equal(state.covariance, g.covariance)
 
