@@ -5,7 +5,7 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .capacity import (
     DEFAULT_TAU_SIGMA,
@@ -52,7 +52,7 @@ from .tasks import (
     TaskPair,
     combine,
     make_task_pair,
-    random_rotation,
+    random_rotations,
     restricted_hessian,
     value,
 )
@@ -126,7 +126,7 @@ __all__ = [
     "participation_ratio",
     "predict_incompatibility",
     "propagate",
-    "random_rotation",
+    "random_rotations",
     "reconfiguration_dimension",
     "restricted_hessian",
     "run_scenario",

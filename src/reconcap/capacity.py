@@ -16,7 +16,6 @@ task will feel.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 from .spectral import (
     RANK_TOL_REL,
     SubspaceBasis,
-    as_matrix,
     as_vector,
     log_volume,
     singular_values,
@@ -35,68 +33,57 @@ from .tasks import QuadraticTask, restricted_hessian, value
 DEFAULT_TAU_SIGMA = 1e-3
 
 
-def _as_jacobian_list(jacobians, dim: int | None = None) -> list[np.ndarray]:
-    # accepts trajectories (their end-to-end Jacobian) or plain matrices
-    mats = [
-        as_matrix(getattr(j, "cumulative_jacobian", j), square=True, name="jacobian")
-        for j in jacobians
-    ]
-    if not mats:
-        raise ValueError("need at least one jacobian")
-    d = mats[0].shape[0]
-    if dim is not None and d != dim:
-        raise ValueError(f"jacobian dim {d} != expected {dim}")
-    for m in mats[1:]:
-        if m.shape[0] != d:
-            raise ValueError("jacobians must share a dimension")
+def _jacobian_stack(jacobians, dim: int | None = None) -> np.ndarray:
+    # a sequence of trajectories (their end-to-end Jacobian) or matrices, or
+    # an array (..., r, d, d) whose leading axes index separate ensembles;
+    # singular_values checks the entries
+    if not isinstance(jacobians, np.ndarray):
+        jacobians = [getattr(j, "cumulative_jacobian", j) for j in jacobians]
+    mats = np.asarray(jacobians, dtype=np.float64)
+    if mats.ndim < 3 or mats.shape[-2] != mats.shape[-1]:
+        raise ValueError(f"jacobians: expected square matrices (..., r, d, d), got {mats.shape}")
+    if dim is not None and mats.shape[-1] != dim:
+        raise ValueError(f"jacobian dim {mats.shape[-1]} != expected {dim}")
     return mats
 
 
-def effective_rank(jacobians) -> float:
-    """exp of the mean per-dimension log volume of J^T J; 0.0 once any
-    realization has collapsed a direction to numerical rank deficiency."""
-    return spectra_effective_rank(singular_values(m) for m in _as_jacobian_list(jacobians))
+def effective_rank(jacobians):
+    """exp of the mean per-dimension log volume of J^T J over the
+    realizations J; 0.0 once any realization has collapsed a direction to
+    numerical rank deficiency.
+
+    ``jacobians`` holds r realizations, or is an array ``(..., r, d, d)``
+    of several ensembles, which gives an array ``(...)`` of ranks from one
+    stacked SVD.
+    """
+    return spectra_effective_rank(singular_values(_jacobian_stack(jacobians)))
 
 
-def spectra_effective_rank(spectra) -> float:
-    """``effective_rank`` from each realization's descending singular values;
-    stops at the first collapsed one."""
-    logs = []
-    for s in spectra:
-        lv = log_volume(s)
-        if lv == float("-inf"):
-            return 0.0
-        logs.append(lv)
-    return float(np.exp(np.mean(logs) / s.size))
+def spectra_effective_rank(spectra):
+    """``effective_rank`` from each realization's descending singular values:
+    ``(r, k)`` for one ensemble, ``(..., r, k)`` for several."""
+    logs = log_volume(spectra)
+    # a collapsed realization's -inf makes the mean -inf and the rank 0.0
+    return np.exp(np.mean(logs, axis=-1) / np.shape(spectra)[-1])
 
 
 def compatible_effective_rank(
     jacobians, preserving_basis: SubspaceBasis, tau_sigma: float = DEFAULT_TAU_SIGMA
-) -> tuple[float, int]:
+):
     """Rank diagnostics of J restricted to the preserved subspace.
 
     Returns (compatible_rank, usable_direction_count).  The count is the
     number of singular values of J Q above tau_sigma, averaged over
-    realizations and rounded half-down to an integer.
+    realizations and rounded half-down to an integer.  ``jacobians`` is
+    taken as by ``effective_rank``; an array ``(..., r, d, d)`` gives two
+    arrays ``(...)``.
     """
     if tau_sigma <= 0.0:
         raise ValueError("tau_sigma must be > 0")
-    mats = _as_jacobian_list(jacobians, dim=preserving_basis.ambient_dim)
-    k = preserving_basis.dim
-    logs = []
-    counts = []
-    collapsed = False
-    for m in mats:
-        sigma = singular_values(m @ preserving_basis.basis)
-        counts.append(int(np.sum(sigma > tau_sigma)))
-        lv = log_volume(sigma)
-        if lv == float("-inf"):
-            collapsed = True
-        else:
-            logs.append(lv)
-    rank = 0.0 if collapsed else float(np.exp(np.mean(logs) / k))
-    avg = float(np.mean(counts))
-    return rank, int(math.ceil(avg - 0.5))
+    mats = _jacobian_stack(jacobians, dim=preserving_basis.ambient_dim)
+    sigma = singular_values(mats @ preserving_basis.basis)
+    avg = np.mean(np.sum(sigma > tau_sigma, axis=-1), axis=-1)
+    return spectra_effective_rank(sigma), np.ceil(avg - 0.5).astype(int)
 
 
 def reconfiguration_dimension(task_b: QuadraticTask, preserving_basis: SubspaceBasis) -> float:
@@ -120,12 +107,10 @@ class CapacityReport:
     """
 
     effective_rank: float
-    compatible_effective_rank: float
     usable_direction_count: int
     m_b: float
     predicted_incompatible: bool
     predicted_incompatible_raw: bool
-    tau_sigma: float
 
 
 def predict_incompatibility(
@@ -139,12 +124,10 @@ def predict_incompatibility(
     m_b = reconfiguration_dimension(task_b, preserving_basis)
     return CapacityReport(
         effective_rank=full,
-        compatible_effective_rank=compatible,
-        usable_direction_count=usable,
+        usable_direction_count=int(usable),
         m_b=m_b,
         predicted_incompatible=bool(m_b > usable),
         predicted_incompatible_raw=bool(m_b > compatible),
-        tau_sigma=float(tau_sigma),
     )
 
 

@@ -23,7 +23,7 @@ from .config import (
 )
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, singular_values, spectrum_rank
-from .tasks import QuadraticTask, _half_quadratic, combine, make_task_pair, random_rotation, value
+from .tasks import QuadraticTask, _half_quadratic, combine, make_task_pair, random_rotations
 from .transport import StepRule, propagate, step_jacobian
 
 
@@ -135,14 +135,17 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     usable_zero_step = None
     collapse_step = None
     prev = None
-    m = np.eye(cfg.dim)
-    for step_idx in range(cfg.n_steps + 1):
-        sv = singular_values(m)
-        eff = capacity.spectra_effective_rank([sv])
-        compat, usable = capacity.compatible_effective_rank([m], basis, tau)
-        row = [step_idx, eff, compat, usable, spectrum_rank(sv)]
-        row += [float(x) for x in sv]
-        rows.append(row)
+    products = np.empty((cfg.n_steps + 1, cfg.dim, cfg.dim))
+    products[0] = np.eye(cfg.dim)
+    for step_idx in range(cfg.n_steps):
+        products[step_idx + 1] = a_mat @ products[step_idx]
+    svs = singular_values(products)
+    # each step's product is its own one-realization ensemble
+    effs = capacity.spectra_effective_rank(svs[:, None])
+    compats, usables = capacity.compatible_effective_rank(products[:, None], basis, tau)
+    ledger = zip(svs, effs.tolist(), compats.tolist(), usables.tolist())
+    for step_idx, (sv, eff, compat, usable) in enumerate(ledger):
+        rows.append([step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist())
 
         sv_closed = rates**step_idx
         abs_profile_error = max(
@@ -167,7 +170,6 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
         if collapse_step is None and eff == 0.0:
             collapse_step = step_idx
         prev = (eff, compat, usable)
-        m = a_mat @ m
 
     write_csv(out / "rank_decay.csv", header, rows)
 
@@ -404,7 +406,7 @@ def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
 def _controlled_task(dim: int, seed: int, trial: int) -> QuadraticTask:
     gen = rng.stream(seed, rng.STREAM_TASK, trial)
     spectrum = gen.uniform(0.2, 1.8, size=dim)
-    rot = random_rotation(dim, seed + 7919 * trial + 1)
+    rot = random_rotations(dim, [seed + 7919 * trial + 1])[0]
     h = rot @ np.diag(spectrum) @ rot.T
     theta_star = gen.standard_normal(dim)
     return QuadraticTask(dim=dim, hessian=(h + h.T) / 2.0, minimizer=theta_star)
@@ -462,15 +464,15 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         gen = rng.stream(seed, rng.STREAM_TASK, trial, 2)
         d_t = int(gen.integers(2, 33))
         # spectra separated from zero so numerical rank counting is unambiguous
-        def draw_factor(sub_seed):
+        spectra = []
+        for _ in range(2):
             s = gen.uniform(0.5, 2.0, size=d_t)
             s[gen.random(d_t) < 0.3] = 0.0
-            u = random_rotation(d_t, sub_seed)
-            v = random_rotation(d_t, sub_seed + 1)
-            return u @ np.diag(s) @ v.T, s
-        a, s_a = draw_factor(seed + 104729 * trial + 11)
-        b, s_b = draw_factor(seed + 104729 * trial + 13)
-        prod = a @ b
+            spectra.append(s)
+        s_a, s_b = spectra
+        first = seed + 104729 * trial + 11
+        u_a, v_a, u_b, v_b = random_rotations(d_t, range(first, first + 4))
+        prod = (u_a @ np.diag(s_a) @ v_a.T) @ (u_b @ np.diag(s_b) @ v_b.T)
         sv_p = singular_values(prod)
         sv_a = np.sort(s_a)[::-1]
         sv_b = np.sort(s_b)[::-1]
@@ -498,19 +500,23 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         wd = 0.1 if trial % 2 else 0.0
         rule = StepRule(kind="gradient_descent", step_size=0.4, weight_decay=wd)
         a_mat = step_jacobian(task, rule)
-        m = np.eye(d)
+        shift = rule.step_size * task.hessian @ task.minimizer
+        powers = np.empty((41, d, d))
+        powers[0] = np.eye(d)
+        thetas = [rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(d)]
+        for k in range(40):
+            powers[k + 1] = a_mat @ powers[k]
+            thetas.append(a_mat @ thetas[k] + shift)
+        # each power is its own one-realization ensemble
+        ranks = capacity.effective_rank(powers[:, None]).tolist()
+        vals = [
+            _half_quadratic(task.hessian, theta - task.minimizer)[0]
+            + 0.5 * wd * float(theta @ theta)
+            for theta in thetas
+        ]
         worst = 0.0
-        prev_rank = capacity.effective_rank([m])
-        gen = rng.stream(seed, rng.STREAM_TASK, trial, 3)
-        theta = gen.standard_normal(d)
-        prev_val = value(task, theta) + 0.5 * wd * float(theta @ theta)
-        for _ in range(40):
-            m = a_mat @ m
-            theta = a_mat @ theta + rule.step_size * task.hessian @ task.minimizer
-            rank_now = capacity.effective_rank([m])
-            val_now = value(task, theta) + 0.5 * wd * float(theta @ theta)
-            worst = max(worst, rank_now - prev_rank, val_now - prev_val)
-            prev_rank, prev_val = rank_now, val_now
+        for k in range(40):
+            worst = max(worst, ranks[k + 1] - ranks[k], vals[k + 1] - vals[k])
         max_increase = max(max_increase, worst)
         mono_rows.append([trial, 40, wd, worst])
     write_csv(
@@ -574,10 +580,9 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
         np.asarray(pair.a_spectrum) + rule.weight_decay
     )
 
-    rows = []
+    checkpoints = range(0, cfg.n_steps + 1, p_cfg.checkpoint_every)
     pr_series = []
-    usable_series = []
-    usable_zero_step = None
+    products = []
     m = np.eye(cfg.dim)
     for step_idx in range(cfg.n_steps + 1):
         if step_idx % p_cfg.checkpoint_every == 0:
@@ -585,17 +590,19 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
             if p_cfg.probe_noise > 0.0:
                 noise_gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 1, step_idx)
                 probes = probes + p_cfg.probe_noise * noise_gen.standard_normal(probes.shape)
-            pr = capacity.participation_ratio(probes)
-            _, usable = capacity.compatible_effective_rank([m], basis, tau)
-            surviving = int(np.sum(np.abs(normal_rates) ** step_idx > tau))
-            rows.append([step_idx, pr, usable, surviving])
-            pr_series.append(pr)
-            usable_series.append(usable)
-            if usable_zero_step is None and usable == 0:
-                usable_zero_step = step_idx
+            pr_series.append(capacity.participation_ratio(probes))
+            products.append(m)
         if step_idx < cfg.n_steps:
             samples = samples @ a_mat
             m = a_mat @ m
+    # each checkpoint's product is its own one-realization ensemble
+    _, usable = capacity.compatible_effective_rank(np.stack(products)[:, None], basis, tau)
+    usable_series = usable.tolist()
+    rows = [
+        [step_idx, pr, u, int(np.sum(np.abs(normal_rates) ** step_idx > tau))]
+        for step_idx, pr, u in zip(checkpoints, pr_series, usable_series)
+    ]
+    usable_zero_step = next((row[0] for row in rows if row[2] == 0), None)
 
     write_csv(out / "proxy.csv", ["step", "pr", "usable", "surviving_normals"], rows)
 

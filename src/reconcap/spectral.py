@@ -29,16 +29,23 @@ SYMMETRY_TOL = 1e-8
 NEGATIVE_INFINITY = float("-inf")
 
 
-def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
-    """Validate and normalize a 2-D array: float64, C-order, finite entries."""
-    m = np.array(a, dtype=np.float64, order="C", copy=True)
-    if m.ndim != 2:
+def as_matrix(
+    a, *, square: bool = False, stacked: bool = False, name: str = "matrix"
+) -> np.ndarray:
+    """Validate and normalize a 2-D array: float64, C-order, finite entries.
+
+    With ``stacked``, also a stack ``(..., m, n)`` of such matrices, checked
+    in one pass.  Input that is already float64 and C-ordered is returned
+    as is, not copied.
+    """
+    m = np.asarray(a, dtype=np.float64, order="C")
+    if m.ndim != 2 and not (stacked and m.ndim > 2):
         raise ValueError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
     if m.size == 0:
         raise ValueError(f"{name}: empty matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name}: non-finite entries")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name}: expected square, got shape {m.shape}")
     return m
 
@@ -78,7 +85,7 @@ class SubspaceBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.basis, name="basis")
+        b = as_matrix(self.basis, name="basis").copy()
         if b.shape != (self.ambient_dim, self.dim):
             raise ValueError(
                 f"basis: expected shape ({self.ambient_dim}, {self.dim}), got {b.shape}"
@@ -90,26 +97,27 @@ class SubspaceBasis:
 
 
 def singular_values(a) -> np.ndarray:
-    """Singular values of ``a`` in descending order (LAPACK dense SVD)."""
-    return np.linalg.svd(as_matrix(a), compute_uv=False)
+    """Singular values in descending order of a matrix ``(m, n)``, or of each
+    matrix of a stack ``(..., m, n)`` in one LAPACK call (dense SVD)."""
+    return np.linalg.svd(as_matrix(a, stacked=True), compute_uv=False)
 
 
-def _collapse_cutoff(s: np.ndarray) -> float:
-    smax = float(s[0]) if s.size else 0.0
-    return max(RANK_TOL_REL * smax, RANK_TOL_ABS)
-
-
-def log_volume(s: np.ndarray) -> float:
+def log_volume(s):
     """log det of the Gram matrix with descending singular values ``s``,
-    computed as ``2 * sum(log sigma_i)``.
+    computed as ``2 * sum(log sigma_i)``; a float for one spectrum ``(k,)``,
+    an array ``(...)`` for a stack of spectra ``(..., k)``.
 
-    Returns exactly ``-inf`` when the smallest singular value is at or below
-    the collapse cutoff, so a collapsed direction zeroes the exponentiated
-    volume no matter what the other directions do.
+    A spectrum whose smallest singular value is at or below the collapse
+    cutoff gets exactly ``-inf``, so a collapsed direction zeroes the
+    exponentiated volume no matter what the other directions do.
     """
-    if float(s[-1]) <= _collapse_cutoff(s):
-        return NEGATIVE_INFINITY
-    return float(2.0 * np.sum(np.log(s)))
+    s = np.asarray(s, dtype=np.float64)
+    if s.size == 0:
+        raise ValueError("log_volume: empty spectrum")
+    collapsed = s[..., -1] <= np.maximum(RANK_TOL_REL * s[..., 0], RANK_TOL_ABS)
+    # collapsed spectra sum log(1) instead of log(0), then take -inf
+    total = 2.0 * np.sum(np.log(np.where(collapsed[..., None], 1.0, s)), axis=-1)
+    return np.where(collapsed, NEGATIVE_INFINITY, total)[()]
 
 
 def stable_rank(h) -> float:

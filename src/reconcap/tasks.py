@@ -83,14 +83,16 @@ def combine(first: QuadraticTask, second: QuadraticTask, label: str | None = Non
     )
 
 
-def random_rotation(dim: int, seed: int) -> np.ndarray:
-    """Haar-ish orthogonal matrix from a seeded QR with sign-fixed diagonal."""
-    g = rng.stream(seed, rng.STREAM_TASK).standard_normal((dim, dim))
+def random_rotations(dim: int, seeds) -> np.ndarray:
+    """Haar-ish orthogonal matrices ``(len(seeds), dim, dim)`` from one
+    stacked QR with sign-fixed diagonals; rotation i is drawn from its own
+    stream ``(seeds[i], STREAM_TASK)``."""
+    g = np.stack([rng.stream(seed, rng.STREAM_TASK).standard_normal((dim, dim)) for seed in seeds])
     q, r = np.linalg.qr(g)
     # Fix signs so the factorization (and hence the rotation) is unique.
-    signs = np.sign(np.diag(r))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs
+    return q * signs[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,7 @@ def make_task_pair(
         if np.any(a_vals <= 0.0):
             raise ValueError("make_task_pair: a_spectrum entries must be positive")
 
-    rot = random_rotation(d, rotation_seed)
+    rot = random_rotations(d, [rotation_seed])[0]
     normal_dirs = rot[:, : d - k_a]
     null_dirs = np.ascontiguousarray(rot[:, d - k_a :])
 

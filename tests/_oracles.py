@@ -3,8 +3,12 @@
 Everything here recomputes a quantity by a different route than the package
 (finite differences, Monte Carlo, dense matrix powers, scipy solvers, or a
 from-scratch entropic OT solver) so agreement is evidence, not tautology.
-Two builders supply test inputs and targets instead: ``sample_batch`` (seeded
-Gaussian clouds) and ``gibbs_state`` (the stationary Langevin target).
+The ``per_*`` functions are the other kind of reference: the stacked
+spectral layer redone one matrix or one seed at a time, which the stacked
+calls must match bit for bit.  Three builders supply test inputs and targets
+instead: ``sample_batch`` (seeded Gaussian clouds), ``gibbs_state`` (the
+stationary Langevin target) and ``jacobian_stack`` (matrices with a
+rank-deficient and a collapsed member).
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from reconcap import rng
 from reconcap.gaussian import GaussianState, covariance_sqrt
-from reconcap.spectral import RANK_TOL_REL
+from reconcap.spectral import RANK_TOL_ABS, RANK_TOL_REL
 
 
 def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = rng.STREAM_ORACLE) -> np.ndarray:
@@ -46,6 +50,64 @@ def singulars_via_gram(a: np.ndarray) -> np.ndarray:
     gram = a.T @ a
     eigvals = np.linalg.eigvalsh((gram + gram.T) / 2.0)
     return np.sqrt(np.maximum(eigvals, 0.0))[::-1]
+
+
+def jacobian_stack(d: int, n: int = 6, seed: int = 0) -> np.ndarray:
+    """``(n, d, d)`` seeded Gaussian matrices; member 1 has an exactly zero
+    column (rank deficient) and member 2 a singular value of 1e-14, nonzero
+    but below the collapse cutoff."""
+    gen = np.random.default_rng(seed + d)
+    stack = gen.standard_normal((n, d, d))
+    stack[1, :, 0] = 0.0
+    u, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    v, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    stack[2] = u @ np.diag(np.r_[np.ones(d - 1), 1e-14]) @ v.T
+    return stack
+
+
+def per_matrix_singular_values(stack) -> np.ndarray:
+    """Singular values of each matrix, one LAPACK call per matrix."""
+    return np.array([np.linalg.svd(m, compute_uv=False) for m in stack])
+
+
+def per_spectrum_log_volume(spectra) -> np.ndarray:
+    """log Gram volume of each descending spectrum, one spectrum at a time:
+    -inf at or below the collapse cutoff, else 2 sum log sigma."""
+    out = []
+    for s in spectra:
+        if s[-1] <= max(RANK_TOL_REL * s[0], RANK_TOL_ABS):
+            out.append(float("-inf"))
+        else:
+            out.append(float(2.0 * np.sum(np.log(s))))
+    return np.array(out)
+
+
+def per_matrix_effective_rank(jacobians) -> float:
+    """Effective rank of one ensemble, one realization at a time."""
+    logs = per_spectrum_log_volume(per_matrix_singular_values(jacobians))
+    if np.any(logs == float("-inf")):
+        return 0.0
+    return float(np.exp(np.mean(logs) / np.shape(jacobians)[-1]))
+
+
+def per_matrix_compatible_rank(jacobians, basis: np.ndarray, tau: float) -> tuple[float, int]:
+    """(compatible rank, usable count) of one ensemble, one realization at a time."""
+    sigmas = per_matrix_singular_values([m @ basis for m in jacobians])
+    logs = per_spectrum_log_volume(sigmas)
+    rank = 0.0 if np.any(logs == float("-inf")) else float(np.exp(np.mean(logs) / basis.shape[1]))
+    counts = [int(np.sum(s > tau)) for s in sigmas]
+    return rank, int(np.ceil(float(np.mean(counts)) - 0.5))
+
+
+def per_seed_rotations(dim: int, seeds) -> np.ndarray:
+    """Sign-fixed QR rotation of each seed's own task stream, one QR per seed."""
+    out = []
+    for seed in seeds:
+        q, r = np.linalg.qr(rng.stream(seed, rng.STREAM_TASK).standard_normal((dim, dim)))
+        signs = np.sign(np.diag(r))
+        signs[signs == 0.0] = 1.0
+        out.append(q * signs)
+    return np.array(out)
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

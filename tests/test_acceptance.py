@@ -13,7 +13,7 @@ from reconcap.config import default_config
 from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import SubspaceBasis, numerical_rank, singular_values
-from reconcap.tasks import QuadraticTask, make_task_pair, random_rotation
+from reconcap.tasks import QuadraticTask, make_task_pair, random_rotations
 from reconcap.transport import StepRule, compose, propagate, step_jacobian
 
 from _oracles import sample_batch, sinkhorn_w2, sorted_coupling_w2
@@ -24,7 +24,7 @@ SEED = 42
 def _controlled_task(dim, seed, trial, lo=0.2, hi=1.8):
     gen = rng.stream(seed, rng.STREAM_TASK, trial)
     spectrum = gen.uniform(lo, hi, size=dim)
-    rot = random_rotation(dim, seed + 7919 * trial + 1)
+    rot = random_rotations(dim, [seed + 7919 * trial + 1])[0]
     h = rot @ np.diag(spectrum) @ rot.T
     return QuadraticTask(
         dim=dim, hessian=(h + h.T) / 2.0, minimizer=gen.standard_normal(dim)
@@ -73,8 +73,8 @@ def test_criterion_02_submultiplicativity(criterion):
             def draw(sub_seed):
                 s = gen.uniform(0.5, 2.0, size=d)
                 s[gen.random(d) < 0.3] = 0.0
-                u = random_rotation(d, sub_seed)
-                v = random_rotation(d, sub_seed + 1)
+                u = random_rotations(d, [sub_seed])[0]
+                v = random_rotations(d, [sub_seed + 1])[0]
                 return u @ np.diag(s) @ v.T, s
 
             a, s_a = draw(SEED + 104729 * trial + 11)
@@ -200,7 +200,7 @@ def _random_relaxation(i):
     gen = rng.stream(9000, rng.STREAM_ORACLE, i)
     d = int(gen.integers(2, 4))
     spectrum = gen.uniform(0.5, 2.0, d)
-    rot = random_rotation(d, 9000 + 31 * i)
+    rot = random_rotations(d, [9000 + 31 * i])[0]
     h = rot @ np.diag(spectrum) @ rot.T
     task = QuadraticTask(dim=d, hessian=(h + h.T) / 2.0, minimizer=gen.standard_normal(d))
     temp = float(gen.uniform(0.2, 1.0))
@@ -262,7 +262,7 @@ def _gaussian_pair(i):
 
     def one(offset):
         spectrum = gen.uniform(0.3, 2.0, d)
-        rot = random_rotation(d, 7100 + 17 * i + offset)
+        rot = random_rotations(d, [7100 + 17 * i + offset])[0]
         cov = rot @ np.diag(spectrum) @ rot.T
         return (cov + cov.T) / 2.0
 
@@ -313,7 +313,7 @@ def test_criterion_07_w2_against_transport_oracle(criterion):
 
             def one(offset):
                 spectrum = gen.uniform(0.3, 2.0, d)
-                rot = random_rotation(d, 7300 + 17 * i + offset)
+                rot = random_rotations(d, [7300 + 17 * i + offset])[0]
                 cov = rot @ np.diag(spectrum) @ rot.T
                 return GaussianState(
                     mean=gen.standard_normal(d), covariance=(cov + cov.T) / 2.0

@@ -7,6 +7,11 @@ from reconcap import capacity
 from reconcap.spectral import SubspaceBasis
 from reconcap.tasks import QuadraticTask, make_task_pair
 
+from _oracles import jacobian_stack, per_matrix_compatible_rank, per_matrix_effective_rank
+
+# the dimensions at which stacked calls must match per-matrix calls bit for bit
+STACK_DIMS = (2, 8, 16, 32)
+
 
 def axis_basis(d, cols):
     return SubspaceBasis(ambient_dim=d, dim=len(cols), basis=np.eye(d)[:, cols])
@@ -178,3 +183,34 @@ def test_jacobian_list_validation():
         capacity.effective_rank([])
     with pytest.raises(ValueError):
         capacity.effective_rank([np.eye(3), np.eye(4)])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_stacked_rank_functions_match_per_matrix_loop(d):
+    stack = jacobian_stack(d)
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, max(d // 2, 1))))
+    basis = SubspaceBasis(ambient_dim=d, dim=q.shape[1], basis=q)
+    tau = 0.5
+    healthy = stack[[0, 3, 4, 5]]
+    # one ensemble of realizations gives one number
+    assert capacity.effective_rank(healthy) == per_matrix_effective_rank(healthy)
+    assert capacity.effective_rank(stack) == per_matrix_effective_rank(stack) == 0.0
+    for ensemble in (healthy, stack):
+        assert capacity.compatible_effective_rank(ensemble, basis, tau) == (
+            per_matrix_compatible_rank(ensemble, q, tau)
+        )
+    # a leading axis of one-realization ensembles gives one number per member
+    ranks = capacity.effective_rank(stack[:, None])
+    assert np.array_equal(ranks, [per_matrix_effective_rank(m[None]) for m in stack])
+    assert ranks[1] == ranks[2] == 0.0 and np.all(ranks[[0, 3, 4, 5]] > 0.0)
+    compat, usable = capacity.compatible_effective_rank(stack[:, None], basis, tau)
+    expected = [per_matrix_compatible_rank(m[None], q, tau) for m in stack]
+    assert np.array_equal(compat, [c for c, _ in expected])
+    assert np.array_equal(usable, [u for _, u in expected])
+
+
+def test_spectra_effective_rank_of_no_spectra_is_a_one_line_value_error():
+    with pytest.raises(ValueError, match="empty") as err:
+        capacity.spectra_effective_rank([])
+    assert "\n" not in str(err.value)

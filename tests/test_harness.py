@@ -291,7 +291,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.5.0"
+    assert capsys.readouterr().out.strip() == "0.6.0"
 
 
 def test_version_matches_pyproject():
@@ -349,7 +349,7 @@ PUBLIC_NAMES = [
     "participation_ratio",
     "predict_incompatibility",
     "propagate",
-    "random_rotation",
+    "random_rotations",
     "reconfiguration_dimension",
     "restricted_hessian",
     "run_scenario",

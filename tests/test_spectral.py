@@ -4,9 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reconcap import spectral
+from reconcap import spectral, tasks
 
-from _oracles import singulars_via_gram
+from _oracles import (
+    jacobian_stack,
+    per_matrix_singular_values,
+    per_seed_rotations,
+    per_spectrum_log_volume,
+    singulars_via_gram,
+)
+
+# the dimensions at which stacked calls must match per-matrix calls bit for bit
+STACK_DIMS = (2, 8, 16, 32)
 
 # 2 I_2 has both singular values 2, so the log Gram volume is 4 ln 2
 LOG_VOLUME_TWICE_IDENTITY = 2.772588722239781
@@ -117,3 +126,41 @@ def test_as_matrix_rejects_nonfinite():
         spectral.as_matrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         spectral.as_matrix(np.array([[np.inf]]))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_stacked_spectral_calls_match_per_matrix_loop(d):
+    stack = jacobian_stack(d)
+    s = spectral.singular_values(stack)
+    assert np.array_equal(s, per_matrix_singular_values(stack))
+    logs = spectral.log_volume(s)
+    assert np.array_equal(logs, per_spectrum_log_volume(s))
+    # the rank-deficient and the collapsed member, and no one else
+    assert np.array_equal(np.isneginf(logs), [False, True, True, False, False, False])
+    assert spectral.log_volume(s[0]) == logs[0]
+    # a leading axis of ensembles: (3, 2, d) spectra give (3, 2) log volumes
+    assert np.array_equal(spectral.log_volume(s.reshape(3, 2, d)), logs.reshape(3, 2))
+
+
+@pytest.mark.filterwarnings("error")
+def test_log_volume_of_zero_singular_value_is_minus_inf_without_log_zero():
+    spectra = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    logs = spectral.log_volume(spectra)
+    assert logs[0] == pytest.approx(2.0 * np.log(6.0), rel=1e-15)
+    assert logs[1] == logs[2] == float("-inf")
+
+
+@pytest.mark.parametrize("empty", [np.array([]), np.empty((3, 0)), []])
+def test_log_volume_of_empty_spectrum_is_a_one_line_value_error(empty):
+    with pytest.raises(ValueError, match="empty") as err:
+        spectral.log_volume(empty)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("d", STACK_DIMS)
+def test_random_rotations_match_per_seed_loop(d):
+    seeds = [3, 4, 90, 91]
+    rotations = tasks.random_rotations(d, seeds)
+    assert np.array_equal(rotations, per_seed_rotations(d, seeds))
+    assert np.array_equal(tasks.random_rotations(d, [90])[0], rotations[2])

@@ -94,9 +94,7 @@ def test_combine_minimizer_is_stationary():
 
 
 def test_random_rotation_orthogonal_and_seeded():
-    r1 = tasks.random_rotation(8, seed=5)
-    r2 = tasks.random_rotation(8, seed=5)
-    r3 = tasks.random_rotation(8, seed=6)
+    r1, r2, r3 = tasks.random_rotations(8, [5, 5, 6])
     assert np.array_equal(r1, r2)
     assert not np.array_equal(r1, r3)
     assert np.allclose(r1.T @ r1, np.eye(8), atol=1e-12)
