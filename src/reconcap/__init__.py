@@ -5,7 +5,7 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .capacity import (
     DEFAULT_TAU_SIGMA,

@@ -152,7 +152,7 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
             abs_profile_error, float(np.max(np.abs(sv - sv_closed))) / sv_closed[0]
         )
         if sv_closed[-1] >= 1e-3 * sv_closed[0]:
-            closed_eff = capacity.effective_rank([np.diag(sv_closed)])
+            closed_eff = float(capacity.spectra_effective_rank(sv_closed[None]))
             strict_error = max(
                 strict_error,
                 abs(eff - closed_eff) / max(closed_eff, 1.0),
@@ -227,6 +227,54 @@ def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
 # threshold-sweep: predicted vs observed incompatibility over a target grid
 
 
+def _descend_survivors(theta_start, survivors, task_b, eta, eps_b, limit):
+    """Stage 1: gradient descent on task B over theta_start + survivors @ y,
+    from y = 0, up to the first iterate within eps_b or ``limit`` updates.
+    Returns that iterate's (theta, loss).
+
+    An update reads only y, so once one leaves y bitwise unchanged every
+    later iterate, and the loss at the limit, is that same one; the loop
+    stops there.  y is compared as bytes, so -0.0 and 0.0 differ.
+    """
+    h_b, target = task_b.hessian, task_b.minimizer
+    y = np.zeros(survivors.shape[1])
+    for n_updates in range(limit + 1):
+        loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
+        if loss <= eps_b or n_updates == limit:
+            break
+        y_next = y - eta * (survivors.T @ h_d)
+        if y_next.tobytes() == y.tobytes():
+            break
+        y = y_next
+    return theta_start + survivors @ y, loss
+
+
+def _escape(theta, task_b, rule, limit, omega_seed, realization, eps_b):
+    """Stage 2: unconstrained descent on task B from theta, up to the first
+    state within eps_b or ``limit`` steps.  Returns (steps, state, reached).
+
+    ``propagate`` runs in segments of 1, 2, 4, ... steps, each resumed from
+    the last state of the one before at its step offset, so the states are
+    those of one ``limit``-step run.  The last segment is the one that holds
+    the first state within eps_b: no segment after it is computed.
+    """
+    h_b, target = task_b.hessian, task_b.minimizer
+    steps, state, length = 0, theta, 1
+    reached = _half_quadratic(h_b, state - target)[0] <= eps_b
+    while not reached and steps < limit:
+        segment = propagate(
+            state, task_b, rule, min(length, limit - steps), omega_seed,
+            realization=realization, step_offset=steps,
+        )
+        for state in segment.states[1:]:
+            steps += 1
+            if _half_quadratic(h_b, state - target)[0] <= eps_b:
+                reached = True
+                break
+        length *= 2
+    return steps, state, reached
+
+
 def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target: int) -> list:
     sweep = cfg.sweep
     limits = cfg.thresholds
@@ -269,16 +317,10 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     # phase 2, stage 1: descend task B inside the surviving preserved directions
     theta_start = traj.final
     survivors = np.ascontiguousarray(q[:, :u_target])
-    h_b = pair.task_b.hessian
-    target = pair.task_b.minimizer
-    y = np.zeros(u_target)
     eps_b = limits.epsilon_b
-    for n_updates in range(sweep.phase2_step_limit + 1):
-        loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
-        if loss <= eps_b or n_updates == sweep.phase2_step_limit:
-            break
-        y = y - eta * (survivors.T @ h_d)
-    theta_stage1 = theta_start + survivors @ y
+    theta_stage1, loss = _descend_survivors(
+        theta_start, survivors, pair.task_b, eta, eps_b, sweep.phase2_step_limit
+    )
     stage1_reached = bool(loss <= eps_b)
     forgetting_s1 = capacity.measure_forgetting(
         theta_start, theta_stage1, pair.task_a, limits.epsilon_a
@@ -291,17 +333,12 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     escape_reached = stage1_reached
     forgetting_after_escape = 0.0
     if not stage1_reached:
-        traj2 = propagate(
+        phase2_steps, theta_escape, escape_reached = _escape(
             theta_stage1, pair.task_b, rule, sweep.phase2_step_limit,
-            cfg.master_seed, realization=cell_index + 10_000,
+            cfg.master_seed, cell_index + 10_000, eps_b,
         )
-        # stops at the first state within eps_b, or at the last state
-        for phase2_steps, s in enumerate(traj2.states):
-            if _half_quadratic(h_b, s - target)[0] <= eps_b:
-                escape_reached = True
-                break
         forgetting_s2 = capacity.measure_forgetting(
-            theta_start, traj2.states[phase2_steps], pair.task_a, limits.epsilon_a
+            theta_start, theta_escape, pair.task_a, limits.epsilon_a
         )
         exit_flag = forgetting_s2.exited_manifold
         forgetting_after_escape = forgetting_s2.forgetting

@@ -127,7 +127,8 @@ def stable_rank(h) -> float:
     top = float(np.max(np.abs(eigs)))
     if top <= RANK_TOL_ABS:
         return 0.0
-    return float(np.sum(eigs**2) / top**2)
+    # scaled first: top**2 underflows to 0 once top is below about 1e-154
+    return float(np.sum((eigs / top) ** 2))
 
 
 def numerical_rank(a, rel_tol: float = 1e-8) -> int:

@@ -5,10 +5,13 @@ Everything here recomputes a quantity by a different route than the package
 from-scratch entropic OT solver) so agreement is evidence, not tautology.
 The ``per_*`` functions are the other kind of reference: the stacked
 spectral layer redone one matrix or one seed at a time, which the stacked
-calls must match bit for bit.  Three builders supply test inputs and targets
-instead: ``sample_batch`` (seeded Gaussian clouds), ``gibbs_state`` (the
-stationary Langevin target) and ``jacobian_stack`` (matrices with a
-rank-deficient and a collapsed member).
+calls must match bit for bit.  ``full_length_stage1`` and
+``full_length_escape`` are a sweep cell's phase-2 loops without early
+exits: every stage-1 update up to the limit, and one escape ``propagate``
+over the whole limit, scanned afterwards.  Three builders supply test
+inputs and targets instead: ``sample_batch`` (seeded Gaussian clouds),
+``gibbs_state`` (the stationary Langevin target) and ``jacobian_stack``
+(matrices with a rank-deficient and a collapsed member).
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from scipy.linalg import solve_discrete_lyapunov
 from reconcap import rng
 from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.spectral import RANK_TOL_ABS, RANK_TOL_REL
+from reconcap.tasks import _half_quadratic
+from reconcap.transport import propagate
 
 
 def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = rng.STREAM_ORACLE) -> np.ndarray:
@@ -108,6 +113,29 @@ def per_seed_rotations(dim: int, seeds) -> np.ndarray:
         signs[signs == 0.0] = 1.0
         out.append(q * signs)
     return np.array(out)
+
+
+def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):
+    """``scenarios._descend_survivors`` without its fixed-point exit."""
+    h_b, target = task_b.hessian, task_b.minimizer
+    y = np.zeros(survivors.shape[1])
+    for n_updates in range(limit + 1):
+        loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
+        if loss <= eps_b or n_updates == limit:
+            break
+        y = y - eta * (survivors.T @ h_d)
+    return theta_start + survivors @ y, loss
+
+
+def full_length_escape(theta, task_b, rule, limit, omega_seed, realization, eps_b):
+    """``scenarios._escape`` as one ``limit``-step propagate, scanned after."""
+    traj = propagate(theta, task_b, rule, limit, omega_seed, realization=realization)
+    reached = False
+    for steps, s in enumerate(traj.states):
+        if _half_quadratic(task_b.hessian, s - task_b.minimizer)[0] <= eps_b:
+            reached = True
+            break
+    return steps, traj.states[steps], reached
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

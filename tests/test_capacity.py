@@ -35,6 +35,15 @@ def test_effective_rank_is_geometric_mean_across_realizations():
     assert capacity.effective_rank([a, b]) == pytest.approx(16.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_reconfiguration_dimension_of_a_tiny_task_b():
+    h = np.zeros((4, 4))
+    h[0, 0] = 1e-200
+    task_b = QuadraticTask(dim=4, hessian=h, minimizer=np.zeros(4))
+    m_b = capacity.reconfiguration_dimension(task_b, axis_basis(4, [0, 1]))
+    assert m_b == 1.0  # not NaN
+
+
 def test_compatible_rank_and_usable_count():
     d = 4
     j = np.diag([1.0, 0.5, 1e-6, 1.0])

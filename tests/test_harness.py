@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import reconcap
-from reconcap import cli, scenarios
+from reconcap import cli, scenarios, transport
 from reconcap.config import (
     ConfigError,
     ExperimentConfig,
@@ -29,6 +29,8 @@ from reconcap.config import (
 )
 from reconcap.scenarios import CheckError, run_scenario
 from reconcap.transport import DivergenceError, StepRule
+
+from _oracles import full_length_escape, full_length_stage1
 
 
 # -- config contract --------------------------------------------------------
@@ -231,6 +233,78 @@ def test_threshold_sweep_reduced(tmp_path):
     assert summary["zero_usable_all_incompatible"]
 
 
+def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
+    # every propagated step is one _advance call: 200 phase-1 steps per cell,
+    # then each escape runs segments of 1, 2, 4, ... steps through the one
+    # that holds its first state within eps_b, 2**n - 1 steps in all for a
+    # phase2_steps of n bits
+    cfg = ExperimentConfig(
+        scenario="threshold-sweep",
+        sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
+    )
+    cfg.validate()
+    steps = 0
+    advance = transport._advance
+
+    def counting_advance(*args):
+        nonlocal steps
+        steps += 1
+        return advance(*args)
+
+    monkeypatch.setattr(transport, "_advance", counting_advance)
+    run_scenario(cfg, out_dir=tmp_path)
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    column = lines[0].split(",").index("phase2_steps")
+    phase2_steps = [int(line.split(",")[column]) for line in lines[1:]]
+    escape_steps = sum((1 << n.bit_length()) - 1 for n in phase2_steps)
+    assert steps == 9 * 200 + escape_steps == 1893
+
+
+def test_sweep_early_exits_match_full_length_loops(monkeypatch):
+    # (cell_index, m_b_target, usable_target) of the default grid.  At the
+    # default limit of 2000: stage 1 reaches eps_b; u = 0; stage 1 stalls at
+    # a fixed point (two cells); stage 1 cycles to the limit.  Limits 5, 21
+    # and 37 cut runs mid-segment (segments end at steps 1, 3, 7, 15, 31, ...).
+    cells = [(10, 1, 1), (9, 1, 0), (19, 2, 1), (65, 7, 2), (79, 8, 7)]
+    base = default_config("threshold-sweep")
+    seen = set()
+    for limit in (5, 21, 37, 2000):
+        cfg = dataclasses.replace(
+            base, sweep=dataclasses.replace(base.sweep, phase2_step_limit=limit)
+        )
+        for cell in cells:
+            calls = 0
+            half_quadratic = scenarios._half_quadratic
+
+            def counting(*args):
+                nonlocal calls
+                calls += 1
+                return half_quadratic(*args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(scenarios, "_half_quadratic", counting)
+                row = scenarios._sweep_cell(cfg, *cell)
+            with monkeypatch.context() as patch:
+                patch.setattr(scenarios, "_descend_survivors", full_length_stage1)
+                patch.setattr(scenarios, "_escape", full_length_escape)
+                oracle = scenarios._sweep_cell(cfg, *cell)
+            assert [repr(x) for x in row] == [repr(x) for x in oracle]
+
+            u, stage1_reached, steps, escape_reached = row[1], row[7], row[12], row[14]
+            if stage1_reached:
+                seen.add("stage 1 reached")
+                continue
+            seen.add("escape reached" if escape_reached else "escape cut")
+            # the escape scans steps + 1 states; stage 1 alone would take limit + 1
+            if u == 0:
+                seen.add("u = 0")
+            elif calls - (steps + 1) < limit + 1:
+                seen.add("stage 1 fixed point")
+    assert seen == {
+        "stage 1 reached", "u = 0", "stage 1 fixed point", "escape reached", "escape cut"
+    }
+
+
 def test_threshold_sweep_ignores_pair_spectra(tmp_path):
     # sweep cells build their own pairs, so a stiff configured A spectrum is
     # neither read nor counted in the stability bound
@@ -291,7 +365,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.6.0"
+    assert capsys.readouterr().out.strip() == "0.7.0"
 
 
 def test_version_matches_pyproject():

@@ -65,6 +65,12 @@ def test_stable_rank_frozen_and_edges():
     assert spectral.stable_rank(np.eye(5)) == pytest.approx(5.0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stable_rank_of_a_tiny_top_eigenvalue():
+    # top**2 underflows to 0 below about 1e-154; the ratio must not be 0/0
+    assert spectral.stable_rank(np.diag([1e-200, 0.0])) == 1.0
+
+
 @given(scale=st.floats(min_value=1e-3, max_value=1e3), seed=st.integers(0, 50))
 @settings(max_examples=40, deadline=None)
 def test_stable_rank_scale_invariant(scale, seed):

@@ -12,6 +12,11 @@ the ``src/`` next to this script.  Two checkouts produce identical data
 files exactly when this prints the same lines in both:
 
     python3 tools/data_digests.py > a.txt   # in each checkout, then diff
+
+With a directory argument the output trees are kept there, for
+``tools/column_diff.py`` to compare column by column:
+
+    python3 tools/data_digests.py OUT_DIR > a.txt
 """
 
 from __future__ import annotations
@@ -41,18 +46,27 @@ def _config(scenario: str, seed: int | None):
     return cfg
 
 
-def main() -> None:
-    with tempfile.TemporaryDirectory() as tmp:
-        for seed in SEEDS:
-            label = "default" if seed is None else str(seed)
-            for scenario in SCENARIO_NAMES:
-                out = Path(tmp) / label / scenario
-                run_scenario(_config(scenario, seed), out_dir=out)
-                for path in sorted(out.iterdir()):
-                    if path.name != "manifest.json":
-                        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                        print(f"{label}/{scenario}/{path.name} {digest}")
+def write_digests(root: Path) -> None:
+    for seed in SEEDS:
+        label = "default" if seed is None else str(seed)
+        for scenario in SCENARIO_NAMES:
+            out = root / label / scenario
+            run_scenario(_config(scenario, seed), out_dir=out)
+            for path in sorted(out.iterdir()):
+                if path.name != "manifest.json":
+                    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+                    print(f"{label}/{scenario}/{path.name} {digest}")
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) > 1:
+        sys.exit("usage: data_digests.py [OUT_DIR]")
+    if argv:
+        write_digests(Path(argv[0]))
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            write_digests(Path(tmp))
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
