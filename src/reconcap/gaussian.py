@@ -1,4 +1,9 @@
-"""Gaussian ensemble state: mean plus covariance, with PD safeguards."""
+"""Gaussian ensemble state: mean plus covariance, with PD safeguards.
+
+A state is one Gaussian, ``mean (d,)`` and ``covariance (d, d)``, or a path
+of them, ``mean (n, d)`` and ``covariance (n, d, d)``, validated as a whole;
+functions of states give a float for one and an array for a path.
+"""
 
 from __future__ import annotations
 
@@ -19,14 +24,14 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mu = as_vector(self.mean, name="mean")
-        cov = require_symmetric(self.covariance, name="covariance")
-        if cov.shape[0] != mu.shape[0]:
-            raise ValueError(f"GaussianState: mean dim {mu.shape[0]} != covariance dim {cov.shape[0]}")
-        eigs = np.linalg.eigvalsh(cov)
-        if eigs[0] < COVARIANCE_FLOOR * (1.0 - 1e-9):
+        mu = as_vector(self.mean, stacked=True, name="mean")
+        cov = require_symmetric(self.covariance, stacked=True, name="covariance")
+        if cov.shape != mu.shape + mu.shape[-1:]:
+            raise ValueError(f"GaussianState: mean shape {mu.shape} != covariance {cov.shape}")
+        low = float(np.min(np.linalg.eigvalsh(cov)[..., 0]))
+        if low < COVARIANCE_FLOOR * (1.0 - 1e-9):
             raise ValueError(
-                f"GaussianState: covariance eigenvalue {eigs[0]:.3e} below floor "
+                f"GaussianState: covariance eigenvalue {low:.3e} below floor "
                 f"{COVARIANCE_FLOOR:.1e}; clamp with clamped_state before constructing"
             )
         object.__setattr__(self, "mean", mu)
@@ -34,29 +39,45 @@ class GaussianState:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return self.mean.shape[-1]
+
+    def __getitem__(self, k) -> "GaussianState":
+        """State ``k``, or the sub-path at slice ``k``, of a path.  A part of a
+        validated path is valid, so it is not checked again."""
+        if self.mean.ndim != 2:
+            raise TypeError("GaussianState: only a path can be indexed")
+        part = object.__new__(GaussianState)
+        vars(part).update(mean=self.mean[k], covariance=self.covariance[k])
+        return part
 
 
-def clamped_state(mean, covariance) -> tuple[GaussianState, bool]:
-    """Build a state, lifting covariance eigenvalues to the floor if needed.
+def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """Symmetrized V diag(w) V^T for each matrix of a stack (w >= 0)."""
+    m = eigvecs @ (eigvals[..., None] * np.eye(eigvals.shape[-1])) @ eigvecs.swapaxes(-1, -2)
+    return (m + m.swapaxes(-1, -2)) / 2.0
 
-    Returns ``(state, clamped)`` where ``clamped`` reports whether any
-    eigenvalue actually had to be lifted.
-    """
-    cov = require_symmetric(covariance, name="covariance")
+
+def _clamp(covariance) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrized covariance (or stack) lifted to the floor, and which matrices were."""
+    cov = require_symmetric(covariance, stacked=True, name="covariance")
     eigvals, eigvecs = np.linalg.eigh(cov)
-    clamped = bool(eigvals[0] < COVARIANCE_FLOOR)
-    if clamped:
-        lifted = np.maximum(eigvals, COVARIANCE_FLOOR)
-        cov = eigvecs @ np.diag(lifted) @ eigvecs.T
-        cov = (cov + cov.T) / 2.0
-    return GaussianState(mean=mean, covariance=cov), clamped
+    clamped = eigvals[..., 0] < COVARIANCE_FLOOR
+    if np.any(clamped):
+        cov[clamped] = _eigen_rebuild(eigvecs[clamped], np.maximum(eigvals[clamped], COVARIANCE_FLOOR))
+    return cov, clamped
+
+
+def clamped_state(mean, covariance) -> tuple[GaussianState, bool | np.ndarray]:
+    """Build a state or a path, lifting covariance eigenvalues to the floor if
+    needed.  Returns ``(state, clamped)`` where ``clamped`` reports, per
+    state, whether any eigenvalue actually had to be lifted."""
+    cov, clamped = _clamp(covariance)
+    return GaussianState(mean=mean, covariance=cov), clamped[()]
 
 
 def covariance_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of a symmetric matrix (eigendecomposition
-    route); negative eigenvalues from roundoff are clipped to zero."""
+    """Symmetric PSD square root of a symmetric matrix, or of each matrix of a
+    stack (eigendecomposition route); negative eigenvalues from roundoff are
+    clipped to zero."""
     eigvals, eigvecs = np.linalg.eigh(m)
-    root = eigvecs @ np.diag(np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
-    return (root + root.T) / 2.0
-
+    return _eigen_rebuild(eigvecs, np.sqrt(np.maximum(eigvals, 0.0)))

@@ -89,18 +89,18 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
-    if summary["slack"] < -1e-6:
+    if not summary["slack"] >= -1e-6:
         raise CheckError(f"esl-gap: slack {summary['slack']:.3e} below -1e-6")
-    if summary["geodesic_rel_error"] > 0.05:
+    if not summary["geodesic_rel_error"] <= 0.05:
         raise CheckError(
             f"esl-gap: geodesic action off the floor by {summary['geodesic_rel_error']:.3%}"
         )
     # refinement can only lower the discrete action, modulo float fuzz
-    if summary["geodesic_action"] > summary["geodesic_action_coarse"] + 1e-7:
+    if not summary["geodesic_action"] <= summary["geodesic_action_coarse"] + 1e-7:
         raise CheckError("esl-gap: refining the geodesic raised its action")
     # criterion 6 asks slack > geodesic_action - floor, strictly; with
     # slack = total_production - floor that is total > geodesic_action
-    if summary["total_production"] <= summary["geodesic_action"]:
+    if not summary["total_production"] > summary["geodesic_action"]:
         raise CheckError("esl-gap: dynamics dissipated no more than ideal transport")
 
 
@@ -126,15 +126,14 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     header = ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
     header += [f"sv_{i}" for i in range(cfg.dim)]
     rows = []
-    max_monotone_violation = 0.0
+    # every step's errors, maximized once at the end, where a NaN is kept;
     # the iterated product only resolves singular values down to roughly
     # n_steps * eps * sigma_max, so the strict relative comparison is limited
     # to steps whose closed-form spectrum stays within 1e-3 of its top
-    strict_error = 0.0
-    abs_profile_error = 0.0
+    strict_errors = [0.0]
+    profile_errors = [0.0]
     usable_zero_step = None
     collapse_step = None
-    prev = None
     products = np.empty((cfg.n_steps + 1, cfg.dim, cfg.dim))
     products[0] = np.eye(cfg.dim)
     for step_idx in range(cfg.n_steps):
@@ -148,28 +147,16 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
         rows.append([step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist())
 
         sv_closed = rates**step_idx
-        abs_profile_error = max(
-            abs_profile_error, float(np.max(np.abs(sv - sv_closed))) / sv_closed[0]
-        )
+        profile_errors.append(float(np.max(np.abs(sv - sv_closed))) / sv_closed[0])
         if sv_closed[-1] >= 1e-3 * sv_closed[0]:
             closed_eff = float(capacity.spectra_effective_rank(sv_closed[None]))
-            strict_error = max(
-                strict_error,
-                abs(eff - closed_eff) / max(closed_eff, 1.0),
-                float(np.max(np.abs(sv - sv_closed) / sv_closed)),
-            )
-        if prev is not None:
-            max_monotone_violation = max(
-                max_monotone_violation,
-                eff - prev[0],
-                compat - prev[1],
-                float(usable - prev[2]),
-            )
+            strict_errors.append(abs(eff - closed_eff) / max(closed_eff, 1.0))
+            strict_errors.append(float(np.max(np.abs(sv - sv_closed) / sv_closed)))
         if usable_zero_step is None and usable == 0:
             usable_zero_step = step_idx
         if collapse_step is None and eff == 0.0:
             collapse_step = step_idx
-        prev = (eff, compat, usable)
+    rises = np.concatenate([[0.0], np.diff(effs), np.diff(compats), np.diff(usables)])
 
     write_csv(out / "rank_decay.csv", header, rows)
 
@@ -187,24 +174,24 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
         "usable_zero_step_closed_form": usable_zero_closed,
         "collapse_step": collapse_step,
         "collapse_step_closed_form": collapse_closed,
-        "max_monotonicity_violation": max_monotone_violation,
-        "strict_closed_form_error": strict_error,
-        "abs_profile_error": abs_profile_error,
+        "max_monotonicity_violation": float(np.max(rises)),
+        "strict_closed_form_error": float(np.max(strict_errors)),
+        "abs_profile_error": float(np.max(profile_errors)),
     }
     write_json(out / "summary.json", summary)
     return summary
 
 
 def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
-    if summary["max_monotonicity_violation"] > 1e-10:
+    if not summary["max_monotonicity_violation"] <= 1e-10:
         raise CheckError(
             f"rank-decay: rank rose by {summary['max_monotonicity_violation']:.3e}"
         )
-    if summary["strict_closed_form_error"] > 1e-9:
+    if not summary["strict_closed_form_error"] <= 1e-9:
         raise CheckError(
             f"rank-decay: closed-form mismatch {summary['strict_closed_form_error']:.3e}"
         )
-    if summary["abs_profile_error"] > 1e-10:
+    if not summary["abs_profile_error"] <= 1e-10:
         raise CheckError(
             f"rank-decay: spectrum drifted {summary['abs_profile_error']:.3e} from closed form"
         )
@@ -216,7 +203,7 @@ def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
             f"closed form says {summary['usable_zero_step_closed_form']}"
         )
     collapse = summary["collapse_step"]
-    if collapse is None or abs(collapse - summary["collapse_step_closed_form"]) > 2:
+    if collapse is None or not abs(collapse - summary["collapse_step_closed_form"]) <= 2:
         raise CheckError(
             f"rank-decay: volume collapse at step {collapse}, "
             f"closed form says {summary['collapse_step_closed_form']}"
@@ -419,7 +406,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
-    if summary["agreement_rate"] < 0.95:
+    if not summary["agreement_rate"] >= 0.95:
         raise CheckError(
             f"threshold-sweep: agreement {summary['agreement_rate']:.1%} below 95%"
         )
@@ -429,7 +416,7 @@ def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
             "flagged incompatible"
         )
     forced_min = summary["forced_exit_forgetting_min"]
-    if forced_min is not None and forced_min < cfg.thresholds.epsilon_high:
+    if forced_min is not None and not forced_min >= cfg.thresholds.epsilon_high:
         raise CheckError(
             f"threshold-sweep: forced-exit forgetting {forced_min:.3e} below "
             f"epsilon_high {cfg.thresholds.epsilon_high:g}"
@@ -462,7 +449,6 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
     seed = cfg.master_seed
 
     comp_rows = []
-    max_comp_error = 0.0
     for trial in range(cfg.n_trials):
         task = _controlled_task(d, seed, trial)
         rule = _COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)]
@@ -482,12 +468,10 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         )
         left = transport.compose(transport.compose(t1, t2), t3)
         right = transport.compose(t1, transport.compose(t2, t3))
-        err = max(
-            float(np.max(np.abs(left.cumulative_jacobian - full.cumulative_jacobian))),
-            float(np.max(np.abs(right.cumulative_jacobian - full.cumulative_jacobian))),
-            float(np.max(np.abs(left.states - full.states))),
-        )
-        max_comp_error = max(max_comp_error, err)
+        full_jac = full.cumulative_jacobian
+        gaps = [left.cumulative_jacobian - full_jac, right.cumulative_jacobian - full_jac]
+        # one np.max over all three gaps, where max() of three would drop a NaN
+        err = float(np.max(np.abs(np.concatenate(gaps + [left.states - full.states]))))
         comp_rows.append([trial, lens[0], lens[1], lens[2], rule.kind.value, err])
     write_csv(
         out / "composition.csv",
@@ -530,7 +514,6 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
     )
 
     mono_rows = []
-    max_increase = 0.0
     n_mono = max(cfg.n_trials // 5, 1)
     for trial in range(n_mono):
         task = _controlled_task(d, seed + 1, trial)
@@ -551,10 +534,7 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
             + 0.5 * wd * float(theta @ theta)
             for theta in thetas
         ]
-        worst = 0.0
-        for k in range(40):
-            worst = max(worst, ranks[k + 1] - ranks[k], vals[k + 1] - vals[k])
-        max_increase = max(max_increase, worst)
+        worst = float(np.max(np.concatenate([[0.0], np.diff(ranks), np.diff(vals)])))
         mono_rows.append([trial, 40, wd, worst])
     write_csv(
         out / "monotonicity.csv",
@@ -564,17 +544,17 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
 
     summary = {
         "n_trials": cfg.n_trials,
-        "max_composition_error": max_comp_error,
+        "max_composition_error": float(np.max([row[5] for row in comp_rows])),
         "submultiplicativity_violations": n_violations,
         "n_monotonicity_trials": n_mono,
-        "max_monotonicity_increase": max_increase,
+        "max_monotonicity_increase": float(np.max([row[3] for row in mono_rows])),
     }
     write_json(out / "summary.json", summary)
     return summary
 
 
 def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
-    if summary["max_composition_error"] > 1e-10:
+    if not summary["max_composition_error"] <= 1e-10:
         raise CheckError(
             f"composition-check: split/compose mismatch {summary['max_composition_error']:.3e}"
         )
@@ -583,7 +563,7 @@ def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
             f"composition-check: {summary['submultiplicativity_violations']} "
             "submultiplicativity violations"
         )
-    if summary["max_monotonicity_increase"] > 1e-10:
+    if not summary["max_monotonicity_increase"] <= 1e-10:
         raise CheckError(
             f"composition-check: descent quantity rose by "
             f"{summary['max_monotonicity_increase']:.3e}"
@@ -676,11 +656,11 @@ def check_proxy_probe(summary: dict, cfg: ExperimentConfig) -> None:
     sp = summary["spearman_pr_vs_usable"]
     if not sp >= 0.8:
         raise CheckError(f"proxy-probe: rank correlation {sp} below 0.8")
-    if summary["pr_first"] <= summary["pr_last"]:
+    if not summary["pr_first"] > summary["pr_last"]:
         raise CheckError("proxy-probe: probe spread did not shrink over the run")
     if summary["usable_last"] != 0:
         raise CheckError("proxy-probe: usable count never collapsed")
-    if summary["pr_isotropic_over_dim"] < 0.7:
+    if not summary["pr_isotropic_over_dim"] >= 0.7:
         raise CheckError(
             f"proxy-probe: isotropic calibration ratio {summary['pr_isotropic_over_dim']:.3f}"
         )

@@ -50,30 +50,37 @@ def as_matrix(
     return m
 
 
-def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and normalize a 1-D float64 vector."""
+def as_vector(
+    v, *, dim: int | None = None, stacked: bool = False, name: str = "vector"
+) -> np.ndarray:
+    """Validate and normalize a 1-D float64 vector (a copy); with
+    ``stacked``, also a stack ``(..., d)`` of such vectors."""
     x = np.array(v, dtype=np.float64, copy=True)
-    if x.ndim != 1:
+    if x.ndim != 1 and not (stacked and x.ndim > 1):
         raise ValueError(f"{name}: expected a 1-D array, got ndim={x.ndim}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name}: non-finite entries")
-    if dim is not None and x.shape[0] != dim:
-        raise ValueError(f"{name}: expected length {dim}, got {x.shape[0]}")
+    if dim is not None and x.shape[-1] != dim:
+        raise ValueError(f"{name}: expected length {dim}, got {x.shape[-1]}")
     return x
 
 
-def require_symmetric(h, *, rel_tol: float = SYMMETRY_TOL, name: str = "matrix") -> np.ndarray:
+def require_symmetric(
+    h, *, rel_tol: float = SYMMETRY_TOL, stacked: bool = False, name: str = "matrix"
+) -> np.ndarray:
     """Return the symmetrized (H + H^T)/2, rejecting material asymmetry.
 
     The asymmetry ``max|H - H^T|`` is compared against ``rel_tol * max|H|``;
-    anything larger is an input error rather than numerical fuzz.
+    anything larger is an input error rather than numerical fuzz.  With
+    ``stacked``, also a stack ``(..., d, d)``, each matrix on its own scale.
     """
-    m = as_matrix(h, square=True, name=name)
-    scale = float(np.max(np.abs(m)))
-    asym = float(np.max(np.abs(m - m.T)))
-    if asym > rel_tol * max(scale, RANK_TOL_ABS):
-        raise ValueError(f"{name}: asymmetry {asym:.3e} exceeds {rel_tol:.1e} relative tolerance")
-    return (m + m.T) / 2.0
+    m = as_matrix(h, square=True, stacked=stacked, name=name)
+    mt = m.swapaxes(-1, -2)
+    scale = np.abs(m).max((-2, -1))
+    asym = np.abs(m - mt).max((-2, -1))
+    if np.count_nonzero(asym > rel_tol * np.maximum(scale, RANK_TOL_ABS)):
+        raise ValueError(f"{name}: asymmetry {np.max(asym):.3e} exceeds {rel_tol:.1e} relative tolerance")
+    return (m + mt) / 2.0
 
 
 @dataclass(frozen=True)

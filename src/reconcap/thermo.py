@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import GaussianState, clamped_state, covariance_sqrt
+from .gaussian import GaussianState, _clamp, clamped_state, covariance_sqrt
 from .spectral import require_symmetric
 from .tasks import QuadraticTask
 from .transport import StepKind, StepRule, step_jacobian
@@ -45,22 +45,34 @@ def _check_pair(g: GaussianState, task: QuadraticTask):
         raise ValueError(f"state dim {g.dim} != task dim {task.dim}")
 
 
-def entropy(g: GaussianState) -> float:
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis as a stacked matrix product, which rounds each
+    pair as ``x @ y`` does; ``einsum`` and ``sum(x * y)`` do not.  Matrix-vector
+    products are stacked the same way, ``(h @ x[..., :, None])[..., 0]``."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _trace(m: np.ndarray) -> np.ndarray:
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def entropy(g: GaussianState):
     """Differential entropy in nats."""
     sign, logdet = np.linalg.slogdet(g.covariance)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise ValueError("entropy: covariance not positive definite")
-    return float(0.5 * g.dim * LOG_2PI_E + 0.5 * logdet)
+    return 0.5 * g.dim * LOG_2PI_E + 0.5 * logdet
 
 
-def mean_value(g: GaussianState, task: QuadraticTask) -> float:
+def mean_value(g: GaussianState, task: QuadraticTask):
     """E_q[phi] for the Gaussian ensemble."""
     _check_pair(g, task)
     d = g.mean - task.minimizer
-    return float(0.5 * d @ (task.hessian @ d) + 0.5 * np.trace(task.hessian @ g.covariance))
+    hd = (task.hessian @ d[..., :, None])[..., 0]
+    return _dot(0.5 * d, hd) + 0.5 * _trace(task.hessian @ g.covariance)
 
 
-def free_energy(g: GaussianState, task: QuadraticTask, temperature: float) -> float:
+def free_energy(g: GaussianState, task: QuadraticTask, temperature: float):
     if temperature < 0.0:
         raise ValueError("free_energy: temperature must be >= 0")
     return mean_value(g, task) - temperature * entropy(g)
@@ -77,22 +89,22 @@ def _drift_matrix(task: QuadraticTask, rule: StepRule) -> np.ndarray:
     return a
 
 
-def entropy_production_step(g: GaussianState, task: QuadraticTask, rule: StepRule) -> float:
+def entropy_production_step(g: GaussianState, task: QuadraticTask, rule: StepRule):
     """sigma_k = eta * E|v|^2 / T at the pre-step state (langevin rule only)."""
     _check_pair(g, task)
     if rule.kind is not StepKind.LANGEVIN or rule.noise_scale <= 0.0:
         raise ValueError("entropy_production_step: requires a langevin rule with T > 0")
     t = rule.noise_scale
     h = task.hessian
-    drift = h @ (g.mean - task.minimizer)
+    drift = (h @ (g.mean - task.minimizer)[..., :, None])[..., 0]
     eigvals = np.linalg.eigvalsh(g.covariance)
     mean_sq = (
-        float(drift @ drift)
-        + t * t * float(np.sum(1.0 / eigvals))
+        _dot(drift, drift)
+        + t * t * np.sum(1.0 / eigvals, axis=-1)
         - 2.0 * t * float(np.trace(h))
-        + float(np.trace(h @ g.covariance @ h))
+        + _trace(h @ g.covariance @ h)
     )
-    return rule.step_size * max(mean_sq, 0.0) / t
+    return rule.step_size * np.maximum(mean_sq, 0.0) / t
 
 
 @dataclass(frozen=True)
@@ -114,102 +126,91 @@ class DissipationLedger:
         f = np.asarray(free_energies, dtype=np.float64)
         if f.shape[0] != s.shape[0] + 1:
             raise ValueError("DissipationLedger: need one more free energy than sigma entries")
-        if np.any(s < 0.0):
-            raise ValueError("DissipationLedger: negative per-step sigma")
-        if temperature <= 0.0:
+        if not np.all((s >= 0.0) & np.isfinite(s)):
+            raise ValueError("DissipationLedger: negative or non-finite per-step sigma")
+        if not temperature > 0.0:
             raise ValueError("DissipationLedger: temperature must be > 0")
         total = float(np.sum(s))
         excess = total - (float(f[0]) - float(f[-1])) / temperature
-        return cls(
-            per_step_sigma=s,
-            free_energy_series=f,
-            temperature=float(temperature),
-            total=total,
-            excess=excess,
-        )
+        return cls(s, f, float(temperature), total, excess)
 
 
 def simulate_relaxation(
     g0: GaussianState, task: QuadraticTask, rule: StepRule, n_steps: int
-) -> tuple[list, DissipationLedger, int]:
+) -> tuple[GaussianState, DissipationLedger, int]:
     """Exact Langevin moment recursion with full bookkeeping.
 
     mean' = A mean + eta H theta*,  Sigma' = A Sigma A^T + 2 T eta I, with A
     the step Jacobian; covariance eigenvalues are clamped at the module floor
-    when pure contraction drives them under it.  Returns (states, ledger,
-    clamp_events); sigma is evaluated at the state a step departs from, free
-    energy at every visited state.
+    when pure contraction drives them under it.  Returns (path, ledger,
+    clamp_events), the path of all n_steps + 1 states; sigma is evaluated at
+    the state a step departs from, free energy at every visited state.
     """
     if rule.kind is not StepKind.LANGEVIN:
         raise ValueError("simulate_relaxation: requires a langevin rule")
+    _check_pair(g0, task)
     t = rule.noise_scale
     eta = rule.step_size
     a = _drift_matrix(task, rule)
     shift = eta * task.hessian @ task.minimizer
     diffusion = 2.0 * t * eta * np.eye(task.dim)
-    states = [g0]
-    sigmas = np.empty(n_steps)
-    energies = np.empty(n_steps + 1)
+    means = np.empty((n_steps + 1, task.dim))
+    covs = np.empty((n_steps + 1, task.dim, task.dim))
+    means[0], covs[0] = g0.mean, g0.covariance
     clamp_events = 0
-    g = g0
     for k in range(n_steps):
-        energies[k] = free_energy(g, task, t)
-        sigmas[k] = entropy_production_step(g, task, rule)
-        g, clamped = clamped_state(a @ g.mean + shift, a @ g.covariance @ a.T + diffusion)
+        means[k + 1] = a @ means[k] + shift
+        covs[k + 1], clamped = _clamp(a @ covs[k] @ a.T + diffusion)
         clamp_events += int(clamped)
-        states.append(g)
-    energies[n_steps] = free_energy(g, task, t)
-    return states, DissipationLedger.from_series(sigmas, energies, t), clamp_events
+    path = GaussianState(mean=means, covariance=covs)
+    sigmas = entropy_production_step(path[:-1], task, rule)
+    ledger = DissipationLedger.from_series(sigmas, free_energy(path, task, t), t)
+    return path, ledger, clamp_events
 
 
-def w2_gaussian(g1: GaussianState, g2: GaussianState) -> float:
-    """Bures-Wasserstein distance between Gaussian states."""
+def w2_gaussian(g1: GaussianState, g2: GaussianState):
+    """Bures-Wasserstein distance between Gaussian states, pairwise along
+    paths; a single state is paired with every state of a path."""
     if g1.dim != g2.dim:
         raise ValueError("w2_gaussian: dimension mismatch")
     dmu = g1.mean - g2.mean
     root2 = covariance_sqrt(g2.covariance)
-    cross = require_symmetric(root2 @ g1.covariance @ root2, rel_tol=1e-6, name="w2 cross term")
+    cross = require_symmetric(
+        root2 @ g1.covariance @ root2, rel_tol=1e-6, stacked=True, name="w2 cross term"
+    )
     cross_eigs = np.maximum(np.linalg.eigvalsh(cross), 0.0)
     sq = (
-        float(dmu @ dmu)
-        + float(np.trace(g1.covariance) + np.trace(g2.covariance))
-        - 2.0 * float(np.sum(np.sqrt(cross_eigs)))
+        _dot(dmu, dmu)
+        + (_trace(g1.covariance) + _trace(g2.covariance))
+        - 2.0 * np.sum(np.sqrt(cross_eigs), axis=-1)
     )
-    return float(np.sqrt(max(sq, 0.0)))
+    return np.sqrt(np.maximum(sq, 0.0))
 
 
-def ot_geodesic(g0: GaussianState, g1: GaussianState, n_steps: int) -> list:
-    """Displacement interpolation [q_0, ..., q_{n_steps}] at s = k / n_steps.
+def ot_geodesic(g0: GaussianState, g1: GaussianState, n_steps: int) -> GaussianState:
+    """Displacement interpolation q_0, ..., q_{n_steps} at s = k / n_steps, as a path.
 
     The optimal map between the endpoint Gaussians is
     T* = S0^{-1/2} (S0^{1/2} S1 S0^{1/2})^{1/2} S0^{-1/2}; interpolate means
     linearly and covariances by C_s S0 C_s with C_s = (1-s) I + s T*.
     """
-    if g0.dim != g1.dim:
-        raise ValueError("ot_geodesic: dimension mismatch")
+    if g0.mean.ndim != 1 or g0.mean.shape != g1.mean.shape:
+        raise ValueError("ot_geodesic: endpoints must be single states of one dimension")
     if n_steps < 1:
         raise ValueError("ot_geodesic: n_steps must be >= 1")
-    eigvals, eigvecs = np.linalg.eigh(g0.covariance)
-    if eigvals[0] <= 0.0:
-        raise ValueError("ot_geodesic: start covariance not positive definite")
-    root0 = eigvecs @ np.diag(np.sqrt(eigvals)) @ eigvecs.T
-    inv_root0 = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
+    root0 = covariance_sqrt(g0.covariance)
+    inv_root0 = np.linalg.inv(root0)
     mid = covariance_sqrt((root0 @ g1.covariance @ root0 + (root0 @ g1.covariance @ root0).T) / 2.0)
     t_map = inv_root0 @ mid @ inv_root0
     t_map = (t_map + t_map.T) / 2.0
-    eye = np.eye(g0.dim)
-    out = []
-    for k in range(n_steps + 1):
-        s = k / n_steps
-        c = (1.0 - s) * eye + s * t_map
-        cov = c @ g0.covariance @ c.T
-        state, _ = clamped_state((1.0 - s) * g0.mean + s * g1.mean, cov)
-        out.append(state)
-    return out
+    s = (np.arange(n_steps + 1) / n_steps)[:, None]
+    c = (1.0 - s[..., None]) * np.eye(g0.dim) + s[..., None] * t_map
+    mean = (1.0 - s) * g0.mean + s * g1.mean
+    return clamped_state(mean, c @ g0.covariance @ c.swapaxes(-1, -2))[0]
 
 
 def geodesic_action_ledger(
-    states, task: QuadraticTask, temperature: float
+    path: GaussianState, task: QuadraticTask, temperature: float
 ) -> DissipationLedger:
     """Ledger for tracing a state path by pure transport over unit time.
 
@@ -217,20 +218,17 @@ def geodesic_action_ledger(
     ds = 1 / n_steps; along a constant-speed geodesic the total is W2^2 / 2,
     the minimal dissipation for moving between the endpoints.
     """
-    n = len(states) - 1
+    n = path.mean.shape[0] - 1 if path.mean.ndim == 2 else 0
     if n < 1:
-        raise ValueError("geodesic_action_ledger: need at least two states")
-    sigmas = np.empty(n)
-    energies = np.empty(n + 1)
-    for k in range(n):
-        energies[k] = free_energy(states[k], task, temperature)
-        sigmas[k] = n * w2_gaussian(states[k], states[k + 1]) ** 2 / 2.0
-    energies[n] = free_energy(states[n], task, temperature)
-    return DissipationLedger.from_series(sigmas, energies, temperature)
+        raise ValueError("geodesic_action_ledger: need a path of at least two states")
+    # squared by Python's float power, which rounds differently from numpy's
+    # square in about 1 of 1000 values; the data files keep the former
+    sigmas = [n * w**2 / 2.0 for w in w2_gaussian(path[:-1], path[1:]).tolist()]
+    return DissipationLedger.from_series(sigmas, free_energy(path, task, temperature), temperature)
 
 
 def esl_slack(ledger: DissipationLedger, g_start: GaussianState, g_end: GaussianState) -> float:
-    """Entropic speed limit slack: total production minus W2(start, end)^2 / 2.
+    """Epistemic Speed Limit (ESL) slack: production minus W2(start, end)^2 / 2.
 
     Valid under the unit-time convention (runs with n_steps * eta <= 1);
     nonnegative up to numerical fuzz, and zero only for ideal transport.
@@ -238,19 +236,11 @@ def esl_slack(ledger: DissipationLedger, g_start: GaussianState, g_end: Gaussian
     return float(ledger.total - 0.5 * w2_gaussian(g_start, g_end) ** 2)
 
 
-def series_rows(states, ledger: DissipationLedger, g_start: GaussianState) -> tuple[list, list]:
+def series_rows(
+    path: GaussianState, ledger: DissipationLedger, g_start: GaussianState
+) -> tuple[list, list]:
     """CSV rows (step, sigma, free_energy, w2_from_start) for one trajectory."""
     header = ["step", "sigma", "free_energy", "w2_from_start"]
-    rows = []
-    n = len(states)
-    for k in range(n):
-        sigma = float(ledger.per_step_sigma[k - 1]) if k > 0 else 0.0
-        rows.append(
-            [
-                k,
-                sigma,
-                float(ledger.free_energy_series[k]),
-                w2_gaussian(g_start, states[k]),
-            ]
-        )
-    return header, rows
+    sigmas = [0.0] + ledger.per_step_sigma.tolist()
+    columns = zip(sigmas, ledger.free_energy_series.tolist(), w2_gaussian(g_start, path).tolist())
+    return header, [[k, *fields] for k, fields in enumerate(columns)]

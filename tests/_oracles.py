@@ -4,8 +4,9 @@ Everything here recomputes a quantity by a different route than the package
 (finite differences, Monte Carlo, dense matrix powers, scipy solvers, or a
 from-scratch entropic OT solver) so agreement is evidence, not tautology.
 The ``per_*`` functions are the other kind of reference: the stacked
-spectral layer redone one matrix or one seed at a time, which the stacked
-calls must match bit for bit.  ``full_length_stage1`` and
+spectral layer and the Gaussian path functions redone one matrix, one seed
+or one state at a time, with 1-D vector products, which the stacked calls
+must match bit for bit.  ``full_length_stage1`` and
 ``full_length_escape`` are a sweep cell's phase-2 loops without early
 exits: every stage-1 update up to the limit, and one escape ``propagate``
 over the whole limit, scanned afterwards.  Three builders supply test
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
 
 from reconcap import rng
-from reconcap.gaussian import GaussianState, covariance_sqrt
+from reconcap.gaussian import COVARIANCE_FLOOR, GaussianState, covariance_sqrt
 from reconcap.spectral import RANK_TOL_ABS, RANK_TOL_REL
 from reconcap.tasks import _half_quadratic
 from reconcap.transport import propagate
@@ -113,6 +114,54 @@ def per_seed_rotations(dim: int, seeds) -> np.ndarray:
         signs[signs == 0.0] = 1.0
         out.append(q * signs)
     return np.array(out)
+
+
+def per_state_clamp(covariance) -> tuple[np.ndarray, bool]:
+    """One covariance symmetrized and lifted to the floor; whether it was."""
+    cov = (covariance + covariance.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    if eigvals[0] >= COVARIANCE_FLOOR:
+        return cov, False
+    cov = eigvecs @ np.diag(np.maximum(eigvals, COVARIANCE_FLOOR)) @ eigvecs.T
+    return (cov + cov.T) / 2.0, True
+
+
+def per_state_w2(m1, c1, m2, c2) -> float:
+    """Bures-Wasserstein distance between two single Gaussians."""
+    eigvals, eigvecs = np.linalg.eigh(c2)
+    root2 = eigvecs @ np.diag(np.sqrt(np.maximum(eigvals, 0.0))) @ eigvecs.T
+    root2 = (root2 + root2.T) / 2.0
+    cross = root2 @ c1 @ root2
+    cross_eigs = np.maximum(np.linalg.eigvalsh((cross + cross.T) / 2.0), 0.0)
+    dmu = m1 - m2
+    sq = (
+        float(dmu @ dmu)
+        + float(np.trace(c1) + np.trace(c2))
+        - 2.0 * float(np.sum(np.sqrt(cross_eigs)))
+    )
+    return float(np.sqrt(max(sq, 0.0)))
+
+
+def per_state_free_energy(mean, cov, task, temperature: float) -> float:
+    """E_q[phi] - T S(q) of one Gaussian on a quadratic task."""
+    d = mean - task.minimizer
+    value = float(0.5 * d @ (task.hessian @ d) + 0.5 * np.trace(task.hessian @ cov))
+    logdet = np.linalg.slogdet(cov)[1]
+    entropy = float(0.5 * len(mean) * (np.log(2.0 * np.pi) + 1.0) + 0.5 * logdet)
+    return value - temperature * entropy
+
+
+def per_state_entropy_production(mean, cov, task, rule) -> float:
+    """eta * E|v|^2 / T at one Gaussian (langevin rule)."""
+    t, h = rule.noise_scale, task.hessian
+    drift = h @ (mean - task.minimizer)
+    mean_sq = (
+        float(drift @ drift)
+        + t * t * float(np.sum(1.0 / np.linalg.eigvalsh(cov)))
+        - 2.0 * t * float(np.trace(h))
+        + float(np.trace(h @ cov @ h))
+    )
+    return rule.step_size * max(mean_sq, 0.0) / t
 
 
 def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):

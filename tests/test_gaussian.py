@@ -40,3 +40,33 @@ def test_covariance_sqrt_squares_back():
     state = gaussian.GaussianState(mean=np.zeros(2), covariance=cov)
     root = gaussian.covariance_sqrt(state.covariance)
     assert np.allclose(root @ root, cov, atol=1e-12)
+
+
+def test_path_is_validated_as_a_whole():
+    covs = np.stack([np.eye(2), np.diag([1.0, -0.1]), np.eye(2)])
+    with pytest.raises(ValueError, match="below floor"):
+        gaussian.GaussianState(mean=np.zeros((3, 2)), covariance=covs)
+    covs[1] = [[1.0, 0.5], [0.0, 1.0]]
+    with pytest.raises(ValueError, match="asymmetry"):
+        gaussian.GaussianState(mean=np.zeros((3, 2)), covariance=covs)
+    covs[1] = np.eye(2)
+    with pytest.raises(ValueError, match="shape"):
+        gaussian.GaussianState(mean=np.zeros((2, 2)), covariance=covs)
+    means = np.zeros((3, 2))
+    means[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        gaussian.GaussianState(mean=means, covariance=covs)
+    path = gaussian.GaussianState(mean=np.arange(6.0).reshape(3, 2), covariance=covs)
+    assert path.dim == 2
+    assert np.array_equal(path[-1].mean, [4.0, 5.0]) and path[-1].covariance.shape == (2, 2)
+    assert path[1:].mean.shape == (2, 2) and path[1:].covariance.shape == (2, 2, 2)
+    with pytest.raises(TypeError):
+        gaussian.GaussianState(mean=np.zeros(2), covariance=np.eye(2))[0]
+
+
+def test_clamp_reports_each_state_of_a_path():
+    covs = np.stack([np.eye(2), 1e-14 * np.eye(2), np.diag([1e-12, 1e-18])])
+    path, clamped = gaussian.clamped_state(np.zeros((3, 2)), covs)
+    assert clamped.tolist() == [False, True, True]
+    assert np.array_equal(path.covariance[0], np.eye(2))
+    assert np.min(np.linalg.eigvalsh(path.covariance)) >= gaussian.COVARIANCE_FLOOR * 0.999

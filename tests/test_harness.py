@@ -196,6 +196,92 @@ def test_esl_gap_check_is_strict_at_the_geodesic_action():
     scenarios.check_esl_gap(dict(summary, total_production=1.0 + 1e-12), cfg)
 
 
+# each checker's bounds on a summary that passes them; every float field is
+# one the checker reads, so a NaN in any of them must fail the check
+PASSING_SUMMARIES = {
+    "esl-gap": {
+        "slack": 0.5,
+        "geodesic_rel_error": 0.01,
+        "geodesic_action": 1.0,
+        "geodesic_action_coarse": 1.01,
+        "total_production": 1.5,
+    },
+    "rank-decay": {
+        "max_monotonicity_violation": 0.0,
+        "strict_closed_form_error": 1e-12,
+        "abs_profile_error": 1e-12,
+        "final_usable_count": 0,
+        "usable_zero_step": 9,
+        "usable_zero_step_closed_form": 9,
+        "collapse_step": 30,
+        "collapse_step_closed_form": 31,
+    },
+    "threshold-sweep": {
+        "agreement_rate": 1.0,
+        "zero_usable_all_incompatible": True,
+        "forced_exit_forgetting_min": 0.25,
+    },
+    "composition-check": {
+        "max_composition_error": 1e-15,
+        "submultiplicativity_violations": 0,
+        "max_monotonicity_increase": 0.0,
+    },
+    "proxy-probe": {
+        "spearman_pr_vs_usable": 0.9,
+        "pr_first": 5.0,
+        "pr_last": 1.0,
+        "usable_last": 0,
+        "pr_isotropic_over_dim": 0.95,
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PASSING_SUMMARIES))
+def test_check_rejects_nan(scenario):
+    checker = scenarios.SCENARIOS[scenario][1]
+    cfg = default_config(scenario)
+    summary = PASSING_SUMMARIES[scenario]
+    checker(summary, cfg)
+    floats = [key for key, value in summary.items() if isinstance(value, float)]
+    with pytest.raises(CheckError):
+        checker(dict(summary, **{key: float("nan") for key in floats}), cfg)
+    for key in floats:
+        with pytest.raises(CheckError):
+            checker(dict(summary, **{key: float("nan")}), cfg)
+
+
+def test_rank_decay_summary_keeps_a_nan(tmp_path, monkeypatch):
+    # one NaN singular value at the last step; max() would drop it
+    def with_nan(stack):
+        svs = singular_values(stack)
+        svs[-1, 0] = np.nan
+        return svs
+
+    singular_values = scenarios.singular_values
+    monkeypatch.setattr(scenarios, "singular_values", with_nan)
+    summary = run_scenario(default_config("rank-decay"), out_dir=tmp_path)
+    assert np.isnan(summary["abs_profile_error"])
+
+
+def test_composition_summary_keeps_a_nan(tmp_path, monkeypatch):
+    # trial 0's direct run comes back NaN; max() would drop its error
+    calls = []
+
+    def first_is_nan(*args, **kwargs):
+        traj = propagate(*args, **kwargs)
+        calls.append(None)
+        return dataclasses.replace(traj, states=traj.states * np.nan) if len(calls) == 1 else traj
+
+    propagate = scenarios.propagate
+    monkeypatch.setattr(scenarios, "propagate", first_is_nan)
+    cfg = ExperimentConfig(scenario="composition-check", n_trials=4)
+    cfg.validate()
+    summary = run_scenario(cfg, out_dir=tmp_path)
+    assert np.isnan(summary["max_composition_error"])
+    with pytest.raises(CheckError, match="split/compose"):
+        scenarios.check_composition_check(summary, cfg)
+
+
 def test_rank_decay_run(tmp_path):
     summary = run_scenario(default_config("rank-decay"), out_dir=tmp_path, check=True)
     assert summary["usable_zero_step"] == summary["usable_zero_step_closed_form"]
@@ -365,7 +451,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.7.0"
+    assert capsys.readouterr().out.strip() == "0.8.0"
 
 
 def test_version_matches_pyproject():

@@ -1,9 +1,12 @@
+import collections
+
 import numpy as np
 import pytest
 
 from reconcap import thermo
 from reconcap.config import default_config
 from reconcap.gaussian import GaussianState, clamped_state
+from reconcap.scenarios import run_scenario
 from reconcap.tasks import QuadraticTask
 from reconcap.transport import StepRule
 
@@ -148,7 +151,7 @@ def test_relaxation_dissipates_free_energy():
     rule = hot_rule(eta=0.02, temp=0.3)
     g0 = GaussianState(mean=np.array([3.0, -4.0]), covariance=0.01 * np.eye(2))
     states, ledger, clamps = thermo.simulate_relaxation(g0, task, rule, 400)
-    assert len(states) == 401
+    assert states.mean.shape == (401, 2) and states.covariance.shape == (401, 2, 2)
     assert clamps == 0
     f = ledger.free_energy_series
     assert f[-1] < f[0]
@@ -182,12 +185,12 @@ def test_relaxation_equals_iterated_evolve_bitwise(case, clamps):
     eta, temp = rule.step_size, rule.noise_scale
     a = np.eye(task.dim) - eta * task.hessian
     g = g0
-    for state in states[1:]:
+    for k in range(1, n + 1):
         mean = a @ g.mean + eta * task.hessian @ task.minimizer
         cov = a @ g.covariance @ a.T + 2.0 * temp * eta * np.eye(task.dim)
         g, _ = clamped_state(mean, cov)
-        assert np.array_equal(state.mean, g.mean)
-        assert np.array_equal(state.covariance, g.covariance)
+        assert np.array_equal(states.mean[k], g.mean)
+        assert np.array_equal(states.covariance[k], g.covariance)
 
 
 def test_w2_frozen_values():
@@ -250,26 +253,25 @@ def test_geodesic_is_constant_speed():
     g0 = GaussianState(mean=rng.standard_normal(3), covariance=b0 @ b0.T + 0.4 * np.eye(3))
     g1 = GaussianState(mean=rng.standard_normal(3), covariance=b1 @ b1.T + 0.4 * np.eye(3))
     path = thermo.ot_geodesic(g0, g1, n_steps=8)
-    assert len(path) == 9
-    assert np.allclose(path[0].mean, g0.mean) and np.allclose(path[-1].mean, g1.mean)
-    assert np.allclose(path[0].covariance, g0.covariance, atol=1e-10)
-    assert np.allclose(path[-1].covariance, g1.covariance, atol=1e-8)
+    assert path.mean.shape == (9, 3) and path.covariance.shape == (9, 3, 3)
+    assert np.allclose(path.mean[0], g0.mean) and np.allclose(path.mean[-1], g1.mean)
+    assert np.allclose(path.covariance[0], g0.covariance, atol=1e-10)
+    assert np.allclose(path.covariance[-1], g1.covariance, atol=1e-8)
     total = thermo.w2_gaussian(g0, g1)
     # near zero the distance itself is only good to sqrt(float cancellation)
-    for k in range(9):
-        expected = k / 8 * total
-        assert thermo.w2_gaussian(g0, path[k]) == pytest.approx(expected, abs=3e-7)
+    expected = np.arange(9) / 8 * total
+    assert np.allclose(thermo.w2_gaussian(g0, path), expected, rtol=0.0, atol=3e-7)
 
 
 def test_geodesic_commuting_covariances_closed_form():
     g0 = GaussianState(mean=np.zeros(2), covariance=np.diag([1.0, 4.0]))
     g1 = GaussianState(mean=np.ones(2), covariance=np.diag([9.0, 1.0]))
     path = thermo.ot_geodesic(g0, g1, n_steps=4)
-    mid = path[2]
+    mid_cov = path.covariance[2]
     # diagonal case: standard deviations interpolate linearly, (2, 1.5) at s = 1/2
-    assert np.allclose(np.sqrt(np.diag(mid.covariance)), [2.0, 1.5], atol=1e-10)
-    assert abs(mid.covariance[0, 1]) < 1e-10
-    assert np.allclose(mid.mean, [0.5, 0.5])
+    assert np.allclose(np.sqrt(np.diag(mid_cov)), [2.0, 1.5], atol=1e-10)
+    assert abs(mid_cov[0, 1]) < 1e-10
+    assert np.allclose(path.mean[2], [0.5, 0.5])
 
 
 def test_geodesic_action_equals_w2_cost_at_any_resolution():
@@ -308,3 +310,30 @@ def test_series_rows_shape():
     assert header == ["step", "sigma", "free_energy", "w2_from_start"]
     assert len(rows) == 6
     assert rows[0][3] == 0.0
+
+
+def test_ledger_rejects_non_finite_values():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            thermo.DissipationLedger.from_series([0.1, bad], [1.0, 0.9, 0.8], temperature=0.5)
+    with pytest.raises(ValueError, match="temperature"):
+        thermo.DissipationLedger.from_series([0.1], [1.0, 0.9], temperature=np.nan)
+
+
+def test_esl_gap_linalg_call_count(tmp_path, monkeypatch):
+    # one stacked call per path, not one per state (about 7,600 before)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counted(name, fn))
+    run_scenario(default_config("esl-gap"), out_dir=tmp_path, check=True)
+    assert sum(calls.values()) < 200, dict(calls)
