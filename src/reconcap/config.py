@@ -426,10 +426,17 @@ def format_float(x) -> str:
     return repr(float(x))
 
 
+# Field types whose repr is already format_float's form.  bool is not one
+# (repr(True) is "True"), nor is any numpy scalar ("np.float64(0.5)").
+_REPR_FIELDS = frozenset((int, float))
+
+
 def write_csv(path, header, rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(format_float(v) for v in row))
+        # a row of plain ints and floats takes repr in one pass over the row
+        fmt = repr if _REPR_FIELDS.issuperset(map(type, row)) else format_float
+        lines.append(",".join(map(fmt, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

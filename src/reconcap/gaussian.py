@@ -16,6 +16,11 @@ from .spectral import as_vector, require_symmetric
 # Covariance eigenvalues are clamped at this floor before any state is built,
 # so log-determinants and inverses stay finite.
 COVARIANCE_FLOOR = 1e-12
+# The smallest eigenvalue a state accepts: the floor, less eigvalsh's fuzz.
+_FLOOR_ACCEPTED = COVARIANCE_FLOOR * (1.0 - 1e-9)
+# Multiple of dim * eps * largest |eigenvalue| that a clamp adds to the floor
+# where rebuilding at the floor alone leaves the matrix under it.
+_REBUILD_ROUNDOFF = 4.0
 
 
 @dataclass(frozen=True)
@@ -29,7 +34,7 @@ class GaussianState:
         if cov.shape != mu.shape + mu.shape[-1:]:
             raise ValueError(f"GaussianState: mean shape {mu.shape} != covariance {cov.shape}")
         low = float(np.min(np.linalg.eigvalsh(cov)[..., 0]))
-        if low < COVARIANCE_FLOOR * (1.0 - 1e-9):
+        if low < _FLOOR_ACCEPTED:
             raise ValueError(
                 f"GaussianState: covariance eigenvalue {low:.3e} below floor "
                 f"{COVARIANCE_FLOOR:.1e}; clamp with clamped_state before constructing"
@@ -63,7 +68,18 @@ def _clamp(covariance) -> tuple[np.ndarray, np.ndarray]:
     eigvals, eigvecs = np.linalg.eigh(cov)
     clamped = eigvals[..., 0] < COVARIANCE_FLOOR
     if np.any(clamped):
-        cov[clamped] = _eigen_rebuild(eigvecs[clamped], np.maximum(eigvals[clamped], COVARIANCE_FLOOR))
+        w, v = eigvals[clamped], eigvecs[clamped]
+        rebuilt = _eigen_rebuild(v, np.maximum(w, COVARIANCE_FLOOR))
+        # beside much larger eigenvalues in a rotated basis, the rebuild's
+        # roundoff (about eps times the largest eigenvalue) can leave a lifted
+        # eigenvalue under the floor; such matrices are lifted clear of it
+        short = np.linalg.eigvalsh(rebuilt)[:, 0] < _FLOOR_ACCEPTED
+        if np.any(short):
+            ws = w[short]
+            top = np.abs(ws).max(axis=-1, keepdims=True)
+            roundoff = _REBUILD_ROUNDOFF * ws.shape[-1] * np.finfo(np.float64).eps * top
+            rebuilt[short] = _eigen_rebuild(v[short], np.maximum(ws, COVARIANCE_FLOOR + roundoff))
+        cov[clamped] = rebuilt
     return cov, clamped
 
 

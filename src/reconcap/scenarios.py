@@ -427,13 +427,34 @@ def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
 # composition-check: group structure, submultiplicativity, monotone descent
 
 
-def _controlled_task(dim: int, seed: int, trial: int) -> QuadraticTask:
-    gen = rng.stream(seed, rng.STREAM_TASK, trial)
-    spectrum = gen.uniform(0.2, 1.8, size=dim)
-    rot = random_rotations(dim, [seed + 7919 * trial + 1])[0]
-    h = rot @ np.diag(spectrum) @ rot.T
-    theta_star = gen.standard_normal(dim)
-    return QuadraticTask(dim=dim, hessian=(h + h.T) / 2.0, minimizer=theta_star)
+# Floats a stacked draw of composition-check holds per array.  A block of
+# trials takes one QR (and, where it has one, one SVD) instead of one per
+# trial, and its draws are dropped before the next block is drawn, so this
+# bounds the run's peak memory whatever the dimension.
+_BLOCK_FLOATS = 1 << 14
+
+
+def _blocks(items, floats_per_item: int):
+    """Consecutive slices of ``items``, each small enough that a stack of
+    ``floats_per_item`` floats per item stays within the block budget."""
+    size = max(_BLOCK_FLOATS // floats_per_item, 1)
+    return (items[i : i + size] for i in range(0, len(items), size))
+
+
+def _controlled_tasks(dim: int, seed: int, trials) -> list[QuadraticTask]:
+    """Each trial's controlled task: a spectrum in [0.2, 1.8], then a
+    minimizer, drawn from the trial's own task stream, under the trial's
+    seeded rotation; the rotations come from one stacked draw."""
+    spectra = np.empty((len(trials), dim))
+    minimizers = np.empty((len(trials), dim))
+    for i, trial in enumerate(trials):
+        gen = rng.stream(seed, rng.STREAM_TASK, trial)
+        spectra[i] = gen.uniform(0.2, 1.8, size=dim)
+        minimizers[i] = gen.standard_normal(dim)
+    rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
+    h = rots @ (spectra[:, :, None] * np.eye(dim)) @ rots.swapaxes(-1, -2)
+    h = (h + h.swapaxes(-1, -2)) / 2.0
+    return [QuadraticTask(dim=dim, hessian=hi, minimizer=m) for hi, m in zip(h, minimizers)]
 
 
 _COMPOSITION_RULES = (
@@ -444,13 +465,11 @@ _COMPOSITION_RULES = (
 )
 
 
-def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
-    d = cfg.dim
-    seed = cfg.master_seed
-
-    comp_rows = []
-    for trial in range(cfg.n_trials):
-        task = _controlled_task(d, seed, trial)
+def _composition_rows(d: int, seed: int, trials) -> list:
+    """Each trial's run split in three, recomposed both ways and compared
+    with the unsplit run."""
+    rows = []
+    for trial, task in zip(trials, _controlled_tasks(d, seed, trials)):
         rule = _COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)]
         gen = rng.stream(seed, rng.STREAM_TASK, trial, 1)
         lens = [int(x) for x in gen.integers(1, 6, size=3)]
@@ -472,16 +491,31 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         gaps = [left.cumulative_jacobian - full_jac, right.cumulative_jacobian - full_jac]
         # one np.max over all three gaps, where max() of three would drop a NaN
         err = float(np.max(np.abs(np.concatenate(gaps + [left.states - full.states]))))
-        comp_rows.append([trial, lens[0], lens[1], lens[2], rule.kind.value, err])
-    write_csv(
-        out / "composition.csv",
-        ["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"],
-        comp_rows,
-    )
+        rows.append([trial, lens[0], lens[1], lens[2], rule.kind.value, err])
+    return rows
 
-    sub_rows = []
-    n_violations = 0
-    for trial in range(cfg.n_trials):
+
+def _product_spectra(seed: int, trials, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """Singular values of ``(U_a diag(s_a) V_a^T) (U_b diag(s_b) V_b^T)`` for
+    each trial, with row i of ``s_a`` and ``s_b`` and the four rotations
+    seeded from ``trials[i]``; the rotations of all trials come from one
+    stacked draw and the spectra from one stacked SVD."""
+    n, d_t = s_a.shape
+    seeds = [seed + 104729 * trial + 11 + k for trial in trials for k in range(4)]
+    u_a, v_a, u_b, v_b = random_rotations(d_t, seeds).reshape(n, 4, d_t, d_t).swapaxes(0, 1)
+    eye = np.eye(d_t)
+    a = u_a @ (s_a[:, :, None] * eye) @ v_a.swapaxes(-1, -2)
+    b = u_b @ (s_b[:, :, None] * eye) @ v_b.swapaxes(-1, -2)
+    return singular_values(a @ b)
+
+
+def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
+    """Each trial's check that rank and singular values of a product of two
+    random factors are bounded by those of the factors."""
+    # every trial's dimension and factor spectra first, in trial order;
+    # then the products, a chunk of equal-dimension trials at a time
+    by_dim = {}
+    for trial in range(n_trials):
         gen = rng.stream(seed, rng.STREAM_TASK, trial, 2)
         d_t = int(gen.integers(2, 33))
         # spectra separated from zero so numerical rank counting is unambiguous
@@ -490,52 +524,90 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
             s = gen.uniform(0.5, 2.0, size=d_t)
             s[gen.random(d_t) < 0.3] = 0.0
             spectra.append(s)
-        s_a, s_b = spectra
-        first = seed + 104729 * trial + 11
-        u_a, v_a, u_b, v_b = random_rotations(d_t, range(first, first + 4))
-        prod = (u_a @ np.diag(s_a) @ v_a.T) @ (u_b @ np.diag(s_b) @ v_b.T)
-        sv_p = singular_values(prod)
-        sv_a = np.sort(s_a)[::-1]
-        sv_b = np.sort(s_b)[::-1]
-        top = sv_a[0] * sv_b[0]
-        slack = float(np.max(sv_p - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b)))
-        rank_a = int(np.sum(s_a > 0.0))
-        rank_b = int(np.sum(s_b > 0.0))
-        rank_p = spectrum_rank(sv_p)
-        rank_ok = rank_p <= min(rank_a, rank_b)
-        sigma_ok = slack <= 1e-10 * max(top, 1.0)
-        if not (rank_ok and sigma_ok):
-            n_violations += 1
-        sub_rows.append([trial, d_t, slack, rank_a, rank_b, rank_p, rank_ok and sigma_ok])
+        by_dim.setdefault(d_t, []).append((trial, *spectra))
+
+    rows = []
+    for d_t, members in by_dim.items():
+        for chunk in _blocks(members, 4 * d_t * d_t):
+            trials, s_a, s_b = zip(*chunk)
+            s_a, s_b = np.array(s_a), np.array(s_b)
+            sv_p = _product_spectra(seed, trials, s_a, s_b)
+            sv_a = np.sort(s_a)[:, ::-1]
+            sv_b = np.sort(s_b)[:, ::-1]
+            top = sv_a[:, 0] * sv_b[:, 0]
+            slack = np.max(sv_p - np.minimum(sv_a * sv_b[:, :1], sv_a[:, :1] * sv_b), axis=-1)
+            ranks_a = np.sum(s_a > 0.0, axis=-1)
+            ranks_b = np.sum(s_b > 0.0, axis=-1)
+            sigma_ok = slack <= 1e-10 * np.maximum(top, 1.0)
+            for i, trial in enumerate(trials):
+                rank_p = spectrum_rank(sv_p[i])
+                ok = rank_p <= min(ranks_a[i], ranks_b[i]) and bool(sigma_ok[i])
+                rows.append([trial, d_t, slack[i], ranks_a[i], ranks_b[i], rank_p, ok])
+    rows.sort(key=lambda row: row[0])
+    return rows
+
+
+def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, np.ndarray]:
+    """Each trial's weight decay and, along its 40 plain gradient steps, the
+    effective rank of the step-matrix power and the regularized loss, as
+    ``(41, len(trials))`` arrays.  The trials step together, one stacked
+    product per step."""
+    eta, n_steps = 0.4, 40
+    tasks = _controlled_tasks(d, seed + 1, trials)
+    wds = [0.1 if trial % 2 else 0.0 for trial in trials]
+    a_mats = np.array(
+        [step_jacobian(task, StepRule(step_size=eta, weight_decay=wd)) for task, wd in zip(tasks, wds)]
+    )
+    h = np.array([task.hessian for task in tasks])
+    # vectors are stacked as columns (n, d, 1), so each stacked product
+    # matches its per-trial matrix-vector or dot product bit for bit
+    minimizers = np.array([task.minimizer for task in tasks])[:, :, None]
+    shift = eta * h @ minimizers
+    theta = np.array(
+        [rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(d) for trial in trials]
+    )[:, :, None]
+    half_wd = 0.5 * np.array(wds)[:, None, None]
+    power = np.broadcast_to(np.eye(d), a_mats.shape)
+    ranks, vals = [], []
+    for k in range(n_steps + 1):
+        if k:
+            power = a_mats @ power
+            theta = a_mats @ theta + shift
+        # each power is its own one-realization ensemble
+        ranks.append(capacity.effective_rank(power[:, None]))
+        offset = theta - minimizers
+        loss = (0.5 * offset).swapaxes(1, 2) @ (h @ offset)
+        vals.append((loss + half_wd * (theta.swapaxes(1, 2) @ theta))[:, 0, 0])
+    return wds, np.array(ranks), np.array(vals)
+
+
+def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
+    d = cfg.dim
+    seed = cfg.master_seed
+    # a block of trials at a time, its draws freed before the next is drawn
+    comp_rows = [
+        row for trials in _blocks(range(cfg.n_trials), d * d)
+        for row in _composition_rows(d, seed, trials)
+    ]
+    write_csv(
+        out / "composition.csv",
+        ["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"],
+        comp_rows,
+    )
+    sub_rows = _submultiplicativity_rows(seed, cfg.n_trials)
     write_csv(
         out / "submultiplicativity.csv",
         ["trial", "dim", "sigma_slack", "rank_a", "rank_b", "rank_prod", "ok"],
         sub_rows,
     )
-
-    mono_rows = []
     n_mono = max(cfg.n_trials // 5, 1)
-    for trial in range(n_mono):
-        task = _controlled_task(d, seed + 1, trial)
-        wd = 0.1 if trial % 2 else 0.0
-        rule = StepRule(kind="gradient_descent", step_size=0.4, weight_decay=wd)
-        a_mat = step_jacobian(task, rule)
-        shift = rule.step_size * task.hessian @ task.minimizer
-        powers = np.empty((41, d, d))
-        powers[0] = np.eye(d)
-        thetas = [rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(d)]
-        for k in range(40):
-            powers[k + 1] = a_mat @ powers[k]
-            thetas.append(a_mat @ thetas[k] + shift)
-        # each power is its own one-realization ensemble
-        ranks = capacity.effective_rank(powers[:, None]).tolist()
-        vals = [
-            _half_quadratic(task.hessian, theta - task.minimizer)[0]
-            + 0.5 * wd * float(theta @ theta)
-            for theta in thetas
+    mono_rows = []
+    for trials in _blocks(range(n_mono), d * d):
+        wds, ranks, vals = _monotonicity_ledgers(d, seed, trials)
+        rises = np.concatenate([np.zeros((1, len(trials))), np.diff(ranks, axis=0), np.diff(vals, axis=0)])
+        mono_rows += [
+            [trial, len(ranks) - 1, wd, worst] for trial, wd, worst in zip(trials, wds, rises.max(axis=0))
         ]
-        worst = float(np.max(np.concatenate([[0.0], np.diff(ranks), np.diff(vals)])))
-        mono_rows.append([trial, 40, wd, worst])
     write_csv(
         out / "monotonicity.csv",
         ["trial", "n_steps", "weight_decay", "max_increase"],
@@ -545,7 +617,7 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
     summary = {
         "n_trials": cfg.n_trials,
         "max_composition_error": float(np.max([row[5] for row in comp_rows])),
-        "submultiplicativity_violations": n_violations,
+        "submultiplicativity_violations": sum(1 for row in sub_rows if not row[6]),
         "n_monotonicity_trials": n_mono,
         "max_monotonicity_increase": float(np.max([row[3] for row in mono_rows])),
     }

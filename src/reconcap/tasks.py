@@ -86,13 +86,16 @@ def combine(first: QuadraticTask, second: QuadraticTask, label: str | None = Non
 def random_rotations(dim: int, seeds) -> np.ndarray:
     """Haar-ish orthogonal matrices ``(len(seeds), dim, dim)`` from one
     stacked QR with sign-fixed diagonals; rotation i is drawn from its own
-    stream ``(seeds[i], STREAM_TASK)``."""
-    g = np.stack([rng.stream(seed, rng.STREAM_TASK).standard_normal((dim, dim)) for seed in seeds])
+    stream ``(seeds[i], STREAM_TASK)`` straight into one preallocated stack."""
+    g = np.empty((len(seeds), dim, dim))
+    for out, seed in zip(g, seeds):
+        rng.stream(seed, rng.STREAM_TASK).standard_normal(out=out)
     q, r = np.linalg.qr(g)
     # Fix signs so the factorization (and hence the rotation) is unique.
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
-    return q * signs[:, None, :]
+    q *= signs[:, None, :]
+    return q
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ from-scratch entropic OT solver) so agreement is evidence, not tautology.
 The ``per_*`` functions are the other kind of reference: the stacked
 spectral layer and the Gaussian path functions redone one matrix, one seed
 or one state at a time, with 1-D vector products, which the stacked calls
-must match bit for bit.  ``full_length_stage1`` and
+must match bit for bit; the ``per_trial_*`` functions are
+composition-check's draws and ledgers redone one trial at a time, which
+its stacked blocks must match bit for bit.  ``full_length_stage1`` and
 ``full_length_escape`` are a sweep cell's phase-2 loops without early
 exits: every stage-1 update up to the limit, and one escape ``propagate``
 over the whole limit, scanned afterwards.  Three builders supply test
@@ -114,6 +116,44 @@ def per_seed_rotations(dim: int, seeds) -> np.ndarray:
         signs[signs == 0.0] = 1.0
         out.append(q * signs)
     return np.array(out)
+
+
+def per_trial_controlled_task(dim: int, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hessian, minimizer) of composition-check's controlled task of one
+    trial, from that trial's task stream and one per-seed rotation."""
+    gen = rng.stream(seed, rng.STREAM_TASK, trial)
+    spectrum = gen.uniform(0.2, 1.8, size=dim)
+    rot = per_seed_rotations(dim, [seed + 7919 * trial + 1])[0]
+    h = rot @ np.diag(spectrum) @ rot.T
+    return (h + h.T) / 2.0, gen.standard_normal(dim)
+
+
+def per_trial_product_spectra(seed: int, trial: int, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """Singular values of one submultiplicativity trial's product of two
+    factors with spectra ``s_a`` and ``s_b``, one QR per rotation."""
+    first = seed + 104729 * trial + 11
+    u_a, v_a, u_b, v_b = per_seed_rotations(len(s_a), range(first, first + 4))
+    prod = (u_a @ np.diag(s_a) @ v_a.T) @ (u_b @ np.diag(s_b) @ v_b.T)
+    return np.linalg.svd(prod, compute_uv=False)
+
+
+def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]:
+    """Effective rank of the step-matrix power and regularized loss along
+    one monotonicity trial's 40 gradient steps, stepped one vector at a time."""
+    h, theta_star = per_trial_controlled_task(dim, seed + 1, trial)
+    wd = 0.1 if trial % 2 else 0.0
+    a_mat = np.eye(dim) - 0.4 * (h + wd * np.eye(dim))
+    shift = 0.4 * h @ theta_star
+    power = np.eye(dim)
+    theta = rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(dim)
+    ranks, vals = [], []
+    for k in range(41):
+        if k:
+            power = a_mat @ power
+            theta = a_mat @ theta + shift
+        ranks.append(per_matrix_effective_rank([power]))
+        vals.append(_half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))
+    return ranks, vals
 
 
 def per_state_clamp(covariance) -> tuple[np.ndarray, bool]:

@@ -1,0 +1,85 @@
+"""composition-check's stacked trial blocks against per-trial oracles, and
+its default outputs pinned byte for byte."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from reconcap import scenarios
+from reconcap.config import ExperimentConfig, default_config
+from reconcap.scenarios import run_scenario
+
+from _oracles import per_trial_controlled_task, per_trial_monotonicity, per_trial_product_spectra
+
+SEED = 2024
+DIM = 16
+# trials per block of controlled tasks at DIM
+BLOCK = scenarios._BLOCK_FLOATS // (DIM * DIM)
+
+# sha256 of the default run's data files, as written before trials were
+# stacked in blocks
+DEFAULT_DIGESTS = {
+    "composition.csv": "2ed4c42dac51a956c935cb41a24bad88b82861c89a886997fab85ddd63ade19d",
+    "monotonicity.csv": "0636548bf47e8b9c3c4978382be3248e590af9e4b7ed91c804f6aad250d7c29b",
+    "submultiplicativity.csv": "82c496cd723ed9f1e78ae38070bb38221140349393f4cf9f0f5523cc17cb283b",
+    "summary.json": "a7b31efba5b4caf44b21ea742db7a2ec4d3c07a2fa94538c9d0fee03f7ed6e1c",
+}
+
+
+@pytest.fixture(scope="module")
+def default_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("composition-default")
+    run_scenario(default_config("composition-check"), out_dir=out, check=True)
+    return out
+
+
+def test_default_run_is_byte_stable(default_run):
+    digests = {
+        name: hashlib.sha256((default_run / name).read_bytes()).hexdigest()
+        for name in DEFAULT_DIGESTS
+    }
+    assert digests == DEFAULT_DIGESTS
+
+
+@pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+def test_controlled_tasks_match_per_trial_draws(n):
+    trials = range(5, 5 + n)
+    tasks = scenarios._controlled_tasks(DIM, SEED, trials)
+    assert len(tasks) == n
+    for trial, task in zip(trials, tasks):
+        hessian, minimizer = per_trial_controlled_task(DIM, SEED, trial)
+        assert np.array_equal(task.hessian, hessian)
+        assert np.array_equal(task.minimizer, minimizer)
+
+
+def test_product_spectra_match_per_trial_loop():
+    trials = [0, 7, 31]
+    for d_t in range(2, 33):
+        gen = np.random.default_rng(d_t)
+        s_a, s_b = gen.uniform(0.5, 2.0, size=(2, len(trials), d_t))
+        s_a[gen.random(s_a.shape) < 0.3] = 0.0
+        stacked = scenarios._product_spectra(SEED, trials, s_a, s_b)
+        for i, trial in enumerate(trials):
+            assert np.array_equal(stacked[i], per_trial_product_spectra(SEED, trial, s_a[i], s_b[i])), d_t
+
+
+def test_monotonicity_ledgers_match_per_trial_loop():
+    trials = range(3, 10)
+    wds, ranks, vals = scenarios._monotonicity_ledgers(DIM, SEED, trials)
+    assert wds == [0.1 if trial % 2 else 0.0 for trial in trials]
+    for i, trial in enumerate(trials):
+        per_ranks, per_vals = per_trial_monotonicity(DIM, SEED, trial)
+        assert np.array_equal(ranks[:, i], per_ranks)
+        assert np.array_equal(vals[:, i], per_vals)
+
+
+def test_single_trial_run_is_the_first_row_of_the_default(default_run, tmp_path):
+    # every draw is keyed by its trial, so one trial alone writes the same rows
+    cfg = ExperimentConfig(scenario="composition-check", n_trials=1)
+    cfg.validate()
+    run_scenario(cfg, out_dir=tmp_path, check=True)
+    for name in ("composition.csv", "submultiplicativity.csv", "monotonicity.csv"):
+        lines = (tmp_path / name).read_text().splitlines()
+        assert len(lines) == 2
+        assert lines == (default_run / name).read_text().splitlines()[:2]

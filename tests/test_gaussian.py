@@ -26,6 +26,18 @@ def test_clamp_lifts_tiny_eigenvalues():
     assert np.allclose(ok_state.covariance, np.eye(2))
 
 
+def test_clamp_lifts_a_rotated_near_floor_covariance():
+    # rebuilt at the floor alone, roundoff from the unit eigenvalue leaves the
+    # lifted one about 1e-16 under it in this basis
+    c, s = np.cos(0.3), np.sin(0.3)
+    rot = np.array([[c, -s], [s, c]])
+    state, clamped = gaussian.clamped_state(np.zeros(2), rot @ np.diag([1.0, 1e-14]) @ rot.T)
+    assert clamped
+    eigs = np.linalg.eigvalsh(state.covariance)
+    assert eigs[0] >= gaussian.COVARIANCE_FLOOR
+    assert np.allclose(state.covariance, rot @ np.diag([1.0, gaussian.COVARIANCE_FLOOR]) @ rot.T, rtol=0, atol=1e-14)
+
+
 def test_batch_sampling_moments():
     cov = np.array([[2.0, 0.6], [0.6, 1.0]])
     state = gaussian.GaussianState(mean=np.array([0.5, -0.5]), covariance=cov)

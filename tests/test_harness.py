@@ -157,6 +157,26 @@ def test_format_float_and_csv(tmp_path):
     assert path.read_text() == "a,b\n1,0.5\n2,0.25\n"
 
 
+def test_csv_rows_match_per_field_format(tmp_path):
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        [0, -0.0, nan, inf, -inf, 1e-300, 2**70, -7],
+        [np.float64(-0.0), np.float64(nan), np.float64(-inf), np.float64(0.1), np.int64(-3), 5, 0.5, 1],
+        [np.bool_(True), np.bool_(False), True, False, np.int64(2**62), "langevin", -0.0, 3],
+        [np.float64(1 / 3), 1, 2.5, np.int32(4), np.float32(0.5), False, np.int64(0), inf],
+    ]
+    header = [f"c{i}" for i in range(8)]
+    path = tmp_path / "mixed.csv"
+    write_csv(path, header, rows)
+    expected = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
+    assert path.read_text() == "\n".join(expected) + "\n"
+    assert path.read_text().splitlines()[1] == "0,-0.0,nan,inf,-inf,1e-300,1180591620717411303424,-7"
+    assert path.read_text().splitlines()[3].startswith("true,false,true,false,4611686018427387904,")
+    with pytest.raises(ValueError, match="quoting") as err:
+        write_csv(path, ["a"], [["a,b"]])
+    assert "\n" not in str(err.value)
+
+
 # -- scenario runs ----------------------------------------------------------
 
 
