@@ -5,7 +5,7 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .capacity import (
     DEFAULT_TAU_SIGMA,
@@ -43,14 +43,12 @@ from .rng import (
 )
 from .spectral import (
     SubspaceBasis,
-    numerical_rank,
     singular_values,
     stable_rank,
 )
 from .tasks import (
     QuadraticTask,
     TaskPair,
-    combine,
     make_task_pair,
     random_rotations,
     restricted_hessian,
@@ -107,7 +105,6 @@ __all__ = [
     "ThresholdConfig",
     "Trajectory",
     "clamped_state",
-    "combine",
     "default_config",
     "compatible_effective_rank",
     "compose",
@@ -121,7 +118,6 @@ __all__ = [
     "make_task_pair",
     "measure_forgetting",
     "normal_draw",
-    "numerical_rank",
     "ot_geodesic",
     "participation_ratio",
     "predict_incompatibility",

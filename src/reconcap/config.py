@@ -185,12 +185,10 @@ class ExperimentConfig:
         getattr(self, f"_validate_{self.scenario.replace('-', '_')}")()
 
     def _require_stable(self, lam_max: float) -> None:
-        r = self.rule
-        growth = r.step_size * (lam_max + r.weight_decay)
-        if growth >= 2.0:
-            raise ConfigError(
-                f"rule.step_size: eta * lambda_max = {growth:.4f} >= 2 (unstable)"
-            )
+        try:
+            self.rule.require_stable(lam_max)
+        except ValueError as exc:
+            raise ConfigError(f"rule.{exc}") from exc
 
     def _require_positive_thresholds(self, *names: str) -> None:
         for name in names:
@@ -282,7 +280,7 @@ class ExperimentConfig:
         # the stiffest task B, and every cell's task A has the default spectrum
         m = max(s.m_b_targets)
         pair = self._task_pair((1.0,) * m + (0.0,) * (self.k_a - m), tilt=s.tilt if m else 0.0)
-        self._require_stable(max(*pair.a_spectrum, np.linalg.eigvalsh(pair.task_b.hessian)[-1]))
+        self._require_stable(max(*pair.a_spectrum, pair.task_b.lam_max))
 
     def _validate_composition_check(self) -> None:
         # the trials draw their own tasks and step with fixed rules

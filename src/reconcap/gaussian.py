@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import as_vector, require_symmetric
+from .spectral import _eigen_rebuild, as_vector, require_symmetric
 
 # Covariance eigenvalues are clamped at this floor before any state is built,
 # so log-determinants and inverses stay finite.
@@ -33,7 +33,7 @@ class GaussianState:
         cov = require_symmetric(self.covariance, stacked=True, name="covariance")
         if cov.shape != mu.shape + mu.shape[-1:]:
             raise ValueError(f"GaussianState: mean shape {mu.shape} != covariance {cov.shape}")
-        low = float(np.min(np.linalg.eigvalsh(cov)[..., 0]))
+        low = float(np.min(_lowest_eigenvalues(cov)))
         if low < _FLOOR_ACCEPTED:
             raise ValueError(
                 f"GaussianState: covariance eigenvalue {low:.3e} below floor "
@@ -56,24 +56,23 @@ class GaussianState:
         return part
 
 
-def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
-    """Symmetrized V diag(w) V^T for each matrix of a stack (w >= 0)."""
-    m = eigvecs @ (eigvals[..., None] * np.eye(eigvals.shape[-1])) @ eigvecs.swapaxes(-1, -2)
-    return (m + m.swapaxes(-1, -2)) / 2.0
+def _lowest_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each matrix of a stack: the one value that both
+    the clamp and the constructor test against the floor."""
+    return np.linalg.eigvalsh(cov)[..., 0]
 
 
 def _clamp(covariance) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized covariance (or stack) lifted to the floor, and which matrices were."""
     cov = require_symmetric(covariance, stacked=True, name="covariance")
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    clamped = eigvals[..., 0] < COVARIANCE_FLOOR
+    clamped = _lowest_eigenvalues(cov) < COVARIANCE_FLOOR
     if np.any(clamped):
-        w, v = eigvals[clamped], eigvecs[clamped]
+        w, v = np.linalg.eigh(cov[clamped])
         rebuilt = _eigen_rebuild(v, np.maximum(w, COVARIANCE_FLOOR))
         # beside much larger eigenvalues in a rotated basis, the rebuild's
         # roundoff (about eps times the largest eigenvalue) can leave a lifted
         # eigenvalue under the floor; such matrices are lifted clear of it
-        short = np.linalg.eigvalsh(rebuilt)[:, 0] < _FLOOR_ACCEPTED
+        short = _lowest_eigenvalues(rebuilt) < _FLOOR_ACCEPTED
         if np.any(short):
             ws = w[short]
             top = np.abs(ws).max(axis=-1, keepdims=True)

@@ -22,9 +22,9 @@ from .config import (
     write_json,
 )
 from .gaussian import GaussianState
-from .spectral import RANK_TOL_REL, singular_values, spectrum_rank
-from .tasks import QuadraticTask, _half_quadratic, combine, make_task_pair, random_rotations
-from .transport import StepRule, propagate, step_jacobian
+from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
+from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations
+from .transport import StepRule, propagate, step_jacobian, step_map
 
 
 class CheckError(RuntimeError):
@@ -283,16 +283,16 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     q = pair.preserving_basis.basis
 
     # phase 1: anchor the last k_a - u preserved directions so exactly u survive;
-    # collapse order runs opposite to demand order so the two targets decouple
+    # collapse order runs opposite to demand order so the two targets decouple.
+    # The anchor pulls toward task A's minimizer, which the sum keeps.
     collapsed = q[:, u_target:]
     anchor_h = sweep.collapse_strength * collapsed @ collapsed.T
-    anchor = QuadraticTask(
+    phase1_task = QuadraticTask(
         dim=d,
-        hessian=(anchor_h + anchor_h.T) / 2.0,
-        minimizer=pair.task_a.minimizer.copy(),
-        label="direction-anchor",
+        hessian=pair.task_a.hessian + (anchor_h + anchor_h.T) / 2.0,
+        minimizer=pair.task_a.minimizer,
+        label="anchored-first-task",
     )
-    phase1_task = combine(pair.task_a, anchor)
     contraction = 1.0 - eta * sweep.collapse_strength
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
     theta0 = rng.normal_draw(cfg.master_seed, rng.STREAM_INIT, cell_index, 0, d)
@@ -452,8 +452,7 @@ def _controlled_tasks(dim: int, seed: int, trials) -> list[QuadraticTask]:
         spectra[i] = gen.uniform(0.2, 1.8, size=dim)
         minimizers[i] = gen.standard_normal(dim)
     rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
-    h = rots @ (spectra[:, :, None] * np.eye(dim)) @ rots.swapaxes(-1, -2)
-    h = (h + h.swapaxes(-1, -2)) / 2.0
+    h = _eigen_rebuild(rots, spectra)
     return [QuadraticTask(dim=dim, hessian=hi, minimizer=m) for hi, m in zip(h, minimizers)]
 
 
@@ -555,14 +554,13 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     eta, n_steps = 0.4, 40
     tasks = _controlled_tasks(d, seed + 1, trials)
     wds = [0.1 if trial % 2 else 0.0 for trial in trials]
-    a_mats = np.array(
-        [step_jacobian(task, StepRule(step_size=eta, weight_decay=wd)) for task, wd in zip(tasks, wds)]
-    )
+    maps = [step_map(task, StepRule(step_size=eta, weight_decay=wd)) for task, wd in zip(tasks, wds)]
+    a_mats = np.array([a for a, _ in maps])
     h = np.array([task.hessian for task in tasks])
     # vectors are stacked as columns (n, d, 1), so each stacked product
     # matches its per-trial matrix-vector or dot product bit for bit
+    shift = np.array([b for _, b in maps])[:, :, None]
     minimizers = np.array([task.minimizer for task in tasks])[:, :, None]
-    shift = eta * h @ minimizers
     theta = np.array(
         [rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(d) for trial in trials]
     )[:, :, None]

@@ -109,6 +109,13 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a, stacked=True), compute_uv=False)
 
 
+def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
+    """Symmetrized V diag(w) V^T for each matrix of a stack; V may have fewer
+    columns than rows."""
+    m = eigvecs @ (eigvals[..., None] * np.eye(eigvals.shape[-1])) @ eigvecs.swapaxes(-1, -2)
+    return (m + m.swapaxes(-1, -2)) / 2.0
+
+
 def log_volume(s):
     """log det of the Gram matrix with descending singular values ``s``,
     computed as ``2 * sum(log sigma_i)``; a float for one spectrum ``(k,)``,
@@ -138,13 +145,9 @@ def stable_rank(h) -> float:
     return float(np.sum((eigs / top) ** 2))
 
 
-def numerical_rank(a, rel_tol: float = 1e-8) -> int:
-    """Count of singular values above ``rel_tol * sigma_max``."""
-    return spectrum_rank(singular_values(a), rel_tol)
-
-
 def spectrum_rank(s: np.ndarray, rel_tol: float = 1e-8) -> int:
-    """``numerical_rank`` of a matrix with descending singular values ``s``."""
+    """Numerical rank of a matrix with descending singular values ``s``: the
+    count above ``rel_tol * sigma_max``."""
     smax = float(s[0]) if s.size else 0.0
     if smax <= RANK_TOL_ABS:
         return 0

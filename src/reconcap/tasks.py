@@ -13,12 +13,12 @@ replay an experiment bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
-from .spectral import SubspaceBasis, as_vector, require_symmetric, stable_rank
+from .spectral import SubspaceBasis, _eigen_rebuild, as_vector, require_symmetric, stable_rank
 
 _PSD_TOL = 1e-8
 
@@ -29,6 +29,8 @@ class QuadraticTask:
     hessian: np.ndarray
     minimizer: np.ndarray
     label: str = "task"
+    # the largest curvature, which bounds the stable step sizes
+    lam_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = require_symmetric(self.hessian, name=f"{self.label} hessian")
@@ -41,6 +43,7 @@ class QuadraticTask:
         theta_star = as_vector(self.minimizer, dim=self.dim, name=f"{self.label} minimizer")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "minimizer", theta_star)
+        object.__setattr__(self, "lam_max", lam_max)
 
 
 def _half_quadratic(h: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
@@ -60,27 +63,6 @@ def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
         raise ValueError("restricted_hessian: basis ambient dim != task dim")
     g = q_a.basis.T @ task_b.hessian @ q_a.basis
     return (g + g.T) / 2.0
-
-
-def combine(first: QuadraticTask, second: QuadraticTask, label: str | None = None) -> QuadraticTask:
-    """Quadratic whose gradient field is the sum of the two inputs' fields.
-
-    Used to run one task under an extra quadratic pull (an anchor).  The
-    combined minimizer is the min-norm solution of
-    ``(H1 + H2) theta = H1 theta1* + H2 theta2*``; the value function differs
-    from phi1 + phi2 by a constant, which leaves the dynamics unchanged.
-    """
-    if first.dim != second.dim:
-        raise ValueError("combine: dimension mismatch")
-    h = first.hessian + second.hessian
-    rhs = first.hessian @ first.minimizer + second.hessian @ second.minimizer
-    theta_star, *_ = np.linalg.lstsq(h, rhs, rcond=None)
-    return QuadraticTask(
-        dim=first.dim,
-        hessian=h,
-        minimizer=theta_star,
-        label=label or f"{first.label}+{second.label}",
-    )
 
 
 def random_rotations(dim: int, seeds) -> np.ndarray:
@@ -167,8 +149,7 @@ def make_task_pair(
     normal_dirs = rot[:, : d - k_a]
     null_dirs = np.ascontiguousarray(rot[:, d - k_a :])
 
-    h_a = normal_dirs @ np.diag(a_vals) @ normal_dirs.T
-    h_a = (h_a + h_a.T) / 2.0
+    h_a = _eigen_rebuild(normal_dirs, a_vals)
     theta_a = np.zeros(d)
     task_a = QuadraticTask(dim=d, hessian=h_a, minimizer=theta_a, label="first-task")
 
@@ -192,7 +173,6 @@ def make_task_pair(
             beta = spectrum[j]
         h_b += beta * np.outer(v, v)
         offset += offset_scale * q_j
-    h_b = (h_b + h_b.T) / 2.0
     task_b = QuadraticTask(dim=d, hessian=h_b, minimizer=theta_a + offset, label="second-task")
 
     basis = SubspaceBasis(ambient_dim=d, dim=k_a, basis=null_dirs)

@@ -35,7 +35,7 @@ import numpy as np
 from .gaussian import GaussianState, _clamp, clamped_state, covariance_sqrt
 from .spectral import require_symmetric
 from .tasks import QuadraticTask
-from .transport import StepKind, StepRule, step_jacobian
+from .transport import StepKind, StepRule, step_map
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
 
@@ -76,17 +76,6 @@ def free_energy(g: GaussianState, task: QuadraticTask, temperature: float):
     if temperature < 0.0:
         raise ValueError("free_energy: temperature must be >= 0")
     return mean_value(g, task) - temperature * entropy(g)
-
-
-def _drift_matrix(task: QuadraticTask, rule: StepRule) -> np.ndarray:
-    a = step_jacobian(task, rule)
-    radius = float(np.max(np.abs(np.linalg.eigvalsh((a + a.T) / 2.0))))
-    if radius > 1.0 + 1e-12:
-        raise ValueError(
-            f"unstable step rule: |1 - eta*lambda| reaches {radius:.6f} > 1 "
-            "(need eta * lambda_max < 2)"
-        )
-    return a
 
 
 def entropy_production_step(g: GaussianState, task: QuadraticTask, rule: StepRule):
@@ -140,8 +129,8 @@ def simulate_relaxation(
 ) -> tuple[GaussianState, DissipationLedger, int]:
     """Exact Langevin moment recursion with full bookkeeping.
 
-    mean' = A mean + eta H theta*,  Sigma' = A Sigma A^T + 2 T eta I, with A
-    the step Jacobian; covariance eigenvalues are clamped at the module floor
+    mean' = A mean + b,  Sigma' = A Sigma A^T + 2 T eta I, with (A, b) the
+    affine step map; covariance eigenvalues are clamped at the module floor
     when pure contraction drives them under it.  Returns (path, ledger,
     clamp_events), the path of all n_steps + 1 states; sigma is evaluated at
     the state a step departs from, free energy at every visited state.
@@ -149,11 +138,10 @@ def simulate_relaxation(
     if rule.kind is not StepKind.LANGEVIN:
         raise ValueError("simulate_relaxation: requires a langevin rule")
     _check_pair(g0, task)
+    rule.require_stable(task.lam_max)
     t = rule.noise_scale
-    eta = rule.step_size
-    a = _drift_matrix(task, rule)
-    shift = eta * task.hessian @ task.minimizer
-    diffusion = 2.0 * t * eta * np.eye(task.dim)
+    a, shift = step_map(task, rule)
+    diffusion = 2.0 * t * rule.step_size * np.eye(task.dim)
     means = np.empty((n_steps + 1, task.dim))
     covs = np.empty((n_steps + 1, task.dim, task.dim))
     means[0], covs[0] = g0.mean, g0.covariance

@@ -7,15 +7,19 @@ one step matrix and computes the cumulative Jacobian, an exact matrix
 product, on first use.  That exactness is what makes the composition and rank
 algebra checkable to near machine precision.
 
-Update rules (eta = step_size, s = noise_scale, wd = weight_decay, xi row
-`step` of the standard normal sequence keyed by (omega_seed, realization)):
+Every rule steps the affine map of one task (eta = step_size,
+s = noise_scale, wd = weight_decay, xi row `step` of the standard normal
+sequence keyed by (omega_seed, realization)):
 
-  gradient_descent: theta' = theta - eta * (grad(theta) + wd * theta)
-                    J = I - eta * (H + wd * I)
-  noisy_gradient:   theta' = theta - eta * grad(theta) + eta * s * xi
-                    J = I - eta * H
-  langevin:         theta' = theta - eta * grad(theta) + sqrt(2 * s * eta) * xi
-                    J = I - eta * H            (s plays the temperature T)
+  theta' = A theta + b + g * xi,   A = I - eta * (H + wd * I),   b = eta * H theta*
+
+  gradient_descent: g = 0
+  noisy_gradient:   g = eta * s                 (wd = 0)
+  langevin:         g = sqrt(2 * s * eta)       (wd = 0; s plays the temperature T)
+
+which is theta - eta * (grad(theta) + wd * theta) + g * xi up to roundoff.
+A is the step Jacobian J, and the map is stable exactly when
+eta * (lambda_max(H) + wd) < 2.
 """
 
 from __future__ import annotations
@@ -69,24 +73,30 @@ class StepRule:
     def uses_noise(self) -> bool:
         return self.kind is not StepKind.GRADIENT_DESCENT
 
+    def noise_gain(self) -> float:
+        """The factor g of the noise row a step adds; 0 for plain descent."""
+        if self.kind is StepKind.NOISY_GRADIENT:
+            return self.step_size * self.noise_scale
+        if self.kind is StepKind.LANGEVIN:
+            return math.sqrt(2.0 * self.noise_scale * self.step_size)
+        return 0.0
+
+    def require_stable(self, lam_max: float) -> None:
+        """The package's one stability bound: eta * (lambda_max + wd) < 2."""
+        growth = self.step_size * (lam_max + self.weight_decay)
+        if not growth < 2.0:
+            raise ValueError(f"step_size: eta * lambda_max = {growth:.4f} >= 2 (unstable)")
+
 
 def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
     """State-independent Jacobian of one update step."""
     eye = np.eye(task.dim)
-    if rule.kind is StepKind.GRADIENT_DESCENT:
-        return eye - rule.step_size * (task.hessian + rule.weight_decay * eye)
-    return eye - rule.step_size * task.hessian
+    return eye - rule.step_size * (task.hessian + rule.weight_decay * eye)
 
 
-def _advance(th, task: QuadraticTask, rule: StepRule, xi) -> np.ndarray:
-    """The update rule on validated inputs."""
-    eta = rule.step_size
-    grad = task.hessian @ (th - task.minimizer)
-    if rule.kind is StepKind.GRADIENT_DESCENT:
-        return th - eta * (grad + rule.weight_decay * th)
-    if rule.kind is StepKind.NOISY_GRADIENT:
-        return th - eta * grad + eta * rule.noise_scale * xi
-    return th - eta * grad + np.sqrt(2.0 * rule.noise_scale * eta) * xi
+def step_map(task: QuadraticTask, rule: StepRule) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of the affine step ``theta' = A theta + b`` before noise."""
+    return step_jacobian(task, rule), rule.step_size * task.hessian @ task.minimizer
 
 
 @dataclass(frozen=True)
@@ -137,17 +147,20 @@ def propagate(
     """
     if n_steps < 0:
         raise ValueError(f"propagate: n_steps must be >= 0, got {n_steps}")
-    th = as_vector(theta0, dim=task.dim, name="theta0")
     d = task.dim
     states = np.empty((n_steps + 1, d))
-    states[0] = th
+    states[0] = as_vector(theta0, dim=d, name="theta0")
+    a, b = step_map(task, rule)
     noise = (
-        rng.normal_rows(omega_seed, rng.STREAM_STEP_NOISE, realization, step_offset, n_steps, d)
+        rule.noise_gain()
+        * rng.normal_rows(omega_seed, rng.STREAM_STEP_NOISE, realization, step_offset, n_steps, d)
         if rule.uses_noise()
         else None
     )
     for k in range(n_steps):
-        nxt = _advance(states[k], task, rule, None if noise is None else noise[k])
+        nxt = a @ states[k] + b
+        if noise is not None:
+            nxt += noise[k]
         # np.linalg.norm's own formula, without its per-call dispatch
         norm = math.sqrt(nxt.dot(nxt))
         # written so that a NaN norm fails it too: nothing else checks the states
@@ -157,7 +170,7 @@ def propagate(
                 f"at step {step_offset + k} (task {task.label!r})"
             )
         states[k + 1] = nxt
-    return Trajectory(states=states, step_matrix=step_jacobian(task, rule))
+    return Trajectory(states=states, step_matrix=a)
 
 
 def compose(first: Trajectory, second: Trajectory) -> Trajectory:

@@ -12,7 +12,7 @@ from reconcap import capacity, rng, thermo
 from reconcap.config import default_config
 from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
-from reconcap.spectral import SubspaceBasis, numerical_rank, singular_values
+from reconcap.spectral import SubspaceBasis, singular_values, spectrum_rank
 from reconcap.tasks import QuadraticTask, make_task_pair, random_rotations
 from reconcap.transport import StepRule, compose, propagate, step_jacobian
 
@@ -84,7 +84,7 @@ def test_criterion_02_submultiplicativity(criterion):
             sv_b = np.sort(s_b)[::-1]
             bound = np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b)
             tol = 1e-10 * max(sv_a[0] * sv_b[0], 1.0)
-            rank_ok = numerical_rank(a @ b) <= min(
+            rank_ok = spectrum_rank(sv_p) <= min(
                 int(np.sum(s_a > 0)), int(np.sum(s_b > 0))
             )
             if not rank_ok or float(np.max(sv_p - bound)) > tol:

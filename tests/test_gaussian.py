@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reconcap import gaussian
 
@@ -36,6 +38,20 @@ def test_clamp_lifts_a_rotated_near_floor_covariance():
     eigs = np.linalg.eigvalsh(state.covariance)
     assert eigs[0] >= gaussian.COVARIANCE_FLOOR
     assert np.allclose(state.covariance, rot @ np.diag([1.0, gaussian.COVARIANCE_FLOOR]) @ rot.T, rtol=0, atol=1e-14)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(dim=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), log_top=st.floats(0.0, 6.0))
+def test_clamped_state_never_rejects_a_rotated_covariance(dim, seed, log_top):
+    # one eigenvalue in [-1e-12, 2e-12], the rest in [1e-3, 10**log_top], in
+    # a random basis: the clamp decides on the eigenvalues the constructor
+    # tests, so the matrix is lifted or accepted as it is, never rejected
+    gen = np.random.default_rng(seed)
+    w = 10.0 ** gen.uniform(-3.0, log_top, size=dim)
+    w[0], w[1] = gen.uniform(-1e-12, 2e-12), 10.0**log_top
+    q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
+    state, _ = gaussian.clamped_state(np.zeros(dim), q @ np.diag(w) @ q.T)
+    assert np.linalg.eigvalsh(state.covariance)[0] >= gaussian.COVARIANCE_FLOOR * (1.0 - 1e-9)
 
 
 def test_batch_sampling_moments():

@@ -1,6 +1,7 @@
 """Config contract, scenario runs, CLI exit codes, and replay determinism."""
 
 import dataclasses
+import hashlib
 import json
 import re
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import reconcap
-from reconcap import cli, scenarios, transport
+from reconcap import cli, scenarios
 from reconcap.config import (
     ConfigError,
     ExperimentConfig,
@@ -340,30 +341,47 @@ def test_threshold_sweep_reduced(tmp_path):
 
 
 def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
-    # every propagated step is one _advance call: 200 phase-1 steps per cell,
-    # then each escape runs segments of 1, 2, 4, ... steps through the one
-    # that holds its first state within eps_b, 2**n - 1 steps in all for a
-    # phase2_steps of n bits
+    # every step is taken by propagate: 200 phase-1 steps per cell, then each
+    # escape runs segments of 1, 2, 4, ... steps through the one that holds
+    # its first state within eps_b, 2**n - 1 steps in all for a phase2_steps
+    # of n bits
     cfg = ExperimentConfig(
         scenario="threshold-sweep",
         sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
     )
     cfg.validate()
     steps = 0
-    advance = transport._advance
+    propagate = scenarios.propagate
 
-    def counting_advance(*args):
+    def counting_propagate(*args, **kwargs):
         nonlocal steps
-        steps += 1
-        return advance(*args)
+        traj = propagate(*args, **kwargs)
+        steps += traj.n_steps
+        return traj
 
-    monkeypatch.setattr(transport, "_advance", counting_advance)
+    monkeypatch.setattr(scenarios, "propagate", counting_propagate)
     run_scenario(cfg, out_dir=tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     column = lines[0].split(",").index("phase2_steps")
     phase2_steps = [int(line.split(",")[column]) for line in lines[1:]]
     escape_steps = sum((1 << n.bit_length()) - 1 for n in phase2_steps)
     assert steps == 9 * 200 + escape_steps == 1893
+
+
+# sha256 of the default threshold-sweep's data files, as written since each
+# step is the affine map A theta + b
+SWEEP_DIGESTS = {
+    "summary.json": "279801fd42660d43ec1e7687aff00a18ae59e59e4c6c59827ca66256ad21110b",
+    "sweep.csv": "29ee5079d4513298ce7904b3b388e2c80650997807e667e65ae7fe8e296cda7c",
+}
+
+
+def test_default_threshold_sweep_is_byte_stable(tmp_path):
+    run_scenario(default_config("threshold-sweep"), out_dir=tmp_path, check=True)
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_DIGESTS
+    }
+    assert digests == SWEEP_DIGESTS
 
 
 def test_sweep_early_exits_match_full_length_loops(monkeypatch):
@@ -471,7 +489,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.8.0"
+    assert capsys.readouterr().out.strip() == "0.9.0"
 
 
 def test_version_matches_pyproject():
@@ -510,7 +528,6 @@ PUBLIC_NAMES = [
     "ThresholdConfig",
     "Trajectory",
     "clamped_state",
-    "combine",
     "compatible_effective_rank",
     "compose",
     "default_config",
@@ -524,7 +541,6 @@ PUBLIC_NAMES = [
     "make_task_pair",
     "measure_forgetting",
     "normal_draw",
-    "numerical_rank",
     "ot_geodesic",
     "participation_ratio",
     "predict_incompatibility",

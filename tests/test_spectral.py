@@ -110,7 +110,7 @@ def test_numerical_rank_on_constructed_matrix():
     u, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     v, _ = np.linalg.qr(rng.standard_normal((7, 7)))
     a = u @ np.diag([4.0, 2.0, 1.0, 1e-13, 0.0, 0.0, 0.0]) @ v.T
-    assert spectral.numerical_rank(a) == 3
+    assert spectral.spectrum_rank(spectral.singular_values(a)) == 3
 
 
 @given(

@@ -69,30 +69,6 @@ def test_rejects_asymmetric_hessian():
         tasks.QuadraticTask(dim=2, hessian=h, minimizer=np.zeros(2))
 
 
-def test_combine_gradients_add():
-    t1 = make_random_task(20)
-    t2 = make_random_task(21)
-    joint = tasks.combine(t1, t2)
-    theta = np.random.default_rng(22).standard_normal(t1.dim)
-    assert np.allclose(
-        descent_gradient(joint, theta),
-        descent_gradient(t1, theta) + descent_gradient(t2, theta),
-        atol=1e-10,
-    )
-
-
-def test_combine_minimizer_is_stationary():
-    # the summed system is always consistent for PSD parts, even when singular
-    rng = np.random.default_rng(23)
-    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    h1 = q[:, :2] @ q[:, :2].T
-    h2 = q[:, 2:4] @ q[:, 2:4].T
-    t1 = tasks.QuadraticTask(dim=6, hessian=h1, minimizer=rng.standard_normal(6))
-    t2 = tasks.QuadraticTask(dim=6, hessian=h2, minimizer=rng.standard_normal(6))
-    joint = tasks.combine(t1, t2)
-    assert np.linalg.norm(descent_gradient(joint, joint.minimizer)) < 1e-10
-
-
 def test_random_rotation_orthogonal_and_seeded():
     r1, r2, r3 = tasks.random_rotations(8, [5, 5, 6])
     assert np.array_equal(r1, r2)

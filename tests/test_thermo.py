@@ -1,10 +1,11 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
 from reconcap import thermo
-from reconcap.config import default_config
+from reconcap.config import ConfigError, ThermoConfig, default_config
 from reconcap.gaussian import GaussianState, clamped_state
 from reconcap.scenarios import run_scenario
 from reconcap.tasks import QuadraticTask
@@ -103,6 +104,23 @@ def test_evolution_rejects_unstable_step():
         thermo.simulate_relaxation(
             g, task, StepRule(kind="langevin", step_size=0.7, noise_scale=0.1), 1
         )
+
+
+def test_evolution_rejects_the_stability_boundary_as_validate_does():
+    # eta * lambda_max = 0.5 * 4 = 2 exactly: one bound for the run and the config
+    rule = StepRule(kind="langevin", step_size=0.5, noise_scale=0.5)
+    cfg = dataclasses.replace(
+        default_config("esl-gap"),
+        rule=rule,
+        n_steps=2,
+        thermo=ThermoConfig(start_mean=(1.0, 1.0), hessian_spectrum=(4.0, 0.5)),
+    )
+    with pytest.raises(ConfigError, match="unstable"):
+        cfg.validate()
+    task = QuadraticTask(dim=2, hessian=np.diag([4.0, 0.5]), minimizer=np.zeros(2))
+    g = GaussianState(mean=np.ones(2), covariance=0.02 * np.eye(2))
+    with pytest.raises(ValueError, match="unstable"):
+        thermo.simulate_relaxation(g, task, rule, 2)
 
 
 def test_entropy_production_vanishes_at_equilibrium():

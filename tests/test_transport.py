@@ -141,7 +141,21 @@ BITWISE_RULES = (
 
 
 def docstring_update(theta, task, rule, xi):
-    """One step of the update rules as the transport module docstring states them."""
+    """One step of the affine update map as the transport module docstring
+    states it: A theta + b + g * xi."""
+    eta = rule.step_size
+    eye = np.eye(task.dim)
+    a = eye - eta * (task.hessian + rule.weight_decay * eye)
+    nxt = a @ theta + eta * task.hessian @ task.minimizer
+    if rule.kind is transport.StepKind.NOISY_GRADIENT:
+        return nxt + eta * rule.noise_scale * xi
+    if rule.kind is transport.StepKind.LANGEVIN:
+        return nxt + np.sqrt(2.0 * rule.noise_scale * eta) * xi
+    return nxt
+
+
+def gradient_update(theta, task, rule, xi):
+    """The same step in gradient form, theta - eta * (grad + wd * theta) + g * xi."""
     eta = rule.step_size
     grad = task.hessian @ (theta - task.minimizer)
     if rule.kind is transport.StepKind.GRADIENT_DESCENT:
@@ -172,6 +186,23 @@ def test_propagate_matches_public_step_bitwise(rule):
         theta = docstring_update(theta, task, rule, xi)
         expected.append(theta)
     assert np.array_equal(traj.states, np.array(expected))
+    assert np.array_equal(traj.step_matrix, transport.step_jacobian(task, rule))
+
+
+@pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
+def test_propagate_matches_gradient_form_to_roundoff(rule):
+    # the affine and gradient forms of one step differ only in rounding
+    from reconcap import rng
+
+    n = 200
+    for seed in range(23):
+        task = random_task(100 + seed)
+        traj = transport.propagate(np.ones(task.dim), task, rule, n, omega_seed=seed)
+        noise = rng.normal_rows(seed, rng.STREAM_STEP_NOISE, 0, 0, n, task.dim)
+        theta = np.ones(task.dim)
+        for k in range(n):
+            theta = gradient_update(theta, task, rule, noise[k])
+            assert np.allclose(traj.states[k + 1], theta, rtol=1e-12, atol=1e-12 * np.linalg.norm(theta))
 
 
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
