@@ -5,10 +5,9 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 from .capacity import (
-    DEFAULT_TAU_SIGMA,
     CapacityReport,
     ForgettingResult,
     compatible_effective_rank,
@@ -38,7 +37,6 @@ from .rng import (
     STREAM_PROBE,
     STREAM_STEP_NOISE,
     STREAM_TASK,
-    normal_draw,
     stream,
 )
 from .spectral import (
@@ -80,7 +78,6 @@ __all__ = [
     "CapacityReport",
     "ConfigError",
     "COVARIANCE_FLOOR",
-    "DEFAULT_TAU_SIGMA",
     "DissipationLedger",
     "DivergenceError",
     "ExperimentConfig",
@@ -117,7 +114,6 @@ __all__ = [
     "load_config",
     "make_task_pair",
     "measure_forgetting",
-    "normal_draw",
     "ot_geodesic",
     "participation_ratio",
     "predict_incompatibility",

@@ -1,17 +1,18 @@
 """Capacity diagnostics built from transport-map Jacobians.
 
-Given end-to-end Jacobians J of the learning map and an orthonormal basis Q
-for the directions a reference task leaves free, three numbers summarize what
-a later task can still do:
+Given the end-to-end Jacobian J of the learning map and an orthonormal basis
+Q for the directions a reference task leaves free, three numbers summarize
+what a later task can still do:
 
-  * effective rank        exp( mean log det(J^T J) / d )
-  * compatible rank       exp( mean log det(Q^T J^T J Q) / k )
+  * effective rank        exp( log det(J^T J) / d )
+  * compatible rank       exp( log det(Q^T J^T J Q) / k )
   * usable directions     count of singular values of J Q above tau_sigma
 
-The stable rank of the later task's curvature restricted to Q measures how
-many of those directions it demands.  Demands exceeding the usable count
-predict that accommodating the later task forces movement that the earlier
-task will feel.
+Each function takes one Jacobian ``(d, d)`` or a stack ``(..., d, d)`` and
+gives one value per matrix.  The stable rank of the later task's curvature
+restricted to Q measures how many of the preserved directions it demands.
+Demands exceeding the usable count predict that accommodating the later task
+forces movement that the earlier task will feel.
 """
 
 from __future__ import annotations
@@ -30,60 +31,43 @@ from .spectral import (
 )
 from .tasks import QuadraticTask, restricted_hessian, value
 
-DEFAULT_TAU_SIGMA = 1e-3
-
-
-def _jacobian_stack(jacobians, dim: int | None = None) -> np.ndarray:
-    # a sequence of trajectories (their end-to-end Jacobian) or matrices, or
-    # an array (..., r, d, d) whose leading axes index separate ensembles;
-    # singular_values checks the entries
-    if not isinstance(jacobians, np.ndarray):
-        jacobians = [getattr(j, "cumulative_jacobian", j) for j in jacobians]
-    mats = np.asarray(jacobians, dtype=np.float64)
-    if mats.ndim < 3 or mats.shape[-2] != mats.shape[-1]:
-        raise ValueError(f"jacobians: expected square matrices (..., r, d, d), got {mats.shape}")
-    if dim is not None and mats.shape[-1] != dim:
-        raise ValueError(f"jacobian dim {mats.shape[-1]} != expected {dim}")
-    return mats
-
 
 def effective_rank(jacobians):
-    """exp of the mean per-dimension log volume of J^T J over the
-    realizations J; 0.0 once any realization has collapsed a direction to
-    numerical rank deficiency.
+    """exp of the per-dimension log volume of J^T J; 0.0 once J has collapsed
+    a direction to numerical rank deficiency.
 
-    ``jacobians`` holds r realizations, or is an array ``(..., r, d, d)``
-    of several ensembles, which gives an array ``(...)`` of ranks from one
-    stacked SVD.
+    One Jacobian ``(d, d)`` gives a float, a stack ``(..., d, d)`` an array
+    ``(...)`` of ranks from one stacked SVD.
     """
-    return spectra_effective_rank(singular_values(_jacobian_stack(jacobians)))
+    mats = np.asarray(jacobians, dtype=np.float64)
+    if mats.ndim < 2 or mats.shape[-2] != mats.shape[-1]:
+        raise ValueError(f"jacobians: expected square matrices (..., d, d), got {mats.shape}")
+    return spectra_effective_rank(singular_values(mats))
 
 
 def spectra_effective_rank(spectra):
-    """``effective_rank`` from each realization's descending singular values:
-    ``(r, k)`` for one ensemble, ``(..., r, k)`` for several."""
-    logs = log_volume(spectra)
-    # a collapsed realization's -inf makes the mean -inf and the rank 0.0
-    return np.exp(np.mean(logs, axis=-1) / np.shape(spectra)[-1])
+    """``effective_rank`` from descending singular values: one spectrum
+    ``(k,)`` or a stack ``(..., k)``."""
+    # a collapsed spectrum's -inf makes the rank exactly 0.0
+    return np.exp(log_volume(spectra) / np.shape(spectra)[-1])
 
 
-def compatible_effective_rank(
-    jacobians, preserving_basis: SubspaceBasis, tau_sigma: float = DEFAULT_TAU_SIGMA
-):
+def compatible_effective_rank(jacobians, preserving_basis: SubspaceBasis, tau_sigma: float):
     """Rank diagnostics of J restricted to the preserved subspace.
 
-    Returns (compatible_rank, usable_direction_count).  The count is the
-    number of singular values of J Q above tau_sigma, averaged over
-    realizations and rounded half-down to an integer.  ``jacobians`` is
-    taken as by ``effective_rank``; an array ``(..., r, d, d)`` gives two
-    arrays ``(...)``.
+    Returns (compatible_rank, usable_direction_count); the count is the
+    number of singular values of J Q above tau_sigma.  ``jacobians`` is taken
+    as by ``effective_rank``; a stack ``(..., d, d)`` gives two arrays
+    ``(...)``.
     """
-    if tau_sigma <= 0.0:
-        raise ValueError("tau_sigma must be > 0")
-    mats = _jacobian_stack(jacobians, dim=preserving_basis.ambient_dim)
+    if not tau_sigma > 0.0:
+        raise ValueError(f"tau_sigma must be > 0, got {tau_sigma}")
+    mats = np.asarray(jacobians, dtype=np.float64)
+    d = preserving_basis.ambient_dim
+    if mats.shape[-2:] != (d, d):
+        raise ValueError(f"jacobians: expected square matrices (..., {d}, {d}), got {mats.shape}")
     sigma = singular_values(mats @ preserving_basis.basis)
-    avg = np.mean(np.sum(sigma > tau_sigma, axis=-1), axis=-1)
-    return spectra_effective_rank(sigma), np.ceil(avg - 0.5).astype(int)
+    return spectra_effective_rank(sigma), np.sum(sigma > tau_sigma, axis=-1)
 
 
 def reconfiguration_dimension(task_b: QuadraticTask, preserving_basis: SubspaceBasis) -> float:
@@ -94,7 +78,7 @@ def reconfiguration_dimension(task_b: QuadraticTask, preserving_basis: SubspaceB
 
 @dataclass(frozen=True)
 class CapacityReport:
-    """Prediction record for one (jacobian ensemble, later task) pairing.
+    """Prediction record for one (Jacobian, later task) pairing.
 
     predicted_incompatible compares the demand m_b, a count, against the
     integer usable count.  The _raw variant compares m_b against the
@@ -114,13 +98,11 @@ class CapacityReport:
 
 
 def predict_incompatibility(
-    jacobians,
-    preserving_basis: SubspaceBasis,
-    task_b: QuadraticTask,
-    tau_sigma: float = DEFAULT_TAU_SIGMA,
+    jacobian, preserving_basis: SubspaceBasis, task_b: QuadraticTask, tau_sigma: float
 ) -> CapacityReport:
-    full = effective_rank(jacobians)
-    compatible, usable = compatible_effective_rank(jacobians, preserving_basis, tau_sigma)
+    """Capacity report of one Jacobian ``(d, d)`` against a later task."""
+    full = effective_rank(jacobian)
+    compatible, usable = compatible_effective_rank(jacobian, preserving_basis, tau_sigma)
     m_b = reconfiguration_dimension(task_b, preserving_basis)
     return CapacityReport(
         effective_rank=full,
@@ -139,15 +121,7 @@ class ForgettingResult:
     bound_check: float
 
 
-DEFAULT_EPSILON_A = 1e-6
-
-
-def measure_forgetting(
-    start,
-    final,
-    task_a: QuadraticTask,
-    epsilon_a: float = DEFAULT_EPSILON_A,
-) -> ForgettingResult:
+def measure_forgetting(start, final, task_a: QuadraticTask, epsilon_a: float) -> ForgettingResult:
     """Loss increase on the earlier task against its curvature lower bound.
 
     ``start`` and ``final`` are parameter vectors, typically the two ends of

@@ -59,8 +59,3 @@ def normal_rows(master_seed: int, tag: int, realization: int, start: int, n: int
         out[k - start : k - start + hi - lo] = block[lo:]
         k += hi - lo
     return out
-
-
-def normal_draw(master_seed: int, tag: int, realization: int, step: int, dim: int) -> np.ndarray:
-    """Standard normal vector for one (stream, realization, step) triple."""
-    return normal_rows(master_seed, tag, realization, step, 1, dim)[0]

@@ -139,9 +139,8 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     for step_idx in range(cfg.n_steps):
         products[step_idx + 1] = a_mat @ products[step_idx]
     svs = singular_values(products)
-    # each step's product is its own one-realization ensemble
-    effs = capacity.spectra_effective_rank(svs[:, None])
-    compats, usables = capacity.compatible_effective_rank(products[:, None], basis, tau)
+    effs = capacity.spectra_effective_rank(svs)
+    compats, usables = capacity.compatible_effective_rank(products, basis, tau)
     ledger = zip(svs, effs.tolist(), compats.tolist(), usables.tolist())
     for step_idx, (sv, eff, compat, usable) in enumerate(ledger):
         rows.append([step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist())
@@ -149,7 +148,7 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
         sv_closed = rates**step_idx
         profile_errors.append(float(np.max(np.abs(sv - sv_closed))) / sv_closed[0])
         if sv_closed[-1] >= 1e-3 * sv_closed[0]:
-            closed_eff = float(capacity.spectra_effective_rank(sv_closed[None]))
+            closed_eff = float(capacity.spectra_effective_rank(sv_closed))
             strict_errors.append(abs(eff - closed_eff) / max(closed_eff, 1.0))
             strict_errors.append(float(np.max(np.abs(sv - sv_closed) / sv_closed)))
         if usable_zero_step is None and usable == 0:
@@ -295,10 +294,10 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     )
     contraction = 1.0 - eta * sweep.collapse_strength
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
-    theta0 = rng.normal_draw(cfg.master_seed, rng.STREAM_INIT, cell_index, 0, d)
+    theta0 = rng.normal_rows(cfg.master_seed, rng.STREAM_INIT, cell_index, 0, 1, d)[0]
     traj = propagate(theta0, phase1_task, rule, k1, cfg.master_seed, realization=cell_index)
     report = capacity.predict_incompatibility(
-        [traj], pair.preserving_basis, pair.task_b, tau
+        traj.cumulative_jacobian, pair.preserving_basis, pair.task_b, tau
     )
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
@@ -571,8 +570,7 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
         if k:
             power = a_mats @ power
             theta = a_mats @ theta + shift
-        # each power is its own one-realization ensemble
-        ranks.append(capacity.effective_rank(power[:, None]))
+        ranks.append(capacity.effective_rank(power))
         offset = theta - minimizers
         loss = (0.5 * offset).swapaxes(1, 2) @ (h @ offset)
         vals.append((loss + half_wd * (theta.swapaxes(1, 2) @ theta))[:, 0, 0])
@@ -682,8 +680,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
         if step_idx < cfg.n_steps:
             samples = samples @ a_mat
             m = a_mat @ m
-    # each checkpoint's product is its own one-realization ensemble
-    _, usable = capacity.compatible_effective_rank(np.stack(products)[:, None], basis, tau)
+    _, usable = capacity.compatible_effective_rank(np.stack(products), basis, tau)
     usable_series = usable.tolist()
     rows = [
         [step_idx, pr, u, int(np.sum(np.abs(normal_rates) ** step_idx > tau))]

@@ -7,6 +7,8 @@ Conventions fixed here and used across the library:
 * spectra are reported in descending order;
 * a singular value counts as zero when it falls at or below
   ``max(RANK_TOL_REL * sigma_max, RANK_TOL_ABS)``;
+* ``spectrum_rank`` counts the singular values above
+  ``SPECTRUM_RANK_TOL * sigma_max``;
 * a collapsed direction makes a log Gram volume exactly ``-inf``, which is
   absorbing under addition, so downstream exponentials give an exact 0.
 """
@@ -21,6 +23,9 @@ import numpy as np
 # with an absolute floor guarding against denormal underflow.
 RANK_TOL_REL = 1e-12
 RANK_TOL_ABS = 1e-300
+
+# Relative cutoff of spectrum_rank, the numerical rank the scenarios report.
+SPECTRUM_RANK_TOL = 1e-8
 
 # Symmetric inputs may deviate from exact symmetry by at most this much,
 # relative to the largest entry.
@@ -145,10 +150,10 @@ def stable_rank(h) -> float:
     return float(np.sum((eigs / top) ** 2))
 
 
-def spectrum_rank(s: np.ndarray, rel_tol: float = 1e-8) -> int:
+def spectrum_rank(s: np.ndarray) -> int:
     """Numerical rank of a matrix with descending singular values ``s``: the
-    count above ``rel_tol * sigma_max``."""
+    count above ``SPECTRUM_RANK_TOL * sigma_max``."""
     smax = float(s[0]) if s.size else 0.0
     if smax <= RANK_TOL_ABS:
         return 0
-    return int(np.sum(s > rel_tol * smax))
+    return int(np.sum(s > SPECTRUM_RANK_TOL * smax))

@@ -73,7 +73,7 @@ def mean_value(g: GaussianState, task: QuadraticTask):
 
 
 def free_energy(g: GaussianState, task: QuadraticTask, temperature: float):
-    if temperature < 0.0:
+    if not temperature >= 0.0:
         raise ValueError("free_energy: temperature must be >= 0")
     return mean_value(g, task) - temperature * entropy(g)
 
@@ -188,7 +188,8 @@ def ot_geodesic(g0: GaussianState, g1: GaussianState, n_steps: int) -> GaussianS
         raise ValueError("ot_geodesic: n_steps must be >= 1")
     root0 = covariance_sqrt(g0.covariance)
     inv_root0 = np.linalg.inv(root0)
-    mid = covariance_sqrt((root0 @ g1.covariance @ root0 + (root0 @ g1.covariance @ root0).T) / 2.0)
+    cross = root0 @ g1.covariance @ root0
+    mid = covariance_sqrt((cross + cross.T) / 2.0)
     t_map = inv_root0 @ mid @ inv_root0
     t_map = (t_map + t_map.T) / 2.0
     s = (np.arange(n_steps + 1) / n_steps)[:, None]

@@ -63,9 +63,9 @@ class StepRule:
             object.__setattr__(self, "kind", StepKind(self.kind))
         if not self.step_size > 0.0:
             raise ValueError(f"StepRule: step_size must be > 0, got {self.step_size}")
-        if self.noise_scale < 0.0:
+        if not self.noise_scale >= 0.0:
             raise ValueError(f"StepRule: noise_scale must be >= 0, got {self.noise_scale}")
-        if self.weight_decay < 0.0:
+        if not self.weight_decay >= 0.0:
             raise ValueError(f"StepRule: weight_decay must be >= 0, got {self.weight_decay}")
         if self.kind is not StepKind.GRADIENT_DESCENT and self.weight_decay != 0.0:
             raise ValueError("StepRule: weight_decay is defined for gradient_descent only")

@@ -90,21 +90,18 @@ def per_spectrum_log_volume(spectra) -> np.ndarray:
     return np.array(out)
 
 
-def per_matrix_effective_rank(jacobians) -> float:
-    """Effective rank of one ensemble, one realization at a time."""
-    logs = per_spectrum_log_volume(per_matrix_singular_values(jacobians))
-    if np.any(logs == float("-inf")):
-        return 0.0
-    return float(np.exp(np.mean(logs) / np.shape(jacobians)[-1]))
+def per_matrix_effective_rank(jacobian) -> float:
+    """Effective rank of one Jacobian, from its own SVD."""
+    log = per_spectrum_log_volume(per_matrix_singular_values([jacobian]))[0]
+    return 0.0 if log == float("-inf") else float(np.exp(log / np.shape(jacobian)[-1]))
 
 
-def per_matrix_compatible_rank(jacobians, basis: np.ndarray, tau: float) -> tuple[float, int]:
-    """(compatible rank, usable count) of one ensemble, one realization at a time."""
-    sigmas = per_matrix_singular_values([m @ basis for m in jacobians])
-    logs = per_spectrum_log_volume(sigmas)
-    rank = 0.0 if np.any(logs == float("-inf")) else float(np.exp(np.mean(logs) / basis.shape[1]))
-    counts = [int(np.sum(s > tau)) for s in sigmas]
-    return rank, int(np.ceil(float(np.mean(counts)) - 0.5))
+def per_matrix_compatible_rank(jacobian, basis: np.ndarray, tau: float) -> tuple[float, int]:
+    """(compatible rank, usable count) of one Jacobian, from its own SVD."""
+    sigma = per_matrix_singular_values([jacobian @ basis])
+    log = per_spectrum_log_volume(sigma)[0]
+    rank = 0.0 if log == float("-inf") else float(np.exp(log / basis.shape[1]))
+    return rank, int(np.sum(sigma[0] > tau))
 
 
 def per_seed_rotations(dim: int, seeds) -> np.ndarray:
@@ -151,7 +148,7 @@ def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]
         if k:
             power = a_mat @ power
             theta = a_mat @ theta + shift
-        ranks.append(per_matrix_effective_rank([power]))
+        ranks.append(per_matrix_effective_rank(power))
         vals.append(_half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))
     return ranks, vals
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from reconcap import capacity, rng, thermo
-from reconcap.config import default_config
+from reconcap.config import ThresholdConfig, default_config
 from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import SubspaceBasis, singular_values, spectrum_rank
@@ -19,6 +19,7 @@ from reconcap.transport import StepRule, compose, propagate, step_jacobian
 from _oracles import sample_batch, sinkhorn_w2, sorted_coupling_w2
 
 SEED = 42
+THRESHOLDS = ThresholdConfig()
 
 
 def _controlled_task(dim, seed, trial, lo=0.2, hi=1.8):
@@ -96,15 +97,15 @@ def test_criterion_02_submultiplicativity(criterion):
 def test_criterion_03_effective_rank_closed_forms(criterion):
     with criterion(3, "volume-rank closed forms and full-basis projection") as rec:
         errs = []
-        errs.append(abs(capacity.effective_rank([np.eye(5)]) - 1.0))
+        errs.append(abs(capacity.effective_rank(np.eye(5)) - 1.0))
         for c in (0.3, 0.9, 1.7):
-            errs.append(abs(capacity.effective_rank([c * np.eye(4)]) - c * c))
+            errs.append(abs(capacity.effective_rank(c * np.eye(4)) - c * c))
         # one contracted direction inside a 2-dim preserved subspace
         basis = SubspaceBasis(ambient_dim=6, dim=2, basis=np.eye(6)[:, :2])
         for c in (0.2, 0.8):
             j = np.eye(6)
             j[0, 0] = c
-            compat, _ = capacity.compatible_effective_rank([j], basis)
+            compat, _ = capacity.compatible_effective_rank(j, basis, THRESHOLDS.tau_sigma)
             errs.append(abs(compat - c))
         worst = max(errs)
 
@@ -113,8 +114,8 @@ def test_criterion_03_effective_rank_closed_forms(criterion):
         exact = True
         for _ in range(50):
             j = gen.standard_normal((7, 7))
-            compat, _ = capacity.compatible_effective_rank([j], full_basis)
-            exact = exact and compat == capacity.effective_rank([j])
+            compat, _ = capacity.compatible_effective_rank(j, full_basis, THRESHOLDS.tau_sigma)
+            exact = exact and compat == capacity.effective_rank(j)
         rec.detail = (
             f"closed-form error {worst:.2e} (tol 1e-12); "
             f"identity-basis projection exact: {exact}"
@@ -141,12 +142,12 @@ def test_criterion_04_rank_monotonicity(criterion):
             a_mat = step_jacobian(pair.task_a, rule)
             m = np.eye(d)
             prev_rank, prev_usable = capacity.compatible_effective_rank(
-                [m], pair.preserving_basis
+                m, pair.preserving_basis, THRESHOLDS.tau_sigma
             )
             for _ in range(30):
                 m = a_mat @ m
                 rank_now, usable_now = capacity.compatible_effective_rank(
-                    [m], pair.preserving_basis
+                    m, pair.preserving_basis, THRESHOLDS.tau_sigma
                 )
                 worst = max(worst, rank_now - prev_rank)
                 usable_ok = usable_ok and usable_now <= prev_usable
@@ -354,7 +355,7 @@ def test_criterion_08_forgetting_lower_bound(criterion):
             q = pair.preserving_basis.basis
             start = pair.task_a.minimizer + q @ gen.standard_normal(k_a)
             final = start + 0.7 * gen.standard_normal(d)
-            result = capacity.measure_forgetting(start, final, pair.task_a)
+            result = capacity.measure_forgetting(start, final, pair.task_a, THRESHOLDS.epsilon_a)
             worst = min(worst, result.bound_check)
         rec.detail = f"min bound_check {worst:.2e} over 1000 exits (tol -1e-10)"
         rec.ok = worst >= -1e-10

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reconcap import capacity
+from reconcap.config import ThresholdConfig
 from reconcap.spectral import SubspaceBasis
 from reconcap.tasks import QuadraticTask, make_task_pair
 
@@ -11,6 +12,7 @@ from _oracles import jacobian_stack, per_matrix_compatible_rank, per_matrix_effe
 
 # the dimensions at which stacked calls must match per-matrix calls bit for bit
 STACK_DIMS = (2, 8, 16, 32)
+THRESHOLDS = ThresholdConfig()
 
 
 def axis_basis(d, cols):
@@ -18,21 +20,14 @@ def axis_basis(d, cols):
 
 
 def test_effective_rank_closed_forms():
-    assert capacity.effective_rank([2.0 * np.eye(4)]) == pytest.approx(4.0, abs=1e-12)
+    assert capacity.effective_rank(2.0 * np.eye(4)) == pytest.approx(4.0, abs=1e-12)
     j = np.diag([1.0, 1.0, 0.5])
-    assert capacity.effective_rank([j]) == pytest.approx(0.5 ** (2.0 / 3.0), rel=1e-12)
+    assert capacity.effective_rank(j) == pytest.approx(0.5 ** (2.0 / 3.0), rel=1e-12)
 
 
 def test_effective_rank_zero_on_collapse():
-    assert capacity.effective_rank([np.diag([1.0, 0.0, 1.0])]) == 0.0
-    assert capacity.effective_rank([np.diag([1.0, 1e-14, 1.0])]) == 0.0
-
-
-def test_effective_rank_is_geometric_mean_across_realizations():
-    a = np.diag([2.0, 2.0])
-    b = np.diag([8.0, 8.0])
-    # per-realization values 4 and 64, geometric mean 16
-    assert capacity.effective_rank([a, b]) == pytest.approx(16.0, rel=1e-12)
+    assert capacity.effective_rank(np.diag([1.0, 0.0, 1.0])) == 0.0
+    assert capacity.effective_rank(np.diag([1.0, 1e-14, 1.0])) == 0.0
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -48,20 +43,15 @@ def test_compatible_rank_and_usable_count():
     d = 4
     j = np.diag([1.0, 0.5, 1e-6, 1.0])
     basis = axis_basis(d, [0, 1, 2])
-    rank, usable = capacity.compatible_effective_rank([j], basis)
+    rank, usable = capacity.compatible_effective_rank(j, basis, THRESHOLDS.tau_sigma)
     assert usable == 2
     assert rank == pytest.approx((0.5 * 1e-6) ** (2.0 / 3.0), rel=1e-9)
 
 
-def test_usable_count_rounds_half_down():
-    d = 4
-    basis = axis_basis(d, [0, 1, 2, 3])
-    j3 = np.diag([1.0, 1.0, 1.0, 1e-8])
-    j4 = np.eye(4)
-    _, usable = capacity.compatible_effective_rank([j3, j4], basis)
-    assert usable == 3
-    _, usable = capacity.compatible_effective_rank([j4, j4, j3], basis)
-    assert usable == 4
+@pytest.mark.parametrize("tau", [float("nan"), 0.0, -1e-3])
+def test_compatible_rank_rejects_a_threshold_not_above_zero(tau):
+    with pytest.raises(ValueError, match="tau_sigma must be > 0"):
+        capacity.compatible_effective_rank(np.eye(3), axis_basis(3, [0, 1]), tau)
 
 
 def test_reconfiguration_dimension_frozen():
@@ -82,12 +72,13 @@ def test_prediction_flags_overdemand():
     q = pair.preserving_basis.basis
     # crush two of the three preserved directions
     j_bad = contraction_jacobian(6, [q[:, 1], q[:, 2]])
-    report = capacity.predict_incompatibility([j_bad], pair.preserving_basis, pair.task_b)
+    tau = THRESHOLDS.tau_sigma
+    report = capacity.predict_incompatibility(j_bad, pair.preserving_basis, pair.task_b, tau)
     assert report.usable_direction_count == 1
     assert report.m_b == pytest.approx(2.0, abs=1e-9)
     assert report.predicted_incompatible
     # leave everything open and the demand fits
-    report_ok = capacity.predict_incompatibility([np.eye(6)], pair.preserving_basis, pair.task_b)
+    report_ok = capacity.predict_incompatibility(np.eye(6), pair.preserving_basis, pair.task_b, tau)
     assert report_ok.usable_direction_count == 3
     assert not report_ok.predicted_incompatible
 
@@ -102,7 +93,7 @@ def test_forgetting_measured_against_curvature():
     task = flat_axis_task()
     start = np.array([0.0, 0.0, 1.5])
     final = np.array([0.3, 0.0, -2.0])
-    res = capacity.measure_forgetting(start, final, task)
+    res = capacity.measure_forgetting(start, final, task, THRESHOLDS.epsilon_a)
     assert res.forgetting == pytest.approx(0.09, abs=1e-14)
     assert res.normal_displacement == pytest.approx(0.3, abs=1e-14)
     assert res.exited_manifold
@@ -112,7 +103,9 @@ def test_forgetting_measured_against_curvature():
 
 def test_forgetting_zero_for_moves_inside_manifold():
     task = flat_axis_task()
-    res = capacity.measure_forgetting(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -5.0]), task)
+    res = capacity.measure_forgetting(
+        np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -5.0]), task, THRESHOLDS.epsilon_a
+    )
     assert res.forgetting == 0.0
     assert res.normal_displacement == 0.0
     assert not res.exited_manifold
@@ -125,7 +118,7 @@ def test_forgetting_accepts_trajectories():
     task = flat_axis_task()
     rule = StepRule(kind="gradient_descent", step_size=0.1)
     traj = propagate(np.array([0.5, 0.5, 2.0]), task, rule, 200, omega_seed=0)
-    res = capacity.measure_forgetting(traj.states[0], traj.final, task)
+    res = capacity.measure_forgetting(traj.states[0], traj.final, task, THRESHOLDS.epsilon_a)
     # descent moves toward the optimum, so the loss change is negative
     assert res.forgetting < 0.0
     assert not res.exited_manifold
@@ -134,7 +127,9 @@ def test_forgetting_accepts_trajectories():
 def test_forgetting_bound_tight_along_soft_direction():
     task = flat_axis_task()
     # exit purely along the curvature-1 axis saturates the bound
-    res = capacity.measure_forgetting(np.zeros(3), np.array([0.0, 0.7, 0.0]), task)
+    res = capacity.measure_forgetting(
+        np.zeros(3), np.array([0.0, 0.7, 0.0]), task, THRESHOLDS.epsilon_a
+    )
     assert res.bound_check == pytest.approx(0.0, abs=1e-12)
     assert res.bound_check >= -1e-10
 
@@ -172,26 +167,20 @@ def test_full_basis_projection_equals_plain_rank():
     rng = np.random.default_rng(12)
     mats = [np.eye(5) - 0.1 * np.diag(rng.uniform(0.1, 1.0, 5)) for _ in range(4)]
     full = axis_basis(5, [0, 1, 2, 3, 4])
-    rank, _ = capacity.compatible_effective_rank(mats, full)
-    assert rank == capacity.effective_rank(mats)
-
-
-def test_rank_functions_accept_trajectories():
-    from reconcap.tasks import QuadraticTask
-    from reconcap.transport import StepRule, propagate
-
-    task = QuadraticTask(dim=3, hessian=np.diag([1.0, 0.5, 0.2]), minimizer=np.zeros(3))
-    rule = StepRule(kind="gradient_descent", step_size=0.1)
-    traj = propagate(np.ones(3), task, rule, 7, omega_seed=0)
-    direct = capacity.effective_rank([traj.cumulative_jacobian])
-    assert capacity.effective_rank([traj]) == direct
+    rank, _ = capacity.compatible_effective_rank(mats, full, THRESHOLDS.tau_sigma)
+    assert np.array_equal(rank, capacity.effective_rank(mats))
 
 
 def test_jacobian_list_validation():
-    with pytest.raises(ValueError):
-        capacity.effective_rank([])
+    for bad in ([], np.ones(3), np.ones((3, 4)), np.ones((2, 3, 4))):
+        with pytest.raises(ValueError, match="expected square"):
+            capacity.effective_rank(bad)
     with pytest.raises(ValueError):
         capacity.effective_rank([np.eye(3), np.eye(4)])
+    basis = axis_basis(3, [0, 1])
+    for bad in (np.eye(4), np.ones((3, 4)), np.ones(3)):
+        with pytest.raises(ValueError, match="expected square"):
+            capacity.compatible_effective_rank(bad, basis, THRESHOLDS.tau_sigma)
 
 
 @pytest.mark.filterwarnings("error")
@@ -201,20 +190,19 @@ def test_stacked_rank_functions_match_per_matrix_loop(d):
     q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, max(d // 2, 1))))
     basis = SubspaceBasis(ambient_dim=d, dim=q.shape[1], basis=q)
     tau = 0.5
-    healthy = stack[[0, 3, 4, 5]]
-    # one ensemble of realizations gives one number
-    assert capacity.effective_rank(healthy) == per_matrix_effective_rank(healthy)
-    assert capacity.effective_rank(stack) == per_matrix_effective_rank(stack) == 0.0
-    for ensemble in (healthy, stack):
-        assert capacity.compatible_effective_rank(ensemble, basis, tau) == (
-            per_matrix_compatible_rank(ensemble, q, tau)
+    # one matrix gives one number
+    for m in stack:
+        assert capacity.effective_rank(m) == per_matrix_effective_rank(m)
+        assert capacity.compatible_effective_rank(m, basis, tau) == (
+            per_matrix_compatible_rank(m, q, tau)
         )
-    # a leading axis of one-realization ensembles gives one number per member
-    ranks = capacity.effective_rank(stack[:, None])
-    assert np.array_equal(ranks, [per_matrix_effective_rank(m[None]) for m in stack])
+    # a stack gives one number per matrix, whatever its leading axes
+    ranks = capacity.effective_rank(stack)
+    assert np.array_equal(ranks, [per_matrix_effective_rank(m) for m in stack])
     assert ranks[1] == ranks[2] == 0.0 and np.all(ranks[[0, 3, 4, 5]] > 0.0)
-    compat, usable = capacity.compatible_effective_rank(stack[:, None], basis, tau)
-    expected = [per_matrix_compatible_rank(m[None], q, tau) for m in stack]
+    assert np.array_equal(capacity.effective_rank(stack.reshape(2, 3, d, d)), ranks.reshape(2, 3))
+    compat, usable = capacity.compatible_effective_rank(stack, basis, tau)
+    expected = [per_matrix_compatible_rank(m, q, tau) for m in stack]
     assert np.array_equal(compat, [c for c, _ in expected])
     assert np.array_equal(usable, [u for _, u in expected])
 

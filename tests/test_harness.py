@@ -384,6 +384,35 @@ def test_default_threshold_sweep_is_byte_stable(tmp_path):
     assert digests == SWEEP_DIGESTS
 
 
+# sha256 of the default data files of the closed-form scenarios, as written
+# while capacity diagnostics took ensembles of one Jacobian
+CLOSED_FORM_DIGESTS = {
+    "rank-decay": {
+        "rank_decay.csv": "8651fb108318d0ac88cc39f619eaf77c2d21c86a6521ec4134a1a23a6580e224",
+        "summary.json": "097a231fed478fdd853bb6468d74703c710c542b95a98f237bcbe2007cc09490",
+    },
+    "proxy-probe": {
+        "proxy.csv": "e51d5f1038dc5c82a107f709d29b705d41fa7f1306abe72d4fd842b4f5663840",
+        "summary.json": "5823c0b2a078961c537c8f0d12eae1b13d9b3fc819a27380576be302f60820dd",
+    },
+    "esl-gap": {
+        "dynamics.csv": "e30b89b283e5a2217e02833c6ba2704b4b19ffe4f8cf1f6d05b35a77cc41149f",
+        "geodesic.csv": "c7019fcfa2df161bdc85342aa7b71b7aa6e2907803660186219f1090247a811e",
+        "summary.json": "1e7f88159a2860a7e56ea4c2fec98d17edc0ae19daa213f4f5a83516b8bd3a53",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(CLOSED_FORM_DIGESTS))
+def test_default_closed_form_scenario_is_byte_stable(scenario, tmp_path):
+    run_scenario(default_config(scenario), out_dir=tmp_path, check=True)
+    expected = CLOSED_FORM_DIGESTS[scenario]
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected
+    }
+    assert digests == expected
+
+
 def test_sweep_early_exits_match_full_length_loops(monkeypatch):
     # (cell_index, m_b_target, usable_target) of the default grid.  At the
     # default limit of 2000: stage 1 reaches eps_b; u = 0; stage 1 stalls at
@@ -489,7 +518,7 @@ def test_manifest_covers_outputs(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.9.0"
+    assert capsys.readouterr().out.strip() == "0.10.0"
 
 
 def test_version_matches_pyproject():
@@ -503,7 +532,6 @@ PUBLIC_NAMES = [
     "COVARIANCE_FLOOR",
     "CapacityReport",
     "ConfigError",
-    "DEFAULT_TAU_SIGMA",
     "DissipationLedger",
     "DivergenceError",
     "ExperimentConfig",
@@ -540,7 +568,6 @@ PUBLIC_NAMES = [
     "load_config",
     "make_task_pair",
     "measure_forgetting",
-    "normal_draw",
     "ot_geodesic",
     "participation_ratio",
     "predict_incompatibility",

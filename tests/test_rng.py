@@ -5,18 +5,18 @@ from reconcap import rng
 
 
 def test_same_key_same_draw():
-    a = rng.normal_draw(123, rng.STREAM_STEP_NOISE, 0, 5, 8)
-    b = rng.normal_draw(123, rng.STREAM_STEP_NOISE, 0, 5, 8)
+    a = rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 5, 1, 8)
+    b = rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 5, 1, 8)
     assert np.array_equal(a, b)
 
 
 def test_any_path_change_decorrelates():
-    base = rng.normal_draw(123, rng.STREAM_STEP_NOISE, 0, 5, 8)
+    base = rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 5, 1, 8)
     for variant in [
-        rng.normal_draw(124, rng.STREAM_STEP_NOISE, 0, 5, 8),
-        rng.normal_draw(123, rng.STREAM_INIT, 0, 5, 8),
-        rng.normal_draw(123, rng.STREAM_STEP_NOISE, 1, 5, 8),
-        rng.normal_draw(123, rng.STREAM_STEP_NOISE, 0, 6, 8),
+        rng.normal_rows(124, rng.STREAM_STEP_NOISE, 0, 5, 1, 8),
+        rng.normal_rows(123, rng.STREAM_INIT, 0, 5, 1, 8),
+        rng.normal_rows(123, rng.STREAM_STEP_NOISE, 1, 5, 1, 8),
+        rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 6, 1, 8),
     ]:
         assert not np.array_equal(base, variant)
 
@@ -80,13 +80,3 @@ def test_normal_rows_is_a_slice_of_one_long_draw(start, n):
     assert rows.shape == (n, 3)
     assert np.array_equal(rows, full[start : start + n])
 
-
-def test_normal_draw_is_one_row():
-    full = _chunked_reference(31, rng.STREAM_STEP_NOISE, 2, 3, 4)
-    for k in (0, 1, 255, 256, 257, 600):
-        assert np.array_equal(rng.normal_draw(31, rng.STREAM_STEP_NOISE, 2, k, 4), full[k])
-    # step 0 keeps the per-step key path: start points and sweep cells read it
-    assert np.array_equal(
-        rng.normal_draw(31, rng.STREAM_INIT, 2, 0, 4),
-        rng.stream(31, rng.STREAM_INIT, 2, 0).standard_normal(4),
-    )

@@ -57,6 +57,13 @@ def test_gibbs_minimizes_free_energy():
         assert thermo.free_energy(g, task, temp) > best
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), -0.1])
+def test_free_energy_rejects_nan_and_negative_temperature(temperature):
+    g = GaussianState(mean=np.zeros(2), covariance=np.eye(2))
+    with pytest.raises(ValueError, match="temperature must be >= 0"):
+        thermo.free_energy(g, toy_task(), temperature)
+
+
 def test_gibbs_state_pins_flat_directions():
     task = QuadraticTask(dim=3, hessian=np.diag([2.0, 1.0, 0.0]), minimizer=np.zeros(3))
     g = gibbs_state(task, temperature=0.5, null_variance=7.0)

@@ -45,6 +45,21 @@ def test_weight_decay_only_for_plain_descent():
         transport.StepRule(kind="langevin", step_size=0.1, noise_scale=1.0, weight_decay=0.1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"kind": "langevin", "noise_scale": float("nan")},
+        {"kind": "noisy_gradient", "noise_scale": float("nan")},
+        {"kind": "gradient_descent", "weight_decay": float("nan")},
+        {"kind": "langevin", "noise_scale": -0.1},
+        {"kind": "gradient_descent", "weight_decay": -0.1},
+    ],
+)
+def test_step_rule_rejects_nan_and_negative_scales(kwargs):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        transport.StepRule(step_size=0.1, **kwargs)
+
+
 def test_cumulative_jacobian_matches_matrix_power():
     task = random_task(3)
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
@@ -179,7 +194,7 @@ def test_propagate_matches_public_step_bitwise(rule):
     expected = [theta]
     for k in range(n):
         xi = (
-            rng.normal_draw(19, rng.STREAM_STEP_NOISE, 2, offset + k, task.dim)
+            rng.normal_rows(19, rng.STREAM_STEP_NOISE, 2, offset + k, 1, task.dim)[0]
             if rule.uses_noise()
             else None
         )
