@@ -204,8 +204,8 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"{self.scenario}: {exc}") from exc
 
-    def _decaying_pair(self) -> TaskPair:
-        """rank-decay and proxy-probe iterate a decaying step map on task A."""
+    def decaying_pair(self) -> TaskPair:
+        """rank-decay and proxy-probe's pair, built alike by validation and the run."""
         if self.n_steps < 1:
             raise ConfigError("n_steps: must be >= 1")
         if self.rule.kind is not StepKind.GRADIENT_DESCENT or self.rule.weight_decay <= 0:
@@ -240,7 +240,7 @@ class ExperimentConfig:
         self._require_stable(max(t.hessian_spectrum))
 
     def _validate_rank_decay(self) -> None:
-        pair = self._decaying_pair()
+        pair = self.decaying_pair()
         # closed-form singular-value rates: 1 - eta*wd on A's null directions,
         # |1 - eta*(a_i + wd)| on its normals; the summary takes logs of the top
         # rate and of the bottom-to-top ratio, so the rates must stay inside
@@ -290,7 +290,7 @@ class ExperimentConfig:
             raise ConfigError("n_trials: must be >= 1")
 
     def _validate_proxy_probe(self) -> None:
-        self._decaying_pair()
+        self.decaying_pair()
         if self.probe.checkpoint_every < 1 or self.probe.checkpoint_every > self.n_steps:
             raise ConfigError("probe.checkpoint_every: must be in [1, n_steps]")
         if self.probe.n_probe_samples < 2:
@@ -340,10 +340,9 @@ def default_config(scenario: str) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return ExperimentConfig.from_dict(payload)
 

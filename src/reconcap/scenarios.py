@@ -108,19 +108,21 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
 # rank-decay: closed-form contraction audit under weight decay
 
 
+def _decay_ledger(cfg: ExperimentConfig):
+    """``(pair, A, powers)`` of rank-decay and proxy-probe: the validated
+    pair, the step matrix A of its task A, and A^0 ... A^n_steps stacked."""
+    pair = cfg.decaying_pair()
+    a_mat = step_jacobian(pair.task_a, cfg.rule)
+    powers = np.empty((cfg.n_steps + 1, cfg.dim, cfg.dim))
+    powers[0] = np.eye(cfg.dim)
+    for k in range(cfg.n_steps):
+        powers[k + 1] = a_mat @ powers[k]
+    return pair, a_mat, powers
+
+
 def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
-    pair = make_task_pair(
-        cfg.dim,
-        cfg.k_a,
-        cfg.pair.spectrum_b_on_a,
-        cfg.pair.rotation_seed,
-        a_spectrum=cfg.pair.a_spectrum,
-    )
-    rule = cfg.rule
-    a_mat = step_jacobian(pair.task_a, rule)
-    eigvals = np.linalg.eigvalsh(a_mat)
-    rates = np.sort(np.abs(eigvals))[::-1]
-    basis = pair.preserving_basis
+    pair, a_mat, powers = _decay_ledger(cfg)
+    rates = np.sort(np.abs(np.linalg.eigvalsh(a_mat)))[::-1]
     tau = cfg.thresholds.tau_sigma
 
     header = ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
@@ -132,15 +134,9 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     # to steps whose closed-form spectrum stays within 1e-3 of its top
     strict_errors = [0.0]
     profile_errors = [0.0]
-    usable_zero_step = None
-    collapse_step = None
-    products = np.empty((cfg.n_steps + 1, cfg.dim, cfg.dim))
-    products[0] = np.eye(cfg.dim)
-    for step_idx in range(cfg.n_steps):
-        products[step_idx + 1] = a_mat @ products[step_idx]
-    svs = singular_values(products)
+    svs = singular_values(powers)
     effs = capacity.spectra_effective_rank(svs)
-    compats, usables = capacity.compatible_effective_rank(products, basis, tau)
+    compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
     ledger = zip(svs, effs.tolist(), compats.tolist(), usables.tolist())
     for step_idx, (sv, eff, compat, usable) in enumerate(ledger):
         rows.append([step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist())
@@ -151,10 +147,8 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
             closed_eff = float(capacity.spectra_effective_rank(sv_closed))
             strict_errors.append(abs(eff - closed_eff) / max(closed_eff, 1.0))
             strict_errors.append(float(np.max(np.abs(sv - sv_closed) / sv_closed)))
-        if usable_zero_step is None and usable == 0:
-            usable_zero_step = step_idx
-        if collapse_step is None and eff == 0.0:
-            collapse_step = step_idx
+    usable_zero_step = next((k for k, u in enumerate(usables.tolist()) if u == 0), None)
+    collapse_step = next((k for k, e in enumerate(effs.tolist()) if e == 0.0), None)
     rises = np.concatenate([[0.0], np.diff(effs), np.diff(compats), np.diff(usables)])
 
     write_csv(out / "rank_decay.csv", header, rows)
@@ -235,30 +229,21 @@ def _descend_survivors(theta_start, survivors, task_b, eta, eps_b, limit):
     return theta_start + survivors @ y, loss
 
 
-def _escape(theta, task_b, rule, limit, omega_seed, realization, eps_b):
+def _escape(theta, task_b, rule, limit, eps_b):
     """Stage 2: unconstrained descent on task B from theta, up to the first
     state within eps_b or ``limit`` steps.  Returns (steps, state, reached).
 
-    ``propagate`` runs in segments of 1, 2, 4, ... steps, each resumed from
-    the last state of the one before at its step offset, so the states are
-    those of one ``limit``-step run.  The last segment is the one that holds
-    the first state within eps_b: no segment after it is computed.
+    Each step is ``step_map``'s A @ theta + b, the update ``propagate``
+    makes.  The rule is plain gradient descent, so no noise is drawn, and
+    the validated stability bound keeps the map from diverging.
     """
-    h_b, target = task_b.hessian, task_b.minimizer
-    steps, state, length = 0, theta, 1
-    reached = _half_quadratic(h_b, state - target)[0] <= eps_b
-    while not reached and steps < limit:
-        segment = propagate(
-            state, task_b, rule, min(length, limit - steps), omega_seed,
-            realization=realization, step_offset=steps,
-        )
-        for state in segment.states[1:]:
-            steps += 1
-            if _half_quadratic(h_b, state - target)[0] <= eps_b:
-                reached = True
-                break
-        length *= 2
-    return steps, state, reached
+    a, b = step_map(task_b, rule)
+    steps, state = 0, theta
+    while not _half_quadratic(task_b.hessian, state - task_b.minimizer)[0] <= eps_b:
+        if steps == limit:
+            return steps, state, False
+        state, steps = a @ state + b, steps + 1
+    return steps, state, True
 
 
 def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target: int) -> list:
@@ -320,8 +305,7 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     forgetting_after_escape = 0.0
     if not stage1_reached:
         phase2_steps, theta_escape, escape_reached = _escape(
-            theta_stage1, pair.task_b, rule, sweep.phase2_step_limit,
-            cfg.master_seed, cell_index + 10_000, eps_b,
+            theta_stage1, pair.task_b, rule, sweep.phase2_step_limit, eps_b
         )
         forgetting_s2 = capacity.measure_forgetting(
             theta_start, theta_escape, pair.task_a, limits.epsilon_a
@@ -643,16 +627,9 @@ def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
 
 
 def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
-    pair = make_task_pair(
-        cfg.dim,
-        cfg.k_a,
-        cfg.pair.spectrum_b_on_a,
-        cfg.pair.rotation_seed,
-        a_spectrum=cfg.pair.a_spectrum,
-    )
+    pair, a_mat, powers = _decay_ledger(cfg)
     task_a = pair.task_a
     rule = cfg.rule
-    a_mat = step_jacobian(task_a, rule)
     basis = pair.preserving_basis
     tau = cfg.thresholds.tau_sigma
 
@@ -667,8 +644,6 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
 
     checkpoints = range(0, cfg.n_steps + 1, p_cfg.checkpoint_every)
     pr_series = []
-    products = []
-    m = np.eye(cfg.dim)
     for step_idx in range(cfg.n_steps + 1):
         if step_idx % p_cfg.checkpoint_every == 0:
             probes = (samples - task_a.minimizer) @ task_a.hessian
@@ -676,11 +651,9 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
                 noise_gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 1, step_idx)
                 probes = probes + p_cfg.probe_noise * noise_gen.standard_normal(probes.shape)
             pr_series.append(capacity.participation_ratio(probes))
-            products.append(m)
         if step_idx < cfg.n_steps:
             samples = samples @ a_mat
-            m = a_mat @ m
-    _, usable = capacity.compatible_effective_rank(np.stack(products), basis, tau)
+    _, usable = capacity.compatible_effective_rank(powers[:: p_cfg.checkpoint_every], basis, tau)
     usable_series = usable.tolist()
     rows = [
         [step_idx, pr, u, int(np.sum(np.abs(normal_rates) ** step_idx > tau))]
@@ -743,6 +716,15 @@ SCENARIOS = {
     "proxy-probe": (run_proxy_probe, check_proxy_probe),
 }
 
+# The CSV files each scenario writes; with config.json and summary.json, all a manifest records.
+DATA_FILES = {
+    "esl-gap": ("dynamics.csv", "geodesic.csv"),
+    "rank-decay": ("rank_decay.csv",),
+    "threshold-sweep": ("sweep.csv",),
+    "composition-check": ("composition.csv", "submultiplicativity.csv", "monotonicity.csv"),
+    "proxy-probe": ("proxy.csv",),
+}
+
 
 def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> dict:
     """Run one scenario end to end: data files, summary, manifest.
@@ -757,9 +739,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> di
     manifest = RunManifest.start(cfg)
     save_config(cfg, out / "config.json")
     summary = runner(cfg, out)
-    for path in sorted(out.iterdir()):
-        if path.name != "manifest.json":
-            manifest.record(path)
+    for name in ("config.json", "summary.json", *DATA_FILES[cfg.scenario]):
+        manifest.record(out / name)
     manifest.finish(out / "manifest.json")
     if check:
         checker(summary, cfg)

@@ -105,7 +105,6 @@ class DissipationLedger:
 
     per_step_sigma: np.ndarray
     free_energy_series: np.ndarray
-    temperature: float
     total: float
     excess: float
 
@@ -121,7 +120,7 @@ class DissipationLedger:
             raise ValueError("DissipationLedger: temperature must be > 0")
         total = float(np.sum(s))
         excess = total - (float(f[0]) - float(f[-1])) / temperature
-        return cls(s, f, float(temperature), total, excess)
+        return cls(s, f, total, excess)
 
 
 def simulate_relaxation(

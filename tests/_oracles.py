@@ -213,9 +213,10 @@ def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):
     return theta_start + survivors @ y, loss
 
 
-def full_length_escape(theta, task_b, rule, limit, omega_seed, realization, eps_b):
-    """``scenarios._escape`` as one ``limit``-step propagate, scanned after."""
-    traj = propagate(theta, task_b, rule, limit, omega_seed, realization=realization)
+def full_length_escape(theta, task_b, rule, limit, eps_b):
+    """``scenarios._escape`` as one ``limit``-step propagate, scanned after;
+    the sweep's rule is plain gradient descent, so the seed draws nothing."""
+    traj = propagate(theta, task_b, rule, limit, 0)
     reached = False
     for steps, s in enumerate(traj.states):
         if _half_quadratic(task_b.hessian, s - task_b.minimizer)[0] <= eps_b:

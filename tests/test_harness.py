@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import re
 import subprocess
@@ -341,17 +342,15 @@ def test_threshold_sweep_reduced(tmp_path):
 
 
 def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
-    # every step is taken by propagate: 200 phase-1 steps per cell, then each
-    # escape runs segments of 1, 2, 4, ... steps through the one that holds
-    # its first state within eps_b, 2**n - 1 steps in all for a phase2_steps
-    # of n bits
+    # propagate takes the 200 phase-1 steps of each cell and nothing else;
+    # each escape steps the map itself, exactly its phase2_steps times
     cfg = ExperimentConfig(
         scenario="threshold-sweep",
         sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
     )
     cfg.validate()
-    steps = 0
-    propagate = scenarios.propagate
+    steps = escape_steps = 0
+    propagate, escape = scenarios.propagate, scenarios._escape
 
     def counting_propagate(*args, **kwargs):
         nonlocal steps
@@ -359,13 +358,20 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
         steps += traj.n_steps
         return traj
 
+    def counting_escape(*args):
+        nonlocal escape_steps
+        result = escape(*args)
+        escape_steps += result[0]
+        return result
+
     monkeypatch.setattr(scenarios, "propagate", counting_propagate)
+    monkeypatch.setattr(scenarios, "_escape", counting_escape)
     run_scenario(cfg, out_dir=tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     column = lines[0].split(",").index("phase2_steps")
     phase2_steps = [int(line.split(",")[column]) for line in lines[1:]]
-    escape_steps = sum((1 << n.bit_length()) - 1 for n in phase2_steps)
-    assert steps == 9 * 200 + escape_steps == 1893
+    assert steps == 9 * 200
+    assert escape_steps == sum(phase2_steps) == 69
 
 
 # sha256 of the default threshold-sweep's data files, as written since each
@@ -413,11 +419,25 @@ def test_default_closed_form_scenario_is_byte_stable(scenario, tmp_path):
     assert digests == expected
 
 
+def test_seeded_runs_are_byte_stable(tmp_path, monkeypatch, capsys):
+    # the seed-7 and seed-21 lines of tools/data_digests.py, against the copy
+    # checked in beside this file; any change to them has to update it
+    spec = importlib.util.spec_from_file_location(
+        "data_digests", Path(__file__).resolve().parents[1] / "tools" / "data_digests.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SEEDS", (7, 21))
+    tool.main([str(tmp_path)])
+    expected = (Path(__file__).parent / "seeded_digests.txt").read_text()
+    assert capsys.readouterr().out == expected
+
+
 def test_sweep_early_exits_match_full_length_loops(monkeypatch):
     # (cell_index, m_b_target, usable_target) of the default grid.  At the
     # default limit of 2000: stage 1 reaches eps_b; u = 0; stage 1 stalls at
     # a fixed point (two cells); stage 1 cycles to the limit.  Limits 5, 21
-    # and 37 cut runs mid-segment (segments end at steps 1, 3, 7, 15, 31, ...).
+    # and 37 cut some escapes short of the state within eps_b.
     cells = [(10, 1, 1), (9, 1, 0), (19, 2, 1), (65, 7, 2), (79, 8, 7)]
     base = default_config("threshold-sweep")
     seen = set()
@@ -513,12 +533,27 @@ def test_manifest_covers_outputs(tmp_path):
     assert manifest["artifact_version"]
 
 
+@pytest.mark.parametrize("scenario", sorted(scenarios.SCENARIOS))
+def test_default_run_writes_exactly_its_listed_files(scenario, tmp_path):
+    run_scenario(default_config(scenario), out_dir=tmp_path)
+    listed = {"config.json", "summary.json", *scenarios.DATA_FILES[scenario]}
+    assert {path.name for path in tmp_path.iterdir()} == listed | {"manifest.json"}
+    assert set(json.loads((tmp_path / "manifest.json").read_text())["files"]) == listed
+
+
+def test_manifest_leaves_out_a_stale_file(tmp_path):
+    (tmp_path / "old.csv").write_text("step\n0\n")
+    run_scenario(default_config("esl-gap"), out_dir=tmp_path)
+    assert "old.csv" not in json.loads((tmp_path / "manifest.json").read_text())["files"]
+    assert (tmp_path / "old.csv").read_text() == "step\n0\n"
+
+
 # -- CLI --------------------------------------------------------------------
 
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.10.0"
+    assert capsys.readouterr().out.strip() == "0.11.0"
 
 
 def test_version_matches_pyproject():
@@ -798,6 +833,26 @@ def test_cli_run_io_error_exits_1(tmp_path, capsys):
     blocker.write_text("")
     code = cli.main(["run", "--scenario", "esl-gap", "--out-dir", str(blocker / "sub")])
     assert code == 1
+    assert _single_error_line(capsys.readouterr().err, 1, "config")
+
+
+def test_cli_run_beside_an_earlier_runs_directory(tmp_path, capsys):
+    # --out-dir runs, after a run without it left runs/<scenario>/ there
+    (tmp_path / "esl-gap").mkdir()
+    (tmp_path / "esl-gap" / "summary.json").write_text("{}\n")
+    assert cli.main(["run", "--scenario", "esl-gap", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest["files"]) == {"config.json", "dynamics.csv", "geodesic.csv", "summary.json"}
+    assert (tmp_path / "esl-gap" / "summary.json").read_text() == "{}\n"
+
+
+@pytest.mark.parametrize("command", [["validate"], ["run", "--config"]], ids=["validate", "run"])
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command):
+    # UTF-16 with its byte-order mark: the first byte, 0xff, is not UTF-8
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(default_config("esl-gap").to_dict()), encoding="utf-16")
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert cli.main([*command, str(path)]) == 1
     assert _single_error_line(capsys.readouterr().err, 1, "config")
 
 
