@@ -339,10 +339,19 @@ def default_config(scenario: str) -> ExperimentConfig:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, rejecting a key given twice (json.loads
+    alone would keep its last value)."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"duplicate key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return dict(pairs)
+
+
 def load_config(path) -> ExperimentConfig:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a UnicodeDecodeError, JSONDecodeError or duplicate key
         raise ConfigError(f"config file {path}: invalid JSON ({exc})") from exc
     return ExperimentConfig.from_dict(payload)
 

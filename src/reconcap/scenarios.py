@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import capacity, rng, thermo, transport
+from . import capacity, rng, thermo
 from .config import (
     ExperimentConfig,
     RunManifest,
@@ -23,8 +23,8 @@ from .config import (
 )
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
-from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations
-from .transport import StepRule, propagate, step_jacobian, step_map
+from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations, require_psd
+from .transport import StepRule, _affine_step, _propagate_stack, step_jacobian, step_map
 
 
 class CheckError(RuntimeError):
@@ -212,20 +212,26 @@ def _descend_survivors(theta_start, survivors, task_b, eta, eps_b, limit):
     from y = 0, up to the first iterate within eps_b or ``limit`` updates.
     Returns that iterate's (theta, loss).
 
-    An update reads only y, so once one leaves y bitwise unchanged every
-    later iterate, and the loss at the limit, is that same one; the loop
-    stops there.  y is compared as bytes, so -0.0 and 0.0 differ.
+    An update reads only y, so once an iterate repeats an earlier one, bit
+    for bit, the iterates cycle from there on and none of them reaches
+    eps_b; the loop then jumps to the iterate the limit would reach.  A
+    fixed point is a cycle of period 1.  y is keyed as bytes, so -0.0 and
+    0.0 differ.
     """
     h_b, target = task_b.hessian, task_b.minimizer
     y = np.zeros(survivors.shape[1])
+    first_seen, iterates = {}, []
     for n_updates in range(limit + 1):
+        mu = first_seen.setdefault(y.tobytes(), n_updates)
+        if mu < n_updates:
+            y = iterates[mu + (limit - mu) % (n_updates - mu)]
+            loss = _half_quadratic(h_b, theta_start + survivors @ y - target)[0]
+            break
+        iterates.append(y)
         loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
         if loss <= eps_b or n_updates == limit:
             break
-        y_next = y - eta * (survivors.T @ h_d)
-        if y_next.tobytes() == y.tobytes():
-            break
-        y = y_next
+        y = y - eta * (survivors.T @ h_d)
     return theta_start + survivors @ y, loss
 
 
@@ -246,51 +252,71 @@ def _escape(theta, task_b, rule, limit, eps_b):
     return steps, state, True
 
 
-def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target: int) -> list:
+def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
+    """The rows of sweep cells ``(cell_index, m_target, u_target)``: each
+    cell's task pair and anchored first task, phase 1 of every cell as one
+    stacked propagation, then each cell's phase 2."""
     sweep = cfg.sweep
-    limits = cfg.thresholds
     d = cfg.dim
     k_a = cfg.k_a
     rule = cfg.rule  # plain gradient descent, as validate requires
     eta = rule.step_size
-    tau = limits.tau_sigma
+    tau = cfg.thresholds.tau_sigma
 
-    spectrum = (1.0,) * m_target + (0.0,) * (k_a - m_target)
-    pair = make_task_pair(
-        d,
-        k_a,
-        spectrum,
-        cfg.pair.rotation_seed + cell_index,
-        offset_scale=sweep.offset_scale,
-        tilt=sweep.tilt if m_target > 0 else 0.0,
-    )
-    q = pair.preserving_basis.basis
-
-    # phase 1: anchor the last k_a - u preserved directions so exactly u survive;
-    # collapse order runs opposite to demand order so the two targets decouple.
-    # The anchor pulls toward task A's minimizer, which the sum keeps.
-    collapsed = q[:, u_target:]
-    anchor_h = sweep.collapse_strength * collapsed @ collapsed.T
-    phase1_task = QuadraticTask(
-        dim=d,
-        hessian=pair.task_a.hessian + (anchor_h + anchor_h.T) / 2.0,
-        minimizer=pair.task_a.minimizer,
-        label="anchored-first-task",
-    )
+    pairs, anchored = [], np.empty((len(cells), d, d))
+    for i, (cell_index, m_target, u_target) in enumerate(cells):
+        spectrum = (1.0,) * m_target + (0.0,) * (k_a - m_target)
+        pair = make_task_pair(
+            d,
+            k_a,
+            spectrum,
+            cfg.pair.rotation_seed + cell_index,
+            offset_scale=sweep.offset_scale,
+            tilt=sweep.tilt if m_target > 0 else 0.0,
+        )
+        # phase 1: anchor the last k_a - u preserved directions so exactly u
+        # survive; collapse order runs opposite to demand order so the two
+        # targets decouple.  The anchor pulls toward task A's minimizer,
+        # which the sum keeps.
+        collapsed = pair.preserving_basis.basis[:, u_target:]
+        anchor_h = sweep.collapse_strength * collapsed @ collapsed.T
+        anchored[i] = pair.task_a.hessian + (anchor_h + anchor_h.T) / 2.0
+        pairs.append(pair)
     contraction = 1.0 - eta * sweep.collapse_strength
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
-    theta0 = rng.normal_rows(cfg.master_seed, rng.STREAM_INIT, cell_index, 0, 1, d)[0]
-    traj = propagate(theta0, phase1_task, rule, k1, cfg.master_seed, realization=cell_index)
+    realizations = [cell[0] for cell in cells]
+    theta0 = np.array(
+        [rng.normal_rows(cfg.master_seed, rng.STREAM_INIT, i, 0, 1, d)[0] for i in realizations]
+    )
+    label = "anchored-first-task"
+    h, _ = require_psd(anchored, stacked=True, label=label)
+    minimizers = np.array([pair.task_a.minimizer for pair in pairs])
+    n = len(cells)
+    finals, jacobians = _propagate_stack(
+        theta0, h, minimizers, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n, label,
+        final_only=True,
+    )
+    return [
+        _sweep_row(cfg, cell, pair, theta_start, jacobian)
+        for cell, pair, theta_start, jacobian in zip(cells, pairs, finals, jacobians)
+    ]
+
+
+def _sweep_row(cfg: ExperimentConfig, cell, pair, theta_start, jacobian) -> list:
+    """One sweep cell's row from the end of its phase 1: the prediction from
+    the phase-1 Jacobian, then stage 1 and, where it falls short, the escape."""
+    _, m_target, u_target = cell
+    sweep = cfg.sweep
+    limits = cfg.thresholds
     report = capacity.predict_incompatibility(
-        traj.cumulative_jacobian, pair.preserving_basis, pair.task_b, tau
+        jacobian, pair.preserving_basis, pair.task_b, limits.tau_sigma
     )
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
-    theta_start = traj.final
-    survivors = np.ascontiguousarray(q[:, :u_target])
+    survivors = np.ascontiguousarray(pair.preserving_basis.basis[:, :u_target])
     eps_b = limits.epsilon_b
     theta_stage1, loss = _descend_survivors(
-        theta_start, survivors, pair.task_b, eta, eps_b, sweep.phase2_step_limit
+        theta_start, survivors, pair.task_b, cfg.rule.step_size, eps_b, sweep.phase2_step_limit
     )
     stage1_reached = bool(loss <= eps_b)
     forgetting_s1 = capacity.measure_forgetting(
@@ -305,7 +331,7 @@ def _sweep_cell(cfg: ExperimentConfig, cell_index: int, m_target: int, u_target:
     forgetting_after_escape = 0.0
     if not stage1_reached:
         phase2_steps, theta_escape, escape_reached = _escape(
-            theta_stage1, pair.task_b, rule, sweep.phase2_step_limit, eps_b
+            theta_stage1, pair.task_b, cfg.rule, sweep.phase2_step_limit, eps_b
         )
         forgetting_s2 = capacity.measure_forgetting(
             theta_start, theta_escape, pair.task_a, limits.epsilon_a
@@ -356,11 +382,12 @@ SWEEP_HEADER = [
 
 def run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     s = cfg.sweep
-    rows = [
-        _sweep_cell(cfg, i * len(s.usable_targets) + j, m_target, u_target)
+    cells = [
+        (i * len(s.usable_targets) + j, m_target, u_target)
         for i, m_target in enumerate(s.m_b_targets)
         for j, u_target in enumerate(s.usable_targets)
     ]
+    rows = _sweep_rows(cfg, cells)
 
     write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     n_cells = len(rows)
@@ -424,10 +451,12 @@ def _blocks(items, floats_per_item: int):
     return (items[i : i + size] for i in range(0, len(items), size))
 
 
-def _controlled_tasks(dim: int, seed: int, trials) -> list[QuadraticTask]:
-    """Each trial's controlled task: a spectrum in [0.2, 1.8], then a
+def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's controlled task, as stacks ``(n, dim, dim)`` of Hessians
+    and ``(n, dim)`` of minimizers: a spectrum in [0.2, 1.8], then a
     minimizer, drawn from the trial's own task stream, under the trial's
-    seeded rotation; the rotations come from one stacked draw."""
+    seeded rotation; the rotations come from one stacked draw and the
+    Hessians are checked in one stacked pass."""
     spectra = np.empty((len(trials), dim))
     minimizers = np.empty((len(trials), dim))
     for i, trial in enumerate(trials):
@@ -435,8 +464,8 @@ def _controlled_tasks(dim: int, seed: int, trials) -> list[QuadraticTask]:
         spectra[i] = gen.uniform(0.2, 1.8, size=dim)
         minimizers[i] = gen.standard_normal(dim)
     rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
-    h = _eigen_rebuild(rots, spectra)
-    return [QuadraticTask(dim=dim, hessian=hi, minimizer=m) for hi, m in zip(h, minimizers)]
+    h, _ = require_psd(_eigen_rebuild(rots, spectra), stacked=True)
+    return h, minimizers
 
 
 _COMPOSITION_RULES = (
@@ -449,32 +478,46 @@ _COMPOSITION_RULES = (
 
 def _composition_rows(d: int, seed: int, trials) -> list:
     """Each trial's run split in three, recomposed both ways and compared
-    with the unsplit run."""
-    rows = []
-    for trial, task in zip(trials, _controlled_tasks(d, seed, trials)):
-        rule = _COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)]
+    with the unsplit run.  The trials step together: one stacked
+    propagation for the unsplit runs and one for each segment, each
+    drawing its own noise rows."""
+    n = len(trials)
+    h, minimizers = _controlled_tasks(d, seed, trials)
+    rules = [_COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)] for trial in trials]
+    lens = np.empty((n, 3), dtype=np.int64)
+    theta0 = np.empty((n, d))
+    for i, trial in enumerate(trials):
         gen = rng.stream(seed, rng.STREAM_TASK, trial, 1)
-        lens = [int(x) for x in gen.integers(1, 6, size=3)]
-        theta0 = gen.standard_normal(d)
+        lens[i] = gen.integers(1, 6, size=3)
+        theta0[i] = gen.standard_normal(d)
 
-        full = propagate(theta0, task, rule, sum(lens), seed, realization=trial)
-        t1 = propagate(theta0, task, rule, lens[0], seed, realization=trial)
-        t2 = propagate(
-            t1.final, task, rule, lens[1], seed,
-            realization=trial, step_offset=lens[0],
-        )
-        t3 = propagate(
-            t2.final, task, rule, lens[2], seed,
-            realization=trial, step_offset=lens[0] + lens[1],
-        )
-        left = transport.compose(transport.compose(t1, t2), t3)
-        right = transport.compose(t1, transport.compose(t2, t3))
-        full_jac = full.cumulative_jacobian
-        gaps = [left.cumulative_jacobian - full_jac, right.cumulative_jacobian - full_jac]
-        # one np.max over all three gaps, where max() of three would drop a NaN
-        err = float(np.max(np.abs(np.concatenate(gaps + [left.states - full.states]))))
-        rows.append([trial, lens[0], lens[1], lens[2], rule.kind.value, err])
-    return rows
+    def run(start, n_steps, offsets):
+        return _propagate_stack(start, h, minimizers, rules, n_steps, seed, trials, offsets, "task")
+
+    ends = np.cumsum(lens, axis=1)
+    starts = ends - lens
+    full, full_jac = run(theta0, ends[:, 2], starts[:, 0])
+    members = np.arange(n)
+    # a NaN survives np.max and np.maximum, where max() would drop it
+    worst = np.zeros(n)
+    jacs, start = [], theta0
+    for first, n_steps in zip(starts.T, lens.T):
+        seg, jac = run(start, n_steps, first)
+        jacs.append(jac)
+        # the segment's states against its window of the unsplit run; a
+        # shorter segment repeats its last state to fill the stack
+        r = np.minimum(np.arange(seg.shape[1]), n_steps[:, None])
+        gap = np.abs(seg[members[:, None], r] - full[members[:, None], first[:, None] + r])
+        worst = np.maximum(worst, np.max(gap, axis=(1, 2)))
+        start = seg[members, n_steps]
+    j1, j2, j3 = jacs
+    # the associations compose() makes of ((t1, t2), t3) and (t1, (t2, t3))
+    for composed in (j3 @ (j2 @ j1), (j3 @ j2) @ j1):
+        worst = np.maximum(worst, np.max(np.abs(composed - full_jac), axis=(1, 2)))
+    return [
+        [trial, *seg_lens, rule.kind.value, err]
+        for trial, seg_lens, rule, err in zip(trials, lens.tolist(), rules, worst.tolist())
+    ]
 
 
 def _product_spectra(seed: int, trials, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
@@ -535,15 +578,13 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     ``(41, len(trials))`` arrays.  The trials step together, one stacked
     product per step."""
     eta, n_steps = 0.4, 40
-    tasks = _controlled_tasks(d, seed + 1, trials)
+    h, minimizers = _controlled_tasks(d, seed + 1, trials)
     wds = [0.1 if trial % 2 else 0.0 for trial in trials]
-    maps = [step_map(task, StepRule(step_size=eta, weight_decay=wd)) for task, wd in zip(tasks, wds)]
-    a_mats = np.array([a for a, _ in maps])
-    h = np.array([task.hessian for task in tasks])
+    a_mats, shift = _affine_step(h, minimizers, eta, wds)
     # vectors are stacked as columns (n, d, 1), so each stacked product
     # matches its per-trial matrix-vector or dot product bit for bit
-    shift = np.array([b for _, b in maps])[:, :, None]
-    minimizers = np.array([task.minimizer for task in tasks])[:, :, None]
+    shift = shift[:, :, None]
+    minimizers = minimizers[:, :, None]
     theta = np.array(
         [rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(d) for trial in trials]
     )[:, :, None]

@@ -33,17 +33,25 @@ class QuadraticTask:
     lam_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h = require_symmetric(self.hessian, name=f"{self.label} hessian")
+        h, lam_max = require_psd(self.hessian, label=self.label)
         if h.shape[0] != self.dim:
             raise ValueError(f"{self.label}: hessian shape {h.shape} != dim {self.dim}")
-        eigs = np.linalg.eigvalsh(h)
-        lam_max = float(eigs[-1])
-        if eigs[0] < -_PSD_TOL * max(lam_max, 1.0):
-            raise ValueError(f"{self.label}: hessian not PSD (min eigenvalue {eigs[0]:.3e})")
         theta_star = as_vector(self.minimizer, dim=self.dim, name=f"{self.label} minimizer")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "minimizer", theta_star)
-        object.__setattr__(self, "lam_max", lam_max)
+        object.__setattr__(self, "lam_max", float(lam_max))
+
+
+def require_psd(h, *, stacked: bool = False, label: str = "task") -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized Hessian and its largest eigenvalue, or those of each of
+    a stack ``(..., d, d)`` in one pass; rejects asymmetry and non-PSD input."""
+    h = require_symmetric(h, stacked=stacked, name=f"{label} hessian")
+    eigs = np.linalg.eigvalsh(h)
+    lam_max = eigs[..., -1]
+    low = eigs[..., 0] < -_PSD_TOL * np.maximum(lam_max, 1.0)
+    if low.any():
+        raise ValueError(f"{label}: hessian not PSD (min eigenvalue {eigs[..., 0][low][0]:.3e})")
+    return h, lam_max
 
 
 def _half_quadratic(h: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:

@@ -2,10 +2,11 @@
 
 A step rule turns a task into an update map on parameters; a trajectory is
 the orbit of one initial point.  Because tasks are quadratic and noise enters
-additively, every step Jacobian is state-independent: a trajectory keeps the
-one step matrix and computes the cumulative Jacobian, an exact matrix
-product, on first use.  That exactness is what makes the composition and rank
-algebra checkable to near machine precision.
+additively, every step Jacobian is state-independent, and the cumulative
+Jacobian of a run is an exact product of step matrices, built beside the
+states.  One kernel steps a whole stack of runs at once; ``propagate`` is its
+one-run case.  That exactness is what makes the composition and rank algebra
+checkable to near machine precision.
 
 Every rule steps the affine map of one task (eta = step_size,
 s = noise_scale, wd = weight_decay, xi row `step` of the standard normal
@@ -27,7 +28,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -88,21 +88,29 @@ class StepRule:
             raise ValueError(f"step_size: eta * lambda_max = {growth:.4f} >= 2 (unstable)")
 
 
-def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
-    """State-independent Jacobian of one update step."""
-    eye = np.eye(task.dim)
-    return eye - rule.step_size * (task.hessian + rule.weight_decay * eye)
+def _affine_step(hessian, minimizer, step_size, weight_decay) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` of the step before noise for a Hessian ``(d, d)`` and minimizer
+    ``(d,)``, or stacks of them with a step size and weight decay per member."""
+    eye = np.eye(hessian.shape[-1])
+    eta = np.asarray(step_size)[..., None, None]
+    a = eye - eta * (hessian + np.asarray(weight_decay)[..., None, None] * eye)
+    return a, ((eta * hessian) @ minimizer[..., None])[..., 0]
 
 
 def step_map(task: QuadraticTask, rule: StepRule) -> tuple[np.ndarray, np.ndarray]:
     """``(A, b)`` of the affine step ``theta' = A theta + b`` before noise."""
-    return step_jacobian(task, rule), rule.step_size * task.hessian @ task.minimizer
+    return _affine_step(task.hessian, task.minimizer, rule.step_size, rule.weight_decay)
+
+
+def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
+    """State-independent Jacobian of one update step."""
+    return step_map(task, rule)[0]
 
 
 @dataclass(frozen=True)
 class Trajectory:
     states: np.ndarray  # (n_steps + 1, dim)
-    step_matrix: np.ndarray | None = field(default=None, repr=False)  # of a propagated segment
+    cumulative_jacobian: np.ndarray = field(repr=False)
     parts: tuple = field(default=(), repr=False)  # (first, second) of a composed trajectory
 
     @property
@@ -117,15 +125,56 @@ class Trajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    @cached_property
-    def cumulative_jacobian(self) -> np.ndarray:
-        if self.parts:
-            first, second = self.parts
-            return second.cumulative_jacobian @ first.cumulative_jacobian
-        cumulative = np.eye(self.dim)
-        for _ in range(self.n_steps):
-            cumulative = self.step_matrix @ cumulative
-        return cumulative
+
+def _propagate_stack(
+    theta0, hessians, minimizers, rules, n_steps, omega_seed, realizations, step_offsets, label,
+    *, final_only=False,
+):
+    """Step member i, ``rules[i]`` on the task ``(hessians[i], minimizers[i])``
+    from ``theta0[i]``, for ``n_steps[i]`` steps, the whole stack at once; a
+    noisy member's step k reads row ``step_offsets[i] + k`` of its own
+    ``(omega_seed, realizations[i])`` sequence.  Returns the states ``(m,
+    max(n_steps) + 1, d)``, zero after each member's last (with ``final_only``
+    only the last, ``(m, d)``), and each member's cumulative Jacobian, the
+    left products ``A @ (... @ (A @ I))``; every product is the one a run of
+    that member alone makes, bit for bit."""
+    lengths = np.asarray(n_steps)
+    m, d = theta0.shape
+    n_max = int(lengths.max(initial=0))
+    # longest first, so the members still stepping at step k are a prefix
+    order = np.argsort(-lengths, kind="stable")
+    rules = [rules[i] for i in order]
+    a, b = _affine_step(
+        hessians[order], minimizers[order], [r.step_size for r in rules], [r.weight_decay for r in rules]
+    )
+    noisy = np.array([rule.uses_noise() for rule in rules])
+    noise = np.zeros((m, n_max, d)) if noisy.any() else None
+    for j in np.flatnonzero(noisy):
+        i = order[j]
+        rows = rng.normal_rows(
+            omega_seed, rng.STREAM_STEP_NOISE, realizations[i], step_offsets[i], lengths[i], d
+        )
+        noise[j, : lengths[i]] = rules[j].noise_gain() * rows
+    states = np.zeros((m, 1 if final_only else n_max + 1, d))
+    states[:, 0] = theta0
+    x = theta0[order]
+    jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+    for k, na in enumerate(np.count_nonzero(lengths[:, None] > np.arange(n_max), axis=0).tolist()):
+        x = (a[:na] @ x[:na, :, None])[:, :, 0] + b[:na]
+        if noise is not None:
+            np.add(x, noise[:na, k], out=x, where=noisy[:na, None])
+        # each member's dot product, as np.linalg.norm computes it; written
+        # so that a NaN norm fails too: nothing else checks the states
+        bad = ~(np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0]) <= DIVERGENCE_LIMIT)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DivergenceError(
+                f"propagate: |theta| = {math.sqrt(x[j].dot(x[j])):.3e} exceeded "
+                f"{DIVERGENCE_LIMIT:.1e} at step {step_offsets[order[j]] + k} (task {label!r})"
+            )
+        states[order[:na], 0 if final_only else k + 1] = x
+        jac[:na] = a[:na] @ jac[:na]
+    return (states[:, 0] if final_only else states), jac[np.argsort(order)]
 
 
 def propagate(
@@ -147,30 +196,12 @@ def propagate(
     """
     if n_steps < 0:
         raise ValueError(f"propagate: n_steps must be >= 0, got {n_steps}")
-    d = task.dim
-    states = np.empty((n_steps + 1, d))
-    states[0] = as_vector(theta0, dim=d, name="theta0")
-    a, b = step_map(task, rule)
-    noise = (
-        rule.noise_gain()
-        * rng.normal_rows(omega_seed, rng.STREAM_STEP_NOISE, realization, step_offset, n_steps, d)
-        if rule.uses_noise()
-        else None
+    theta0 = as_vector(theta0, dim=task.dim, name="theta0")
+    states, jac = _propagate_stack(
+        theta0[None], task.hessian[None], task.minimizer[None], [rule], [n_steps], omega_seed,
+        [realization], [step_offset], task.label,
     )
-    for k in range(n_steps):
-        nxt = a @ states[k] + b
-        if noise is not None:
-            nxt += noise[k]
-        # np.linalg.norm's own formula, without its per-call dispatch
-        norm = math.sqrt(nxt.dot(nxt))
-        # written so that a NaN norm fails it too: nothing else checks the states
-        if not norm <= DIVERGENCE_LIMIT:
-            raise DivergenceError(
-                f"propagate: |theta| = {norm:.3e} exceeded {DIVERGENCE_LIMIT:.1e} "
-                f"at step {step_offset + k} (task {task.label!r})"
-            )
-        states[k + 1] = nxt
-    return Trajectory(states=states, step_matrix=a)
+    return Trajectory(states=states[0], cumulative_jacobian=jac[0])
 
 
 def compose(first: Trajectory, second: Trajectory) -> Trajectory:
@@ -184,4 +215,5 @@ def compose(first: Trajectory, second: Trajectory) -> Trajectory:
     if not np.array_equal(first.states[-1], second.states[0]):
         raise ValueError("compose: second segment does not start at first segment's endpoint")
     states = np.concatenate([first.states, second.states[1:]], axis=0)
-    return Trajectory(states=states, parts=(first, second))
+    jac = second.cumulative_jacobian @ first.cumulative_jacobian
+    return Trajectory(states=states, cumulative_jacobian=jac, parts=(first, second))

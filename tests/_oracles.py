@@ -7,8 +7,8 @@ The ``per_*`` functions are the other kind of reference: the stacked
 spectral layer and the Gaussian path functions redone one matrix, one seed
 or one state at a time, with 1-D vector products, which the stacked calls
 must match bit for bit; the ``per_trial_*`` functions are
-composition-check's draws and ledgers redone one trial at a time, which
-its stacked blocks must match bit for bit.  ``full_length_stage1`` and
+composition-check's draws, rows and ledgers redone one trial at a time,
+which its stacked blocks must match bit for bit.  ``full_length_stage1`` and
 ``full_length_escape`` are a sweep cell's phase-2 loops without early
 exits: every stage-1 update up to the limit, and one escape ``propagate``
 over the whole limit, scanned afterwards.  Three builders supply test
@@ -125,6 +125,36 @@ def per_trial_controlled_task(dim: int, seed: int, trial: int) -> tuple[np.ndarr
     return (h + h.T) / 2.0, gen.standard_normal(dim)
 
 
+def per_trial_composition_row(dim: int, seed: int, trial: int) -> list:
+    """One composition-check row: the trial's run split in three, each part
+    its own ``propagate``, recomposed both ways with ``compose`` and compared
+    with the unsplit run."""
+    from reconcap.scenarios import _COMPOSITION_RULES
+    from reconcap.tasks import QuadraticTask
+    from reconcap.transport import compose
+
+    h, theta_star = per_trial_controlled_task(dim, seed, trial)
+    task = QuadraticTask(dim=dim, hessian=h, minimizer=theta_star)
+    rule = _COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)]
+    gen = rng.stream(seed, rng.STREAM_TASK, trial, 1)
+    lens = [int(x) for x in gen.integers(1, 6, size=3)]
+    theta0 = gen.standard_normal(dim)
+    full = propagate(theta0, task, rule, sum(lens), seed, realization=trial)
+    t1 = propagate(theta0, task, rule, lens[0], seed, realization=trial)
+    t2 = propagate(t1.final, task, rule, lens[1], seed, realization=trial, step_offset=lens[0])
+    t3 = propagate(
+        t2.final, task, rule, lens[2], seed, realization=trial, step_offset=lens[0] + lens[1]
+    )
+    left = compose(compose(t1, t2), t3)
+    right = compose(t1, compose(t2, t3))
+    gaps = [
+        left.cumulative_jacobian - full.cumulative_jacobian,
+        right.cumulative_jacobian - full.cumulative_jacobian,
+        left.states - full.states,
+    ]
+    return [trial, *lens, rule.kind.value, float(np.max(np.abs(np.concatenate(gaps))))]
+
+
 def per_trial_product_spectra(seed: int, trial: int, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
     """Singular values of one submultiplicativity trial's product of two
     factors with spectra ``s_a`` and ``s_b``, one QR per rotation."""
@@ -202,7 +232,7 @@ def per_state_entropy_production(mean, cov, task, rule) -> float:
 
 
 def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):
-    """``scenarios._descend_survivors`` without its fixed-point exit."""
+    """``scenarios._descend_survivors`` without its exit on a repeated iterate."""
     h_b, target = task_b.hessian, task_b.minimizer
     y = np.zeros(survivors.shape[1])
     for n_updates in range(limit + 1):

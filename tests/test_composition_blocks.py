@@ -10,7 +10,12 @@ from reconcap import scenarios
 from reconcap.config import ExperimentConfig, default_config
 from reconcap.scenarios import run_scenario
 
-from _oracles import per_trial_controlled_task, per_trial_monotonicity, per_trial_product_spectra
+from _oracles import (
+    per_trial_composition_row,
+    per_trial_controlled_task,
+    per_trial_monotonicity,
+    per_trial_product_spectra,
+)
 
 SEED = 2024
 DIM = 16
@@ -45,12 +50,21 @@ def test_default_run_is_byte_stable(default_run):
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_controlled_tasks_match_per_trial_draws(n):
     trials = range(5, 5 + n)
-    tasks = scenarios._controlled_tasks(DIM, SEED, trials)
-    assert len(tasks) == n
-    for trial, task in zip(trials, tasks):
+    hessians, minimizers = scenarios._controlled_tasks(DIM, SEED, trials)
+    assert len(hessians) == len(minimizers) == n
+    for trial, h, m in zip(trials, hessians, minimizers):
         hessian, minimizer = per_trial_controlled_task(DIM, SEED, trial)
-        assert np.array_equal(task.hessian, hessian)
-        assert np.array_equal(task.minimizer, minimizer)
+        assert np.array_equal(h, hessian)
+        assert np.array_equal(m, minimizer)
+
+
+def test_composition_rows_match_per_trial_propagate_and_compose():
+    # a block of every rule kind and split, stepped as four stacked runs
+    trials = range(3, 3 + BLOCK)
+    rows = scenarios._composition_rows(DIM, SEED, trials)
+    assert len(rows) == BLOCK
+    for trial, row in zip(trials, rows):
+        assert repr(row) == repr(per_trial_composition_row(DIM, SEED, trial))
 
 
 def test_product_spectra_match_per_trial_loop():

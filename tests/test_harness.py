@@ -289,13 +289,15 @@ def test_composition_summary_keeps_a_nan(tmp_path, monkeypatch):
     # trial 0's direct run comes back NaN; max() would drop its error
     calls = []
 
-    def first_is_nan(*args, **kwargs):
-        traj = propagate(*args, **kwargs)
+    def first_is_nan(*args):
+        states, jacobians = propagate_stack(*args)
+        if not calls:
+            states[0] = np.nan
         calls.append(None)
-        return dataclasses.replace(traj, states=traj.states * np.nan) if len(calls) == 1 else traj
+        return states, jacobians
 
-    propagate = scenarios.propagate
-    monkeypatch.setattr(scenarios, "propagate", first_is_nan)
+    propagate_stack = scenarios._propagate_stack
+    monkeypatch.setattr(scenarios, "_propagate_stack", first_is_nan)
     cfg = ExperimentConfig(scenario="composition-check", n_trials=4)
     cfg.validate()
     summary = run_scenario(cfg, out_dir=tmp_path)
@@ -342,21 +344,21 @@ def test_threshold_sweep_reduced(tmp_path):
 
 
 def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
-    # propagate takes the 200 phase-1 steps of each cell and nothing else;
-    # each escape steps the map itself, exactly its phase2_steps times
+    # one stacked propagation takes the 200 phase-1 steps of each cell and
+    # nothing else; each escape steps the map itself, exactly its
+    # phase2_steps times
     cfg = ExperimentConfig(
         scenario="threshold-sweep",
         sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
     )
     cfg.validate()
-    steps = escape_steps = 0
-    propagate, escape = scenarios.propagate, scenarios._escape
+    stacks = []
+    escape_steps = 0
+    propagate_stack, escape = scenarios._propagate_stack, scenarios._escape
 
-    def counting_propagate(*args, **kwargs):
-        nonlocal steps
-        traj = propagate(*args, **kwargs)
-        steps += traj.n_steps
-        return traj
+    def counting_stack(*args, **kwargs):
+        stacks.append(list(args[4]))
+        return propagate_stack(*args, **kwargs)
 
     def counting_escape(*args):
         nonlocal escape_steps
@@ -364,13 +366,13 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
         escape_steps += result[0]
         return result
 
-    monkeypatch.setattr(scenarios, "propagate", counting_propagate)
+    monkeypatch.setattr(scenarios, "_propagate_stack", counting_stack)
     monkeypatch.setattr(scenarios, "_escape", counting_escape)
     run_scenario(cfg, out_dir=tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     column = lines[0].split(",").index("phase2_steps")
     phase2_steps = [int(line.split(",")[column]) for line in lines[1:]]
-    assert steps == 9 * 200
+    assert stacks == [[200] * 9]
     assert escape_steps == sum(phase2_steps) == 69
 
 
@@ -419,62 +421,98 @@ def test_default_closed_form_scenario_is_byte_stable(scenario, tmp_path):
     assert digests == expected
 
 
-def test_seeded_runs_are_byte_stable(tmp_path, monkeypatch, capsys):
-    # the seed-7 and seed-21 lines of tools/data_digests.py, against the copy
-    # checked in beside this file; any change to them has to update it
+SEEDED_DIGESTS = Path(__file__).parent / "seeded_digests.txt"
+
+
+def _data_digests_tool():
     spec = importlib.util.spec_from_file_location(
         "data_digests", Path(__file__).resolve().parents[1] / "tools" / "data_digests.py"
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_seeded_runs_are_byte_stable(tmp_path, monkeypatch, capsys):
+    # the seed-7 and seed-21 lines of tools/data_digests.py, against the copy
+    # checked in beside this file; any change to them has to update it
+    tool = _data_digests_tool()
     monkeypatch.setattr(tool, "SEEDS", (7, 21))
     tool.main([str(tmp_path)])
-    expected = (Path(__file__).parent / "seeded_digests.txt").read_text()
-    assert capsys.readouterr().out == expected
+    assert capsys.readouterr().out == SEEDED_DIGESTS.read_text()
+
+
+def test_data_digests_list_only_the_files_the_run_wrote(tmp_path, monkeypatch, capsys):
+    # a stale file and a subdirectory in the output tree are neither listed nor read
+    tool = _data_digests_tool()
+    monkeypatch.setattr(tool, "SEEDS", (7,))
+    monkeypatch.setattr(tool, "SCENARIO_NAMES", ("esl-gap",))
+    out = tmp_path / "7" / "esl-gap"
+    (out / "sub").mkdir(parents=True)
+    (out / "old.csv").write_text("stale\n")
+    tool.main([str(tmp_path)])
+    expected = [line for line in SEEDED_DIGESTS.read_text().splitlines() if line.startswith("7/esl-gap/")]
+    assert len(expected) == 4
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 def test_sweep_early_exits_match_full_length_loops(monkeypatch):
-    # (cell_index, m_b_target, usable_target) of the default grid.  At the
-    # default limit of 2000: stage 1 reaches eps_b; u = 0; stage 1 stalls at
-    # a fixed point (two cells); stage 1 cycles to the limit.  Limits 5, 21
-    # and 37 cut some escapes short of the state within eps_b.
-    cells = [(10, 1, 1), (9, 1, 0), (19, 2, 1), (65, 7, 2), (79, 8, 7)]
-    base = default_config("threshold-sweep")
+    # (cell_index, m_b_target, usable_target) of the default grid, by seed.
+    # At the default limit of 2000 and the default seed: stage 1 reaches
+    # eps_b; u = 0; stage 1 stalls at a fixed point (two cells); stage 1
+    # cycles with period 2.  At seed 7 stage 1 cycles with periods 614 and
+    # 8.  Limits 5, 21 and 37 cut some escapes short of the state within eps_b.
+    cells = {
+        None: [(10, 1, 1), (9, 1, 0), (19, 2, 1), (65, 7, 2), (79, 8, 7)],
+        7: [(38, 4, 2), (66, 7, 3)],
+    }
     seen = set()
-    for limit in (5, 21, 37, 2000):
-        cfg = dataclasses.replace(
-            base, sweep=dataclasses.replace(base.sweep, phase2_step_limit=limit)
-        )
-        for cell in cells:
-            calls = 0
-            half_quadratic = scenarios._half_quadratic
+    for seed, seed_cells in cells.items():
+        base = default_config("threshold-sweep")
+        if seed is not None:
+            base = dataclasses.replace(
+                base, master_seed=seed, pair=dataclasses.replace(base.pair, rotation_seed=seed)
+            )
+        for limit in (5, 21, 37, 2000):
+            cfg = dataclasses.replace(
+                base, sweep=dataclasses.replace(base.sweep, phase2_step_limit=limit)
+            )
+            cfg.validate()
+            for cell in seed_cells:
+                calls = 0
+                half_quadratic = scenarios._half_quadratic
 
-            def counting(*args):
-                nonlocal calls
-                calls += 1
-                return half_quadratic(*args)
+                def counting(*args):
+                    nonlocal calls
+                    calls += 1
+                    return half_quadratic(*args)
 
-            with monkeypatch.context() as patch:
-                patch.setattr(scenarios, "_half_quadratic", counting)
-                row = scenarios._sweep_cell(cfg, *cell)
-            with monkeypatch.context() as patch:
-                patch.setattr(scenarios, "_descend_survivors", full_length_stage1)
-                patch.setattr(scenarios, "_escape", full_length_escape)
-                oracle = scenarios._sweep_cell(cfg, *cell)
-            assert [repr(x) for x in row] == [repr(x) for x in oracle]
+                with monkeypatch.context() as patch:
+                    patch.setattr(scenarios, "_half_quadratic", counting)
+                    row = scenarios._sweep_rows(cfg, [cell])[0]
+                with monkeypatch.context() as patch:
+                    patch.setattr(scenarios, "_descend_survivors", full_length_stage1)
+                    patch.setattr(scenarios, "_escape", full_length_escape)
+                    oracle = scenarios._sweep_rows(cfg, [cell])[0]
+                assert [repr(x) for x in row] == [repr(x) for x in oracle]
 
-            u, stage1_reached, steps, escape_reached = row[1], row[7], row[12], row[14]
-            if stage1_reached:
-                seen.add("stage 1 reached")
-                continue
-            seen.add("escape reached" if escape_reached else "escape cut")
-            # the escape scans steps + 1 states; stage 1 alone would take limit + 1
-            if u == 0:
-                seen.add("u = 0")
-            elif calls - (steps + 1) < limit + 1:
-                seen.add("stage 1 fixed point")
+                u, stage1_reached, steps, escape_reached = row[1], row[7], row[12], row[14]
+                if stage1_reached:
+                    seen.add("stage 1 reached")
+                    continue
+                seen.add("escape reached" if escape_reached else "escape cut")
+                # the escape scans steps + 1 states; stage 1 alone would take limit + 1
+                if u == 0:
+                    seen.add("u = 0")
+                elif calls - (steps + 1) < limit + 1:
+                    seen.add(f"stage 1 repeat, seed {seed}")
     assert seen == {
-        "stage 1 reached", "u = 0", "stage 1 fixed point", "escape reached", "escape cut"
+        "stage 1 reached",
+        "u = 0",
+        "stage 1 repeat, seed None",
+        "stage 1 repeat, seed 7",
+        "escape reached",
+        "escape cut",
     }
 
 
@@ -553,7 +591,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.11.0"
+    assert capsys.readouterr().out.strip() == "0.12.0"
 
 
 def test_version_matches_pyproject():
@@ -852,6 +890,28 @@ def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, command
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(default_config("esl-gap").to_dict()), encoding="utf-16")
     assert path.read_bytes()[:2] == b"\xff\xfe"
+    assert cli.main([*command, str(path)]) == 1
+    assert _single_error_line(capsys.readouterr().err, 1, "config")
+
+
+DUPLICATE_KEY_CONFIGS = {
+    "top": '{"scenario": "rank-decay", "dim": 4, "dim": 16,'
+    ' "rule": {"step_size": 0.1, "weight_decay": 0.1}}',
+    "rule": '{"scenario": "rank-decay", "dim": 16,'
+    ' "rule": {"step_size": 0.3, "step_size": 0.1, "weight_decay": 0.1}}',
+}
+
+
+@pytest.mark.parametrize("where", sorted(DUPLICATE_KEY_CONFIGS))
+@pytest.mark.parametrize("command", [["validate"], ["run", "--config"]], ids=["validate", "run"])
+def test_cli_config_with_a_duplicate_key_is_a_config_error(tmp_path, capsys, command, where):
+    text = DUPLICATE_KEY_CONFIGS[where]
+    # json.loads alone keeps the last value, and the result validates
+    ExperimentConfig.from_dict(json.loads(text))
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="duplicate key"):
+        load_config(path)
     assert cli.main([*command, str(path)]) == 1
     assert _single_error_line(capsys.readouterr().err, 1, "config")
 

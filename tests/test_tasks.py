@@ -69,6 +69,27 @@ def test_rejects_asymmetric_hessian():
         tasks.QuadraticTask(dim=2, hessian=h, minimizer=np.zeros(2))
 
 
+def test_stacked_psd_check_matches_the_task_check():
+    # one member of the stack is indefinite beyond the tolerance, one within it
+    h = np.array([make_random_task(seed).hessian for seed in range(4)])
+    h[3] -= (np.linalg.eigvalsh(h[3])[0] + 1e-9) * np.eye(5)
+    assert -1e-8 < np.linalg.eigvalsh(h[3])[0] < 0.0
+    sym, lam_max = tasks.require_psd(h, stacked=True)
+    for member, top in zip(sym, lam_max):
+        task = tasks.QuadraticTask(dim=5, hessian=member, minimizer=np.zeros(5))
+        assert np.array_equal(task.hessian, member)
+        assert task.lam_max == top
+    h[2] = np.diag([1.0, -0.5, 2.0, 1.0, 1.0])
+    with pytest.raises(ValueError) as stacked:
+        tasks.require_psd(h, stacked=True)
+    with pytest.raises(ValueError) as alone:
+        tasks.QuadraticTask(dim=5, hessian=h[2], minimizer=np.zeros(5))
+    assert str(stacked.value) == str(alone.value) == "task: hessian not PSD (min eigenvalue -5.000e-01)"
+    h[2, 0, 1] += 0.5
+    with pytest.raises(ValueError, match="task hessian: asymmetry"):
+        tasks.require_psd(h, stacked=True)
+
+
 def test_random_rotation_orthogonal_and_seeded():
     r1, r2, r3 = tasks.random_rotations(8, [5, 5, 6])
     assert np.array_equal(r1, r2)

@@ -3,7 +3,7 @@ import pickle
 import numpy as np
 import pytest
 
-from reconcap import tasks, transport
+from reconcap import rng, tasks, transport
 
 from _oracles import singulars_via_gram
 
@@ -201,7 +201,6 @@ def test_propagate_matches_public_step_bitwise(rule):
         theta = docstring_update(theta, task, rule, xi)
         expected.append(theta)
     assert np.array_equal(traj.states, np.array(expected))
-    assert np.array_equal(traj.step_matrix, transport.step_jacobian(task, rule))
 
 
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
@@ -275,3 +274,86 @@ def test_split_across_a_noise_chunk_composes_bitwise(rule):
         head.final, task, rule, 350, omega_seed=8, realization=1, step_offset=250
     )
     assert np.array_equal(replay.states, tail.states)
+
+
+ALL_RULES = (transport.StepRule(kind="gradient_descent", step_size=0.05),) + BITWISE_RULES
+
+
+def propagate_stack(members, omega_seed, label="task"):
+    """The stacked kernel over members ``(task, rule, theta0, n_steps,
+    realization, step_offset)``."""
+    tasks_, rules, starts, lengths, realizations, offsets = zip(*members)
+    return transport._propagate_stack(
+        np.array(starts),
+        np.array([task.hessian for task in tasks_]),
+        np.array([task.minimizer for task in tasks_]),
+        rules,
+        lengths,
+        omega_seed,
+        realizations,
+        offsets,
+        label,
+    )
+
+
+def assert_members_match_propagate(members, omega_seed):
+    states, jacobians = propagate_stack(members, omega_seed)
+    assert states.shape == (len(members), max(m[3] for m in members) + 1, members[0][0].dim)
+    for i, (task, rule, theta0, n, realization, offset) in enumerate(members):
+        traj = transport.propagate(
+            theta0, task, rule, n, omega_seed, realization=realization, step_offset=offset
+        )
+        assert np.array_equal(states[i, : n + 1], traj.states), i
+        assert not states[i, n + 1 :].any(), i
+        assert np.array_equal(jacobians[i], traj.cumulative_jacobian), i
+
+
+def test_stacked_kernel_matches_per_member_propagate_for_every_rule_kind():
+    # two members of each kind, on distinct tasks, starts and noise sequences
+    members = [
+        (random_task(30 + i), rule, np.full(6, 0.5 * i), 17, i, 3)
+        for i, rule in enumerate(ALL_RULES + ALL_RULES)
+    ]
+    assert_members_match_propagate(members, omega_seed=21)
+
+
+def test_stacked_kernel_with_mixed_lengths_and_a_zero_step_member():
+    lengths = [5, 0, 12, 1, 12, 7, 3, 9]
+    members = [
+        (random_task(40 + i), ALL_RULES[i % 4], np.ones(6), n, i, 0)
+        for i, n in enumerate(lengths)
+    ]
+    assert_members_match_propagate(members, omega_seed=2)
+    # a stack of zero-step members returns each start and the identity
+    states, jacobians = propagate_stack([members[1]] * 2, omega_seed=2)
+    assert np.array_equal(states, np.ones((2, 1, 6)))
+    assert np.array_equal(jacobians, np.broadcast_to(np.eye(6), (2, 6, 6)))
+
+
+def test_stacked_kernel_offsets_across_a_noise_chunk():
+    # member 0 reads rows 250..269, across the chunk boundary at CHUNK_STEPS
+    assert 250 < rng.CHUNK_STEPS < 270
+    members = [
+        (random_task(50), ALL_RULES[3], np.ones(6), 20, 1, 250),
+        (random_task(51), ALL_RULES[2], np.ones(6), 6, 1, rng.CHUNK_STEPS - 1),
+        (random_task(52), ALL_RULES[3], np.ones(6), 4, 1, 0),
+    ]
+    assert_members_match_propagate(members, omega_seed=8)
+
+
+def test_stacked_kernel_names_the_diverging_member():
+    runaway = tasks.QuadraticTask(
+        dim=6, hessian=random_task(14).hessian, minimizer=np.zeros(6), label="runaway"
+    )
+    fast = transport.StepRule(kind="gradient_descent", step_size=50.0)
+    members = [
+        (random_task(60), ALL_RULES[3], np.ones(6), 400, 0, 0),
+        (runaway, fast, np.ones(6), 400, 1, 11),
+        (random_task(61), ALL_RULES[0], np.ones(6), 30, 2, 0),
+    ]
+    with pytest.raises(transport.DivergenceError) as alone:
+        transport.propagate(np.ones(6), runaway, fast, 400, 0, realization=1, step_offset=11)
+    assert "(task 'runaway')" in str(alone.value)
+    with pytest.raises(transport.DivergenceError) as stacked:
+        propagate_stack(members, omega_seed=0, label="runaway")
+    assert str(stacked.value) == str(alone.value)
