@@ -285,13 +285,12 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     contraction = 1.0 - eta * sweep.collapse_strength
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
     realizations = [cell[0] for cell in cells]
-    theta0 = np.array(
-        [rng.normal_rows(cfg.master_seed, rng.STREAM_INIT, i, 0, 1, d)[0] for i in realizations]
-    )
+    n = len(cells)
+    theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)
+    theta0 = theta0[:, 0]
     label = "anchored-first-task"
     h, _ = require_psd(anchored, stacked=True, label=label)
     minimizers = np.array([pair.task_a.minimizer for pair in pairs])
-    n = len(cells)
     finals, jacobians = _propagate_stack(
         theta0, h, minimizers, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n, label,
         final_only=True,
@@ -457,12 +456,11 @@ def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarr
     minimizer, drawn from the trial's own task stream, under the trial's
     seeded rotation; the rotations come from one stacked draw and the
     Hessians are checked in one stacked pass."""
-    spectra = np.empty((len(trials), dim))
-    minimizers = np.empty((len(trials), dim))
-    for i, trial in enumerate(trials):
-        gen = rng.stream(seed, rng.STREAM_TASK, trial)
-        spectra[i] = gen.uniform(0.2, 1.8, size=dim)
-        minimizers[i] = gen.standard_normal(dim)
+    draws = rng.draw_each(
+        [(seed, rng.STREAM_TASK, trial) for trial in trials],
+        lambda gen: (gen.uniform(0.2, 1.8, size=dim), gen.standard_normal(dim)),
+    )
+    spectra, minimizers = map(np.array, zip(*draws))
     rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
     h, _ = require_psd(_eigen_rebuild(rots, spectra), stacked=True)
     return h, minimizers
@@ -484,12 +482,11 @@ def _composition_rows(d: int, seed: int, trials) -> list:
     n = len(trials)
     h, minimizers = _controlled_tasks(d, seed, trials)
     rules = [_COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)] for trial in trials]
-    lens = np.empty((n, 3), dtype=np.int64)
-    theta0 = np.empty((n, d))
-    for i, trial in enumerate(trials):
-        gen = rng.stream(seed, rng.STREAM_TASK, trial, 1)
-        lens[i] = gen.integers(1, 6, size=3)
-        theta0[i] = gen.standard_normal(d)
+    draws = rng.draw_each(
+        [(seed, rng.STREAM_TASK, trial, 1) for trial in trials],
+        lambda gen: (gen.integers(1, 6, size=3), gen.standard_normal(d)),
+    )
+    lens, theta0 = map(np.array, zip(*draws))
 
     def run(start, n_steps, offsets):
         return _propagate_stack(start, h, minimizers, rules, n_steps, seed, trials, offsets, "task")
@@ -539,9 +536,7 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
     random factors are bounded by those of the factors."""
     # every trial's dimension and factor spectra first, in trial order;
     # then the products, a chunk of equal-dimension trials at a time
-    by_dim = {}
-    for trial in range(n_trials):
-        gen = rng.stream(seed, rng.STREAM_TASK, trial, 2)
+    def draw(gen):
         d_t = int(gen.integers(2, 33))
         # spectra separated from zero so numerical rank counting is unambiguous
         spectra = []
@@ -549,6 +544,11 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
             s = gen.uniform(0.5, 2.0, size=d_t)
             s[gen.random(d_t) < 0.3] = 0.0
             spectra.append(s)
+        return d_t, spectra
+
+    by_dim = {}
+    paths = [(seed, rng.STREAM_TASK, trial, 2) for trial in range(n_trials)]
+    for trial, (d_t, spectra) in enumerate(rng.draw_each(paths, draw)):
         by_dim.setdefault(d_t, []).append((trial, *spectra))
 
     rows = []
@@ -585,9 +585,8 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     # matches its per-trial matrix-vector or dot product bit for bit
     shift = shift[:, :, None]
     minimizers = minimizers[:, :, None]
-    theta = np.array(
-        [rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(d) for trial in trials]
-    )[:, :, None]
+    paths = [(seed, rng.STREAM_TASK, trial, 3) for trial in trials]
+    theta = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))[:, :, None]
     half_wd = 0.5 * np.array(wds)[:, None, None]
     power = np.broadcast_to(np.eye(d), a_mats.shape)
     ranks, vals = [], []

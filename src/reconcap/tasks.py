@@ -76,11 +76,10 @@ def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
 def random_rotations(dim: int, seeds) -> np.ndarray:
     """Haar-ish orthogonal matrices ``(len(seeds), dim, dim)`` from one
     stacked QR with sign-fixed diagonals; rotation i is drawn from its own
-    stream ``(seeds[i], STREAM_TASK)`` straight into one preallocated stack."""
-    g = np.empty((len(seeds), dim, dim))
-    for out, seed in zip(g, seeds):
-        rng.stream(seed, rng.STREAM_TASK).standard_normal(out=out)
-    q, r = np.linalg.qr(g)
+    stream ``(seeds[i], STREAM_TASK)``, all keyed in one ``draw_each`` call."""
+    paths = [(seed, rng.STREAM_TASK) for seed in seeds]
+    g = rng.draw_each(paths, lambda gen: gen.standard_normal((dim, dim)))
+    q, r = np.linalg.qr(np.array(g))
     # Fix signs so the factorization (and hence the rotation) is unique.
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0

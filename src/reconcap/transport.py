@@ -148,13 +148,16 @@ def _propagate_stack(
         hessians[order], minimizers[order], [r.step_size for r in rules], [r.weight_decay for r in rules]
     )
     noisy = np.array([rule.uses_noise() for rule in rules])
-    noise = np.zeros((m, n_max, d)) if noisy.any() else None
-    for j in np.flatnonzero(noisy):
-        i = order[j]
-        rows = rng.normal_rows(
-            omega_seed, rng.STREAM_STEP_NOISE, realizations[i], step_offsets[i], lengths[i], d
+    noise = None
+    if noisy.any():
+        members = order[noisy]
+        rows = rng.normal_rows_each(
+            omega_seed, rng.STREAM_STEP_NOISE, [realizations[i] for i in members],
+            [step_offsets[i] for i in members], lengths[members], d,
         )
-        noise[j, : lengths[i]] = rules[j].noise_gain() * rows
+        gains = np.array([rule.noise_gain() for rule in rules if rule.uses_noise()])
+        noise = np.zeros((m, n_max, d))
+        noise[noisy, : rows.shape[1]] = gains[:, None, None] * rows
     states = np.zeros((m, 1 if final_only else n_max + 1, d))
     states[:, 0] = theta0
     x = theta0[order]

@@ -18,6 +18,9 @@ from _oracles import (
 )
 
 SEED = 2024
+# the largest master seed: every rotation seed past it (seed + 7919 * trial +
+# 1, seed + 104729 * trial + 11 + k) is 2**32 or more, a two-word key path
+WIDE_SEED = 2**32 - 1
 DIM = 16
 # trials per block of controlled tasks at DIM
 BLOCK = scenarios._BLOCK_FLOATS // (DIM * DIM)
@@ -86,6 +89,24 @@ def test_monotonicity_ledgers_match_per_trial_loop():
         per_ranks, per_vals = per_trial_monotonicity(DIM, SEED, trial)
         assert np.array_equal(ranks[:, i], per_ranks)
         assert np.array_equal(vals[:, i], per_vals)
+
+
+def test_blocks_match_per_trial_oracles_at_the_largest_seed():
+    trials = range(3, 3 + BLOCK)
+    hessians, minimizers = scenarios._controlled_tasks(DIM, WIDE_SEED, trials)
+    rows = scenarios._composition_rows(DIM, WIDE_SEED, trials)
+    for i, trial in enumerate(trials):
+        hessian, minimizer = per_trial_controlled_task(DIM, WIDE_SEED, trial)
+        assert np.array_equal(hessians[i], hessian)
+        assert np.array_equal(minimizers[i], minimizer)
+        assert repr(rows[i]) == repr(per_trial_composition_row(DIM, WIDE_SEED, trial))
+    gen = np.random.default_rng(5)
+    for d_t in (2, 9, 32):
+        s_a, s_b = gen.uniform(0.5, 2.0, size=(2, BLOCK, d_t))
+        stacked = scenarios._product_spectra(WIDE_SEED, trials, s_a, s_b)
+        for i, trial in enumerate(trials):
+            expected = per_trial_product_spectra(WIDE_SEED, trial, s_a[i], s_b[i])
+            assert np.array_equal(stacked[i], expected), (d_t, trial)
 
 
 def test_single_trial_run_is_the_first_row_of_the_default(default_run, tmp_path):
