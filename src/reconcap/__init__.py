@@ -5,7 +5,7 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .capacity import (
     CapacityReport,
@@ -33,7 +33,6 @@ from .config import (
 from .gaussian import COVARIANCE_FLOOR, GaussianState, clamped_state
 from .rng import (
     STREAM_INIT,
-    STREAM_ORACLE,
     STREAM_PROBE,
     STREAM_STEP_NOISE,
     STREAM_TASK,
@@ -68,8 +67,6 @@ from .transport import (
     DivergenceError,
     StepKind,
     StepRule,
-    Trajectory,
-    compose,
     propagate,
     step_jacobian,
 )
@@ -91,7 +88,6 @@ __all__ = [
     "StepKind",
     "StepRule",
     "STREAM_INIT",
-    "STREAM_ORACLE",
     "STREAM_PROBE",
     "STREAM_STEP_NOISE",
     "STREAM_TASK",
@@ -100,11 +96,9 @@ __all__ = [
     "TaskPair",
     "ThermoConfig",
     "ThresholdConfig",
-    "Trajectory",
     "clamped_state",
     "default_config",
     "compatible_effective_rank",
-    "compose",
     "effective_rank",
     "entropy",
     "entropy_production_step",

@@ -22,7 +22,6 @@ STREAM_STEP_NOISE = 0
 STREAM_INIT = 1
 STREAM_TASK = 2
 STREAM_PROBE = 3
-STREAM_ORACLE = 4
 
 # Steps per noise chunk; recorded in every run's seed ledger.
 CHUNK_STEPS = 256
@@ -138,9 +137,3 @@ def normal_rows_each(master_seed: int, tag: int, realizations, starts, counts, d
     for (i, at, lo, hi), block in zip(spans, blocks):
         out[i, at : at + hi - lo] = block[lo:]
     return out
-
-
-def normal_rows(master_seed: int, tag: int, realization: int, start: int, n: int, dim: int) -> np.ndarray:
-    """Rows ``start .. start + n - 1`` of one (stream, realization) sequence,
-    ``(n, dim)``: the one-member case of ``normal_rows_each``."""
-    return normal_rows_each(master_seed, tag, [realization], [start], [n], dim)[0]

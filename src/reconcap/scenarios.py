@@ -24,7 +24,7 @@ from .config import (
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
 from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations, require_psd
-from .transport import StepRule, _affine_step, _propagate_stack, step_jacobian, step_map
+from .transport import StepRule, _affine_step, propagate, step_jacobian, step_map
 
 
 class CheckError(RuntimeError):
@@ -239,9 +239,10 @@ def _escape(theta, task_b, rule, limit, eps_b):
     """Stage 2: unconstrained descent on task B from theta, up to the first
     state within eps_b or ``limit`` steps.  Returns (steps, state, reached).
 
-    Each step is ``step_map``'s A @ theta + b, the update ``propagate``
-    makes.  The rule is plain gradient descent, so no noise is drawn, and
-    the validated stability bound keeps the map from diverging.
+    Each step is ``step_map``'s A @ theta + b, bit for bit the step
+    ``propagate`` makes of a one-member stack.  The rule is plain gradient
+    descent, so no noise is drawn, and the validated stability bound keeps
+    the map from diverging.
     """
     a, b = step_map(task_b, rule)
     steps, state = 0, theta
@@ -291,7 +292,7 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     label = "anchored-first-task"
     h, _ = require_psd(anchored, stacked=True, label=label)
     minimizers = np.array([pair.task_a.minimizer for pair in pairs])
-    finals, jacobians = _propagate_stack(
+    finals, jacobians = propagate(
         theta0, h, minimizers, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n, label,
         final_only=True,
     )
@@ -489,7 +490,7 @@ def _composition_rows(d: int, seed: int, trials) -> list:
     lens, theta0 = map(np.array, zip(*draws))
 
     def run(start, n_steps, offsets):
-        return _propagate_stack(start, h, minimizers, rules, n_steps, seed, trials, offsets, "task")
+        return propagate(start, h, minimizers, rules, n_steps, seed, trials, offsets, "task")
 
     ends = np.cumsum(lens, axis=1)
     starts = ends - lens
@@ -508,7 +509,7 @@ def _composition_rows(d: int, seed: int, trials) -> list:
         worst = np.maximum(worst, np.max(gap, axis=(1, 2)))
         start = seg[members, n_steps]
     j1, j2, j3 = jacs
-    # the associations compose() makes of ((t1, t2), t3) and (t1, (t2, t3))
+    # the run's Jacobian as both associations of J3 J2 J1: J3 (J2 J1) and (J3 J2) J1
     for composed in (j3 @ (j2 @ j1), (j3 @ j2) @ j1):
         worst = np.maximum(worst, np.max(np.abs(composed - full_jac), axis=(1, 2)))
     return [
@@ -666,6 +667,27 @@ def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
 # proxy-probe: gradient-spread proxy tracked against the usable count
 
 
+def _average_ranks(x) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    values = np.asarray(x, dtype=float)[order]
+    starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
+def _spearman(a, b) -> float:
+    """Spearman's rank correlation of two finite series, as
+    ``scipy.stats.spearmanr`` computes it bit for bit: Pearson's r of the
+    average ranks, from ``np.corrcoef`` over the two rank columns.  NaN when
+    either series is constant."""
+    ranks = np.column_stack([_average_ranks(a), _average_ranks(b)])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
     pair, a_mat, powers = _decay_ledger(cfg)
     task_a = pair.task_a
@@ -703,14 +725,6 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
 
     write_csv(out / "proxy.csv", ["step", "pr", "usable", "surviving_normals"], rows)
 
-    if len(set(usable_series)) > 1:
-        # imported here: scipy.stats is most of `import reconcap`'s time
-        from scipy import stats
-
-        spearman = float(stats.spearmanr(pr_series, usable_series).statistic)
-    else:
-        spearman = float("nan")
-
     # calibration: an isotropic task should spread the probe over all of
     # parameter space, so the ratio to dim checks the estimator's scale
     iso_gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 2)
@@ -719,7 +733,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
 
     summary = {
         "n_checkpoints": len(rows),
-        "spearman_pr_vs_usable": spearman,
+        "spearman_pr_vs_usable": _spearman(pr_series, usable_series),
         "pr_first": pr_series[0],
         "pr_last": pr_series[-1],
         "usable_first": usable_series[0],

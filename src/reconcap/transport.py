@@ -4,8 +4,11 @@ A step rule turns a task into an update map on parameters; a trajectory is
 the orbit of one initial point.  Because tasks are quadratic and noise enters
 additively, every step Jacobian is state-independent, and the cumulative
 Jacobian of a run is an exact product of step matrices, built beside the
-states.  One kernel steps a whole stack of runs at once; ``propagate`` is its
-one-run case.  That exactness is what makes the composition and rank algebra
+states.  ``propagate`` steps a whole stack of runs at once, a single run
+being a stack of one.  A run split at step k and resumed with step offset k
+replays the same noise, so it visits the unsplit run's states, and the
+product J2 @ J1 of its segments' Jacobians equals the unsplit run's up to
+roundoff.  That exactness is what makes the composition and rank algebra
 checkable to near machine precision.
 
 Every rule steps the affine map of one task (eta = step_size,
@@ -27,12 +30,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
-from .spectral import as_vector
 from .tasks import QuadraticTask
 
 # Trajectories whose parameter norm passes this limit are treated as diverged.
@@ -107,26 +109,7 @@ def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
     return step_map(task, rule)[0]
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (n_steps + 1, dim)
-    cumulative_jacobian: np.ndarray = field(repr=False)
-    parts: tuple = field(default=(), repr=False)  # (first, second) of a composed trajectory
-
-    @property
-    def n_steps(self) -> int:
-        return self.states.shape[0] - 1
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
-def _propagate_stack(
+def propagate(
     theta0, hessians, minimizers, rules, n_steps, omega_seed, realizations, step_offsets, label,
     *, final_only=False,
 ):
@@ -137,8 +120,12 @@ def _propagate_stack(
     max(n_steps) + 1, d)``, zero after each member's last (with ``final_only``
     only the last, ``(m, d)``), and each member's cumulative Jacobian, the
     left products ``A @ (... @ (A @ I))``; every product is the one a run of
-    that member alone makes, bit for bit."""
+    that member alone makes, bit for bit.  A negative step count raises
+    ValueError; a member whose |theta| passes ``DIVERGENCE_LIMIT`` or turns
+    NaN raises DivergenceError, naming the step and ``label``."""
     lengths = np.asarray(n_steps)
+    if (lengths < 0).any():
+        raise ValueError(f"propagate: n_steps must be >= 0, got {int(lengths.min())}")
     m, d = theta0.shape
     n_max = int(lengths.max(initial=0))
     # longest first, so the members still stepping at step k are a prefix
@@ -178,45 +165,3 @@ def _propagate_stack(
         states[order[:na], 0 if final_only else k + 1] = x
         jac[:na] = a[:na] @ jac[:na]
     return (states[:, 0] if final_only else states), jac[np.argsort(order)]
-
-
-def propagate(
-    theta0,
-    task: QuadraticTask,
-    rule: StepRule,
-    n_steps: int,
-    omega_seed: int,
-    *,
-    realization: int = 0,
-    step_offset: int = 0,
-) -> Trajectory:
-    """Roll the step map forward, recording states.
-
-    Step k reads noise row step_offset + k of the (omega_seed, realization)
-    sequence, drawn as one block before the loop, so a trajectory split at
-    any step and resumed with the matching offset replays the same draws and
-    recomposes exactly.
-    """
-    if n_steps < 0:
-        raise ValueError(f"propagate: n_steps must be >= 0, got {n_steps}")
-    theta0 = as_vector(theta0, dim=task.dim, name="theta0")
-    states, jac = _propagate_stack(
-        theta0[None], task.hessian[None], task.minimizer[None], [rule], [n_steps], omega_seed,
-        [realization], [step_offset], task.label,
-    )
-    return Trajectory(states=states[0], cumulative_jacobian=jac[0])
-
-
-def compose(first: Trajectory, second: Trajectory) -> Trajectory:
-    """Concatenate two trajectory segments; Jacobians chain by left product.
-
-    The second segment must start bit-exactly where the first ends (replay
-    from a split guarantees this).
-    """
-    if first.dim != second.dim:
-        raise ValueError("compose: dimension mismatch")
-    if not np.array_equal(first.states[-1], second.states[0]):
-        raise ValueError("compose: second segment does not start at first segment's endpoint")
-    states = np.concatenate([first.states, second.states[1:]], axis=0)
-    jac = second.cumulative_jacobian @ first.cumulative_jacobian
-    return Trajectory(states=states, cumulative_jacobian=jac, parts=(first, second))

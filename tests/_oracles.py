@@ -4,20 +4,28 @@ Everything here recomputes a quantity by a different route than the package
 (finite differences, Monte Carlo, dense matrix powers, scipy solvers, or a
 from-scratch entropic OT solver) so agreement is evidence, not tautology.
 The ``per_*`` functions are the other kind of reference: the stacked
-spectral layer and the Gaussian path functions redone one matrix, one seed
-or one state at a time, with 1-D vector products, which the stacked calls
-must match bit for bit; the ``per_trial_*`` functions are
-composition-check's draws, rows and ledgers redone one trial at a time,
-which its stacked blocks must match bit for bit.  ``full_length_stage1`` and
-``full_length_escape`` are a sweep cell's phase-2 loops without early
-exits: every stage-1 update up to the limit, and one escape ``propagate``
-over the whole limit, scanned afterwards.  Three builders supply test
+spectral layer, the Gaussian path functions and the stacked propagation
+kernel redone one matrix, one seed, one state or one run at a time, with
+1-D vector products, which the stacked calls must match bit for bit.
+``per_run_propagation`` is the plain-loop run that every test of
+``transport.propagate`` compares against: it steps the update map as the
+``transport`` docstring states it, draws its own noise chunks and keeps
+its own Jacobian, and uses nothing from ``reconcap.transport``.  The
+``per_trial_*`` functions are composition-check's draws, rows and ledgers
+redone one trial at a time, which its stacked blocks must match bit for
+bit.  ``full_length_stage1`` and ``full_length_escape`` are a sweep cell's
+phase-2 loops without early exits: every stage-1 update up to the limit,
+and one escape run over the whole limit, scanned afterwards.
+``STREAM_ORACLE`` is the stream tag of the tests' own draws, which no run
+of the package reads.  Three builders supply test
 inputs and targets instead: ``sample_batch`` (seeded Gaussian clouds),
 ``gibbs_state`` (the stationary Langevin target) and ``jacobian_stack``
 (matrices with a rank-deficient and a collapsed member).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
@@ -26,10 +34,12 @@ from reconcap import rng
 from reconcap.gaussian import COVARIANCE_FLOOR, GaussianState, covariance_sqrt
 from reconcap.spectral import RANK_TOL_ABS, RANK_TOL_REL
 from reconcap.tasks import _half_quadratic
-from reconcap.transport import propagate
+
+# The tests' own draws: a stream tag that no run of the package reads.
+STREAM_ORACLE = 4
 
 
-def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = rng.STREAM_ORACLE) -> np.ndarray:
+def sample_batch(state: GaussianState, n: int, master_seed: int, tag: int = STREAM_ORACLE) -> np.ndarray:
     """(n, dim) draws from ``state`` on the single keyed stream (master_seed, tag)."""
     xi = rng.stream(master_seed, tag).standard_normal((n, state.dim))
     return state.mean + xi @ covariance_sqrt(state.covariance).T
@@ -125,33 +135,53 @@ def per_trial_controlled_task(dim: int, seed: int, trial: int) -> tuple[np.ndarr
     return (h + h.T) / 2.0, gen.standard_normal(dim)
 
 
+def per_run_propagation(theta0, hessian, minimizer, rule, n_steps, seed, realization=0, offset=0):
+    """One run of the update map as the ``transport`` docstring states it,
+    stepped with 1-D products: theta' = A theta + b + g xi, A = I - eta (H +
+    wd I), b = eta H theta*, g = eta s (noisy_gradient), sqrt(2 s eta)
+    (langevin) or none (gradient_descent).  Step k reads xi as row
+    k % CHUNK_STEPS of the stream keyed by chunk k // CHUNK_STEPS.  Returns
+    the states ``(n_steps + 1, d)`` and the left-product Jacobian."""
+    eta, eye = rule.step_size, np.eye(len(theta0))
+    a = eye - eta * (hessian + rule.weight_decay * eye)
+    b = (eta * hessian) @ minimizer
+    gains = {"noisy_gradient": eta * rule.noise_scale, "langevin": math.sqrt(2.0 * rule.noise_scale * eta)}
+    g = gains.get(rule.kind.value)
+    states, jac, blocks = [np.asarray(theta0, dtype=float)], eye, {}
+    for k in range(offset, offset + n_steps):
+        theta = a @ states[-1] + b
+        if g is not None:
+            chunk = k // rng.CHUNK_STEPS
+            if chunk not in blocks:
+                gen = rng.stream(seed, rng.STREAM_STEP_NOISE, realization, chunk)
+                blocks[chunk] = gen.standard_normal((rng.CHUNK_STEPS, len(theta0)))
+            theta = theta + g * blocks[chunk][k % rng.CHUNK_STEPS]
+        states.append(theta)
+        jac = a @ jac
+    return np.array(states), jac
+
+
 def per_trial_composition_row(dim: int, seed: int, trial: int) -> list:
     """One composition-check row: the trial's run split in three, each part
-    its own ``propagate``, recomposed both ways with ``compose`` and compared
-    with the unsplit run."""
+    its own ``per_run_propagation`` from where the last one ended, the
+    Jacobian recomposed as J3 (J2 J1) and (J3 J2) J1 and compared with the
+    unsplit run."""
     from reconcap.scenarios import _COMPOSITION_RULES
-    from reconcap.tasks import QuadraticTask
-    from reconcap.transport import compose
 
     h, theta_star = per_trial_controlled_task(dim, seed, trial)
-    task = QuadraticTask(dim=dim, hessian=h, minimizer=theta_star)
     rule = _COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)]
     gen = rng.stream(seed, rng.STREAM_TASK, trial, 1)
     lens = [int(x) for x in gen.integers(1, 6, size=3)]
     theta0 = gen.standard_normal(dim)
-    full = propagate(theta0, task, rule, sum(lens), seed, realization=trial)
-    t1 = propagate(theta0, task, rule, lens[0], seed, realization=trial)
-    t2 = propagate(t1.final, task, rule, lens[1], seed, realization=trial, step_offset=lens[0])
-    t3 = propagate(
-        t2.final, task, rule, lens[2], seed, realization=trial, step_offset=lens[0] + lens[1]
-    )
-    left = compose(compose(t1, t2), t3)
-    right = compose(t1, compose(t2, t3))
-    gaps = [
-        left.cumulative_jacobian - full.cumulative_jacobian,
-        right.cumulative_jacobian - full.cumulative_jacobian,
-        left.states - full.states,
-    ]
+    full, full_jac = per_run_propagation(theta0, h, theta_star, rule, sum(lens), seed, trial)
+    states, jacs, start = [theta0[None]], [], theta0
+    for n, offset in zip(lens, (0, lens[0], lens[0] + lens[1])):
+        seg, jac = per_run_propagation(start, h, theta_star, rule, n, seed, trial, offset)
+        states.append(seg[1:])
+        jacs.append(jac)
+        start = seg[-1]
+    j1, j2, j3 = jacs
+    gaps = [j3 @ (j2 @ j1) - full_jac, (j3 @ j2) @ j1 - full_jac, np.concatenate(states) - full]
     return [trial, *lens, rule.kind.value, float(np.max(np.abs(np.concatenate(gaps))))]
 
 
@@ -244,15 +274,16 @@ def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):
 
 
 def full_length_escape(theta, task_b, rule, limit, eps_b):
-    """``scenarios._escape`` as one ``limit``-step propagate, scanned after;
-    the sweep's rule is plain gradient descent, so the seed draws nothing."""
-    traj = propagate(theta, task_b, rule, limit, 0)
+    """``scenarios._escape`` as one ``limit``-step ``per_run_propagation``,
+    scanned after; the sweep's rule is plain gradient descent, so the seed
+    draws nothing."""
+    states, _ = per_run_propagation(theta, task_b.hessian, task_b.minimizer, rule, limit, 0)
     reached = False
-    for steps, s in enumerate(traj.states):
+    for steps, s in enumerate(states):
         if _half_quadratic(task_b.hessian, s - task_b.minimizer)[0] <= eps_b:
             reached = True
             break
-    return steps, traj.states[steps], reached
+    return steps, states[steps], reached
 
 
 def finite_difference_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:

@@ -14,9 +14,9 @@ from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import SubspaceBasis, singular_values, spectrum_rank
 from reconcap.tasks import QuadraticTask, make_task_pair, random_rotations
-from reconcap.transport import StepRule, compose, propagate, step_jacobian
+from reconcap.transport import StepRule, propagate, step_jacobian
 
-from _oracles import sample_batch, sinkhorn_w2, sorted_coupling_w2
+from _oracles import STREAM_ORACLE, sample_batch, sinkhorn_w2, sorted_coupling_w2
 
 SEED = 42
 THRESHOLDS = ThresholdConfig()
@@ -40,26 +40,34 @@ def test_criterion_01_composition_exactness(criterion):
         StepRule(kind="langevin", step_size=0.5, noise_scale=0.3),
     )
     with criterion(1, "split/compose equals direct propagation") as rec:
-        worst = 0.0
-        for trial in range(1000):
-            task = _controlled_task(16, SEED, trial)
-            rule = rules[trial % len(rules)]
+        # the 1000 trials step as one stack: the full runs, the first parts,
+        # then the second parts from where the first ones end
+        trials = range(1000)
+        controlled = [_controlled_task(16, SEED, trial) for trial in trials]
+        h = np.array([task.hessian for task in controlled])
+        minimizers = np.array([task.minimizer for task in controlled])
+        trial_rules = [rules[trial % len(rules)] for trial in trials]
+        n_total, split, theta0 = [], [], []
+        for trial in trials:
             gen = rng.stream(SEED, rng.STREAM_TASK, trial, 1)
-            n_total = int(gen.integers(4, 13))
-            split = int(gen.integers(1, n_total))
-            theta0 = gen.standard_normal(16)
-            full = propagate(theta0, task, rule, n_total, SEED, realization=trial)
-            first = propagate(theta0, task, rule, split, SEED, realization=trial)
-            second = propagate(
-                first.final, task, rule, n_total - split, SEED,
-                realization=trial, step_offset=split,
+            n_total.append(int(gen.integers(4, 13)))
+            split.append(int(gen.integers(1, n_total[-1])))
+            theta0.append(gen.standard_normal(16))
+        n_total, split, theta0 = np.array(n_total), np.array(split), np.array(theta0)
+
+        def run(start, n_steps, offsets):
+            return propagate(
+                start, h, minimizers, trial_rules, n_steps, SEED, trials, offsets, "task",
+                final_only=True,
             )
-            joined = compose(first, second)
-            scale = float(np.max(np.abs(full.cumulative_jacobian)))
-            err = float(
-                np.max(np.abs(joined.cumulative_jacobian - full.cumulative_jacobian))
-            ) / max(scale, 1e-300)
-            worst = max(worst, err)
+
+        _, full = run(theta0, n_total, [0] * 1000)
+        mid, first = run(theta0, split, [0] * 1000)
+        _, second = run(mid, n_total - split, split)
+        joined = second @ first
+        scale = np.max(np.abs(full), axis=(1, 2))
+        err = np.max(np.abs(joined - full), axis=(1, 2)) / np.maximum(scale, 1e-300)
+        worst = float(np.max(err))
         rec.detail = f"max relative error {worst:.2e} over 1000 triples (tol 1e-10)"
         rec.ok = worst <= 1e-10
 
@@ -198,7 +206,7 @@ def test_criterion_05_dissipation_bookkeeping(criterion):
 
 
 def _random_relaxation(i):
-    gen = rng.stream(9000, rng.STREAM_ORACLE, i)
+    gen = rng.stream(9000, STREAM_ORACLE, i)
     d = int(gen.integers(2, 4))
     spectrum = gen.uniform(0.5, 2.0, d)
     rot = random_rotations(d, [9000 + 31 * i])[0]
@@ -259,7 +267,7 @@ def test_criterion_06_speed_limit_and_saturation(criterion):
 
 def _gaussian_pair(i):
     d = (1, 2, 3)[i % 3]
-    gen = rng.stream(7100, rng.STREAM_ORACLE, i)
+    gen = rng.stream(7100, STREAM_ORACLE, i)
 
     def one(offset):
         spectrum = gen.uniform(0.3, 2.0, d)
@@ -309,7 +317,7 @@ def test_criterion_07_w2_against_transport_oracle(criterion):
         axiom_err = 0.0
         positive = True
         for i in range(30):
-            gen = rng.stream(7300, rng.STREAM_ORACLE, i)
+            gen = rng.stream(7300, STREAM_ORACLE, i)
             d = 1 + i % 3
 
             def one(offset):

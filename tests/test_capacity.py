@@ -117,8 +117,12 @@ def test_forgetting_accepts_trajectories():
 
     task = flat_axis_task()
     rule = StepRule(kind="gradient_descent", step_size=0.1)
-    traj = propagate(np.array([0.5, 0.5, 2.0]), task, rule, 200, omega_seed=0)
-    res = capacity.measure_forgetting(traj.states[0], traj.final, task, THRESHOLDS.epsilon_a)
+    start = np.array([0.5, 0.5, 2.0])
+    finals, _ = propagate(
+        start[None], task.hessian[None], task.minimizer[None], [rule], [200], 0, [0], [0], task.label,
+        final_only=True,
+    )
+    res = capacity.measure_forgetting(start, finals[0], task, THRESHOLDS.epsilon_a)
     # descent moves toward the optimum, so the loss change is negative
     assert res.forgetting < 0.0
     assert not res.exited_manifold

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -290,14 +291,14 @@ def test_composition_summary_keeps_a_nan(tmp_path, monkeypatch):
     calls = []
 
     def first_is_nan(*args):
-        states, jacobians = propagate_stack(*args)
+        states, jacobians = propagate(*args)
         if not calls:
             states[0] = np.nan
         calls.append(None)
         return states, jacobians
 
-    propagate_stack = scenarios._propagate_stack
-    monkeypatch.setattr(scenarios, "_propagate_stack", first_is_nan)
+    propagate = scenarios.propagate
+    monkeypatch.setattr(scenarios, "propagate", first_is_nan)
     cfg = ExperimentConfig(scenario="composition-check", n_trials=4)
     cfg.validate()
     summary = run_scenario(cfg, out_dir=tmp_path)
@@ -331,6 +332,27 @@ def test_proxy_probe_run(tmp_path):
     assert summary["usable_first"] == 8 and summary["usable_last"] == 0
 
 
+def test_spearman_matches_scipy_with_ties_and_constant_series():
+    from scipy.stats import spearmanr
+
+    gen = np.random.default_rng(3)
+    cases = [([1.0, 2.0, 3.0], [4, 4, 4]), ([5.0, 5.0, 5.0], [1, 2, 3]), ([1.0, 2.0, 2.0, 3.0], [5, 5, 6, 7])]
+    for trial in range(300):
+        # continuous or tied values against tied integer ranks, some constant
+        n = int(gen.integers(3, 80))
+        a = gen.standard_normal(n) if trial % 2 else gen.integers(0, 4, n).astype(float)
+        cases.append((a.tolist(), gen.integers(0, 1 + n // (1 + trial % 9), n).tolist()))
+    for a, b in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # scipy warns on a constant series
+            expected = float(spearmanr(a, b).statistic)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = scenarios._spearman(a, b)
+        assert repr(got) == repr(expected), (a, b)
+    assert np.isnan(scenarios._spearman([1.0, 2.0, 3.0], [4, 4, 4]))
+
+
 def test_threshold_sweep_reduced(tmp_path):
     cfg = ExperimentConfig(
         scenario="threshold-sweep",
@@ -354,11 +376,11 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     cfg.validate()
     stacks = []
     escape_steps = 0
-    propagate_stack, escape = scenarios._propagate_stack, scenarios._escape
+    propagate, escape = scenarios.propagate, scenarios._escape
 
     def counting_stack(*args, **kwargs):
         stacks.append(list(args[4]))
-        return propagate_stack(*args, **kwargs)
+        return propagate(*args, **kwargs)
 
     def counting_escape(*args):
         nonlocal escape_steps
@@ -366,7 +388,7 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
         escape_steps += result[0]
         return result
 
-    monkeypatch.setattr(scenarios, "_propagate_stack", counting_stack)
+    monkeypatch.setattr(scenarios, "propagate", counting_stack)
     monkeypatch.setattr(scenarios, "_escape", counting_escape)
     run_scenario(cfg, out_dir=tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -565,7 +587,7 @@ def test_manifest_covers_outputs(tmp_path):
     assert {"config.json", "dynamics.csv", "geodesic.csv", "summary.json"} <= names
     assert manifest["seed_ledger"]["master_seed"] == 2024
     assert manifest["seed_ledger"]["streams"] == {
-        "step_noise": 0, "init": 1, "task": 2, "probe": 3, "oracle": 4,
+        "step_noise": 0, "init": 1, "task": 2, "probe": 3,
     }
     assert manifest["seed_ledger"]["chunk_steps"] == 256
     assert manifest["artifact_version"]
@@ -591,7 +613,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.12.0"
+    assert capsys.readouterr().out.strip() == "0.13.0"
 
 
 def test_version_matches_pyproject():
@@ -616,7 +638,6 @@ PUBLIC_NAMES = [
     "RunManifest",
     "SCENARIOS",
     "STREAM_INIT",
-    "STREAM_ORACLE",
     "STREAM_PROBE",
     "STREAM_STEP_NOISE",
     "STREAM_TASK",
@@ -627,10 +648,8 @@ PUBLIC_NAMES = [
     "TaskPair",
     "ThermoConfig",
     "ThresholdConfig",
-    "Trajectory",
     "clamped_state",
     "compatible_effective_rank",
-    "compose",
     "default_config",
     "effective_rank",
     "entropy",
@@ -801,9 +820,18 @@ def test_sweep_check_enforces_forced_exit_threshold(tmp_path):
     scenarios.check_threshold_sweep(no_exits, strict)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    code = "import sys, reconcap; assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+def test_import_leaves_scipy_stats_unloaded(tmp_path):
+    # scipy is a test dependency only: not even proxy-probe's rank
+    # correlation loads it
+    code = (
+        "import sys, reconcap; "
+        "reconcap.run_scenario(reconcap.default_config('proxy-probe'), out_dir=sys.argv[1], check=True); "
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+        "assert not loaded, loaded"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
 
 

@@ -3,20 +3,22 @@ import pytest
 
 from reconcap import rng
 
+from _oracles import STREAM_ORACLE
+
 
 def test_same_key_same_draw():
-    a = rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 5, 1, 8)
-    b = rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 5, 1, 8)
+    a = rng.normal_rows_each(123, rng.STREAM_STEP_NOISE, [0], [5], [1], 8)[0]
+    b = rng.normal_rows_each(123, rng.STREAM_STEP_NOISE, [0], [5], [1], 8)[0]
     assert np.array_equal(a, b)
 
 
 def test_any_path_change_decorrelates():
-    base = rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 5, 1, 8)
+    base = rng.normal_rows_each(123, rng.STREAM_STEP_NOISE, [0], [5], [1], 8)[0]
     for variant in [
-        rng.normal_rows(124, rng.STREAM_STEP_NOISE, 0, 5, 1, 8),
-        rng.normal_rows(123, rng.STREAM_INIT, 0, 5, 1, 8),
-        rng.normal_rows(123, rng.STREAM_STEP_NOISE, 1, 5, 1, 8),
-        rng.normal_rows(123, rng.STREAM_STEP_NOISE, 0, 6, 1, 8),
+        rng.normal_rows_each(124, rng.STREAM_STEP_NOISE, [0], [5], [1], 8)[0],
+        rng.normal_rows_each(123, rng.STREAM_INIT, [0], [5], [1], 8)[0],
+        rng.normal_rows_each(123, rng.STREAM_STEP_NOISE, [1], [5], [1], 8)[0],
+        rng.normal_rows_each(123, rng.STREAM_STEP_NOISE, [0], [6], [1], 8)[0],
     ]:
         assert not np.array_equal(base, variant)
 
@@ -34,7 +36,7 @@ def test_stream_reproducible_across_instances():
 
 def test_draws_look_standard_normal():
     # crude moment check, tight enough to catch scaling mistakes
-    x = rng.stream(2024, rng.STREAM_ORACLE).standard_normal(200_000)
+    x = rng.stream(2024, STREAM_ORACLE).standard_normal(200_000)
     assert abs(float(np.mean(x))) < 0.02
     assert abs(float(np.std(x)) - 1.0) < 0.02
 
@@ -47,7 +49,7 @@ _PATHS = [
     (7, rng.STREAM_INIT, 3, 0),
     (7, rng.STREAM_TASK, 12, 1),
     (2024, rng.STREAM_PROBE, 1, 270),
-    (2**63, rng.STREAM_ORACLE),
+    (2**63, STREAM_ORACLE),
     (123, 0, 2**40, 2**62),
     (1, 2, 3, 4, 5, 6),
 ] + [(seed, rng.STREAM_STEP_NOISE, r, chunk) for seed in (11, 99) for r in (0, 5) for chunk in (0, 1, 17)]
@@ -76,7 +78,7 @@ def _chunked_reference(seed, tag, realization, n_chunks, dim):
 def test_normal_rows_is_a_slice_of_one_long_draw(start, n):
     assert rng.CHUNK_STEPS == 256
     full = _chunked_reference(31, rng.STREAM_STEP_NOISE, 2, 4, 3)
-    rows = rng.normal_rows(31, rng.STREAM_STEP_NOISE, 2, start, n, 3)
+    rows = rng.normal_rows_each(31, rng.STREAM_STEP_NOISE, [2], [start], [n], 3)[0]
     assert rows.shape == (n, 3)
     assert np.array_equal(rows, full[start : start + n])
 

@@ -15,8 +15,11 @@ from _oracles import finite_difference_gradient, finite_difference_hessian, line
 def descent_gradient(task, theta):
     # the gradient the update rules apply: one plain descent step of size 1
     # moves theta by -grad(theta)
-    step = propagate(theta, task, StepRule(step_size=1.0), 1, omega_seed=0)
-    return theta - step.final
+    states, _ = propagate(
+        theta[None], task.hessian[None], task.minimizer[None], [StepRule(step_size=1.0)], [1], 0, [0], [0],
+        task.label, final_only=True,
+    )
+    return theta - states[0]
 
 
 def make_random_task(seed, d=5):

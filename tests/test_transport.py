@@ -1,11 +1,9 @@
-import pickle
-
 import numpy as np
 import pytest
 
 from reconcap import rng, tasks, transport
 
-from _oracles import singulars_via_gram
+from _oracles import per_run_propagation, singulars_via_gram
 
 
 def flat_task(d=2):
@@ -60,12 +58,30 @@ def test_step_rule_rejects_nan_and_negative_scales(kwargs):
         transport.StepRule(step_size=0.1, **kwargs)
 
 
+def propagate_members(members, omega_seed, label="task", **kwargs):
+    """``transport.propagate`` over members ``(task, rule, theta0, n_steps,
+    realization, step_offset)``."""
+    tasks_, rules, starts, lengths, realizations, offsets = zip(*members)
+    return transport.propagate(
+        np.array(starts, dtype=float),
+        np.array([task.hessian for task in tasks_]),
+        np.array([task.minimizer for task in tasks_]),
+        rules,
+        lengths,
+        omega_seed,
+        realizations,
+        offsets,
+        label,
+        **kwargs,
+    )
+
+
 def test_cumulative_jacobian_matches_matrix_power():
     task = random_task(3)
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
-    traj = transport.propagate(np.ones(task.dim), task, rule, 40, omega_seed=0)
+    _, jacobians = propagate_members([(task, rule, np.ones(task.dim), 40, 0, 0)], omega_seed=0)
     expected = np.linalg.matrix_power(transport.step_jacobian(task, rule), 40)
-    assert np.allclose(traj.cumulative_jacobian, expected, rtol=1e-11, atol=1e-13)
+    assert np.allclose(jacobians[0], expected, rtol=1e-11, atol=1e-13)
 
 
 def test_descent_converges_to_minimizer():
@@ -76,26 +92,27 @@ def test_descent_converges_to_minimizer():
         dim=d, hessian=b @ b.T / d + 0.3 * np.eye(d), minimizer=rng.standard_normal(d)
     )
     rule = transport.StepRule(kind="gradient_descent", step_size=0.1)
-    traj = transport.propagate(np.zeros(d), task, rule, 3000, omega_seed=0)
-    assert np.linalg.norm(traj.final - task.minimizer) < 1e-8
+    finals, _ = propagate_members([(task, rule, np.zeros(d), 3000, 0, 0)], 0, final_only=True)
+    assert np.linalg.norm(finals[0] - task.minimizer) < 1e-8
 
 
 def test_noise_stream_determinism():
     task = random_task(6)
     rule = transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.3)
-    a = transport.propagate(np.zeros(task.dim), task, rule, 50, omega_seed=11)
-    b = transport.propagate(np.zeros(task.dim), task, rule, 50, omega_seed=11)
-    c = transport.propagate(np.zeros(task.dim), task, rule, 50, omega_seed=11, realization=1)
-    assert np.array_equal(a.states, b.states)
-    assert not np.array_equal(a.states, c.states)
+    members = [(task, rule, np.zeros(task.dim), 50, realization, 0) for realization in (0, 1)]
+    states, _ = propagate_members(members, omega_seed=11)
+    again, _ = propagate_members(members[:1], omega_seed=11)
+    assert np.array_equal(states[0], again[0])
+    assert not np.array_equal(states[0], states[1])
 
 
 def test_plain_descent_never_touches_the_noise_stream():
     task = random_task(7)
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
-    a = transport.propagate(np.ones(task.dim), task, rule, 20, omega_seed=1)
-    b = transport.propagate(np.ones(task.dim), task, rule, 20, omega_seed=99)
-    assert np.array_equal(a.states, b.states)
+    members = [(task, rule, np.ones(task.dim), 20, 0, 0)]
+    a, _ = propagate_members(members, omega_seed=1)
+    b, _ = propagate_members(members, omega_seed=99)
+    assert np.array_equal(a, b)
 
 
 def test_noise_conventions_coincide_when_scales_match():
@@ -104,37 +121,26 @@ def test_noise_conventions_coincide_when_scales_match():
     task = random_task(8)
     noisy = transport.StepRule(kind="noisy_gradient", step_size=0.5, noise_scale=1.0)
     hot = transport.StepRule(kind="langevin", step_size=0.5, noise_scale=0.25)
-    a = transport.propagate(np.zeros(task.dim), task, noisy, 30, omega_seed=4)
-    b = transport.propagate(np.zeros(task.dim), task, hot, 30, omega_seed=4)
-    assert np.array_equal(a.states, b.states)
+    members = [(task, rule, np.zeros(task.dim), 30, 0, 0) for rule in (noisy, hot)]
+    states, _ = propagate_members(members, omega_seed=4)
+    assert np.array_equal(states[0], states[1])
 
 
 def test_split_run_composes_to_full_run():
     task = random_task(9)
     rule = transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.2)
-    full = transport.propagate(np.ones(task.dim), task, rule, 24, omega_seed=13)
-    head = transport.propagate(np.ones(task.dim), task, rule, 10, omega_seed=13)
-    tail = transport.propagate(head.final, task, rule, 14, omega_seed=13, step_offset=10)
-    glued = transport.compose(head, tail)
-    assert np.array_equal(glued.final, full.final)
-    assert glued.n_steps == full.n_steps
-    assert np.allclose(glued.cumulative_jacobian, full.cumulative_jacobian, rtol=1e-12)
-
-
-def test_compose_rejects_mismatched_endpoints():
-    task = random_task(10)
-    rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
-    head = transport.propagate(np.ones(task.dim), task, rule, 5, omega_seed=0)
-    stray = transport.propagate(np.zeros(task.dim), task, rule, 5, omega_seed=0)
-    with pytest.raises(ValueError):
-        transport.compose(head, stray)
+    full, full_jac = propagate_members([(task, rule, np.ones(task.dim), 24, 0, 0)], 13)
+    head, j1 = propagate_members([(task, rule, np.ones(task.dim), 10, 0, 0)], 13)
+    tail, j2 = propagate_members([(task, rule, head[0, -1], 14, 0, 10)], 13)
+    assert np.array_equal(np.concatenate([head[0], tail[0, 1:]]), full[0])
+    assert np.allclose(j2[0] @ j1[0], full_jac[0], rtol=1e-12)
 
 
 def test_divergence_raises():
     task = random_task(14)
     rule = transport.StepRule(kind="gradient_descent", step_size=50.0)
     with pytest.raises(transport.DivergenceError):
-        transport.propagate(np.ones(task.dim), task, rule, 400, omega_seed=0)
+        propagate_members([(task, rule, np.ones(task.dim), 400, 0, 0)], omega_seed=0)
 
 
 def test_nan_on_the_final_step_raises():
@@ -145,7 +151,16 @@ def test_nan_on_the_final_step_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         for seed in range(1, 9):
             with pytest.raises(transport.DivergenceError):
-                transport.propagate(np.ones(1), task, rule, 1, omega_seed=seed)
+                propagate_members([(task, rule, np.ones(1), 1, 0, 0)], omega_seed=seed)
+
+
+def test_propagate_rejects_a_negative_step_count():
+    # a member of -1 steps would otherwise come back as its start and the identity
+    rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
+    members = [(random_task(70), rule, np.ones(6), 5, 0, 0), (random_task(71), rule, np.ones(6), -1, 1, 0)]
+    for stack in (members, members[1:]):
+        with pytest.raises(ValueError, match="n_steps must be >= 0, got -1"):
+            propagate_members(stack, omega_seed=0)
 
 
 BITWISE_RULES = (
@@ -155,22 +170,8 @@ BITWISE_RULES = (
 )
 
 
-def docstring_update(theta, task, rule, xi):
-    """One step of the affine update map as the transport module docstring
-    states it: A theta + b + g * xi."""
-    eta = rule.step_size
-    eye = np.eye(task.dim)
-    a = eye - eta * (task.hessian + rule.weight_decay * eye)
-    nxt = a @ theta + eta * task.hessian @ task.minimizer
-    if rule.kind is transport.StepKind.NOISY_GRADIENT:
-        return nxt + eta * rule.noise_scale * xi
-    if rule.kind is transport.StepKind.LANGEVIN:
-        return nxt + np.sqrt(2.0 * rule.noise_scale * eta) * xi
-    return nxt
-
-
 def gradient_update(theta, task, rule, xi):
-    """The same step in gradient form, theta - eta * (grad + wd * theta) + g * xi."""
+    """One step in gradient form, theta - eta * (grad + wd * theta) + g * xi."""
     eta = rule.step_size
     grad = task.hessian @ (theta - task.minimizer)
     if rule.kind is transport.StepKind.GRADIENT_DESCENT:
@@ -182,69 +183,43 @@ def gradient_update(theta, task, rule, xi):
 
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
 def test_propagate_matches_public_step_bitwise(rule):
-    # one public step is what the module docstring states; loop that here
-    from reconcap import rng
-
+    # the oracle loops the step the module docstring states
     task = random_task(17)
     offset, n = 5, 12
-    traj = transport.propagate(
-        np.ones(task.dim), task, rule, n, omega_seed=19, realization=2, step_offset=offset
+    states, jacobians = propagate_members([(task, rule, np.ones(task.dim), n, 2, offset)], 19)
+    expected, jacobian = per_run_propagation(
+        np.ones(task.dim), task.hessian, task.minimizer, rule, n, 19, 2, offset
     )
-    theta = np.ones(task.dim)
-    expected = [theta]
-    for k in range(n):
-        xi = (
-            rng.normal_rows(19, rng.STREAM_STEP_NOISE, 2, offset + k, 1, task.dim)[0]
-            if rule.uses_noise()
-            else None
-        )
-        theta = docstring_update(theta, task, rule, xi)
-        expected.append(theta)
-    assert np.array_equal(traj.states, np.array(expected))
+    assert np.array_equal(states[0], expected)
+    assert np.array_equal(jacobians[0], jacobian)
 
 
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
 def test_propagate_matches_gradient_form_to_roundoff(rule):
     # the affine and gradient forms of one step differ only in rounding
-    from reconcap import rng
-
     n = 200
     for seed in range(23):
         task = random_task(100 + seed)
-        traj = transport.propagate(np.ones(task.dim), task, rule, n, omega_seed=seed)
-        noise = rng.normal_rows(seed, rng.STREAM_STEP_NOISE, 0, 0, n, task.dim)
+        states, _ = propagate_members([(task, rule, np.ones(task.dim), n, 0, 0)], seed)
+        noise = rng.normal_rows_each(seed, rng.STREAM_STEP_NOISE, [0], [0], [n], task.dim)[0]
         theta = np.ones(task.dim)
         for k in range(n):
             theta = gradient_update(theta, task, rule, noise[k])
-            assert np.allclose(traj.states[k + 1], theta, rtol=1e-12, atol=1e-12 * np.linalg.norm(theta))
+            assert np.allclose(states[0, k + 1], theta, rtol=1e-12, atol=1e-12 * np.linalg.norm(theta))
 
 
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
 def test_cumulative_jacobian_is_the_left_product_bitwise(rule):
     task = random_task(18)
-    head = transport.propagate(np.ones(task.dim), task, rule, 7, omega_seed=3)
-    tail = transport.propagate(head.final, task, rule, 9, omega_seed=3, step_offset=7)
+    head, j1 = propagate_members([(task, rule, np.ones(task.dim), 7, 0, 0)], 3)
+    _, j2 = propagate_members([(task, rule, head[0, -1], 9, 0, 7)], 3)
     j = transport.step_jacobian(task, rule)
     m = np.eye(task.dim)
-    for _ in range(9):
+    for k in range(9):
         m = j @ m
-    assert np.array_equal(tail.cumulative_jacobian, m)
-    glued = transport.compose(head, tail)
-    assert np.array_equal(
-        glued.cumulative_jacobian, tail.cumulative_jacobian @ head.cumulative_jacobian
-    )
-
-
-def test_trajectory_pickle_round_trip():
-    task = random_task(19)
-    rule = transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.2)
-    head = transport.propagate(np.ones(task.dim), task, rule, 4, omega_seed=5)
-    tail = transport.propagate(head.final, task, rule, 6, omega_seed=5, step_offset=4)
-    for traj in (head, transport.compose(head, tail)):
-        copy = pickle.loads(pickle.dumps(traj))
-        assert np.array_equal(copy.states, traj.states)
-        assert len(copy.parts) == len(traj.parts)
-        assert np.array_equal(copy.cumulative_jacobian, traj.cumulative_jacobian)
+        if k == 6:
+            assert np.array_equal(j1[0], m)
+    assert np.array_equal(j2[0], m)
 
 
 def test_singular_value_submultiplicativity_on_products():
@@ -263,49 +238,30 @@ def test_singular_value_submultiplicativity_on_products():
 def test_split_across_a_noise_chunk_composes_bitwise(rule):
     # the split at 250 and the run's end fall in different noise chunks
     task = random_task(20, d=3)
-    full = transport.propagate(np.ones(3), task, rule, 600, omega_seed=8, realization=1)
-    head = transport.propagate(np.ones(3), task, rule, 250, omega_seed=8, realization=1)
-    tail = transport.propagate(
-        head.final, task, rule, 350, omega_seed=8, realization=1, step_offset=250
-    )
-    glued = transport.compose(head, tail)
-    assert np.array_equal(glued.states, full.states)
-    replay = transport.propagate(
-        head.final, task, rule, 350, omega_seed=8, realization=1, step_offset=250
-    )
-    assert np.array_equal(replay.states, tail.states)
+    full, _ = propagate_members([(task, rule, np.ones(3), 600, 1, 0)], 8)
+    head, _ = propagate_members([(task, rule, np.ones(3), 250, 1, 0)], 8)
+    tail, _ = propagate_members([(task, rule, head[0, -1], 350, 1, 250)], 8)
+    assert np.array_equal(np.concatenate([head[0], tail[0, 1:]]), full[0])
+    expected, _ = per_run_propagation(head[0, -1], task.hessian, task.minimizer, rule, 350, 8, 1, 250)
+    assert np.array_equal(tail[0], expected)
 
 
 ALL_RULES = (transport.StepRule(kind="gradient_descent", step_size=0.05),) + BITWISE_RULES
 
 
-def propagate_stack(members, omega_seed, label="task"):
-    """The stacked kernel over members ``(task, rule, theta0, n_steps,
-    realization, step_offset)``."""
-    tasks_, rules, starts, lengths, realizations, offsets = zip(*members)
-    return transport._propagate_stack(
-        np.array(starts),
-        np.array([task.hessian for task in tasks_]),
-        np.array([task.minimizer for task in tasks_]),
-        rules,
-        lengths,
-        omega_seed,
-        realizations,
-        offsets,
-        label,
-    )
-
-
-def assert_members_match_propagate(members, omega_seed):
-    states, jacobians = propagate_stack(members, omega_seed)
+def assert_members_match_oracle(members, omega_seed):
+    states, jacobians = propagate_members(members, omega_seed)
+    finals, final_jacobians = propagate_members(members, omega_seed, final_only=True)
     assert states.shape == (len(members), max(m[3] for m in members) + 1, members[0][0].dim)
+    assert np.array_equal(final_jacobians, jacobians)
     for i, (task, rule, theta0, n, realization, offset) in enumerate(members):
-        traj = transport.propagate(
-            theta0, task, rule, n, omega_seed, realization=realization, step_offset=offset
+        expected, jacobian = per_run_propagation(
+            theta0, task.hessian, task.minimizer, rule, n, omega_seed, realization, offset
         )
-        assert np.array_equal(states[i, : n + 1], traj.states), i
+        assert np.array_equal(states[i, : n + 1], expected), i
         assert not states[i, n + 1 :].any(), i
-        assert np.array_equal(jacobians[i], traj.cumulative_jacobian), i
+        assert np.array_equal(finals[i], expected[-1]), i
+        assert np.array_equal(jacobians[i], jacobian), i
 
 
 def test_stacked_kernel_matches_per_member_propagate_for_every_rule_kind():
@@ -314,7 +270,7 @@ def test_stacked_kernel_matches_per_member_propagate_for_every_rule_kind():
         (random_task(30 + i), rule, np.full(6, 0.5 * i), 17, i, 3)
         for i, rule in enumerate(ALL_RULES + ALL_RULES)
     ]
-    assert_members_match_propagate(members, omega_seed=21)
+    assert_members_match_oracle(members, omega_seed=21)
 
 
 def test_stacked_kernel_with_mixed_lengths_and_a_zero_step_member():
@@ -323,9 +279,9 @@ def test_stacked_kernel_with_mixed_lengths_and_a_zero_step_member():
         (random_task(40 + i), ALL_RULES[i % 4], np.ones(6), n, i, 0)
         for i, n in enumerate(lengths)
     ]
-    assert_members_match_propagate(members, omega_seed=2)
+    assert_members_match_oracle(members, omega_seed=2)
     # a stack of zero-step members returns each start and the identity
-    states, jacobians = propagate_stack([members[1]] * 2, omega_seed=2)
+    states, jacobians = propagate_members([members[1]] * 2, omega_seed=2)
     assert np.array_equal(states, np.ones((2, 1, 6)))
     assert np.array_equal(jacobians, np.broadcast_to(np.eye(6), (2, 6, 6)))
 
@@ -338,22 +294,24 @@ def test_stacked_kernel_offsets_across_a_noise_chunk():
         (random_task(51), ALL_RULES[2], np.ones(6), 6, 1, rng.CHUNK_STEPS - 1),
         (random_task(52), ALL_RULES[3], np.ones(6), 4, 1, 0),
     ]
-    assert_members_match_propagate(members, omega_seed=8)
+    assert_members_match_oracle(members, omega_seed=8)
 
 
 def test_stacked_kernel_names_the_diverging_member():
-    runaway = tasks.QuadraticTask(
-        dim=6, hessian=random_task(14).hessian, minimizer=np.zeros(6), label="runaway"
-    )
+    runaway = tasks.QuadraticTask(dim=6, hessian=random_task(14).hessian, minimizer=np.zeros(6))
     fast = transport.StepRule(kind="gradient_descent", step_size=50.0)
     members = [
         (random_task(60), ALL_RULES[3], np.ones(6), 400, 0, 0),
         (runaway, fast, np.ones(6), 400, 1, 11),
         (random_task(61), ALL_RULES[0], np.ones(6), 30, 2, 0),
     ]
-    with pytest.raises(transport.DivergenceError) as alone:
-        transport.propagate(np.ones(6), runaway, fast, 400, 0, realization=1, step_offset=11)
-    assert "(task 'runaway')" in str(alone.value)
+    # the first state of the runaway run past the limit; step k makes state k + 1
+    states, _ = per_run_propagation(np.ones(6), runaway.hessian, runaway.minimizer, fast, 20, 0)
+    first = int(np.argmax(np.linalg.norm(states, axis=1) > transport.DIVERGENCE_LIMIT))
+    assert first > 0
     with pytest.raises(transport.DivergenceError) as stacked:
-        propagate_stack(members, omega_seed=0, label="runaway")
-    assert str(stacked.value) == str(alone.value)
+        propagate_members(members, omega_seed=0, label="runaway")
+    assert str(stacked.value) == (
+        f"propagate: |theta| = {np.linalg.norm(states[first]):.3e} exceeded 1.0e+08 "
+        f"at step {11 + first - 1} (task 'runaway')"
+    )
