@@ -5,7 +5,7 @@ sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"
 
 from .capacity import (
     CapacityReport,
@@ -15,7 +15,6 @@ from .capacity import (
     measure_forgetting,
     participation_ratio,
     predict_incompatibility,
-    reconfiguration_dimension,
 )
 from .config import (
     ConfigError,
@@ -68,7 +67,6 @@ from .transport import (
     StepKind,
     StepRule,
     propagate,
-    step_jacobian,
 )
 
 __all__ = [
@@ -113,14 +111,12 @@ __all__ = [
     "predict_incompatibility",
     "propagate",
     "random_rotations",
-    "reconfiguration_dimension",
     "restricted_hessian",
     "run_scenario",
     "save_config",
     "simulate_relaxation",
     "singular_values",
     "stable_rank",
-    "step_jacobian",
     "stream",
     "value",
     "w2_gaussian",

@@ -10,7 +10,8 @@ what a later task can still do:
 
 Each function takes one Jacobian ``(d, d)`` or a stack ``(..., d, d)`` and
 gives one value per matrix.  The stable rank of the later task's curvature
-restricted to Q measures how many of the preserved directions it demands.
+restricted to Q, the task pair's ``m_b``, measures how many of the preserved
+directions it demands.
 Demands exceeding the usable count predict that accommodating the later task
 forces movement that the earlier task will feel.
 """
@@ -21,15 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    RANK_TOL_REL,
-    SubspaceBasis,
-    as_vector,
-    log_volume,
-    singular_values,
-    stable_rank,
-)
-from .tasks import QuadraticTask, restricted_hessian, value
+from .spectral import RANK_TOL_REL, SubspaceBasis, as_vector, log_volume, singular_values
+from .tasks import QuadraticTask, TaskPair, value
 
 
 def effective_rank(jacobians):
@@ -70,12 +64,6 @@ def compatible_effective_rank(jacobians, preserving_basis: SubspaceBasis, tau_si
     return spectra_effective_rank(sigma), np.sum(sigma > tau_sigma, axis=-1)
 
 
-def reconfiguration_dimension(task_b: QuadraticTask, preserving_basis: SubspaceBasis) -> float:
-    """Stable rank of the later task's curvature restricted to the preserved
-    subspace: how many of those directions the task effectively demands."""
-    return stable_rank(restricted_hessian(task_b, preserving_basis))
-
-
 @dataclass(frozen=True)
 class CapacityReport:
     """Prediction record for one (Jacobian, later task) pairing.
@@ -97,19 +85,17 @@ class CapacityReport:
     predicted_incompatible_raw: bool
 
 
-def predict_incompatibility(
-    jacobian, preserving_basis: SubspaceBasis, task_b: QuadraticTask, tau_sigma: float
-) -> CapacityReport:
-    """Capacity report of one Jacobian ``(d, d)`` against a later task."""
+def predict_incompatibility(jacobian, pair: TaskPair, tau_sigma: float) -> CapacityReport:
+    """Capacity report of one Jacobian ``(d, d)`` against the pair's later
+    task, whose demand is ``pair.m_b``."""
     full = effective_rank(jacobian)
-    compatible, usable = compatible_effective_rank(jacobian, preserving_basis, tau_sigma)
-    m_b = reconfiguration_dimension(task_b, preserving_basis)
+    compatible, usable = compatible_effective_rank(jacobian, pair.preserving_basis, tau_sigma)
     return CapacityReport(
         effective_rank=full,
         usable_direction_count=int(usable),
-        m_b=m_b,
-        predicted_incompatible=bool(m_b > usable),
-        predicted_incompatible_raw=bool(m_b > compatible),
+        m_b=pair.m_b,
+        predicted_incompatible=bool(pair.m_b > usable),
+        predicted_incompatible_raw=bool(pair.m_b > compatible),
     )
 
 

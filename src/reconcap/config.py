@@ -21,8 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version, rng
+from .gaussian import COVARIANCE_FLOOR
 from .tasks import TaskPair, make_task_pair
-from .transport import StepKind, StepRule
+from .transport import StepKind, StepRule, contraction_rates
 
 SCENARIO_NAMES = (
     "esl-gap",
@@ -227,8 +228,8 @@ class ExperimentConfig:
             raise ConfigError("esl-gap: start_mean and hessian_spectrum lengths differ")
         if not t.hessian_spectrum or min(t.hessian_spectrum) <= 0:
             raise ConfigError("esl-gap: hessian_spectrum must be nonempty and positive definite")
-        if t.start_cov_scale <= 0:
-            raise ConfigError("esl-gap: start_cov_scale must be > 0")
+        if not t.start_cov_scale >= COVARIANCE_FLOOR:
+            raise ConfigError(f"esl-gap: start_cov_scale must be >= {COVARIANCE_FLOOR:.1e}")
         if t.n_geodesic_steps < 2:
             raise ConfigError("esl-gap: n_geodesic_steps must be >= 2")
         horizon = self.n_steps * self.rule.step_size
@@ -241,13 +242,12 @@ class ExperimentConfig:
 
     def _validate_rank_decay(self) -> None:
         pair = self.decaying_pair()
-        # closed-form singular-value rates: 1 - eta*wd on A's null directions,
-        # |1 - eta*(a_i + wd)| on its normals; the summary takes logs of the top
-        # rate and of the bottom-to-top ratio, so the rates must stay inside
-        # (0, 1) and apart, by a margin above roundoff
-        eta, wd, margin = self.rule.step_size, self.rule.weight_decay, 1e-9
-        rates = [1.0 - eta * wd] + [abs(1.0 - eta * (a + wd)) for a in pair.a_spectrum]
-        lo, hi = min(rates), max(rates)
+        # the preserved rate, signed, and the normals' magnitudes: the summary
+        # takes logs of the top rate and of the bottom-to-top ratio, so the
+        # rates must stay inside (0, 1) and apart, by a margin above roundoff
+        rates = contraction_rates(pair, self.rule)
+        rates[self.k_a :] = np.abs(rates[self.k_a :])
+        lo, hi, margin = float(rates.min()), float(rates.max()), 1e-9
         if not (margin < lo and hi < 1.0 - margin and hi - lo > margin):
             raise ConfigError(f"rank-decay: contraction rates {lo!r}..{hi!r} not apart in (0, 1)")
 

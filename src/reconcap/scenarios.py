@@ -24,7 +24,7 @@ from .config import (
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
 from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations, require_psd
-from .transport import StepRule, _affine_step, propagate, step_jacobian, step_map
+from .transport import StepRule, _affine_step, contraction_rates, propagate, step_map
 
 
 class CheckError(RuntimeError):
@@ -112,7 +112,7 @@ def _decay_ledger(cfg: ExperimentConfig):
     """``(pair, A, powers)`` of rank-decay and proxy-probe: the validated
     pair, the step matrix A of its task A, and A^0 ... A^n_steps stacked."""
     pair = cfg.decaying_pair()
-    a_mat = step_jacobian(pair.task_a, cfg.rule)
+    a_mat = step_map(pair.task_a, cfg.rule)[0]
     powers = np.empty((cfg.n_steps + 1, cfg.dim, cfg.dim))
     powers[0] = np.eye(cfg.dim)
     for k in range(cfg.n_steps):
@@ -121,32 +121,33 @@ def _decay_ledger(cfg: ExperimentConfig):
 
 
 def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
-    pair, a_mat, powers = _decay_ledger(cfg)
-    rates = np.sort(np.abs(np.linalg.eigvalsh(a_mat)))[::-1]
+    pair, _, powers = _decay_ledger(cfg)
+    rates = np.sort(np.abs(contraction_rates(pair, cfg.rule)))[::-1]
     tau = cfg.thresholds.tau_sigma
 
     header = ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
     header += [f"sv_{i}" for i in range(cfg.dim)]
-    rows = []
-    # every step's errors, maximized once at the end, where a NaN is kept;
-    # the iterated product only resolves singular values down to roughly
-    # n_steps * eps * sigma_max, so the strict relative comparison is limited
-    # to steps whose closed-form spectrum stays within 1e-3 of its top
-    strict_errors = [0.0]
-    profile_errors = [0.0]
     svs = singular_values(powers)
     effs = capacity.spectra_effective_rank(svs)
     compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
     ledger = zip(svs, effs.tolist(), compats.tolist(), usables.tolist())
-    for step_idx, (sv, eff, compat, usable) in enumerate(ledger):
-        rows.append([step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist())
-
-        sv_closed = rates**step_idx
-        profile_errors.append(float(np.max(np.abs(sv - sv_closed))) / sv_closed[0])
-        if sv_closed[-1] >= 1e-3 * sv_closed[0]:
-            closed_eff = float(capacity.spectra_effective_rank(sv_closed))
-            strict_errors.append(abs(eff - closed_eff) / max(closed_eff, 1.0))
-            strict_errors.append(float(np.max(np.abs(sv - sv_closed) / sv_closed)))
+    rows = [
+        [step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist()
+        for step_idx, (sv, eff, compat, usable) in enumerate(ledger)
+    ]
+    # every step's errors, maximized once, where a NaN is kept; the iterated
+    # product only resolves singular values down to roughly
+    # n_steps * eps * sigma_max, so the strict relative comparison is limited
+    # to steps whose closed-form spectrum stays within 1e-3 of its top
+    sv_closed = rates ** np.arange(cfg.n_steps + 1)[:, None]
+    deviation = np.abs(svs - sv_closed)
+    profile_errors = np.max(deviation, axis=1) / sv_closed[:, 0]
+    window = sv_closed[:, -1] >= 1e-3 * sv_closed[:, 0]
+    closed_effs = capacity.spectra_effective_rank(sv_closed[window])
+    strict_errors = np.concatenate([
+        np.abs(effs[window] - closed_effs) / np.maximum(closed_effs, 1.0),
+        np.max(deviation[window] / sv_closed[window], axis=1),
+    ])
     usable_zero_step = next((k for k, u in enumerate(usables.tolist()) if u == 0), None)
     collapse_step = next((k for k, e in enumerate(effs.tolist()) if e == 0.0), None)
     rises = np.concatenate([[0.0], np.diff(effs), np.diff(compats), np.diff(usables)])
@@ -168,8 +169,8 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
         "collapse_step": collapse_step,
         "collapse_step_closed_form": collapse_closed,
         "max_monotonicity_violation": float(np.max(rises)),
-        "strict_closed_form_error": float(np.max(strict_errors)),
-        "abs_profile_error": float(np.max(profile_errors)),
+        "strict_closed_form_error": float(np.max(strict_errors, initial=0.0)),
+        "abs_profile_error": float(np.max(profile_errors, initial=0.0)),
     }
     write_json(out / "summary.json", summary)
     return summary
@@ -308,9 +309,7 @@ def _sweep_row(cfg: ExperimentConfig, cell, pair, theta_start, jacobian) -> list
     _, m_target, u_target = cell
     sweep = cfg.sweep
     limits = cfg.thresholds
-    report = capacity.predict_incompatibility(
-        jacobian, pair.preserving_basis, pair.task_b, limits.tau_sigma
-    )
+    report = capacity.predict_incompatibility(jacobian, pair, limits.tau_sigma)
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
     survivors = np.ascontiguousarray(pair.preserving_basis.basis[:, :u_target])
@@ -700,9 +699,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
     p_cfg = cfg.probe
     gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 0)
     samples = gen.standard_normal((p_cfg.n_probe_samples, cfg.dim)) + task_a.minimizer
-    normal_rates = 1.0 - rule.step_size * (
-        np.asarray(pair.a_spectrum) + rule.weight_decay
-    )
+    normal_rates = np.abs(contraction_rates(pair, rule)[cfg.k_a :])
 
     checkpoints = range(0, cfg.n_steps + 1, p_cfg.checkpoint_every)
     pr_series = []
@@ -718,7 +715,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
     _, usable = capacity.compatible_effective_rank(powers[:: p_cfg.checkpoint_every], basis, tau)
     usable_series = usable.tolist()
     rows = [
-        [step_idx, pr, u, int(np.sum(np.abs(normal_rates) ** step_idx > tau))]
+        [step_idx, pr, u, int(np.sum(normal_rates**step_idx > tau))]
         for step_idx, pr, u in zip(checkpoints, pr_series, usable_series)
     ]
     usable_zero_step = next((row[0] for row in rows if row[2] == 0), None)

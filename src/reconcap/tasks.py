@@ -92,23 +92,19 @@ class TaskPair:
     task_a: QuadraticTask
     task_b: QuadraticTask
     preserving_basis: SubspaceBasis
-    restricted: np.ndarray
-    target_m_b: float
     a_spectrum: tuple  # task A's curvature along its normal directions
+    # the demand m_B: the stable rank of Q_A^T H_B Q_A, how many of the
+    # preserved directions task B effectively needs
+    m_b: float = field(init=False)
 
     def __post_init__(self):
         q = self.preserving_basis
         annihilation = float(np.linalg.norm(self.task_a.hessian @ q.basis))
         if annihilation > 1e-8:
             raise ValueError(f"TaskPair: ||H_A Q_A||_F = {annihilation:.3e} exceeds 1e-8")
-        if float(np.max(np.abs(self.restricted))) <= 1e-12:
-            got = 0.0
-        else:
-            got = stable_rank(self.restricted)
-        if abs(got - self.target_m_b) > 1e-6:
-            raise ValueError(
-                f"TaskPair: restricted stable rank {got!r} != target {self.target_m_b!r}"
-            )
+        restricted = restricted_hessian(self.task_b, q)
+        m_b = 0.0 if float(np.max(np.abs(restricted))) <= 1e-12 else stable_rank(restricted)
+        object.__setattr__(self, "m_b", m_b)
 
 
 def make_task_pair(
@@ -127,7 +123,8 @@ def make_task_pair(
     ``a_spectrum``, default linspace from 2 down to 1) and a ``k_a``-dim null
     space; both are randomly rotated.  Task B places curvature
     ``spectrum_b_on_a[j]`` on the j-th null direction of A, so the restriction
-    ``Q_A^T H_B Q_A`` has exactly that spectrum.
+    ``Q_A^T H_B Q_A`` has exactly that spectrum, and the pair's ``m_b`` must
+    match that spectrum's stable rank to 1e-6.
 
     ``offset_scale`` moves task B's minimizer along its demanded null
     directions (staying inside the A-preserving subspace, so joint optima
@@ -182,17 +179,15 @@ def make_task_pair(
         offset += offset_scale * q_j
     task_b = QuadraticTask(dim=d, hessian=h_b, minimizer=theta_a + offset, label="second-task")
 
-    basis = SubspaceBasis(ambient_dim=d, dim=k_a, basis=null_dirs)
-    restricted = restricted_hessian(task_b, basis)
+    pair = TaskPair(
+        task_a=task_a,
+        task_b=task_b,
+        preserving_basis=SubspaceBasis(ambient_dim=d, dim=k_a, basis=null_dirs),
+        a_spectrum=tuple(float(x) for x in a_vals),
+    )
     top = float(np.max(spectrum)) if demanded.size else 0.0
     # scaled before squaring: top**2 underflows to 0 below about 1e-154
     target = float(np.sum((spectrum / top) ** 2)) if top > 0.0 else 0.0
-
-    return TaskPair(
-        task_a=task_a,
-        task_b=task_b,
-        preserving_basis=basis,
-        restricted=restricted,
-        target_m_b=target,
-        a_spectrum=tuple(float(x) for x in a_vals),
-    )
+    if abs(pair.m_b - target) > 1e-6:
+        raise ValueError(f"TaskPair: restricted stable rank {pair.m_b!r} != target {target!r}")
+    return pair

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .tasks import QuadraticTask
+from .tasks import QuadraticTask, TaskPair
 
 # Trajectories whose parameter norm passes this limit are treated as diverged.
 DIVERGENCE_LIMIT = 1e8
@@ -104,9 +104,12 @@ def step_map(task: QuadraticTask, rule: StepRule) -> tuple[np.ndarray, np.ndarra
     return _affine_step(task.hessian, task.minimizer, rule.step_size, rule.weight_decay)
 
 
-def step_jacobian(task: QuadraticTask, rule: StepRule) -> np.ndarray:
-    """State-independent Jacobian of one update step."""
-    return step_map(task, rule)[0]
+def contraction_rates(pair: TaskPair, rule: StepRule) -> np.ndarray:
+    """The eigenvalues 1 - eta * (lambda + wd) of the step matrix A of the
+    pair's task A, in closed form: lambda = 0 on the k_a preserved
+    directions, then lambda = a_i on A's normals, in ``a_spectrum`` order."""
+    curvature = np.concatenate([np.zeros(pair.preserving_basis.dim), pair.a_spectrum])
+    return 1.0 - rule.step_size * (curvature + rule.weight_decay)
 
 
 def propagate(
@@ -120,13 +123,30 @@ def propagate(
     max(n_steps) + 1, d)``, zero after each member's last (with ``final_only``
     only the last, ``(m, d)``), and each member's cumulative Jacobian, the
     left products ``A @ (... @ (A @ I))``; every product is the one a run of
-    that member alone makes, bit for bit.  A negative step count raises
+    that member alone makes, bit for bit.  Inputs of the wrong shape or
+    length, a start that is not finite and a negative step count raise
     ValueError; a member whose |theta| passes ``DIVERGENCE_LIMIT`` or turns
     NaN raises DivergenceError, naming the step and ``label``."""
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    if theta0.ndim != 2 or not np.isfinite(theta0).all():
+        raise ValueError(
+            f"propagate: theta0 must be a finite (m, d) array, got shape {theta0.shape}"
+        )
+    m, d = theta0.shape
+    hessians = np.asarray(hessians, dtype=np.float64)
+    minimizers = np.asarray(minimizers, dtype=np.float64)
+    if hessians.shape != (m, d, d) or minimizers.shape != (m, d):
+        raise ValueError(
+            f"propagate: theta0 {theta0.shape} needs hessians {(m, d, d)} and minimizers "
+            f"{(m, d)}, got {hessians.shape} and {minimizers.shape}"
+        )
+    if any(len(x) != m for x in (rules, n_steps, realizations, step_offsets)):
+        raise ValueError(
+            f"propagate: rules, n_steps, realizations and step_offsets need {m} entries each"
+        )
     lengths = np.asarray(n_steps)
     if (lengths < 0).any():
         raise ValueError(f"propagate: n_steps must be >= 0, got {int(lengths.min())}")
-    m, d = theta0.shape
     n_max = int(lengths.max(initial=0))
     # longest first, so the members still stepping at step k are a prefix
     order = np.argsort(-lengths, kind="stable")

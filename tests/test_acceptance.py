@@ -14,7 +14,7 @@ from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import SubspaceBasis, singular_values, spectrum_rank
 from reconcap.tasks import QuadraticTask, make_task_pair, random_rotations
-from reconcap.transport import StepRule, propagate, step_jacobian
+from reconcap.transport import StepRule, propagate, step_map
 
 from _oracles import STREAM_ORACLE, sample_batch, sinkhorn_w2, sorted_coupling_w2
 
@@ -147,7 +147,7 @@ def test_criterion_04_rank_monotonicity(criterion):
             lam_max = float(np.max(np.linalg.eigvalsh(pair.task_a.hessian)))
             eta = float(gen.uniform(0.1, 1.0)) * 2.0 / (lam_max + wd)
             rule = StepRule(kind="gradient_descent", step_size=eta, weight_decay=wd)
-            a_mat = step_jacobian(pair.task_a, rule)
+            a_mat = step_map(pair.task_a, rule)[0]
             m = np.eye(d)
             prev_rank, prev_usable = capacity.compatible_effective_rank(
                 m, pair.preserving_basis, THRESHOLDS.tau_sigma

@@ -30,15 +30,6 @@ def test_effective_rank_zero_on_collapse():
     assert capacity.effective_rank(np.diag([1.0, 1e-14, 1.0])) == 0.0
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_reconfiguration_dimension_of_a_tiny_task_b():
-    h = np.zeros((4, 4))
-    h[0, 0] = 1e-200
-    task_b = QuadraticTask(dim=4, hessian=h, minimizer=np.zeros(4))
-    m_b = capacity.reconfiguration_dimension(task_b, axis_basis(4, [0, 1]))
-    assert m_b == 1.0  # not NaN
-
-
 def test_compatible_rank_and_usable_count():
     d = 4
     j = np.diag([1.0, 0.5, 1e-6, 1.0])
@@ -56,8 +47,7 @@ def test_compatible_rank_rejects_a_threshold_not_above_zero(tau):
 
 def test_reconfiguration_dimension_frozen():
     pair = make_task_pair(d=8, k_a=2, spectrum_b_on_a=(2.0, 1.0), rotation_seed=1)
-    m_b = capacity.reconfiguration_dimension(pair.task_b, pair.preserving_basis)
-    assert m_b == pytest.approx(1.25, abs=1e-9)
+    assert pair.m_b == pytest.approx(1.25, abs=1e-9)
 
 
 def contraction_jacobian(d, dirs, strength=1.0):
@@ -73,12 +63,12 @@ def test_prediction_flags_overdemand():
     # crush two of the three preserved directions
     j_bad = contraction_jacobian(6, [q[:, 1], q[:, 2]])
     tau = THRESHOLDS.tau_sigma
-    report = capacity.predict_incompatibility(j_bad, pair.preserving_basis, pair.task_b, tau)
+    report = capacity.predict_incompatibility(j_bad, pair, tau)
     assert report.usable_direction_count == 1
     assert report.m_b == pytest.approx(2.0, abs=1e-9)
     assert report.predicted_incompatible
     # leave everything open and the demand fits
-    report_ok = capacity.predict_incompatibility(np.eye(6), pair.preserving_basis, pair.task_b, tau)
+    report_ok = capacity.predict_incompatibility(np.eye(6), pair, tau)
     assert report_ok.usable_direction_count == 3
     assert not report_ok.predicted_incompatible
 

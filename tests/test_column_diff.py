@@ -13,6 +13,7 @@ _spec.loader.exec_module(column_diff)
 BASE = {
     "default/esl-gap/dynamics.csv": "step,sigma,flag\n0,0.0,true\n1,0.25,false\n2,0.125,false\n",
     "7/rank-decay/rank_decay.csv": "step,sv_0\n0,1.0\n1,0.5\n",
+    "default/esl-gap/summary.json": '{"n_steps": 40, "slack": 1.2e-12, "ok": true}',
 }
 
 
@@ -67,6 +68,20 @@ def test_moved_numeric_column(tmp_path, capsys):
 )
 def test_flagged_differences(tmp_path, capsys, rel, text, line):
     assert _diff(tmp_path, dict(BASE, **{rel: text}), capsys) == (1, [line])
+
+
+def test_moved_summary_fields(tmp_path, capsys):
+    moved = dict(
+        BASE,
+        **{"default/esl-gap/summary.json": '{"n_steps": 40, "slack": 5e-14, "ok": false}'},
+    )
+    assert _diff(tmp_path, moved, capsys) == (
+        1,
+        [
+            "default/esl-gap/summary.json slack 1 1.150e-12",
+            "default/esl-gap/summary.json ok 1 - non-numeric=1",
+        ],
+    )
 
 
 def test_file_only_in_old(tmp_path, capsys):

@@ -415,11 +415,13 @@ def test_default_threshold_sweep_is_byte_stable(tmp_path):
 
 
 # sha256 of the default data files of the closed-form scenarios, as written
-# while capacity diagnostics took ensembles of one Jacobian
+# while capacity diagnostics took ensembles of one Jacobian; rank-decay's
+# summary.json as written since its errors are against the arithmetic
+# closed-form rates, not eigvalsh of the step matrix
 CLOSED_FORM_DIGESTS = {
     "rank-decay": {
         "rank_decay.csv": "8651fb108318d0ac88cc39f619eaf77c2d21c86a6521ec4134a1a23a6580e224",
-        "summary.json": "097a231fed478fdd853bb6468d74703c710c542b95a98f237bcbe2007cc09490",
+        "summary.json": "c63adf47b27e65ec7cdb7c2d6dae5403bfb7ad1853c02c8fab81601c9fe4a62b",
     },
     "proxy-probe": {
         "proxy.csv": "e51d5f1038dc5c82a107f709d29b705d41fa7f1306abe72d4fd842b4f5663840",
@@ -613,7 +615,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.13.0"
+    assert capsys.readouterr().out.strip() == "0.14.0"
 
 
 def test_version_matches_pyproject():
@@ -665,14 +667,12 @@ PUBLIC_NAMES = [
     "predict_incompatibility",
     "propagate",
     "random_rotations",
-    "reconfiguration_dimension",
     "restricted_hessian",
     "run_scenario",
     "save_config",
     "simulate_relaxation",
     "singular_values",
     "stable_rank",
-    "step_jacobian",
     "stream",
     "value",
     "w2_gaussian",
@@ -850,6 +850,22 @@ def test_cli_run_env_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RECONCAP_OUT_DIR", str(tmp_path / "env-out"))
     assert cli.main(["run", "--scenario", "proxy-probe"]) == 0
     assert (tmp_path / "env-out" / "proxy.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_esl_gap_start_under_the_covariance_floor_is_a_config_error(tmp_path, capsys, command):
+    # 1e-20 once passed validate, then failed the run as "numerical" when
+    # GaussianState rejected the start covariance
+    payload = default_config("esl-gap").to_dict()
+    payload["thermo"]["start_cov_scale"] = 1e-20
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    argv = [command, str(path)] if command == "validate" else [
+        "run", "--config", str(path), "--out-dir", str(tmp_path / "o")
+    ]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert _single_error_line(err, 1, "config") and "start_cov_scale must be >= 1.0e-12" in err
 
 
 def test_cli_check_failure_exits_3(tmp_path, capsys):

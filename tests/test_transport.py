@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reconcap import rng, tasks, transport
+from reconcap.config import default_config
 
 from _oracles import per_run_propagation, singulars_via_gram
 
@@ -20,13 +21,13 @@ def random_task(seed, d=6):
 
 def test_step_jacobian_plain():
     rule = transport.StepRule(kind="gradient_descent", step_size=0.5)
-    j = transport.step_jacobian(flat_task(), rule)
+    j = transport.step_map(flat_task(), rule)[0]
     assert np.array_equal(j, np.diag([0.5, 1.0]))
 
 
 def test_step_jacobian_with_decay():
     rule = transport.StepRule(kind="gradient_descent", step_size=0.5, weight_decay=0.2)
-    j = transport.step_jacobian(flat_task(), rule)
+    j = transport.step_map(flat_task(), rule)[0]
     assert np.allclose(j, np.diag([0.4, 0.9]), atol=1e-15)
 
 
@@ -34,8 +35,17 @@ def test_step_jacobian_ignores_noise_scale():
     noisy = transport.StepRule(kind="noisy_gradient", step_size=0.5, noise_scale=3.0)
     hot = transport.StepRule(kind="langevin", step_size=0.5, noise_scale=3.0)
     j_ref = np.diag([0.5, 1.0])
-    assert np.array_equal(transport.step_jacobian(flat_task(), noisy), j_ref)
-    assert np.array_equal(transport.step_jacobian(flat_task(), hot), j_ref)
+    assert np.array_equal(transport.step_map(flat_task(), noisy)[0], j_ref)
+    assert np.array_equal(transport.step_map(flat_task(), hot)[0], j_ref)
+
+
+@pytest.mark.parametrize("scenario", ["rank-decay", "proxy-probe"])
+def test_contraction_rates_are_the_step_matrix_eigenvalues(scenario):
+    cfg = default_config(scenario)
+    pair = cfg.decaying_pair()
+    closed = np.sort(np.abs(transport.contraction_rates(pair, cfg.rule)))
+    numeric = np.sort(np.abs(np.linalg.eigvalsh(transport.step_map(pair.task_a, cfg.rule)[0])))
+    assert np.all(np.abs(closed - numeric) <= 10 * np.spacing(numeric))
 
 
 def test_weight_decay_only_for_plain_descent():
@@ -80,7 +90,7 @@ def test_cumulative_jacobian_matches_matrix_power():
     task = random_task(3)
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
     _, jacobians = propagate_members([(task, rule, np.ones(task.dim), 40, 0, 0)], omega_seed=0)
-    expected = np.linalg.matrix_power(transport.step_jacobian(task, rule), 40)
+    expected = np.linalg.matrix_power(transport.step_map(task, rule)[0], 40)
     assert np.allclose(jacobians[0], expected, rtol=1e-11, atol=1e-13)
 
 
@@ -163,6 +173,48 @@ def test_propagate_rejects_a_negative_step_count():
             propagate_members(stack, omega_seed=0)
 
 
+def propagate_args(**changes):
+    """Arguments of a valid two-member, 6-d ``transport.propagate`` call,
+    with some replaced."""
+    rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
+    tasks_ = [random_task(72), random_task(73)]
+    args = dict(
+        theta0=np.ones((2, 6)),
+        hessians=np.array([task.hessian for task in tasks_]),
+        minimizers=np.array([task.minimizer for task in tasks_]),
+        rules=[rule, rule],
+        n_steps=[3, 0],
+        omega_seed=0,
+        realizations=[0, 1],
+        step_offsets=[0, 0],
+        label="task",
+    )
+    return dict(args, **changes)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # a 1-d start once failed unpacking its shape
+        ({"theta0": np.ones(6)}, r"theta0 must be a finite \(m, d\) array, got shape \(6,\)"),
+        # a 5-d start against 6-d Hessians once failed in matmul
+        ({"theta0": np.ones((2, 5))}, r"needs hessians \(2, 5, 5\) and minimizers \(2, 5\)"),
+        # a NaN start on a member of zero steps once came back unchecked
+        ({"theta0": np.array([[1.0] * 6, [np.nan] * 6])}, "theta0 must be a finite"),
+        ({"minimizers": np.zeros((2, 5))}, r"minimizers \(2, 6\)"),
+        ({"step_offsets": [0]}, "need 2 entries each"),
+        ({"rules": [transport.StepRule()]}, "need 2 entries each"),
+    ],
+    ids=["1d-start", "start-dim", "nan-start", "minimizer-dim", "offsets", "rules"],
+)
+def test_propagate_validates_its_inputs(changes, message):
+    states, _ = transport.propagate(**propagate_args())
+    as_lists = {name: propagate_args()[name].tolist() for name in ("theta0", "hessians", "minimizers")}
+    assert np.array_equal(transport.propagate(**propagate_args(**as_lists))[0], states)
+    with pytest.raises(ValueError, match=r"^propagate: .*" + message):
+        transport.propagate(**propagate_args(**changes))
+
+
 BITWISE_RULES = (
     transport.StepRule(kind="gradient_descent", step_size=0.05, weight_decay=0.1),
     transport.StepRule(kind="noisy_gradient", step_size=0.05, noise_scale=0.7),
@@ -213,7 +265,7 @@ def test_cumulative_jacobian_is_the_left_product_bitwise(rule):
     task = random_task(18)
     head, j1 = propagate_members([(task, rule, np.ones(task.dim), 7, 0, 0)], 3)
     _, j2 = propagate_members([(task, rule, head[0, -1], 9, 0, 7)], 3)
-    j = transport.step_jacobian(task, rule)
+    j = transport.step_map(task, rule)[0]
     m = np.eye(task.dim)
     for k in range(9):
         m = j @ m

@@ -1,19 +1,24 @@
-"""Report which CSV columns changed between two output trees, and by how much.
+"""Report which CSV columns and summary fields changed between two output
+trees, and by how much.
 
     python3 tools/column_diff.py OLD_DIR NEW_DIR
 
-For every ``*.csv`` at the same relative path under both directories, prints
-one line per column with at least one changed field:
+For every ``*.csv`` and ``summary.json`` at the same relative path under both
+directories, prints one line per column with at least one changed field:
 
     <file> <column> <n changed> <max abs change>
+
+A ``summary.json`` is read as a table of one row, its keys the header and
+each value's JSON text a field, so a changed key prints ``<file> <key> 1 ...``.
 
 A field counts as changed when its text differs.  The largest absolute
 change is taken over the changed fields that parse as finite floats on both
 sides; a changed field that does not (``True``/``False``, text, ``nan``,
-``inf``) is flagged by a trailing ``non-numeric=<count>``, and the maximum
+``inf``, ``null``, a list) is flagged by a trailing ``non-numeric=<count>``, and the maximum
 reads ``-`` if no changed field is numeric.  A file whose header or row
-count differs gets a single ``<file> * shape differs`` line, and a CSV
-present in only one tree a ``<file> * only in OLD|NEW`` line.
+count (for a summary, whose keys) differ gets a single ``<file> * shape
+differs`` line, and a file present in only one tree a ``<file> * only in
+OLD|NEW`` line.
 
 Trees to compare come from ``tools/data_digests.py OUT_DIR``, run in each
 checkout.  Exits 0 when nothing differs and 1 otherwise.  Standard library
@@ -23,14 +28,23 @@ only.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import sys
 from pathlib import Path
 
 
 def _read(path: Path) -> list[list[str]]:
+    if path.suffix == ".json":
+        summary = json.loads(path.read_text())
+        return [list(summary), [json.dumps(value) for value in summary.values()]]
     with path.open(newline="") as fh:
         return list(csv.reader(fh))
+
+
+def _outputs(root: Path) -> set[Path]:
+    patterns = ("*.csv", "summary.json")
+    return {p.relative_to(root) for pattern in patterns for p in root.rglob(pattern)}
 
 
 def _finite(text: str) -> float | None:
@@ -70,8 +84,7 @@ def main(argv: list[str]) -> int:
         print("usage: column_diff.py OLD_DIR NEW_DIR", file=sys.stderr)
         return 2
     old_root, new_root = (Path(a) for a in argv)
-    old_files = {p.relative_to(old_root) for p in old_root.rglob("*.csv")}
-    new_files = {p.relative_to(new_root) for p in new_root.rglob("*.csv")}
+    old_files, new_files = _outputs(old_root), _outputs(new_root)
     differs = False
     for rel in sorted(old_files | new_files):
         if rel not in new_files or rel not in old_files:
