@@ -85,18 +85,14 @@ class CapacityReport:
     predicted_incompatible_raw: bool
 
 
-def predict_incompatibility(jacobian, pair: TaskPair, tau_sigma: float) -> CapacityReport:
+def predict_incompatibility(jacobians, pair: TaskPair, tau_sigma: float) -> CapacityReport:
     """Capacity report of one Jacobian ``(d, d)`` against the pair's later
-    task, whose demand is ``pair.m_b``."""
-    full = effective_rank(jacobian)
-    compatible, usable = compatible_effective_rank(jacobian, pair.preserving_basis, tau_sigma)
-    return CapacityReport(
-        effective_rank=full,
-        usable_direction_count=int(usable),
-        m_b=pair.m_b,
-        predicted_incompatible=bool(pair.m_b > usable),
-        predicted_incompatible_raw=bool(pair.m_b > compatible),
-    )
+    task, whose demand is ``pair.m_b``; a stack ``(n, d, d)`` against a
+    stacked pair gives a report of lists, from one SVD per diagnostic."""
+    full = effective_rank(jacobians)
+    compatible, usable = compatible_effective_rank(jacobians, pair.preserving_basis, tau_sigma)
+    fields = (full, usable, pair.m_b, pair.m_b > usable, pair.m_b > compatible)
+    return CapacityReport(*(np.asarray(f).tolist() for f in fields))
 
 
 @dataclass(frozen=True)

@@ -279,7 +279,7 @@ class ExperimentConfig:
         # cells differ only in rotation and demand: the largest demand builds
         # the stiffest task B, and every cell's task A has the default spectrum
         m = max(s.m_b_targets)
-        pair = self._task_pair((1.0,) * m + (0.0,) * (self.k_a - m), tilt=s.tilt if m else 0.0)
+        pair = self._task_pair((1.0,) * m + (0.0,) * (self.k_a - m), tilt=s.tilt)
         self._require_stable(max(*pair.a_spectrum, pair.task_b.lam_max))
 
     def _validate_composition_check(self) -> None:

@@ -208,10 +208,10 @@ def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
 # threshold-sweep: predicted vs observed incompatibility over a target grid
 
 
-def _descend_survivors(theta_start, survivors, task_b, eta, eps_b, limit):
-    """Stage 1: gradient descent on task B over theta_start + survivors @ y,
-    from y = 0, up to the first iterate within eps_b or ``limit`` updates.
-    Returns that iterate's (theta, loss).
+def _descend_survivors(theta_start, survivors, h_b, target, eta, eps_b, limit):
+    """Stage 1: gradient descent on task B ``(h_b, target)`` over
+    theta_start + survivors @ y, from y = 0, up to the first iterate within
+    eps_b or ``limit`` updates.  Returns that iterate's (theta, loss).
 
     An update reads only y, so once an iterate repeats an earlier one, bit
     for bit, the iterates cycle from there on and none of them reaches
@@ -219,7 +219,6 @@ def _descend_survivors(theta_start, survivors, task_b, eta, eps_b, limit):
     fixed point is a cycle of period 1.  y is keyed as bytes, so -0.0 and
     0.0 differ.
     """
-    h_b, target = task_b.hessian, task_b.minimizer
     y = np.zeros(survivors.shape[1])
     first_seen, iterates = {}, []
     for n_updates in range(limit + 1):
@@ -236,18 +235,18 @@ def _descend_survivors(theta_start, survivors, task_b, eta, eps_b, limit):
     return theta_start + survivors @ y, loss
 
 
-def _escape(theta, task_b, rule, limit, eps_b):
-    """Stage 2: unconstrained descent on task B from theta, up to the first
-    state within eps_b or ``limit`` steps.  Returns (steps, state, reached).
+def _escape(theta, h_b, target, rule, limit, eps_b):
+    """Stage 2: unconstrained descent on task B ``(h_b, target)`` from theta,
+    up to the first state within eps_b or ``limit`` steps: (steps, state, reached).
 
     Each step is ``step_map``'s A @ theta + b, bit for bit the step
     ``propagate`` makes of a one-member stack.  The rule is plain gradient
     descent, so no noise is drawn, and the validated stability bound keeps
     the map from diverging.
     """
-    a, b = step_map(task_b, rule)
+    a, b = _affine_step(h_b, target, rule.step_size, rule.weight_decay)
     steps, state = 0, theta
-    while not _half_quadratic(task_b.hessian, state - task_b.minimizer)[0] <= eps_b:
+    while not _half_quadratic(h_b, state - target)[0] <= eps_b:
         if steps == limit:
             return steps, state, False
         state, steps = a @ state + b, steps + 1
@@ -255,9 +254,9 @@ def _escape(theta, task_b, rule, limit, eps_b):
 
 
 def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
-    """The rows of sweep cells ``(cell_index, m_target, u_target)``: each
-    cell's task pair and anchored first task, phase 1 of every cell as one
-    stacked propagation, then each cell's phase 2."""
+    """The rows of sweep cells ``(cell_index, m_target, u_target)``: the
+    cells' task pairs, phase 1 and predictions each as one stack, then each
+    cell's phase 2."""
     sweep = cfg.sweep
     d = cfg.dim
     k_a = cfg.k_a
@@ -265,63 +264,51 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     eta = rule.step_size
     tau = cfg.thresholds.tau_sigma
 
-    pairs, anchored = [], np.empty((len(cells), d, d))
-    for i, (cell_index, m_target, u_target) in enumerate(cells):
-        spectrum = (1.0,) * m_target + (0.0,) * (k_a - m_target)
-        pair = make_task_pair(
-            d,
-            k_a,
-            spectrum,
-            cfg.pair.rotation_seed + cell_index,
-            offset_scale=sweep.offset_scale,
-            tilt=sweep.tilt if m_target > 0 else 0.0,
-        )
-        # phase 1: anchor the last k_a - u preserved directions so exactly u
-        # survive; collapse order runs opposite to demand order so the two
-        # targets decouple.  The anchor pulls toward task A's minimizer,
-        # which the sum keeps.
-        collapsed = pair.preserving_basis.basis[:, u_target:]
-        anchor_h = sweep.collapse_strength * collapsed @ collapsed.T
-        anchored[i] = pair.task_a.hessian + (anchor_h + anchor_h.T) / 2.0
-        pairs.append(pair)
+    realizations = [cell[0] for cell in cells]
+    spectra = [(1.0,) * m_target + (0.0,) * (k_a - m_target) for _, m_target, _ in cells]
+    seeds = [cfg.pair.rotation_seed + cell_index for cell_index in realizations]
+    pairs = make_task_pair(d, k_a, spectra, seeds, offset_scale=sweep.offset_scale, tilt=sweep.tilt)
+    # phase 1: anchor the last k_a - u preserved directions so exactly u
+    # survive; collapse order runs opposite to demand order so the two
+    # targets decouple.  The anchor pulls toward task A's minimizer, which
+    # the sum keeps.
+    collapsed = [q[:, u:] for q, (*_, u) in zip(pairs.preserving_basis.basis, cells)]
+    anchored = np.array([sweep.collapse_strength * c @ c.T for c in collapsed])
+    anchored = pairs.task_a.hessian + (anchored + anchored.swapaxes(-1, -2)) / 2.0
     contraction = 1.0 - eta * sweep.collapse_strength
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
-    realizations = [cell[0] for cell in cells]
     n = len(cells)
-    theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)
-    theta0 = theta0[:, 0]
+    theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
     label = "anchored-first-task"
     h, _ = require_psd(anchored, stacked=True, label=label)
-    minimizers = np.array([pair.task_a.minimizer for pair in pairs])
     finals, jacobians = propagate(
-        theta0, h, minimizers, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n, label,
-        final_only=True,
+        theta0, h, pairs.task_a.minimizer, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
+        label, final_only=True,
     )
-    return [
-        _sweep_row(cfg, cell, pair, theta_start, jacobian)
-        for cell, pair, theta_start, jacobian in zip(cells, pairs, finals, jacobians)
-    ]
+    report = capacity.predict_incompatibility(jacobians, pairs, tau)
+    return [_sweep_row(cfg, cell, i, pairs, finals[i], report) for i, cell in enumerate(cells)]
 
 
-def _sweep_row(cfg: ExperimentConfig, cell, pair, theta_start, jacobian) -> list:
-    """One sweep cell's row from the end of its phase 1: the prediction from
-    the phase-1 Jacobian, then stage 1 and, where it falls short, the escape."""
+def _sweep_row(cfg: ExperimentConfig, cell, i, pairs, theta_start, report) -> list:
+    """The row of sweep cell i from the stacked pair, the cell's end of
+    phase 1 and the stacked report: stage 1 and, where it falls short, the
+    escape.  Forgetting is phi_A(end) - phi_A(theta_start)."""
     _, m_target, u_target = cell
     sweep = cfg.sweep
     limits = cfg.thresholds
-    report = capacity.predict_incompatibility(jacobian, pair, limits.tau_sigma)
+    h_a, theta_a = pairs.task_a.hessian[i], pairs.task_a.minimizer[i]
+    h_b, theta_b = pairs.task_b.hessian[i], pairs.task_b.minimizer[i]
+    loss_a_start = _half_quadratic(h_a, theta_start - theta_a)[0]
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
-    survivors = np.ascontiguousarray(pair.preserving_basis.basis[:, :u_target])
+    survivors = np.ascontiguousarray(pairs.preserving_basis.basis[i, :, :u_target])
     eps_b = limits.epsilon_b
     theta_stage1, loss = _descend_survivors(
-        theta_start, survivors, pair.task_b, cfg.rule.step_size, eps_b, sweep.phase2_step_limit
+        theta_start, survivors, h_b, theta_b, cfg.rule.step_size, eps_b, sweep.phase2_step_limit
     )
     stage1_reached = bool(loss <= eps_b)
-    forgetting_s1 = capacity.measure_forgetting(
-        theta_start, theta_stage1, pair.task_a, limits.epsilon_a
-    )
-    observed = not (stage1_reached and forgetting_s1.forgetting <= limits.epsilon_low)
+    forgetting = _half_quadratic(h_a, theta_stage1 - theta_a)[0] - loss_a_start
+    observed = not (stage1_reached and forgetting <= limits.epsilon_low)
 
     # stage 2: unconstrained escape, recorded for the exit audit
     phase2_steps = 0
@@ -330,26 +317,23 @@ def _sweep_row(cfg: ExperimentConfig, cell, pair, theta_start, jacobian) -> list
     forgetting_after_escape = 0.0
     if not stage1_reached:
         phase2_steps, theta_escape, escape_reached = _escape(
-            theta_stage1, pair.task_b, cfg.rule, sweep.phase2_step_limit, eps_b
+            theta_stage1, h_b, theta_b, cfg.rule, sweep.phase2_step_limit, eps_b
         )
-        forgetting_s2 = capacity.measure_forgetting(
-            theta_start, theta_escape, pair.task_a, limits.epsilon_a
-        )
-        exit_flag = forgetting_s2.exited_manifold
-        forgetting_after_escape = forgetting_s2.forgetting
+        forgetting_after_escape = _half_quadratic(h_a, theta_escape - theta_a)[0] - loss_a_start
+        exit_flag = forgetting_after_escape > limits.epsilon_a
 
-    predicted = report.predicted_incompatible
+    predicted = report.predicted_incompatible[i]
     return [
         m_target,
         u_target,
-        report.usable_direction_count,
-        report.effective_rank,
-        report.m_b,
-        forgetting_s1.forgetting,
+        report.usable_direction_count[i],
+        report.effective_rank[i],
+        report.m_b[i],
+        forgetting,
         loss,
         stage1_reached,
         predicted,
-        report.predicted_incompatible_raw,
+        report.predicted_incompatible_raw[i],
         observed,
         predicted == observed,
         phase2_steps,

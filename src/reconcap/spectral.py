@@ -90,19 +90,20 @@ def require_symmetric(
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Orthonormal columns spanning a subspace of R^ambient_dim."""
+    """Orthonormal columns spanning a subspace of R^ambient_dim, or a stack
+    ``(..., ambient_dim, dim)`` of such bases checked in one pass."""
 
     ambient_dim: int
     dim: int
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.basis, name="basis").copy()
-        if b.shape != (self.ambient_dim, self.dim):
+        b = as_matrix(self.basis, stacked=True, name="basis").copy()
+        if b.shape[-2:] != (self.ambient_dim, self.dim):
             raise ValueError(
                 f"basis: expected shape ({self.ambient_dim}, {self.dim}), got {b.shape}"
             )
-        gram = b.T @ b
+        gram = b.swapaxes(-1, -2) @ b
         if not np.allclose(gram, np.eye(self.dim), atol=1e-10):
             raise ValueError("basis: columns not orthonormal within 1e-10")
         object.__setattr__(self, "basis", b)
@@ -139,15 +140,17 @@ def log_volume(s):
     return np.where(collapsed, NEGATIVE_INFINITY, total)[()]
 
 
-def stable_rank(h) -> float:
-    """||H||_F^2 / ||H||_2^2 for a symmetric matrix; 0 for the zero matrix."""
-    m = require_symmetric(h, name="stable_rank input")
+def stable_rank(h):
+    """||H||_F^2 / ||H||_2^2 for a symmetric matrix, 0 for the zero matrix; a
+    float for one matrix ``(d, d)``, an array ``(...)`` for a stack ``(...,
+    d, d)`` from one ``eigvalsh`` call."""
+    m = require_symmetric(h, stacked=True, name="stable_rank input")
     eigs = np.linalg.eigvalsh(m)
-    top = float(np.max(np.abs(eigs)))
-    if top <= RANK_TOL_ABS:
-        return 0.0
+    top = np.max(np.abs(eigs), axis=-1)
+    live = top > RANK_TOL_ABS
     # scaled first: top**2 underflows to 0 once top is below about 1e-154
-    return float(np.sum((eigs / top) ** 2))
+    scaled = eigs / np.where(live, top, 1.0)[..., None]
+    return np.where(live, np.sum(scaled**2, axis=-1), 0.0)[()]
 
 
 def spectrum_rank(s: np.ndarray) -> int:

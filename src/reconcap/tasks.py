@@ -25,21 +25,23 @@ _PSD_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuadraticTask:
+    """One task, or a stack validated in one pass: hessian (n, d, d), minimizer (n, d)."""
+
     dim: int
     hessian: np.ndarray
     minimizer: np.ndarray
     label: str = "task"
-    # the largest curvature, which bounds the stable step sizes
+    # the largest curvature (of each member), which bounds the stable step sizes
     lam_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h, lam_max = require_psd(self.hessian, label=self.label)
-        if h.shape[0] != self.dim:
-            raise ValueError(f"{self.label}: hessian shape {h.shape} != dim {self.dim}")
-        theta_star = as_vector(self.minimizer, dim=self.dim, name=f"{self.label} minimizer")
+        h, lam_max = require_psd(self.hessian, stacked=True, label=self.label)
+        theta_star = as_vector(self.minimizer, stacked=True, name=f"{self.label} minimizer")
+        if h.shape[-1] != self.dim or theta_star.shape != h.shape[:-1]:
+            raise ValueError(f"{self.label}: hessian {h.shape} and minimizer {theta_star.shape} != dim {self.dim}")
         object.__setattr__(self, "hessian", h)
         object.__setattr__(self, "minimizer", theta_star)
-        object.__setattr__(self, "lam_max", float(lam_max))
+        object.__setattr__(self, "lam_max", float(lam_max) if h.ndim == 2 else lam_max)
 
 
 def require_psd(h, *, stacked: bool = False, label: str = "task") -> tuple[np.ndarray, np.ndarray]:
@@ -66,11 +68,11 @@ def value(task: QuadraticTask, theta) -> float:
 
 
 def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
-    """Q_A^T H_B Q_A: task-B curvature seen inside the A-preserving subspace."""
+    """Q_A^T H_B Q_A (of each member): task-B curvature inside the A-preserving subspace."""
     if q_a.ambient_dim != task_b.dim:
         raise ValueError("restricted_hessian: basis ambient dim != task dim")
-    g = q_a.basis.T @ task_b.hessian @ q_a.basis
-    return (g + g.T) / 2.0
+    g = q_a.basis.swapaxes(-1, -2) @ task_b.hessian @ q_a.basis
+    return (g + g.swapaxes(-1, -2)) / 2.0
 
 
 def random_rotations(dim: int, seeds) -> np.ndarray:
@@ -94,24 +96,24 @@ class TaskPair:
     preserving_basis: SubspaceBasis
     a_spectrum: tuple  # task A's curvature along its normal directions
     # the demand m_B: the stable rank of Q_A^T H_B Q_A, how many of the
-    # preserved directions task B effectively needs
+    # preserved directions task B effectively needs; an array (n,) for a stack
     m_b: float = field(init=False)
 
     def __post_init__(self):
         q = self.preserving_basis
-        annihilation = float(np.linalg.norm(self.task_a.hessian @ q.basis))
-        if annihilation > 1e-8:
-            raise ValueError(f"TaskPair: ||H_A Q_A||_F = {annihilation:.3e} exceeds 1e-8")
+        annihilation = np.linalg.norm(self.task_a.hessian @ q.basis, axis=(-2, -1))
+        if np.any(annihilation > 1e-8):
+            raise ValueError(f"TaskPair: ||H_A Q_A||_F = {np.max(annihilation):.3e} exceeds 1e-8")
         restricted = restricted_hessian(self.task_b, q)
-        m_b = 0.0 if float(np.max(np.abs(restricted))) <= 1e-12 else stable_rank(restricted)
-        object.__setattr__(self, "m_b", m_b)
+        live = np.max(np.abs(restricted), axis=(-2, -1)) > 1e-12
+        object.__setattr__(self, "m_b", np.where(live, stable_rank(restricted), 0.0)[()])
 
 
 def make_task_pair(
     d: int,
     k_a: int,
     spectrum_b_on_a,
-    rotation_seed: int,
+    rotation_seed,
     *,
     a_spectrum=None,
     offset_scale: float = 0.0,
@@ -132,13 +134,21 @@ def make_task_pair(
     ``arctan(tilt)`` into a paired A-normal direction without changing the
     restriction; with a nonzero tilt, task B can also be lowered by moving off
     the A-preserving subspace, which is what makes forced exits observable.
+
+    n rotation seeds with one spectrum each build one stacked pair, each
+    member bit for bit the pair built alone; every check runs once over the
+    stack, and a failing member raises the message its pair raises alone.
     """
     if not 0 < k_a < d:
         raise ValueError(f"make_task_pair: need 0 < k_a < d, got k_a={k_a}, d={d}")
-    spectrum = np.asarray(spectrum_b_on_a, dtype=np.float64)
-    if spectrum.shape != (k_a,):
+    stacked = np.ndim(rotation_seed) > 0
+    seeds, spectra = (rotation_seed, spectrum_b_on_a) if stacked else ([rotation_seed], [spectrum_b_on_a])
+    if len(spectra) != len(seeds):
+        raise ValueError("make_task_pair: need one spectrum_b_on_a per rotation seed")
+    if any(np.shape(s) != (k_a,) for s in spectra):
         raise ValueError(f"make_task_pair: spectrum_b_on_a must have length k_a={k_a}")
-    if np.any(spectrum < 0.0):
+    spectrum = np.array(spectra, dtype=np.float64)
+    if not np.all(spectrum >= 0.0):
         raise ValueError("make_task_pair: spectrum_b_on_a entries must be >= 0")
     if a_spectrum is None:
         a_vals = np.linspace(2.0, 1.0, d - k_a)
@@ -146,48 +156,55 @@ def make_task_pair(
         a_vals = np.asarray(a_spectrum, dtype=np.float64)
         if a_vals.shape != (d - k_a,):
             raise ValueError(f"make_task_pair: a_spectrum must have length d - k_a = {d - k_a}")
-        if np.any(a_vals <= 0.0):
+        if not np.all(a_vals > 0.0):
             raise ValueError("make_task_pair: a_spectrum entries must be positive")
 
-    rot = random_rotations(d, [rotation_seed])[0]
-    normal_dirs = rot[:, : d - k_a]
-    null_dirs = np.ascontiguousarray(rot[:, d - k_a :])
+    # the stack, or its one member
+    at = slice(None) if stacked else 0
+    rot = random_rotations(d, seeds)
+    normal_dirs = rot[..., : d - k_a]
+    null_dirs = np.ascontiguousarray(rot[..., d - k_a :])
 
     h_a = _eigen_rebuild(normal_dirs, a_vals)
-    theta_a = np.zeros(d)
-    task_a = QuadraticTask(dim=d, hessian=h_a, minimizer=theta_a, label="first-task")
+    theta_a = np.zeros(h_a.shape[:-1])
+    task_a = QuadraticTask(dim=d, hessian=h_a[at], minimizer=theta_a[at], label="first-task")
 
-    demanded = np.flatnonzero(spectrum > 0.0)
-    if tilt != 0.0 and demanded.size and int(demanded.max()) >= d - k_a:
+    demanded = spectrum > 0.0
+    last = np.max(np.where(demanded, np.arange(k_a), -1), axis=-1)
+    if tilt != 0.0 and np.any(last >= d - k_a):
         raise ValueError(
             "make_task_pair: tilt pairs demand direction j with normal direction j; "
-            f"positive spectrum index {int(demanded.max())} has no partner (d - k_a = {d - k_a})"
+            f"positive spectrum index {last[last >= d - k_a][0]} has no partner (d - k_a = {d - k_a})"
         )
 
-    h_b = np.zeros((d, d))
-    offset = np.zeros(d)
+    # in ascending j, as each member alone; a member not demanding j adds zeros
+    h_b, offset = np.zeros_like(h_a), np.zeros_like(theta_a)
     norm_sq = 1.0 + tilt * tilt
-    for j in demanded:
-        q_j = null_dirs[:, j]
+    for j in np.flatnonzero(demanded.any(axis=0)):
+        q_j = null_dirs[..., j]
         if tilt != 0.0:
-            v = (q_j + tilt * normal_dirs[:, j]) / np.sqrt(norm_sq)
-            beta = spectrum[j] * norm_sq
+            v = (q_j + tilt * normal_dirs[..., j]) / np.sqrt(norm_sq)
+            beta = spectrum[:, j] * norm_sq
         else:
-            v = q_j
-            beta = spectrum[j]
-        h_b += beta * np.outer(v, v)
-        offset += offset_scale * q_j
-    task_b = QuadraticTask(dim=d, hessian=h_b, minimizer=theta_a + offset, label="second-task")
+            v, beta = q_j, spectrum[:, j]
+        outer = v[:, :, None] * v[:, None, :]
+        outer *= np.where(demanded[:, j], beta, 0.0)[:, None, None]
+        h_b += outer
+        offset += np.where(demanded[:, j, None], offset_scale * q_j, 0.0)
+    task_b = QuadraticTask(dim=d, hessian=h_b[at], minimizer=(theta_a + offset)[at], label="second-task")
 
     pair = TaskPair(
         task_a=task_a,
         task_b=task_b,
-        preserving_basis=SubspaceBasis(ambient_dim=d, dim=k_a, basis=null_dirs),
+        preserving_basis=SubspaceBasis(ambient_dim=d, dim=k_a, basis=null_dirs[at]),
         a_spectrum=tuple(float(x) for x in a_vals),
     )
-    top = float(np.max(spectrum)) if demanded.size else 0.0
+    top = np.max(spectrum, axis=-1, keepdims=True)
     # scaled before squaring: top**2 underflows to 0 below about 1e-154
-    target = float(np.sum((spectrum / top) ** 2)) if top > 0.0 else 0.0
-    if abs(pair.m_b - target) > 1e-6:
-        raise ValueError(f"TaskPair: restricted stable rank {pair.m_b!r} != target {target!r}")
+    target = np.sum((spectrum / np.where(top > 0.0, top, 1.0)) ** 2, axis=-1)
+    m_b = np.reshape(pair.m_b, -1)
+    off = np.abs(m_b - target) > 1e-6
+    if off.any():
+        i = np.argmax(off)
+        raise ValueError(f"TaskPair: restricted stable rank {float(m_b[i])!r} != target {float(target[i])!r}")
     return pair

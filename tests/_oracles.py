@@ -13,7 +13,10 @@ kernel redone one matrix, one seed, one state or one run at a time, with
 its own Jacobian, and uses nothing from ``reconcap.transport``.  The
 ``per_trial_*`` functions are composition-check's draws, rows and ledgers
 redone one trial at a time, which its stacked blocks must match bit for
-bit.  ``full_length_stage1`` and ``full_length_escape`` are a sweep cell's
+bit.  ``per_pair_task_pair`` is the task-pair build as one seed's plain
+loop, with its checks and messages, which every member of a stacked
+``make_task_pair`` must match bit for bit; it uses no constructor of
+``reconcap.tasks``.  ``full_length_stage1`` and ``full_length_escape`` are a sweep cell's
 phase-2 loops without early exits: every stage-1 update up to the limit,
 and one escape run over the whole limit, scanned afterwards.
 ``STREAM_ORACLE`` is the stream tag of the tests' own draws, which no run
@@ -123,6 +126,67 @@ def per_seed_rotations(dim: int, seeds) -> np.ndarray:
         signs[signs == 0.0] = 1.0
         out.append(q * signs)
     return np.array(out)
+
+
+def per_pair_task_pair(d, k_a, spectrum_b_on_a, rotation_seed, *, a_spectrum=None, offset_scale=0.0, tilt=0.0):
+    """One seed's task pair as ``make_task_pair`` built it one pair at a
+    time: ``{"h_a", "h_b", "theta_b", "basis", "m_b"}``, after the same
+    checks with the same messages."""
+    if not 0 < k_a < d:
+        raise ValueError(f"make_task_pair: need 0 < k_a < d, got k_a={k_a}, d={d}")
+    spectrum = np.asarray(spectrum_b_on_a, dtype=np.float64)
+    if spectrum.shape != (k_a,):
+        raise ValueError(f"make_task_pair: spectrum_b_on_a must have length k_a={k_a}")
+    if np.any(spectrum < 0.0):
+        raise ValueError("make_task_pair: spectrum_b_on_a entries must be >= 0")
+    if a_spectrum is None:
+        a_vals = np.linspace(2.0, 1.0, d - k_a)
+    else:
+        a_vals = np.asarray(a_spectrum, dtype=np.float64)
+        if a_vals.shape != (d - k_a,):
+            raise ValueError(f"make_task_pair: a_spectrum must have length d - k_a = {d - k_a}")
+        if np.any(a_vals <= 0.0):
+            raise ValueError("make_task_pair: a_spectrum entries must be positive")
+    rot = per_seed_rotations(d, [rotation_seed])[0]
+    normal_dirs, null_dirs = rot[:, : d - k_a], rot[:, d - k_a :]
+    h_a = normal_dirs @ np.diag(a_vals) @ normal_dirs.T
+    h_a = (h_a + h_a.T) / 2.0
+    demanded = np.flatnonzero(spectrum > 0.0)
+    if tilt != 0.0 and demanded.size and int(demanded.max()) >= d - k_a:
+        raise ValueError(
+            "make_task_pair: tilt pairs demand direction j with normal direction j; "
+            f"positive spectrum index {int(demanded.max())} has no partner (d - k_a = {d - k_a})"
+        )
+    h_b, offset = np.zeros((d, d)), np.zeros(d)
+    norm_sq = 1.0 + tilt * tilt
+    for j in demanded:
+        q_j = null_dirs[:, j]
+        if tilt != 0.0:
+            v, beta = (q_j + tilt * normal_dirs[:, j]) / np.sqrt(norm_sq), spectrum[j] * norm_sq
+        else:
+            v, beta = q_j, spectrum[j]
+        h_b += beta * np.outer(v, v)
+        offset += offset_scale * q_j
+    for label, h in (("first-task", h_a), ("second-task", h_b)):
+        eigs = np.linalg.eigvalsh(h)
+        if eigs[0] < -1e-8 * max(eigs[-1], 1.0):
+            raise ValueError(f"{label}: hessian not PSD (min eigenvalue {eigs[0]:.3e})")
+    if not np.allclose(null_dirs.T @ null_dirs, np.eye(k_a), atol=1e-10):
+        raise ValueError("basis: columns not orthonormal within 1e-10")
+    if np.linalg.norm(h_a @ null_dirs) > 1e-8:
+        raise ValueError(f"TaskPair: ||H_A Q_A||_F = {np.linalg.norm(h_a @ null_dirs):.3e} exceeds 1e-8")
+    restricted = null_dirs.T @ h_b @ null_dirs
+    restricted = (restricted + restricted.T) / 2.0
+    eigs = np.linalg.eigvalsh(restricted)
+    top = float(np.max(np.abs(eigs)))
+    m_b = 0.0
+    if float(np.max(np.abs(restricted))) > 1e-12 and top > RANK_TOL_ABS:
+        m_b = float(np.sum((eigs / top) ** 2))
+    top = float(np.max(spectrum)) if demanded.size else 0.0
+    target = float(np.sum((spectrum / top) ** 2)) if top > 0.0 else 0.0
+    if abs(m_b - target) > 1e-6:
+        raise ValueError(f"TaskPair: restricted stable rank {m_b!r} != target {target!r}")
+    return {"h_a": h_a, "h_b": h_b, "theta_b": np.zeros(d) + offset, "basis": null_dirs, "m_b": m_b}
 
 
 def per_trial_controlled_task(dim: int, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +325,8 @@ def per_state_entropy_production(mean, cov, task, rule) -> float:
     return rule.step_size * max(mean_sq, 0.0) / t
 
 
-def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):
+def full_length_stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):
     """``scenarios._descend_survivors`` without its exit on a repeated iterate."""
-    h_b, target = task_b.hessian, task_b.minimizer
     y = np.zeros(survivors.shape[1])
     for n_updates in range(limit + 1):
         loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
@@ -273,14 +336,14 @@ def full_length_stage1(theta_start, survivors, task_b, eta, eps_b, limit):
     return theta_start + survivors @ y, loss
 
 
-def full_length_escape(theta, task_b, rule, limit, eps_b):
+def full_length_escape(theta, h_b, target, rule, limit, eps_b):
     """``scenarios._escape`` as one ``limit``-step ``per_run_propagation``,
     scanned after; the sweep's rule is plain gradient descent, so the seed
     draws nothing."""
-    states, _ = per_run_propagation(theta, task_b.hessian, task_b.minimizer, rule, limit, 0)
+    states, _ = per_run_propagation(theta, h_b, target, rule, limit, 0)
     reached = False
     for steps, s in enumerate(states):
-        if _half_quadratic(task_b.hessian, s - task_b.minimizer)[0] <= eps_b:
+        if _half_quadratic(h_b, s - target)[0] <= eps_b:
             reached = True
             break
     return steps, states[steps], reached

@@ -398,6 +398,26 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     assert escape_steps == sum(phase2_steps) == 69
 
 
+def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
+    # a default run builds its 81 cells' inputs as stacks: one QR of the
+    # rotations; eigvalsh of tasks A, of tasks B, of Q_A^T H_B Q_A (m_B) and
+    # of the anchored tasks; one SVD of the Jacobians and one of J Q_A; and
+    # no eigh, as its forgetting columns are value differences.  Built cell
+    # by cell the run made 81 QR, 235 eigvalsh, 117 eigh and 162 SVD calls.
+    cfg = default_config("threshold-sweep")
+    cfg.validate()
+    names = ("qr", "eigvalsh", "eigh", "svd")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    run_scenario(cfg, out_dir=tmp_path, check=True)
+    assert calls == {"qr": 1, "eigvalsh": 4, "eigh": 0, "svd": 2}
+
+
 # sha256 of the default threshold-sweep's data files, as written since each
 # step is the affine map A theta + b
 SWEEP_DIGESTS = {
@@ -615,7 +635,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.14.0"
+    assert capsys.readouterr().out.strip() == "0.15.0"
 
 
 def test_version_matches_pyproject():
@@ -738,6 +758,23 @@ def test_cli_validate_rejects_pair_tilt(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert cli.main(["validate", str(path)]) == 1
     assert "unknown keys ['tilt']" in capsys.readouterr().err
+
+
+def test_cli_validate_rejects_sweep_whose_stacked_pairs_cannot_build(tmp_path, capsys):
+    # the largest demand of 4 needs a fourth A-normal partner for its tilt,
+    # and dim - k_a = 3: validate reports, as one config line, the message
+    # the run's stacked build of the cells raises
+    sweep = SweepConfig(m_b_targets=(0, 4), usable_targets=(0, 4))
+    cfg = ExperimentConfig(scenario="threshold-sweep", dim=7, k_a=4, sweep=sweep)
+    with pytest.raises(ValueError) as run:
+        scenarios._sweep_rows(cfg, [(0, 0, 0), (1, 0, 4), (2, 4, 0), (3, 4, 4)])
+    assert "positive spectrum index 3 has no partner (d - k_a = 3)" in str(run.value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
+    assert str(run.value) in err
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from reconcap import tasks
 from reconcap.spectral import stable_rank
 from reconcap.transport import StepRule, propagate
 
-from _oracles import finite_difference_gradient, finite_difference_hessian, line_integral
+from _oracles import finite_difference_gradient, finite_difference_hessian, line_integral, per_pair_task_pair
 
 
 def descent_gradient(task, theta):
@@ -201,3 +201,74 @@ def test_pair_invariants_hold_across_shapes(d, seed):
     pair = tasks.make_task_pair(d=d, k_a=k_a, spectrum_b_on_a=spectrum, rotation_seed=seed)
     assert pair.preserving_basis.dim == k_a
     assert np.linalg.norm(pair.task_a.hessian @ pair.preserving_basis.basis) < 1e-9
+
+
+def _spectra(n, k_a, seed, demand_below=None):
+    """n seeded spectra with zero entries, member 0 demanding nothing; with
+    ``demand_below``, only the entries before it may be positive."""
+    gen = np.random.default_rng(seed)
+    spectra = gen.uniform(0.25, 3.0, (n, k_a)) * (gen.random((n, k_a)) < 0.6)
+    spectra[0] = 0.0
+    if demand_below is not None:
+        spectra[:, demand_below:] = 0.0
+    return [tuple(s) for s in spectra]
+
+
+@pytest.mark.parametrize(
+    "d, k_a, n, first_seed, kwargs",
+    [
+        (6, 3, 1, 5, {}),
+        (10, 4, 7, 11, {"tilt": 1.0, "offset_scale": 0.5}),
+        (9, 3, 8, 21, {"tilt": 0.5, "a_spectrum": (0.4, 2.5, 1.0, 3.0, 0.7, 1.9)}),
+        (16, 8, 81, 123, {"tilt": 1.0, "offset_scale": 1.0}),
+        # entries of 2**32 and more take their keys from SeedSequence
+        (8, 3, 8, 2**32 - 4, {"offset_scale": 2.0}),
+    ],
+    ids=["one", "seven-tilted", "eight-a-spectrum", "sweep-sized", "seeds-past-2**32"],
+)
+def test_stacked_pair_matches_per_pair_build(d, k_a, n, first_seed, kwargs):
+    # n = 7 and n = 8 sit on either side of draw_each's batch minimum
+    spectra = _spectra(n, k_a, first_seed % 1000, demand_below=d - k_a if "tilt" in kwargs else None)
+    seeds = list(range(first_seed, first_seed + n))
+    stack = tasks.make_task_pair(d, k_a, spectra, seeds, **kwargs)
+    assert stack.task_a.hessian.shape == (n, d, d) and stack.m_b.shape == (n,)
+    for i, (spectrum, seed) in enumerate(zip(spectra, seeds)):
+        ref = per_pair_task_pair(d, k_a, spectrum, seed, **kwargs)
+        alone = tasks.make_task_pair(d, k_a, spectrum, seed, **kwargs)
+        for pair, at in ((stack, i), (alone, ...)):
+            assert np.array_equal(pair.task_a.hessian[at], ref["h_a"])
+            assert np.array_equal(pair.task_a.minimizer[at], np.zeros(d))
+            assert np.array_equal(pair.task_b.hessian[at], ref["h_b"])
+            assert np.array_equal(pair.task_b.minimizer[at], ref["theta_b"])
+            assert np.array_equal(pair.preserving_basis.basis[at], ref["basis"])
+            assert pair.m_b[at] == ref["m_b"]
+
+
+@pytest.mark.parametrize(
+    "bad_spectrum, kwargs, message",
+    [
+        ((1.0, -0.5, 0.0, 0.0), {}, "spectrum_b_on_a entries must be >= 0"),
+        ((1.0, 0.5, 0.0), {}, "spectrum_b_on_a must have length k_a=4"),
+        ((1.0, 0.0, 0.0, 2.0), {"tilt": 0.5}, "positive spectrum index 3 has no partner"),
+        ((1.0, 0.5, 0.0, 0.0), {"a_spectrum": (1.0, -0.5, 2.0)}, "a_spectrum entries must be positive"),
+        ((1e-13, 0.0, 0.0, 0.0), {}, "restricted stable rank 0.0 != target 1.0"),
+    ],
+    ids=["negative-demand", "wrong-length", "tilt-without-partner", "non-positive-a-spectrum", "unresolved-demand"],
+)
+def test_stacked_pair_raises_what_its_invalid_member_raises(bad_spectrum, kwargs, message):
+    # member 5 of 9 is invalid; the others demand only partnered directions
+    d, k_a, n, bad = 7, 4, 9, 5
+    spectra = [(1.0, 0.5, 0.0, 0.0)] * n
+    spectra[bad] = bad_spectrum
+    seeds = list(range(40, 40 + n))
+    raised = []
+    for build in (
+        lambda: tasks.make_task_pair(d, k_a, spectra, seeds, **kwargs),
+        lambda: tasks.make_task_pair(d, k_a, bad_spectrum, seeds[bad], **kwargs),
+        lambda: per_pair_task_pair(d, k_a, bad_spectrum, seeds[bad], **kwargs),
+    ):
+        with pytest.raises(ValueError) as err:
+            build()
+        raised.append(str(err.value))
+    assert raised[0] == raised[1] == raised[2]
+    assert message in raised[0]
