@@ -1,18 +1,16 @@
 """Reconfiguration capacity toolkit.
 
-Rank diagnostics for learned transport maps, forgetting predicates for task
-sequences, and dissipation accounting for Gaussian relaxation, all on
+Rank diagnostics for learned transport maps, incompatibility predictions for
+task sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
 from .capacity import (
     CapacityReport,
-    ForgettingResult,
     compatible_effective_rank,
     effective_rank,
-    measure_forgetting,
     participation_ratio,
     predict_incompatibility,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "DissipationLedger",
     "DivergenceError",
     "ExperimentConfig",
-    "ForgettingResult",
     "GaussianState",
     "PairConfig",
     "ProbeConfig",
@@ -105,7 +102,6 @@ __all__ = [
     "geodesic_action_ledger",
     "load_config",
     "make_task_pair",
-    "measure_forgetting",
     "ot_geodesic",
     "participation_ratio",
     "predict_incompatibility",

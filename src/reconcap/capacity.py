@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import RANK_TOL_REL, SubspaceBasis, as_vector, log_volume, singular_values
-from .tasks import QuadraticTask, TaskPair, value
+from .spectral import SubspaceBasis, log_volume, singular_values
+from .tasks import TaskPair
 
 
 def effective_rank(jacobians):
@@ -93,43 +93,6 @@ def predict_incompatibility(jacobians, pair: TaskPair, tau_sigma: float) -> Capa
     compatible, usable = compatible_effective_rank(jacobians, pair.preserving_basis, tau_sigma)
     fields = (full, usable, pair.m_b, pair.m_b > usable, pair.m_b > compatible)
     return CapacityReport(*(np.asarray(f).tolist() for f in fields))
-
-
-@dataclass(frozen=True)
-class ForgettingResult:
-    forgetting: float
-    normal_displacement: float
-    exited_manifold: bool
-    bound_check: float
-
-
-def measure_forgetting(start, final, task_a: QuadraticTask, epsilon_a: float) -> ForgettingResult:
-    """Loss increase on the earlier task against its curvature lower bound.
-
-    ``start`` and ``final`` are parameter vectors, typically the two ends of
-    a run on the later task.  forgetting = phi_A(final) - phi_A(start);
-    exited_manifold flags forgetting above epsilon_a.  With delta the
-    distance of the final point from the task-A optimal affine set and mu
-    the smallest positive curvature, phi_A(final) >= mu/2 * delta^2, so for
-    a start on the zero-loss set bound_check stays nonnegative up to
-    roundoff.
-    """
-    start = as_vector(start, dim=task_a.dim, name="theta_start")
-    final = as_vector(final, dim=task_a.dim, name="theta_final")
-    forgetting = value(task_a, final) - value(task_a, start)
-    eigvals, eigvecs = np.linalg.eigh(task_a.hessian)
-    lam_max = max(float(eigvals[-1]), 1.0)
-    keep = eigvals > RANK_TOL_REL * lam_max
-    diff = final - task_a.minimizer
-    # component along curved directions = distance from the optimal affine set
-    delta = float(np.linalg.norm(eigvecs[:, keep].T @ diff))
-    mu = float(eigvals[keep][0]) if np.any(keep) else 0.0
-    return ForgettingResult(
-        forgetting=float(forgetting),
-        normal_displacement=delta,
-        exited_manifold=bool(forgetting > epsilon_a),
-        bound_check=float(forgetting - 0.5 * mu * delta * delta),
-    )
 
 
 def participation_ratio(samples: np.ndarray) -> float:

@@ -29,8 +29,8 @@ class GaussianState:
     covariance: np.ndarray
 
     def __post_init__(self):
-        mu = as_vector(self.mean, stacked=True, name="mean")
-        cov = require_symmetric(self.covariance, stacked=True, name="covariance")
+        mu = as_vector(self.mean, name="mean")
+        cov = require_symmetric(self.covariance, name="covariance")
         if cov.shape != mu.shape + mu.shape[-1:]:
             raise ValueError(f"GaussianState: mean shape {mu.shape} != covariance {cov.shape}")
         low = float(np.min(_lowest_eigenvalues(cov)))
@@ -64,7 +64,7 @@ def _lowest_eigenvalues(cov: np.ndarray) -> np.ndarray:
 
 def _clamp(covariance) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized covariance (or stack) lifted to the floor, and which matrices were."""
-    cov = require_symmetric(covariance, stacked=True, name="covariance")
+    cov = require_symmetric(covariance, name="covariance")
     clamped = _lowest_eigenvalues(cov) < COVARIANCE_FLOOR
     if np.any(clamped):
         w, v = np.linalg.eigh(cov[clamped])

@@ -130,11 +130,8 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     svs = singular_values(powers)
     effs = capacity.spectra_effective_rank(svs)
     compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
-    ledger = zip(svs, effs.tolist(), compats.tolist(), usables.tolist())
-    rows = [
-        [step_idx, eff, compat, usable, spectrum_rank(sv)] + sv.tolist()
-        for step_idx, (sv, eff, compat, usable) in enumerate(ledger)
-    ]
+    ledger = zip(effs.tolist(), compats.tolist(), usables.tolist(), spectrum_rank(svs).tolist(), svs.tolist())
+    rows = [[step_idx, *columns, *sv] for step_idx, (*columns, sv) in enumerate(ledger)]
     # every step's errors, maximized once, where a NaN is kept; the iterated
     # product only resolves singular values down to roughly
     # n_steps * eps * sigma_max, so the strict relative comparison is limited
@@ -280,7 +277,7 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     n = len(cells)
     theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
     label = "anchored-first-task"
-    h, _ = require_psd(anchored, stacked=True, label=label)
+    h, _ = require_psd(anchored, label=label)
     finals, jacobians = propagate(
         theta0, h, pairs.task_a.minimizer, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
         label, final_only=True,
@@ -446,7 +443,7 @@ def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarr
     )
     spectra, minimizers = map(np.array, zip(*draws))
     rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
-    h, _ = require_psd(_eigen_rebuild(rots, spectra), stacked=True)
+    h, _ = require_psd(_eigen_rebuild(rots, spectra))
     return h, minimizers
 
 
@@ -548,8 +545,7 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
             ranks_a = np.sum(s_a > 0.0, axis=-1)
             ranks_b = np.sum(s_b > 0.0, axis=-1)
             sigma_ok = slack <= 1e-10 * np.maximum(top, 1.0)
-            for i, trial in enumerate(trials):
-                rank_p = spectrum_rank(sv_p[i])
+            for i, (trial, rank_p) in enumerate(zip(trials, spectrum_rank(sv_p).tolist())):
                 ok = rank_p <= min(ranks_a[i], ranks_b[i]) and bool(sigma_ok[i])
                 rows.append([trial, d_t, slack[i], ranks_a[i], ranks_b[i], rank_p, ok])
     rows.sort(key=lambda row: row[0])

@@ -4,6 +4,8 @@ bases, and numerical rank with explicit tolerance conventions.
 Conventions fixed here and used across the library:
 
 * all matrices are float64, C-contiguous, with finite entries;
+* every function takes a stack ``(..., m, n)`` of matrices or ``(..., k)``
+  of vectors or spectra; a single one is a stack with no leading axes;
 * spectra are reported in descending order;
 * a singular value counts as zero when it falls at or below
   ``max(RANK_TOL_REL * sigma_max, RANK_TOL_ABS)``;
@@ -34,18 +36,14 @@ SYMMETRY_TOL = 1e-8
 NEGATIVE_INFINITY = float("-inf")
 
 
-def as_matrix(
-    a, *, square: bool = False, stacked: bool = False, name: str = "matrix"
-) -> np.ndarray:
-    """Validate and normalize a 2-D array: float64, C-order, finite entries.
-
-    With ``stacked``, also a stack ``(..., m, n)`` of such matrices, checked
-    in one pass.  Input that is already float64 and C-ordered is returned
-    as is, not copied.
+def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
+    """Validate and normalize a matrix ``(m, n)`` or a stack ``(..., m, n)``
+    of them in one pass: float64, C-order, finite entries.  Input that is
+    already float64 and C-ordered is returned as is, not copied.
     """
     m = np.asarray(a, dtype=np.float64, order="C")
-    if m.ndim != 2 and not (stacked and m.ndim > 2):
-        raise ValueError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
+    if m.ndim < 2:
+        raise ValueError(f"{name}: expected a 2-D array or a stack of them, got ndim={m.ndim}")
     if m.size == 0:
         raise ValueError(f"{name}: empty matrix")
     if not np.all(np.isfinite(m)):
@@ -55,14 +53,12 @@ def as_matrix(
     return m
 
 
-def as_vector(
-    v, *, dim: int | None = None, stacked: bool = False, name: str = "vector"
-) -> np.ndarray:
-    """Validate and normalize a 1-D float64 vector (a copy); with
-    ``stacked``, also a stack ``(..., d)`` of such vectors."""
+def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
+    """Validate and normalize a float64 vector ``(d,)`` or a stack ``(..., d)``
+    of them (a copy)."""
     x = np.array(v, dtype=np.float64, copy=True)
-    if x.ndim != 1 and not (stacked and x.ndim > 1):
-        raise ValueError(f"{name}: expected a 1-D array, got ndim={x.ndim}")
+    if x.ndim < 1:
+        raise ValueError(f"{name}: expected a 1-D array or a stack of them, got ndim={x.ndim}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name}: non-finite entries")
     if dim is not None and x.shape[-1] != dim:
@@ -70,16 +66,15 @@ def as_vector(
     return x
 
 
-def require_symmetric(
-    h, *, rel_tol: float = SYMMETRY_TOL, stacked: bool = False, name: str = "matrix"
-) -> np.ndarray:
-    """Return the symmetrized (H + H^T)/2, rejecting material asymmetry.
+def require_symmetric(h, *, rel_tol: float = SYMMETRY_TOL, name: str = "matrix") -> np.ndarray:
+    """Return the symmetrized (H + H^T)/2 of a matrix ``(d, d)`` or of each
+    of a stack ``(..., d, d)``, rejecting material asymmetry.
 
-    The asymmetry ``max|H - H^T|`` is compared against ``rel_tol * max|H|``;
-    anything larger is an input error rather than numerical fuzz.  With
-    ``stacked``, also a stack ``(..., d, d)``, each matrix on its own scale.
+    The asymmetry ``max|H - H^T|`` is compared against ``rel_tol * max|H|``,
+    each matrix on its own scale; anything larger is an input error rather
+    than numerical fuzz.
     """
-    m = as_matrix(h, square=True, stacked=stacked, name=name)
+    m = as_matrix(h, square=True, name=name)
     mt = m.swapaxes(-1, -2)
     scale = np.abs(m).max((-2, -1))
     asym = np.abs(m - mt).max((-2, -1))
@@ -98,7 +93,7 @@ class SubspaceBasis:
     basis: np.ndarray
 
     def __post_init__(self):
-        b = as_matrix(self.basis, stacked=True, name="basis").copy()
+        b = as_matrix(self.basis, name="basis").copy()
         if b.shape[-2:] != (self.ambient_dim, self.dim):
             raise ValueError(
                 f"basis: expected shape ({self.ambient_dim}, {self.dim}), got {b.shape}"
@@ -112,7 +107,7 @@ class SubspaceBasis:
 def singular_values(a) -> np.ndarray:
     """Singular values in descending order of a matrix ``(m, n)``, or of each
     matrix of a stack ``(..., m, n)`` in one LAPACK call (dense SVD)."""
-    return np.linalg.svd(as_matrix(a, stacked=True), compute_uv=False)
+    return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
 def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
@@ -144,7 +139,7 @@ def stable_rank(h):
     """||H||_F^2 / ||H||_2^2 for a symmetric matrix, 0 for the zero matrix; a
     float for one matrix ``(d, d)``, an array ``(...)`` for a stack ``(...,
     d, d)`` from one ``eigvalsh`` call."""
-    m = require_symmetric(h, stacked=True, name="stable_rank input")
+    m = require_symmetric(h, name="stable_rank input")
     eigs = np.linalg.eigvalsh(m)
     top = np.max(np.abs(eigs), axis=-1)
     live = top > RANK_TOL_ABS
@@ -153,10 +148,12 @@ def stable_rank(h):
     return np.where(live, np.sum(scaled**2, axis=-1), 0.0)[()]
 
 
-def spectrum_rank(s: np.ndarray) -> int:
+def spectrum_rank(s):
     """Numerical rank of a matrix with descending singular values ``s``: the
-    count above ``SPECTRUM_RANK_TOL * sigma_max``."""
-    smax = float(s[0]) if s.size else 0.0
-    if smax <= RANK_TOL_ABS:
-        return 0
-    return int(np.sum(s > SPECTRUM_RANK_TOL * smax))
+    count above ``SPECTRUM_RANK_TOL * sigma_max``, 0 once sigma_max is at or
+    below ``RANK_TOL_ABS``; a count for one spectrum ``(k,)``, an array
+    ``(...)`` of counts for a stack of spectra ``(..., k)``."""
+    s = np.asarray(s, dtype=np.float64)
+    smax = np.max(s, axis=-1, initial=0.0)
+    count = np.sum(s > SPECTRUM_RANK_TOL * smax[..., None], axis=-1)
+    return np.where(smax > RANK_TOL_ABS, count, 0)[()]

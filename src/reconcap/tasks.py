@@ -35,8 +35,8 @@ class QuadraticTask:
     lam_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        h, lam_max = require_psd(self.hessian, stacked=True, label=self.label)
-        theta_star = as_vector(self.minimizer, stacked=True, name=f"{self.label} minimizer")
+        h, lam_max = require_psd(self.hessian, label=self.label)
+        theta_star = as_vector(self.minimizer, name=f"{self.label} minimizer")
         if h.shape[-1] != self.dim or theta_star.shape != h.shape[:-1]:
             raise ValueError(f"{self.label}: hessian {h.shape} and minimizer {theta_star.shape} != dim {self.dim}")
         object.__setattr__(self, "hessian", h)
@@ -44,10 +44,11 @@ class QuadraticTask:
         object.__setattr__(self, "lam_max", float(lam_max) if h.ndim == 2 else lam_max)
 
 
-def require_psd(h, *, stacked: bool = False, label: str = "task") -> tuple[np.ndarray, np.ndarray]:
-    """The symmetrized Hessian and its largest eigenvalue, or those of each of
-    a stack ``(..., d, d)`` in one pass; rejects asymmetry and non-PSD input."""
-    h = require_symmetric(h, stacked=stacked, name=f"{label} hessian")
+def require_psd(h, *, label: str = "task") -> tuple[np.ndarray, np.ndarray]:
+    """The symmetrized Hessian ``(d, d)`` and its largest eigenvalue, or those
+    of each of a stack ``(..., d, d)`` in one pass; rejects asymmetry and
+    non-PSD input."""
+    h = require_symmetric(h, name=f"{label} hessian")
     eigs = np.linalg.eigvalsh(h)
     lam_max = eigs[..., -1]
     low = eigs[..., 0] < -_PSD_TOL * np.maximum(lam_max, 1.0)
@@ -63,8 +64,13 @@ def _half_quadratic(h: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def value(task: QuadraticTask, theta) -> float:
-    d = as_vector(theta, dim=task.dim, name="theta") - task.minimizer
-    return _half_quadratic(task.hessian, d)[0]
+    """phi(theta) of one task at one point; stacks are rejected."""
+    theta = as_vector(theta, dim=task.dim, name="theta")
+    if task.hessian.ndim != 2 or theta.ndim != 1:
+        raise ValueError(
+            f"value: takes one task and one theta, got hessian {task.hessian.shape} and theta {theta.shape}"
+        )
+    return _half_quadratic(task.hessian, theta - task.minimizer)[0]
 
 
 def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:

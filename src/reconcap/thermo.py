@@ -162,9 +162,7 @@ def w2_gaussian(g1: GaussianState, g2: GaussianState):
         raise ValueError("w2_gaussian: dimension mismatch")
     dmu = g1.mean - g2.mean
     root2 = covariance_sqrt(g2.covariance)
-    cross = require_symmetric(
-        root2 @ g1.covariance @ root2, rel_tol=1e-6, stacked=True, name="w2 cross term"
-    )
+    cross = require_symmetric(root2 @ g1.covariance @ root2, rel_tol=1e-6, name="w2 cross term")
     cross_eigs = np.maximum(np.linalg.eigvalsh(cross), 0.0)
     sq = (
         _dot(dmu, dmu)

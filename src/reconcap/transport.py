@@ -83,9 +83,10 @@ class StepRule:
             return math.sqrt(2.0 * self.noise_scale * self.step_size)
         return 0.0
 
-    def require_stable(self, lam_max: float) -> None:
-        """The package's one stability bound: eta * (lambda_max + wd) < 2."""
-        growth = self.step_size * (lam_max + self.weight_decay)
+    def require_stable(self, lam_max) -> None:
+        """The package's one stability bound: eta * (lambda_max + wd) < 2, for
+        one curvature or the largest of a stack of them."""
+        growth = self.step_size * (float(np.max(lam_max)) + self.weight_decay)
         if not growth < 2.0:
             raise ValueError(f"step_size: eta * lambda_max = {growth:.4f} >= 2 (unstable)")
 

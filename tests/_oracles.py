@@ -19,11 +19,12 @@ loop, with its checks and messages, which every member of a stacked
 ``reconcap.tasks``.  ``full_length_stage1`` and ``full_length_escape`` are a sweep cell's
 phase-2 loops without early exits: every stage-1 update up to the limit,
 and one escape run over the whole limit, scanned afterwards.
-``STREAM_ORACLE`` is the stream tag of the tests' own draws, which no run
-of the package reads.  Three builders supply test
-inputs and targets instead: ``sample_batch`` (seeded Gaussian clouds),
-``gibbs_state`` (the stationary Langevin target) and ``jacobian_stack``
-(matrices with a rank-deficient and a collapsed member).
+``forgetting_floor`` is the curvature floor on a task's loss that
+criterion 8 holds ``tasks.value`` to.  ``STREAM_ORACLE`` is the stream tag
+of the tests' own draws, which no run of the package reads.  Three builders
+supply test inputs and targets instead: ``sample_batch`` (seeded Gaussian
+clouds), ``gibbs_state`` (the stationary Langevin target) and
+``jacobian_stack`` (matrices with a rank-deficient and a collapsed member).
 """
 
 from __future__ import annotations
@@ -323,6 +324,16 @@ def per_state_entropy_production(mean, cov, task, rule) -> float:
         + float(np.trace(h @ cov @ h))
     )
     return rule.step_size * max(mean_sq, 0.0) / t
+
+
+def forgetting_floor(task, theta) -> float:
+    """mu/2 * delta^2 <= phi(theta) from one ``eigh``: delta is the distance of
+    ``theta`` from the task's optimal affine set, mu its smallest positive curvature."""
+    eigvals, eigvecs = np.linalg.eigh(task.hessian)
+    keep = eigvals > RANK_TOL_REL * max(float(eigvals[-1]), 1.0)
+    delta = float(np.linalg.norm(eigvecs[:, keep].T @ (theta - task.minimizer)))
+    mu = float(eigvals[keep][0]) if np.any(keep) else 0.0
+    return 0.5 * mu * delta * delta
 
 
 def full_length_stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):

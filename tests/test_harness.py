@@ -635,7 +635,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.15.0"
+    assert capsys.readouterr().out.strip() == "0.16.0"
 
 
 def test_version_matches_pyproject():
@@ -652,7 +652,6 @@ PUBLIC_NAMES = [
     "DissipationLedger",
     "DivergenceError",
     "ExperimentConfig",
-    "ForgettingResult",
     "GaussianState",
     "PairConfig",
     "ProbeConfig",
@@ -681,7 +680,6 @@ PUBLIC_NAMES = [
     "geodesic_action_ledger",
     "load_config",
     "make_task_pair",
-    "measure_forgetting",
     "ot_geodesic",
     "participation_ratio",
     "predict_incompatibility",

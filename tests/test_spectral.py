@@ -149,6 +149,21 @@ def test_stacked_spectral_calls_match_per_matrix_loop(d):
     assert np.array_equal(spectral.log_volume(s.reshape(3, 2, d)), logs.reshape(3, 2))
 
 
+def test_stacked_spectrum_rank_matches_per_row_loop():
+    # a zero spectrum, and one whose top is under RANK_TOL_ABS but whose
+    # tail is above SPECTRUM_RANK_TOL times that top
+    tiny = np.array([1e-301, 1e-305, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+    spectra = np.vstack([per_matrix_singular_values(jacobian_stack(8)), np.zeros(8), tiny])
+    expected = []
+    for s in spectra:
+        smax = float(s[0])
+        expected.append(0 if smax <= spectral.RANK_TOL_ABS else int(np.sum(s > spectral.SPECTRUM_RANK_TOL * smax)))
+    assert expected[-2:] == [0, 0] and int(np.sum(tiny > spectral.SPECTRUM_RANK_TOL * tiny[0])) == 2
+    assert spectral.spectrum_rank(spectra).tolist() == expected
+    assert [spectral.spectrum_rank(s) for s in spectra] == expected
+    assert spectral.spectrum_rank(spectra.reshape(2, 4, 8)).tolist() == [expected[:4], expected[4:]]
+
+
 @pytest.mark.filterwarnings("error")
 def test_log_volume_of_zero_singular_value_is_minus_inf_without_log_zero():
     spectra = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 0.0], [0.0, 0.0, 0.0]])

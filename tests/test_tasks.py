@@ -61,6 +61,15 @@ def test_value_zero_at_minimizer_and_nonnegative():
         assert tasks.value(task, rng.standard_normal(task.dim)) >= 0.0
 
 
+def test_value_of_a_stack_is_a_one_line_value_error():
+    pair = tasks.make_task_pair(6, 2, [(1.0, 0.5)] * 6, list(range(6)))
+    one = tasks.QuadraticTask(dim=6, hessian=pair.task_a.hessian[0], minimizer=pair.task_a.minimizer[0])
+    for task, theta in [(pair.task_a, np.zeros(6)), (one, np.zeros((6, 6)))]:
+        with pytest.raises(ValueError, match="^value: takes one task and one theta") as err:
+            tasks.value(task, theta)
+        assert "\n" not in str(err.value)
+
+
 def test_rejects_indefinite_hessian():
     with pytest.raises(ValueError):
         tasks.QuadraticTask(dim=2, hessian=np.diag([1.0, -0.5]), minimizer=np.zeros(2))
@@ -77,20 +86,20 @@ def test_stacked_psd_check_matches_the_task_check():
     h = np.array([make_random_task(seed).hessian for seed in range(4)])
     h[3] -= (np.linalg.eigvalsh(h[3])[0] + 1e-9) * np.eye(5)
     assert -1e-8 < np.linalg.eigvalsh(h[3])[0] < 0.0
-    sym, lam_max = tasks.require_psd(h, stacked=True)
+    sym, lam_max = tasks.require_psd(h)
     for member, top in zip(sym, lam_max):
         task = tasks.QuadraticTask(dim=5, hessian=member, minimizer=np.zeros(5))
         assert np.array_equal(task.hessian, member)
         assert task.lam_max == top
     h[2] = np.diag([1.0, -0.5, 2.0, 1.0, 1.0])
     with pytest.raises(ValueError) as stacked:
-        tasks.require_psd(h, stacked=True)
+        tasks.require_psd(h)
     with pytest.raises(ValueError) as alone:
         tasks.QuadraticTask(dim=5, hessian=h[2], minimizer=np.zeros(5))
     assert str(stacked.value) == str(alone.value) == "task: hessian not PSD (min eigenvalue -5.000e-01)"
     h[2, 0, 1] += 0.5
     with pytest.raises(ValueError, match="task hessian: asymmetry"):
-        tasks.require_psd(h, stacked=True)
+        tasks.require_psd(h)
 
 
 def test_random_rotation_orthogonal_and_seeded():

@@ -19,6 +19,20 @@ def random_task(seed, d=6):
     return tasks.QuadraticTask(dim=d, hessian=b @ b.T / d, minimizer=rng.standard_normal(d))
 
 
+def test_stability_bound_on_a_stack_bounds_its_largest_curvature():
+    pair = tasks.make_task_pair(6, 2, [(float(s), 0.5) for s in range(1, 7)], list(range(6)))
+    lam_max = pair.task_b.lam_max
+    assert np.allclose(lam_max, np.arange(1, 7), atol=1e-12)
+    transport.StepRule(step_size=0.3).require_stable(pair.task_a.lam_max)
+    transport.StepRule(step_size=0.3).require_stable(lam_max)
+    # the stack raises the message of its largest member alone
+    with pytest.raises(ValueError) as stacked:
+        transport.StepRule(step_size=0.35).require_stable(lam_max)
+    with pytest.raises(ValueError) as alone:
+        transport.StepRule(step_size=0.35).require_stable(float(lam_max[-1]))
+    assert str(stacked.value) == str(alone.value) == "step_size: eta * lambda_max = 2.1000 >= 2 (unstable)"
+
+
 def test_step_jacobian_plain():
     rule = transport.StepRule(kind="gradient_descent", step_size=0.5)
     j = transport.step_map(flat_task(), rule)[0]
