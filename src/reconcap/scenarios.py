@@ -206,60 +206,98 @@ def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
 
 
 def _descend_survivors(theta_start, survivors, h_b, target, eta, eps_b, limit):
-    """Stage 1: gradient descent on task B ``(h_b, target)`` over
-    theta_start + survivors @ y, from y = 0, up to the first iterate within
-    eps_b or ``limit`` updates.  Returns that iterate's (theta, loss).
+    """Stage 1 of each member i: gradient descent on task B ``(h_b[i],
+    target[i])`` over theta_start[i] + survivors[i] @ y, from y = 0, up to
+    the first iterate within eps_b or ``limit`` updates.  Returns those
+    iterates' (theta, loss), stacked.
 
-    An update reads only y, so once an iterate repeats an earlier one, bit
-    for bit, the iterates cycle from there on and none of them reaches
-    eps_b; the loop then jumps to the iterate the limit would reach.  A
-    fixed point is a cycle of period 1.  y is keyed as bytes, so -0.0 and
-    0.0 differ.
+    The members update in lockstep, sorted by their count u of surviving
+    directions so that the members of each u share one stacked S @ y and
+    S^T @ H d; the rest of an update is one call over every member still
+    running, and a member leaves the stack when it exits.  Every product is
+    the one a member alone makes, bit for bit; S is never padded, which would
+    regroup its sums.  An update reads only y, so once a member's iterate
+    repeats an earlier one, bit for bit, its iterates cycle from there on and
+    none of them reaches eps_b; the member then jumps to the iterate the
+    limit would reach.  A fixed point is a cycle of period 1.  y is keyed as
+    bytes, so -0.0 and 0.0 differ; a member's keys, in update order, are its
+    whole history, dropped when it exits.
     """
-    y = np.zeros(survivors.shape[1])
-    first_seen, iterates = {}, []
+    u = np.array([s.shape[1] for s in survivors], dtype=int)
+    theta, loss = np.empty_like(theta_start), np.empty(len(u))
+    live = np.argsort(u, kind="stable")
+    y = np.zeros((len(u), max(u, default=0)))  # row j: the y of member live[j], in its first u columns
+    th, tg, hb, groups = theta_start[live], target[live], h_b[live], None
+    seen = [{} for _ in u]
     for n_updates in range(limit + 1):
-        mu = first_seen.setdefault(y.tobytes(), n_updates)
-        if mu < n_updates:
-            y = iterates[mu + (limit - mu) % (n_updates - mu)]
-            loss = _half_quadratic(h_b, theta_start + survivors @ y - target)[0]
+        if not len(live):
             break
-        iterates.append(y)
-        loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
-        if loss <= eps_b or n_updates == limit:
-            break
-        y = y - eta * (survivors.T @ h_d)
-    return theta_start + survivors @ y, loss
+        if groups is None:  # (rows, u, S) of each run of equal u in live
+            cuts = [0, *(np.flatnonzero(np.diff(u[live])) + 1), len(live)]
+            groups = [(slice(a, b), u[live[a]], np.array([survivors[i] for i in live[a:b]]))
+                      for a, b in zip(cuts, cuts[1:])]
+        for rows, k, s in groups if n_updates else ():
+            y[rows, :k] -= eta * (s.swapaxes(-1, -2) @ h_d[rows, :, None])[..., 0]
+        gone = np.zeros(len(live), dtype=bool)
+        for j, i in enumerate(live):
+            mu = seen[i].setdefault(y[j, : u[i]].tobytes(), n_updates)
+            if mu < n_updates:
+                gone[j] = True
+                y_i = np.frombuffer(list(seen[i])[mu + (limit - mu) % (n_updates - mu)])
+                theta[i] = theta_start[i] + survivors[i] @ y_i
+                loss[i] = _half_quadratic(h_b[i], theta[i] - target[i])[0]
+        x = np.empty_like(th)
+        for rows, k, s in groups:
+            np.matmul(s, y[rows, :k, None], out=x[rows, :, None])
+        x = th + x
+        values, h_d = _half_quadratic(hb, x - tg)
+        done = ((values <= eps_b) | (n_updates == limit)) & ~gone
+        if (gone := gone | done).any():
+            theta[live[done]], loss[live[done]] = x[done], values[done]
+            for i in live[gone]:
+                seen[i] = None
+            live, y, th, tg, hb, h_d = (v[~gone] for v in (live, y, th, tg, hb, h_d))
+            groups = None
+    return theta, loss
 
 
 def _escape(theta, h_b, target, rule, limit, eps_b):
-    """Stage 2: unconstrained descent on task B ``(h_b, target)`` from theta,
-    up to the first state within eps_b or ``limit`` steps: (steps, state, reached).
+    """Stage 2 of each member i: unconstrained descent on task B ``(h_b[i],
+    target[i])`` from theta[i], up to the first state within eps_b or
+    ``limit`` steps.  Returns (steps, state, reached), stacked.
 
-    Each step is ``step_map``'s A @ theta + b, bit for bit the step
+    The members step in lockstep, and a member leaves the stack when it
+    stops.  Each step is ``step_map``'s A @ theta + b, bit for bit the step
     ``propagate`` makes of a one-member stack.  The rule is plain gradient
     descent, so no noise is drawn, and the validated stability bound keeps
     the map from diverging.
     """
+    n = len(theta)
+    steps, state, reached = np.zeros(n, dtype=int), np.empty_like(theta), np.zeros(n, dtype=bool)
     a, b = _affine_step(h_b, target, rule.step_size, rule.weight_decay)
-    steps, state = 0, theta
-    while not _half_quadratic(h_b, state - target)[0] <= eps_b:
-        if steps == limit:
-            return steps, state, False
-        state, steps = a @ state + b, steps + 1
-    return steps, state, True
+    live, s, hb, tg = np.arange(n), theta, h_b, target
+    for n_steps in range(limit + 1):
+        near = _half_quadratic(hb, s - tg)[0] <= eps_b
+        done = near | (n_steps == limit)
+        steps[live[done]], state[live[done]], reached[live[done]] = n_steps, s[done], near[done]
+        live, s, a, b, hb, tg = (v[~done] for v in (live, s, a, b, hb, tg))
+        if not len(live):
+            break
+        s = (a @ s[..., None])[..., 0] + b
+    return steps, state, reached
 
 
 def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     """The rows of sweep cells ``(cell_index, m_target, u_target)``: the
-    cells' task pairs, phase 1 and predictions each as one stack, then each
-    cell's phase 2."""
+    cells' task pairs, phase 1, predictions and phase 2 each as one stack.
+    Forgetting is phi_A(end) - phi_A(start of phase 2)."""
     sweep = cfg.sweep
+    limits = cfg.thresholds
     d = cfg.dim
     k_a = cfg.k_a
     rule = cfg.rule  # plain gradient descent, as validate requires
     eta = rule.step_size
-    tau = cfg.thresholds.tau_sigma
+    tau = limits.tau_sigma
 
     realizations = [cell[0] for cell in cells]
     spectra = [(1.0,) * m_target + (0.0,) * (k_a - m_target) for _, m_target, _ in cells]
@@ -283,61 +321,34 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
         label, final_only=True,
     )
     report = capacity.predict_incompatibility(jacobians, pairs, tau)
-    return [_sweep_row(cfg, cell, i, pairs, finals[i], report) for i, cell in enumerate(cells)]
-
-
-def _sweep_row(cfg: ExperimentConfig, cell, i, pairs, theta_start, report) -> list:
-    """The row of sweep cell i from the stacked pair, the cell's end of
-    phase 1 and the stacked report: stage 1 and, where it falls short, the
-    escape.  Forgetting is phi_A(end) - phi_A(theta_start)."""
-    _, m_target, u_target = cell
-    sweep = cfg.sweep
-    limits = cfg.thresholds
-    h_a, theta_a = pairs.task_a.hessian[i], pairs.task_a.minimizer[i]
-    h_b, theta_b = pairs.task_b.hessian[i], pairs.task_b.minimizer[i]
-    loss_a_start = _half_quadratic(h_a, theta_start - theta_a)[0]
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
-    survivors = np.ascontiguousarray(pairs.preserving_basis.basis[i, :, :u_target])
+    h_a, theta_a = pairs.task_a.hessian, pairs.task_a.minimizer
+    h_b, theta_b = pairs.task_b.hessian, pairs.task_b.minimizer
+    survivors = [np.ascontiguousarray(q[:, :u]) for q, (*_, u) in zip(pairs.preserving_basis.basis, cells)]
     eps_b = limits.epsilon_b
-    theta_stage1, loss = _descend_survivors(
-        theta_start, survivors, h_b, theta_b, cfg.rule.step_size, eps_b, sweep.phase2_step_limit
-    )
-    stage1_reached = bool(loss <= eps_b)
+    theta_stage1, loss = _descend_survivors(finals, survivors, h_b, theta_b, eta, eps_b, sweep.phase2_step_limit)
+    loss_a_start = _half_quadratic(h_a, finals - theta_a)[0]
     forgetting = _half_quadratic(h_a, theta_stage1 - theta_a)[0] - loss_a_start
-    observed = not (stage1_reached and forgetting <= limits.epsilon_low)
+    stage1_reached = loss <= eps_b
+    observed = ~(stage1_reached & (forgetting <= limits.epsilon_low))
 
-    # stage 2: unconstrained escape, recorded for the exit audit
-    phase2_steps = 0
-    exit_flag = False
-    escape_reached = stage1_reached
-    forgetting_after_escape = 0.0
-    if not stage1_reached:
-        phase2_steps, theta_escape, escape_reached = _escape(
-            theta_stage1, h_b, theta_b, cfg.rule, sweep.phase2_step_limit, eps_b
-        )
-        forgetting_after_escape = _half_quadratic(h_a, theta_escape - theta_a)[0] - loss_a_start
-        exit_flag = forgetting_after_escape > limits.epsilon_a
+    # stage 2: unconstrained escape where stage 1 falls short, recorded for the exit audit
+    short = ~stage1_reached
+    phase2_steps, escape_reached, after_escape = np.zeros(n, dtype=int), stage1_reached.copy(), np.zeros(n)
+    phase2_steps[short], theta_escape, escape_reached[short] = _escape(
+        theta_stage1[short], h_b[short], theta_b[short], rule, sweep.phase2_step_limit, eps_b
+    )
+    after_escape[short] = _half_quadratic(h_a[short], theta_escape - theta_a[short])[0] - loss_a_start[short]
+    exit_flag = after_escape > limits.epsilon_a
 
-    predicted = report.predicted_incompatible[i]
-    return [
-        m_target,
-        u_target,
-        report.usable_direction_count[i],
-        report.effective_rank[i],
-        report.m_b[i],
-        forgetting,
-        loss,
-        stage1_reached,
-        predicted,
-        report.predicted_incompatible_raw[i],
-        observed,
-        predicted == observed,
-        phase2_steps,
-        exit_flag,
-        escape_reached,
-        forgetting_after_escape,
-    ]
+    columns = (  # in SWEEP_HEADER order
+        [cell[1] for cell in cells], [cell[2] for cell in cells], report.usable_direction_count,
+        report.effective_rank, report.m_b, forgetting, loss, stage1_reached, report.predicted_incompatible,
+        report.predicted_incompatible_raw, observed, np.equal(report.predicted_incompatible, observed),
+        phase2_steps, exit_flag, escape_reached, after_escape,
+    )
+    return list(zip(*(np.asarray(c).tolist() for c in columns)))
 
 
 SWEEP_HEADER = [

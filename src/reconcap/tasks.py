@@ -57,10 +57,13 @@ def require_psd(h, *, label: str = "task") -> tuple[np.ndarray, np.ndarray]:
     return h, lam_max
 
 
-def _half_quadratic(h: np.ndarray, d: np.ndarray) -> tuple[float, np.ndarray]:
-    """Unvalidated ``(0.5 d^T H d, H d)`` for an offset ``d = theta - theta*``."""
-    hd = h @ d
-    return float(0.5 * d @ hd), hd
+def _half_quadratic(h: np.ndarray, d: np.ndarray):
+    """Unvalidated ``(0.5 d^T H d, H d)`` for an offset ``d = theta - theta*``
+    (the loss a float), or for each of a stack of offsets ``(..., d)`` (the
+    losses an array); each member's products are its single call's, bit for bit."""
+    hd = (h @ d[..., None])[..., 0]
+    loss = ((0.5 * d)[..., None, :] @ hd[..., None])[..., 0, 0]
+    return (float(loss) if d.ndim == 1 else loss), hd
 
 
 def value(task: QuadraticTask, theta) -> float:

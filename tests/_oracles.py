@@ -16,9 +16,14 @@ redone one trial at a time, which its stacked blocks must match bit for
 bit.  ``per_pair_task_pair`` is the task-pair build as one seed's plain
 loop, with its checks and messages, which every member of a stacked
 ``make_task_pair`` must match bit for bit; it uses no constructor of
-``reconcap.tasks``.  ``full_length_stage1`` and ``full_length_escape`` are a sweep cell's
-phase-2 loops without early exits: every stage-1 update up to the limit,
-and one escape run over the whole limit, scanned afterwards.
+``reconcap.tasks``.  ``per_cell_stage1`` is one sweep cell's stage-1 loop
+with its exit on a repeated iterate, which every member of the sweep's
+lockstep stage 1 must match bit for bit.  ``full_length_stage1`` and
+``full_length_escape`` are a sweep cell's phase-2 loops without early exits:
+every stage-1 update up to the limit, and one escape run over the whole
+limit, scanned afterwards.  ``half_quadratic`` is a task's loss and
+gradient at one offset as 1-D products, the arithmetic every sweep oracle
+and the stacked ``tasks._half_quadratic`` are held to.
 ``forgetting_floor`` is the curvature floor on a task's loss that
 criterion 8 holds ``tasks.value`` to.  ``STREAM_ORACLE`` is the stream tag
 of the tests' own draws, which no run of the package reads.  Three builders
@@ -37,7 +42,6 @@ from scipy.linalg import solve_discrete_lyapunov
 from reconcap import rng
 from reconcap.gaussian import COVARIANCE_FLOOR, GaussianState, covariance_sqrt
 from reconcap.spectral import RANK_TOL_ABS, RANK_TOL_REL
-from reconcap.tasks import _half_quadratic
 
 # The tests' own draws: a stream tag that no run of the package reads.
 STREAM_ORACLE = 4
@@ -274,7 +278,7 @@ def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]
             power = a_mat @ power
             theta = a_mat @ theta + shift
         ranks.append(per_matrix_effective_rank(power))
-        vals.append(_half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))
+        vals.append(half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))
     return ranks, vals
 
 
@@ -336,11 +340,40 @@ def forgetting_floor(task, theta) -> float:
     return 0.5 * mu * delta * delta
 
 
+def half_quadratic(h, d) -> tuple[float, np.ndarray]:
+    """``(0.5 d^T H d, H d)`` for one offset ``d = theta - theta*``."""
+    hd = h @ d
+    return float(0.5 * d @ hd), hd
+
+
+def per_cell_stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):
+    """One sweep cell's stage 1: gradient descent on task B ``(h_b, target)``
+    over theta_start + survivors @ y, from y = 0, up to the first iterate
+    within eps_b or ``limit`` updates, or up to the first iterate that
+    repeats an earlier one bit for bit (keyed as bytes), from where the
+    iterates cycle; it then jumps to the iterate the limit would reach.
+    Returns that iterate's (theta, loss)."""
+    y = np.zeros(survivors.shape[1])
+    first_seen, iterates = {}, []
+    for n_updates in range(limit + 1):
+        mu = first_seen.setdefault(y.tobytes(), n_updates)
+        if mu < n_updates:
+            y = iterates[mu + (limit - mu) % (n_updates - mu)]
+            loss = half_quadratic(h_b, theta_start + survivors @ y - target)[0]
+            break
+        iterates.append(y)
+        loss, h_d = half_quadratic(h_b, theta_start + survivors @ y - target)
+        if loss <= eps_b or n_updates == limit:
+            break
+        y = y - eta * (survivors.T @ h_d)
+    return theta_start + survivors @ y, loss
+
+
 def full_length_stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):
-    """``scenarios._descend_survivors`` without its exit on a repeated iterate."""
+    """``per_cell_stage1`` without its exit on a repeated iterate."""
     y = np.zeros(survivors.shape[1])
     for n_updates in range(limit + 1):
-        loss, h_d = _half_quadratic(h_b, theta_start + survivors @ y - target)
+        loss, h_d = half_quadratic(h_b, theta_start + survivors @ y - target)
         if loss <= eps_b or n_updates == limit:
             break
         y = y - eta * (survivors.T @ h_d)
@@ -348,13 +381,15 @@ def full_length_stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):
 
 
 def full_length_escape(theta, h_b, target, rule, limit, eps_b):
-    """``scenarios._escape`` as one ``limit``-step ``per_run_propagation``,
-    scanned after; the sweep's rule is plain gradient descent, so the seed
-    draws nothing."""
+    """One sweep cell's escape, unconstrained descent on task B ``(h_b,
+    target)`` from theta up to the first state within eps_b or ``limit``
+    steps, as one ``limit``-step ``per_run_propagation``, scanned after: the
+    (steps, state, reached) of that state.  The sweep's rule is plain
+    gradient descent, so the seed draws nothing."""
     states, _ = per_run_propagation(theta, h_b, target, rule, limit, 0)
     reached = False
     for steps, s in enumerate(states):
-        if _half_quadratic(h_b, s - target)[0] <= eps_b:
+        if half_quadratic(h_b, s - target)[0] <= eps_b:
             reached = True
             break
     return steps, states[steps], reached

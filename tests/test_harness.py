@@ -33,7 +33,7 @@ from reconcap.config import (
 from reconcap.scenarios import CheckError, run_scenario
 from reconcap.transport import DivergenceError, StepRule
 
-from _oracles import full_length_escape, full_length_stage1
+from _oracles import full_length_escape, full_length_stage1, per_cell_stage1
 
 
 # -- config contract --------------------------------------------------------
@@ -367,8 +367,8 @@ def test_threshold_sweep_reduced(tmp_path):
 
 def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     # one stacked propagation takes the 200 phase-1 steps of each cell and
-    # nothing else; each escape steps the map itself, exactly its
-    # phase2_steps times
+    # nothing else; the stacked escape steps the map itself, each member
+    # exactly its phase2_steps times
     cfg = ExperimentConfig(
         scenario="threshold-sweep",
         sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
@@ -385,7 +385,7 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     def counting_escape(*args):
         nonlocal escape_steps
         result = escape(*args)
-        escape_steps += result[0]
+        escape_steps += int(result[0].sum())
         return result
 
     monkeypatch.setattr(scenarios, "propagate", counting_stack)
@@ -500,6 +500,81 @@ def test_data_digests_list_only_the_files_the_run_wrote(tmp_path, monkeypatch, c
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def _sweep_config(seed, limit):
+    """The default sweep, re-seeded (``master_seed`` and ``pair.rotation_seed``)
+    unless ``seed`` is None, with phase 2 cut at ``limit`` updates."""
+    cfg = default_config("threshold-sweep")
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, master_seed=seed, pair=dataclasses.replace(cfg.pair, rotation_seed=seed))
+    cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, phase2_step_limit=limit))
+    cfg.validate()
+    return cfg
+
+
+def _stage1_per_member(loop):
+    """A stacked stage 1 made of one ``loop`` call per member."""
+
+    def stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):
+        runs = [loop(theta_start[i], s, h_b[i], target[i], eta, eps_b, limit) for i, s in enumerate(survivors)]
+        return np.array([t for t, _ in runs]).reshape(theta_start.shape), np.array([v for _, v in runs])
+
+    return stage1
+
+
+def _escape_per_member(theta, h_b, target, rule, limit, eps_b):
+    """A stacked escape made of one ``full_length_escape`` per member."""
+    runs = [full_length_escape(theta[i], h_b[i], target[i], rule, limit, eps_b) for i in range(len(theta))]
+    return (
+        np.array([r[0] for r in runs], dtype=int),
+        np.array([r[1] for r in runs]).reshape(theta.shape),
+        np.array([r[2] for r in runs], dtype=bool),
+    )
+
+
+def _same_bits(got, expected):
+    # equal arrays whose floats also print the same, so -0.0 != 0.0
+    assert np.array_equal(got, expected)
+    assert repr(np.asarray(got).tolist()) == repr(np.asarray(expected).tolist())
+
+
+@pytest.mark.parametrize("seed", [None, 7, 21, 123, 4294967295])
+def test_lockstep_phase2_matches_per_cell_loops(seed, tmp_path, monkeypatch):
+    # every member of the sweep's two stacked phase-2 calls over the 81
+    # default cells, and every member run again as a one-member stack,
+    # against one cell's loops: stage 1 with its repeat exit, and the escape
+    # run over the whole limit; limits 5, 21 and 37 cut loops short
+    for limit in (5, 21, 37, 2000):
+        calls = {}
+        with monkeypatch.context() as patch:
+            for name in ("_descend_survivors", "_escape"):
+
+                def recording(*args, name=name, run=getattr(scenarios, name)):
+                    calls[name] = args, run(*args)
+                    return calls[name][1]
+
+                patch.setattr(scenarios, name, recording)
+            scenarios.run_threshold_sweep(_sweep_config(seed, limit), tmp_path)
+
+        args, (theta, loss) = calls["_descend_survivors"]
+        assert len(loss) == 81 and args[-1] == limit
+        one = [tuple(a[i : i + 1] for a in args[:4]) + args[4:] for i in range(81)]
+        alone = [scenarios._descend_survivors(*member) for member in one]
+        _same_bits(np.array([t[0] for t, _ in alone]), theta)
+        _same_bits(np.array([v[0] for _, v in alone]), loss)
+        expected = _stage1_per_member(per_cell_stage1)(*args)
+        _same_bits(theta, expected[0])
+        _same_bits(loss, expected[1])
+
+        args, escaped = calls["_escape"]
+        assert 0 < len(escaped[0]) < 81
+        expected = _escape_per_member(*args)
+        for i in range(len(escaped[0])):
+            member = tuple(a[i : i + 1] for a in args[:3]) + args[3:]
+            for got in (tuple(v[i] for v in escaped), tuple(v[0] for v in scenarios._escape(*member))):
+                for g, e in zip(got, (v[i] for v in expected)):
+                    _same_bits(g, e)
+
+
 def test_sweep_early_exits_match_full_length_loops(monkeypatch):
     # (cell_index, m_b_target, usable_target) of the default grid, by seed.
     # At the default limit of 2000 and the default seed: stage 1 reaches
@@ -512,44 +587,39 @@ def test_sweep_early_exits_match_full_length_loops(monkeypatch):
     }
     seen = set()
     for seed, seed_cells in cells.items():
-        base = default_config("threshold-sweep")
-        if seed is not None:
-            base = dataclasses.replace(
-                base, master_seed=seed, pair=dataclasses.replace(base.pair, rotation_seed=seed)
-            )
         for limit in (5, 21, 37, 2000):
-            cfg = dataclasses.replace(
-                base, sweep=dataclasses.replace(base.sweep, phase2_step_limit=limit)
-            )
-            cfg.validate()
+            cfg = _sweep_config(seed, limit)
             for cell in seed_cells:
-                calls = 0
+                jumps = 0
                 half_quadratic = scenarios._half_quadratic
 
-                def counting(*args):
-                    nonlocal calls
-                    calls += 1
-                    return half_quadratic(*args)
+                def counting(h, d):
+                    # a repeat exit evaluates its jump target as one offset;
+                    # every other loss of a sweep is a stacked call
+                    nonlocal jumps
+                    jumps += d.ndim == 1
+                    return half_quadratic(h, d)
 
                 with monkeypatch.context() as patch:
                     patch.setattr(scenarios, "_half_quadratic", counting)
                     row = scenarios._sweep_rows(cfg, [cell])[0]
                 with monkeypatch.context() as patch:
-                    patch.setattr(scenarios, "_descend_survivors", full_length_stage1)
-                    patch.setattr(scenarios, "_escape", full_length_escape)
+                    patch.setattr(scenarios, "_descend_survivors", _stage1_per_member(full_length_stage1))
+                    patch.setattr(scenarios, "_escape", _escape_per_member)
                     oracle = scenarios._sweep_rows(cfg, [cell])[0]
                 assert [repr(x) for x in row] == [repr(x) for x in oracle]
 
-                u, stage1_reached, steps, escape_reached = row[1], row[7], row[12], row[14]
+                u, stage1_reached, escape_reached = row[1], row[7], row[14]
                 if stage1_reached:
                     seen.add("stage 1 reached")
+                    assert jumps == 0
                     continue
                 seen.add("escape reached" if escape_reached else "escape cut")
-                # the escape scans steps + 1 states; stage 1 alone would take limit + 1
                 if u == 0:
                     seen.add("u = 0")
-                elif calls - (steps + 1) < limit + 1:
+                elif jumps:
                     seen.add(f"stage 1 repeat, seed {seed}")
+                assert jumps <= 1
     assert seen == {
         "stage 1 reached",
         "u = 0",

@@ -9,7 +9,13 @@ from reconcap import tasks
 from reconcap.spectral import stable_rank
 from reconcap.transport import StepRule, propagate
 
-from _oracles import finite_difference_gradient, finite_difference_hessian, line_integral, per_pair_task_pair
+from _oracles import (
+    finite_difference_gradient,
+    finite_difference_hessian,
+    half_quadratic,
+    line_integral,
+    per_pair_task_pair,
+)
 
 
 def descent_gradient(task, theta):
@@ -68,6 +74,26 @@ def test_value_of_a_stack_is_a_one_line_value_error():
         with pytest.raises(ValueError, match="^value: takes one task and one theta") as err:
             tasks.value(task, theta)
         assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("d", [1, 6, 16])
+def test_stacked_half_quadratic_matches_per_offset_calls(d):
+    # a stack of mixed offsets (zero, -0.0, tiny, huge and drawn) on a stack
+    # of Hessians: each member's loss and H d are its single call's bit for
+    # bit, and a single call is the 1-D products' float
+    rng = np.random.default_rng(d)
+    b = rng.standard_normal((8, d, d))
+    h = b @ b.swapaxes(-1, -2) / d
+    offsets = rng.standard_normal((8, d)) * np.array([0.0, -0.0, 1e-160, 1e150, 1.0, 3.0, 1e-3, 7.0])[:, None]
+    losses, hds = tasks._half_quadratic(h, offsets)
+    assert losses.shape == (8,) and hds.shape == (8, d)
+    for i in range(8):
+        loss, hd = tasks._half_quadratic(h[i], offsets[i])
+        assert type(loss) is float and repr(loss) == repr(half_quadratic(h[i], offsets[i])[0])
+        assert repr(losses[i].item()) == repr(loss) and np.array_equal(hds[i], hd)
+        assert np.array_equal(hd, h[i] @ offsets[i])
+    nested = tasks._half_quadratic(h.reshape(2, 4, d, d), offsets.reshape(2, 4, d))
+    assert np.array_equal(nested[0].ravel(), losses) and np.array_equal(nested[1].reshape(8, d), hds)
 
 
 def test_rejects_indefinite_hessian():
