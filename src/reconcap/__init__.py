@@ -5,7 +5,7 @@ task sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 from .capacity import (
     CapacityReport,
@@ -46,7 +46,6 @@ from .tasks import (
     make_task_pair,
     random_rotations,
     restricted_hessian,
-    value,
 )
 from .thermo import (
     DissipationLedger,
@@ -65,6 +64,7 @@ from .transport import (
     StepKind,
     StepRule,
     propagate,
+    step_powers,
 )
 
 __all__ = [
@@ -113,7 +113,7 @@ __all__ = [
     "simulate_relaxation",
     "singular_values",
     "stable_rank",
+    "step_powers",
     "stream",
-    "value",
     "w2_gaussian",
 ]

@@ -24,7 +24,7 @@ from .config import (
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
 from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations, require_psd
-from .transport import StepRule, _affine_step, contraction_rates, propagate, step_map
+from .transport import StepRule, _affine_step, contraction_rates, propagate, step_map, step_powers
 
 
 class CheckError(RuntimeError):
@@ -108,20 +108,10 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
 # rank-decay: closed-form contraction audit under weight decay
 
 
-def _decay_ledger(cfg: ExperimentConfig):
-    """``(pair, A, powers)`` of rank-decay and proxy-probe: the validated
-    pair, the step matrix A of its task A, and A^0 ... A^n_steps stacked."""
+def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     pair = cfg.decaying_pair()
     a_mat = step_map(pair.task_a, cfg.rule)[0]
-    powers = np.empty((cfg.n_steps + 1, cfg.dim, cfg.dim))
-    powers[0] = np.eye(cfg.dim)
-    for k in range(cfg.n_steps):
-        powers[k + 1] = a_mat @ powers[k]
-    return pair, a_mat, powers
-
-
-def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
-    pair, _, powers = _decay_ledger(cfg)
+    powers = np.fromiter(step_powers(a_mat, range(cfg.n_steps + 1)), (np.float64, a_mat.shape), cfg.n_steps + 1)
     rates = np.sort(np.abs(contraction_rates(pair, cfg.rule)))[::-1]
     tau = cfg.thresholds.tau_sigma
 
@@ -316,11 +306,12 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
     label = "anchored-first-task"
     h, _ = require_psd(anchored, label=label)
-    finals, jacobians = propagate(
+    finals = propagate(
         theta0, h, pairs.task_a.minimizer, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
         label, final_only=True,
     )
-    report = capacity.predict_incompatibility(jacobians, pairs, tau)
+    a = _affine_step(h, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)[0]
+    report = capacity.predict_incompatibility(next(step_powers(a, [k1])), pairs, tau)
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
     h_a, theta_a = pairs.task_a.hessian, pairs.task_a.minimizer
@@ -470,7 +461,7 @@ def _composition_rows(d: int, seed: int, trials) -> list:
     """Each trial's run split in three, recomposed both ways and compared
     with the unsplit run.  The trials step together: one stacked
     propagation for the unsplit runs and one for each segment, each
-    drawing its own noise rows."""
+    drawing its own noise rows, and one ``step_powers`` pass for all four."""
     n = len(trials)
     h, minimizers = _controlled_tasks(d, seed, trials)
     rules = [_COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)] for trial in trials]
@@ -485,21 +476,25 @@ def _composition_rows(d: int, seed: int, trials) -> list:
 
     ends = np.cumsum(lens, axis=1)
     starts = ends - lens
-    full, full_jac = run(theta0, ends[:, 2], starts[:, 0])
+    full = run(theta0, ends[:, 2], starts[:, 0])
     members = np.arange(n)
     # a NaN survives np.max and np.maximum, where max() would drop it
     worst = np.zeros(n)
-    jacs, start = [], theta0
+    start = theta0
     for first, n_steps in zip(starts.T, lens.T):
-        seg, jac = run(start, n_steps, first)
-        jacs.append(jac)
+        seg = run(start, n_steps, first)
         # the segment's states against its window of the unsplit run; a
         # shorter segment repeats its last state to fill the stack
         r = np.minimum(np.arange(seg.shape[1]), n_steps[:, None])
         gap = np.abs(seg[members[:, None], r] - full[members[:, None], first[:, None] + r])
         worst = np.maximum(worst, np.max(gap, axis=(1, 2)))
         start = seg[members, n_steps]
-    j1, j2, j3 = jacs
+    exponents = np.vstack([lens.T, ends[:, 2]])
+    a = _affine_step(h, minimizers, [rule.step_size for rule in rules], [rule.weight_decay for rule in rules])[0]
+    j1, j2, j3, full_jac = jacs = np.empty((4, n, d, d))
+    for k, power in enumerate(step_powers(a, range(int(exponents.max()) + 1))):
+        which, member = np.nonzero(exponents == k)
+        jacs[which, member] = power[member]
     # the run's Jacobian as both associations of J3 J2 J1: J3 (J2 J1) and (J3 J2) J1
     for composed in (j3 @ (j2 @ j1), (j3 @ j2) @ j1):
         worst = np.maximum(worst, np.max(np.abs(composed - full_jac), axis=(1, 2)))
@@ -579,11 +574,9 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     paths = [(seed, rng.STREAM_TASK, trial, 3) for trial in trials]
     theta = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))[:, :, None]
     half_wd = 0.5 * np.array(wds)[:, None, None]
-    power = np.broadcast_to(np.eye(d), a_mats.shape)
     ranks, vals = [], []
-    for k in range(n_steps + 1):
+    for k, power in enumerate(step_powers(a_mats, range(n_steps + 1))):
         if k:
-            power = a_mats @ power
             theta = a_mats @ theta + shift
         ranks.append(capacity.effective_rank(power))
         offset = theta - minimizers
@@ -679,7 +672,8 @@ def _spearman(a, b) -> float:
 
 
 def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
-    pair, a_mat, powers = _decay_ledger(cfg)
+    pair = cfg.decaying_pair()
+    a_mat = step_map(pair.task_a, cfg.rule)[0]
     task_a = pair.task_a
     rule = cfg.rule
     basis = pair.preserving_basis
@@ -703,7 +697,8 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
             pr_series.append(capacity.participation_ratio(probes))
         if step_idx < cfg.n_steps:
             samples = samples @ a_mat
-    _, usable = capacity.compatible_effective_rank(powers[:: p_cfg.checkpoint_every], basis, tau)
+    powers = np.fromiter(step_powers(a_mat, checkpoints), (np.float64, a_mat.shape), len(checkpoints))
+    _, usable = capacity.compatible_effective_rank(powers, basis, tau)
     usable_series = usable.tolist()
     rows = [
         [step_idx, pr, u, int(np.sum(normal_rates**step_idx > tau))]

@@ -66,16 +66,6 @@ def _half_quadratic(h: np.ndarray, d: np.ndarray):
     return (float(loss) if d.ndim == 1 else loss), hd
 
 
-def value(task: QuadraticTask, theta) -> float:
-    """phi(theta) of one task at one point; stacks are rejected."""
-    theta = as_vector(theta, dim=task.dim, name="theta")
-    if task.hessian.ndim != 2 or theta.ndim != 1:
-        raise ValueError(
-            f"value: takes one task and one theta, got hessian {task.hessian.shape} and theta {theta.shape}"
-        )
-    return _half_quadratic(task.hessian, theta - task.minimizer)[0]
-
-
 def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
     """Q_A^T H_B Q_A (of each member): task-B curvature inside the A-preserving subspace."""
     if q_a.ambient_dim != task_b.dim:

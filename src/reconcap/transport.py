@@ -1,15 +1,14 @@
 """Discrete-time parameter transport and its Jacobians.
 
 A step rule turns a task into an update map on parameters; a trajectory is
-the orbit of one initial point.  Because tasks are quadratic and noise enters
-additively, every step Jacobian is state-independent, and the cumulative
-Jacobian of a run is an exact product of step matrices, built beside the
-states.  ``propagate`` steps a whole stack of runs at once, a single run
-being a stack of one.  A run split at step k and resumed with step offset k
-replays the same noise, so it visits the unsplit run's states, and the
-product J2 @ J1 of its segments' Jacobians equals the unsplit run's up to
-roundoff.  That exactness is what makes the composition and rank algebra
-checkable to near machine precision.
+the orbit of one initial point.  Tasks are quadratic and noise enters
+additively, so the cumulative Jacobian of an n-step run is the power A^n of
+its step matrix, whatever the noise or the start: ``propagate`` steps a
+stack of runs and returns their states, ``step_powers`` multiplies out the
+powers.  A run split at step k and resumed with step offset k replays the
+same noise and the unsplit run's states, and A^(n-k) @ A^k equals A^n up to
+roundoff, which makes the composition and rank algebra checkable to near
+machine precision.
 
 Every rule steps the affine map of one task (eta = step_size,
 s = noise_scale, wd = weight_decay, xi row `step` of the standard normal
@@ -113,6 +112,24 @@ def contraction_rates(pair: TaskPair, rule: StepRule) -> np.ndarray:
     return 1.0 - rule.step_size * (curvature + rule.weight_decay)
 
 
+def step_powers(a, exponents):
+    """Yield A^k of a step matrix ``(d, d)``, or of each of a stack ``(m, d,
+    d)``, for each k of the non-decreasing ``exponents`` in turn: the left
+    product ``A @ (... @ (A @ I))``, one power held at a time.  A matrix that
+    is not square or a bad exponent raises ValueError before anything is yielded."""
+    a, exponents = np.asarray(a, dtype=np.float64), list(exponents)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"step_powers: a must be a (d, d) matrix or an (m, d, d) stack, got shape {a.shape}")
+    for j, k in zip([0, *exponents], exponents):
+        if k < j:
+            raise ValueError(f"step_powers: exponents must be >= 0 and non-decreasing, got {k} after {j}")
+    power = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    for j, k in zip([0, *exponents], exponents):
+        for _ in range(k - j):
+            power = a @ power
+        yield power
+
+
 def propagate(
     theta0, hessians, minimizers, rules, n_steps, omega_seed, realizations, step_offsets, label,
     *, final_only=False,
@@ -122,12 +139,11 @@ def propagate(
     noisy member's step k reads row ``step_offsets[i] + k`` of its own
     ``(omega_seed, realizations[i])`` sequence.  Returns the states ``(m,
     max(n_steps) + 1, d)``, zero after each member's last (with ``final_only``
-    only the last, ``(m, d)``), and each member's cumulative Jacobian, the
-    left products ``A @ (... @ (A @ I))``; every product is the one a run of
-    that member alone makes, bit for bit.  Inputs of the wrong shape or
-    length, a start that is not finite and a negative step count raise
-    ValueError; a member whose |theta| passes ``DIVERGENCE_LIMIT`` or turns
-    NaN raises DivergenceError, naming the step and ``label``."""
+    only the last, ``(m, d)``), each what a lone run reaches, bit for bit;
+    Jacobians come from ``step_powers``.  Inputs of the wrong shape or length,
+    a start that is not finite and a negative step count raise ValueError; a
+    member whose |theta| passes ``DIVERGENCE_LIMIT`` or turns NaN raises
+    DivergenceError, naming the step and ``label``."""
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.ndim != 2 or not np.isfinite(theta0).all():
         raise ValueError(
@@ -169,7 +185,6 @@ def propagate(
     states = np.zeros((m, 1 if final_only else n_max + 1, d))
     states[:, 0] = theta0
     x = theta0[order]
-    jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
     for k, na in enumerate(np.count_nonzero(lengths[:, None] > np.arange(n_max), axis=0).tolist()):
         x = (a[:na] @ x[:na, :, None])[:, :, 0] + b[:na]
         if noise is not None:
@@ -184,5 +199,4 @@ def propagate(
                 f"{DIVERGENCE_LIMIT:.1e} at step {step_offsets[order[j]] + k} (task {label!r})"
             )
         states[order[:na], 0 if final_only else k + 1] = x
-        jac[:na] = a[:na] @ jac[:na]
-    return (states[:, 0] if final_only else states), jac[np.argsort(order)]
+    return states[:, 0] if final_only else states

@@ -10,7 +10,8 @@ kernel redone one matrix, one seed, one state or one run at a time, with
 ``per_run_propagation`` is the plain-loop run that every test of
 ``transport.propagate`` compares against: it steps the update map as the
 ``transport`` docstring states it, draws its own noise chunks and keeps
-its own Jacobian, and uses nothing from ``reconcap.transport``.  The
+its own Jacobian, the plain-loop product that ``transport.step_powers``
+is held to, and uses nothing from ``reconcap.transport``.  The
 ``per_trial_*`` functions are composition-check's draws, rows and ledgers
 redone one trial at a time, which its stacked blocks must match bit for
 bit.  ``per_pair_task_pair`` is the task-pair build as one seed's plain
@@ -23,10 +24,11 @@ lockstep stage 1 must match bit for bit.  ``full_length_stage1`` and
 every stage-1 update up to the limit, and one escape run over the whole
 limit, scanned afterwards.  ``half_quadratic`` is a task's loss and
 gradient at one offset as 1-D products, the arithmetic every sweep oracle
-and the stacked ``tasks._half_quadratic`` are held to.
-``forgetting_floor`` is the curvature floor on a task's loss that
-criterion 8 holds ``tasks.value`` to.  ``STREAM_ORACLE`` is the stream tag
-of the tests' own draws, which no run of the package reads.  Three builders
+and the stacked ``tasks._half_quadratic`` are held to, and ``task_value``
+is a task's loss at one point from it.  ``forgetting_floor`` is the
+curvature floor on a task's loss that criterion 8 holds ``task_value`` to.
+``STREAM_ORACLE`` is the stream tag of the tests' own draws, which no run
+of the package reads.  Three builders
 supply test inputs and targets instead: ``sample_batch`` (seeded Gaussian
 clouds), ``gibbs_state`` (the stationary Langevin target) and
 ``jacobian_stack`` (matrices with a rank-deficient and a collapsed member).
@@ -344,6 +346,11 @@ def half_quadratic(h, d) -> tuple[float, np.ndarray]:
     """``(0.5 d^T H d, H d)`` for one offset ``d = theta - theta*``."""
     hd = h @ d
     return float(0.5 * d @ hd), hd
+
+
+def task_value(task, theta) -> float:
+    """phi(theta) of one task at one point, from ``half_quadratic``."""
+    return half_quadratic(task.hessian, theta - task.minimizer)[0]
 
 
 def per_cell_stage1(theta_start, survivors, h_b, target, eta, eps_b, limit):

@@ -13,10 +13,10 @@ from reconcap.config import ThresholdConfig, default_config
 from reconcap.gaussian import GaussianState, covariance_sqrt
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import SubspaceBasis, singular_values, spectrum_rank
-from reconcap.tasks import QuadraticTask, make_task_pair, random_rotations, value
-from reconcap.transport import StepRule, propagate, step_map
+from reconcap.tasks import QuadraticTask, make_task_pair, random_rotations
+from reconcap.transport import StepRule, propagate, step_map, step_powers
 
-from _oracles import STREAM_ORACLE, forgetting_floor, sample_batch, sinkhorn_w2, sorted_coupling_w2
+from _oracles import STREAM_ORACLE, forgetting_floor, sample_batch, sinkhorn_w2, sorted_coupling_w2, task_value
 
 SEED = 42
 THRESHOLDS = ThresholdConfig()
@@ -41,7 +41,9 @@ def test_criterion_01_composition_exactness(criterion):
     )
     with criterion(1, "split/compose equals direct propagation") as rec:
         # the 1000 trials step as one stack: the full runs, the first parts,
-        # then the second parts from where the first ones end
+        # then the second parts from where the first ones end, which must
+        # reach the full runs' states; each part's Jacobian is its trial's
+        # step-matrix power, all read in one pass
         trials = range(1000)
         controlled = [_controlled_task(16, SEED, trial) for trial in trials]
         h = np.array([task.hessian for task in controlled])
@@ -61,15 +63,21 @@ def test_criterion_01_composition_exactness(criterion):
                 final_only=True,
             )
 
-        _, full = run(theta0, n_total, [0] * 1000)
-        mid, first = run(theta0, split, [0] * 1000)
-        _, second = run(mid, n_total - split, split)
+        end = run(theta0, n_total, [0] * 1000)
+        mid = run(theta0, split, [0] * 1000)
+        states_exact = np.array_equal(run(mid, n_total - split, split), end)
+        a = np.array([step_map(task, rule)[0] for task, rule in zip(controlled, trial_rules)])
+        lengths = np.array([n_total, split, n_total - split])
+        full, first, second = np.empty((3, 1000, 16, 16))
+        for k, power in enumerate(step_powers(a, range(int(n_total.max()) + 1))):
+            for jac, n in zip((full, first, second), lengths):
+                jac[n == k] = power[n == k]
         joined = second @ first
         scale = np.max(np.abs(full), axis=(1, 2))
         err = np.max(np.abs(joined - full), axis=(1, 2)) / np.maximum(scale, 1e-300)
         worst = float(np.max(err))
-        rec.detail = f"max relative error {worst:.2e} over 1000 triples (tol 1e-10)"
-        rec.ok = worst <= 1e-10
+        rec.detail = f"max relative error {worst:.2e} over 1000 triples (tol 1e-10); resumed states exact {states_exact}"
+        rec.ok = worst <= 1e-10 and states_exact
 
 
 def test_criterion_02_submultiplicativity(criterion):
@@ -363,7 +371,7 @@ def test_criterion_08_forgetting_lower_bound(criterion):
             q = pair.preserving_basis.basis
             start = pair.task_a.minimizer + q @ gen.standard_normal(k_a)
             final = start + 0.7 * gen.standard_normal(d)
-            forgetting = value(pair.task_a, final) - value(pair.task_a, start)
+            forgetting = task_value(pair.task_a, final) - task_value(pair.task_a, start)
             worst = min(worst, forgetting - forgetting_floor(pair.task_a, final))
         rec.detail = f"min bound_check {worst:.2e} over 1000 exits (tol -1e-10)"
         rec.ok = worst >= -1e-10

@@ -6,9 +6,15 @@ from hypothesis import strategies as st
 from reconcap import capacity
 from reconcap.config import ThresholdConfig
 from reconcap.spectral import SubspaceBasis
-from reconcap.tasks import QuadraticTask, make_task_pair, value
+from reconcap.tasks import QuadraticTask, make_task_pair
 
-from _oracles import forgetting_floor, jacobian_stack, per_matrix_compatible_rank, per_matrix_effective_rank
+from _oracles import (
+    forgetting_floor,
+    jacobian_stack,
+    per_matrix_compatible_rank,
+    per_matrix_effective_rank,
+    task_value,
+)
 
 # the dimensions at which stacked calls must match per-matrix calls bit for bit
 STACK_DIMS = (2, 8, 16, 32)
@@ -83,7 +89,7 @@ def test_forgetting_measured_against_curvature():
     task = flat_axis_task()
     start = np.array([0.0, 0.0, 1.5])
     final = np.array([0.3, 0.0, -2.0])
-    forgetting = value(task, final) - value(task, start)
+    forgetting = task_value(task, final) - task_value(task, start)
     assert forgetting == pytest.approx(0.09, abs=1e-14)
     assert forgetting > THRESHOLDS.epsilon_a
     # distance 0.3 from the optimal set at smallest positive curvature 1
@@ -94,7 +100,7 @@ def test_forgetting_bound_tight_along_soft_direction():
     task = flat_axis_task()
     # exit purely along the curvature-1 axis saturates the bound
     final = np.array([0.0, 0.7, 0.0])
-    bound_check = value(task, final) - value(task, np.zeros(3)) - forgetting_floor(task, final)
+    bound_check = task_value(task, final) - task_value(task, np.zeros(3)) - forgetting_floor(task, final)
     assert bound_check == pytest.approx(0.0, abs=1e-12)
     assert bound_check >= -1e-10
 

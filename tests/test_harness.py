@@ -291,11 +291,11 @@ def test_composition_summary_keeps_a_nan(tmp_path, monkeypatch):
     calls = []
 
     def first_is_nan(*args):
-        states, jacobians = propagate(*args)
+        states = propagate(*args)
         if not calls:
             states[0] = np.nan
         calls.append(None)
-        return states, jacobians
+        return states
 
     propagate = scenarios.propagate
     monkeypatch.setattr(scenarios, "propagate", first_is_nan)
@@ -367,35 +367,55 @@ def test_threshold_sweep_reduced(tmp_path):
 
 def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     # one stacked propagation takes the 200 phase-1 steps of each cell and
-    # nothing else; the stacked escape steps the map itself, each member
-    # exactly its phase2_steps times
+    # nothing else, and one step_powers call gives their Jacobians A^200;
+    # the stacked escape evaluates task B's loss at each escaping cell's
+    # start and after each of its phase2_steps steps, and at nothing else
     cfg = ExperimentConfig(
         scenario="threshold-sweep",
         sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
     )
     cfg.validate()
-    stacks = []
-    escape_steps = 0
-    propagate, escape = scenarios.propagate, scenarios._escape
+    stacks, powers, escaping = [], [], []
+    escape_evals, in_escape = 0, False
+    propagate, step_powers = scenarios.propagate, scenarios.step_powers
+    escape, half_quadratic = scenarios._escape, scenarios._half_quadratic
 
     def counting_stack(*args, **kwargs):
         stacks.append(list(args[4]))
         return propagate(*args, **kwargs)
 
-    def counting_escape(*args):
-        nonlocal escape_steps
-        result = escape(*args)
-        escape_steps += int(result[0].sum())
-        return result
+    def counting_powers(a, exponents):
+        powers.append((list(exponents), len(a)))
+        return step_powers(a, exponents)
+
+    def counting_escape(theta, *args):
+        nonlocal in_escape
+        escaping.append(len(theta))
+        in_escape = True
+        try:
+            return escape(theta, *args)
+        finally:
+            in_escape = False
+
+    def counting_losses(h, d):
+        nonlocal escape_evals
+        if in_escape:
+            escape_evals += len(d)
+        return half_quadratic(h, d)
 
     monkeypatch.setattr(scenarios, "propagate", counting_stack)
+    monkeypatch.setattr(scenarios, "step_powers", counting_powers)
     monkeypatch.setattr(scenarios, "_escape", counting_escape)
+    monkeypatch.setattr(scenarios, "_half_quadratic", counting_losses)
     run_scenario(cfg, out_dir=tmp_path)
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     column = lines[0].split(",").index("phase2_steps")
     phase2_steps = [int(line.split(",")[column]) for line in lines[1:]]
     assert stacks == [[200] * 9]
-    assert escape_steps == sum(phase2_steps) == 69
+    assert powers == [([200], 9)]
+    assert len(escaping) == 1
+    assert escape_evals == sum(phase2_steps) + escaping[0]
+    assert sum(phase2_steps) == 69
 
 
 def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
@@ -705,7 +725,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.16.0"
+    assert capsys.readouterr().out.strip() == "0.17.0"
 
 
 def test_version_matches_pyproject():
@@ -761,8 +781,8 @@ PUBLIC_NAMES = [
     "simulate_relaxation",
     "singular_values",
     "stable_rank",
+    "step_powers",
     "stream",
-    "value",
     "w2_gaussian",
 ]
 

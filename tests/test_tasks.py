@@ -15,13 +15,14 @@ from _oracles import (
     half_quadratic,
     line_integral,
     per_pair_task_pair,
+    task_value,
 )
 
 
 def descent_gradient(task, theta):
     # the gradient the update rules apply: one plain descent step of size 1
     # moves theta by -grad(theta)
-    states, _ = propagate(
+    states = propagate(
         theta[None], task.hessian[None], task.minimizer[None], [StepRule(step_size=1.0)], [1], 0, [0], [0],
         task.label, final_only=True,
     )
@@ -40,14 +41,14 @@ def make_random_task(seed, d=5):
 def test_gradient_matches_finite_differences(seed):
     task = make_random_task(seed)
     theta = np.random.default_rng(seed + 100).standard_normal(task.dim)
-    fd = finite_difference_gradient(lambda x: tasks.value(task, x), theta)
+    fd = finite_difference_gradient(lambda x: task_value(task, x), theta)
     assert np.allclose(descent_gradient(task, theta), fd, rtol=1e-6, atol=1e-6)
 
 
 def test_hessian_matches_finite_differences():
     task = make_random_task(3)
     theta = np.random.default_rng(7).standard_normal(task.dim)
-    fd = finite_difference_hessian(lambda x: tasks.value(task, x), theta)
+    fd = finite_difference_hessian(lambda x: task_value(task, x), theta)
     assert np.allclose(task.hessian, fd, rtol=1e-5, atol=1e-5)
 
 
@@ -56,24 +57,15 @@ def test_value_is_work_integral_of_gradient():
     x0 = np.random.default_rng(8).standard_normal(task.dim)
     x1 = np.random.default_rng(9).standard_normal(task.dim)
     work = line_integral(lambda x: descent_gradient(task, x), x0, x1)
-    assert work == pytest.approx(tasks.value(task, x1) - tasks.value(task, x0), abs=1e-8)
+    assert work == pytest.approx(task_value(task, x1) - task_value(task, x0), abs=1e-8)
 
 
 def test_value_zero_at_minimizer_and_nonnegative():
+    # the package's one loss, at the minimizer and at a stack of 20 points
     task = make_random_task(11)
-    assert tasks.value(task, task.minimizer) == 0.0
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        assert tasks.value(task, rng.standard_normal(task.dim)) >= 0.0
-
-
-def test_value_of_a_stack_is_a_one_line_value_error():
-    pair = tasks.make_task_pair(6, 2, [(1.0, 0.5)] * 6, list(range(6)))
-    one = tasks.QuadraticTask(dim=6, hessian=pair.task_a.hessian[0], minimizer=pair.task_a.minimizer[0])
-    for task, theta in [(pair.task_a, np.zeros(6)), (one, np.zeros((6, 6)))]:
-        with pytest.raises(ValueError, match="^value: takes one task and one theta") as err:
-            tasks.value(task, theta)
-        assert "\n" not in str(err.value)
+    assert tasks._half_quadratic(task.hessian, task.minimizer - task.minimizer)[0] == 0.0
+    thetas = np.random.default_rng(12).standard_normal((20, task.dim))
+    assert (tasks._half_quadratic(task.hessian, thetas - task.minimizer)[0] >= 0.0).all()
 
 
 @pytest.mark.parametrize("d", [1, 6, 16])
@@ -182,8 +174,8 @@ class TestTaskPair:
             tilt=1.0,
         )
         # task B's optimum still costs (numerically) nothing on task A
-        assert tasks.value(pair.task_a, pair.task_b.minimizer) < 1e-14
-        assert tasks.value(pair.task_b, pair.task_b.minimizer) == 0.0
+        assert task_value(pair.task_a, pair.task_b.minimizer) < 1e-14
+        assert task_value(pair.task_b, pair.task_b.minimizer) == 0.0
         shift = pair.task_b.minimizer - pair.task_a.minimizer
         assert np.linalg.norm(shift) == pytest.approx(np.sqrt(2.0), rel=1e-12)
 

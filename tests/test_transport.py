@@ -100,12 +100,17 @@ def propagate_members(members, omega_seed, label="task", **kwargs):
     )
 
 
+def step_matrices(members):
+    """The step matrices ``(m, d, d)`` of members ``(task, rule, ...)``."""
+    return np.array([transport.step_map(task, rule)[0] for task, rule, *_ in members])
+
+
 def test_cumulative_jacobian_matches_matrix_power():
     task = random_task(3)
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
-    _, jacobians = propagate_members([(task, rule, np.ones(task.dim), 40, 0, 0)], omega_seed=0)
-    expected = np.linalg.matrix_power(transport.step_map(task, rule)[0], 40)
-    assert np.allclose(jacobians[0], expected, rtol=1e-11, atol=1e-13)
+    a = transport.step_map(task, rule)[0]
+    expected = np.linalg.matrix_power(a, 40)
+    assert np.allclose(next(transport.step_powers(a, [40])), expected, rtol=1e-11, atol=1e-13)
 
 
 def test_descent_converges_to_minimizer():
@@ -116,7 +121,7 @@ def test_descent_converges_to_minimizer():
         dim=d, hessian=b @ b.T / d + 0.3 * np.eye(d), minimizer=rng.standard_normal(d)
     )
     rule = transport.StepRule(kind="gradient_descent", step_size=0.1)
-    finals, _ = propagate_members([(task, rule, np.zeros(d), 3000, 0, 0)], 0, final_only=True)
+    finals = propagate_members([(task, rule, np.zeros(d), 3000, 0, 0)], 0, final_only=True)
     assert np.linalg.norm(finals[0] - task.minimizer) < 1e-8
 
 
@@ -124,8 +129,8 @@ def test_noise_stream_determinism():
     task = random_task(6)
     rule = transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.3)
     members = [(task, rule, np.zeros(task.dim), 50, realization, 0) for realization in (0, 1)]
-    states, _ = propagate_members(members, omega_seed=11)
-    again, _ = propagate_members(members[:1], omega_seed=11)
+    states = propagate_members(members, omega_seed=11)
+    again = propagate_members(members[:1], omega_seed=11)
     assert np.array_equal(states[0], again[0])
     assert not np.array_equal(states[0], states[1])
 
@@ -134,8 +139,8 @@ def test_plain_descent_never_touches_the_noise_stream():
     task = random_task(7)
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
     members = [(task, rule, np.ones(task.dim), 20, 0, 0)]
-    a, _ = propagate_members(members, omega_seed=1)
-    b, _ = propagate_members(members, omega_seed=99)
+    a = propagate_members(members, omega_seed=1)
+    b = propagate_members(members, omega_seed=99)
     assert np.array_equal(a, b)
 
 
@@ -146,18 +151,19 @@ def test_noise_conventions_coincide_when_scales_match():
     noisy = transport.StepRule(kind="noisy_gradient", step_size=0.5, noise_scale=1.0)
     hot = transport.StepRule(kind="langevin", step_size=0.5, noise_scale=0.25)
     members = [(task, rule, np.zeros(task.dim), 30, 0, 0) for rule in (noisy, hot)]
-    states, _ = propagate_members(members, omega_seed=4)
+    states = propagate_members(members, omega_seed=4)
     assert np.array_equal(states[0], states[1])
 
 
 def test_split_run_composes_to_full_run():
     task = random_task(9)
     rule = transport.StepRule(kind="langevin", step_size=0.05, noise_scale=0.2)
-    full, full_jac = propagate_members([(task, rule, np.ones(task.dim), 24, 0, 0)], 13)
-    head, j1 = propagate_members([(task, rule, np.ones(task.dim), 10, 0, 0)], 13)
-    tail, j2 = propagate_members([(task, rule, head[0, -1], 14, 0, 10)], 13)
+    full = propagate_members([(task, rule, np.ones(task.dim), 24, 0, 0)], 13)
+    head = propagate_members([(task, rule, np.ones(task.dim), 10, 0, 0)], 13)
+    tail = propagate_members([(task, rule, head[0, -1], 14, 0, 10)], 13)
     assert np.array_equal(np.concatenate([head[0], tail[0, 1:]]), full[0])
-    assert np.allclose(j2[0] @ j1[0], full_jac[0], rtol=1e-12)
+    j1, j2, full_jac = transport.step_powers(transport.step_map(task, rule)[0], [10, 14, 24])
+    assert np.allclose(j2 @ j1, full_jac, rtol=1e-12)
 
 
 def test_divergence_raises():
@@ -222,9 +228,9 @@ def propagate_args(**changes):
     ids=["1d-start", "start-dim", "nan-start", "minimizer-dim", "offsets", "rules"],
 )
 def test_propagate_validates_its_inputs(changes, message):
-    states, _ = transport.propagate(**propagate_args())
+    states = transport.propagate(**propagate_args())
     as_lists = {name: propagate_args()[name].tolist() for name in ("theta0", "hessians", "minimizers")}
-    assert np.array_equal(transport.propagate(**propagate_args(**as_lists))[0], states)
+    assert np.array_equal(transport.propagate(**propagate_args(**as_lists)), states)
     with pytest.raises(ValueError, match=r"^propagate: .*" + message):
         transport.propagate(**propagate_args(**changes))
 
@@ -252,12 +258,12 @@ def test_propagate_matches_public_step_bitwise(rule):
     # the oracle loops the step the module docstring states
     task = random_task(17)
     offset, n = 5, 12
-    states, jacobians = propagate_members([(task, rule, np.ones(task.dim), n, 2, offset)], 19)
+    states = propagate_members([(task, rule, np.ones(task.dim), n, 2, offset)], 19)
     expected, jacobian = per_run_propagation(
         np.ones(task.dim), task.hessian, task.minimizer, rule, n, 19, 2, offset
     )
     assert np.array_equal(states[0], expected)
-    assert np.array_equal(jacobians[0], jacobian)
+    assert np.array_equal(next(transport.step_powers(transport.step_map(task, rule)[0], [n])), jacobian)
 
 
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
@@ -266,7 +272,7 @@ def test_propagate_matches_gradient_form_to_roundoff(rule):
     n = 200
     for seed in range(23):
         task = random_task(100 + seed)
-        states, _ = propagate_members([(task, rule, np.ones(task.dim), n, 0, 0)], seed)
+        states = propagate_members([(task, rule, np.ones(task.dim), n, 0, 0)], seed)
         noise = rng.normal_rows_each(seed, rng.STREAM_STEP_NOISE, [0], [0], [n], task.dim)[0]
         theta = np.ones(task.dim)
         for k in range(n):
@@ -277,15 +283,14 @@ def test_propagate_matches_gradient_form_to_roundoff(rule):
 @pytest.mark.parametrize("rule", BITWISE_RULES, ids=lambda r: r.kind.value)
 def test_cumulative_jacobian_is_the_left_product_bitwise(rule):
     task = random_task(18)
-    head, j1 = propagate_members([(task, rule, np.ones(task.dim), 7, 0, 0)], 3)
-    _, j2 = propagate_members([(task, rule, head[0, -1], 9, 0, 7)], 3)
     j = transport.step_map(task, rule)[0]
+    j1, j2 = transport.step_powers(j, [7, 9])
     m = np.eye(task.dim)
     for k in range(9):
         m = j @ m
         if k == 6:
-            assert np.array_equal(j1[0], m)
-    assert np.array_equal(j2[0], m)
+            assert np.array_equal(j1, m)
+    assert np.array_equal(j2, m)
 
 
 def test_singular_value_submultiplicativity_on_products():
@@ -304,9 +309,9 @@ def test_singular_value_submultiplicativity_on_products():
 def test_split_across_a_noise_chunk_composes_bitwise(rule):
     # the split at 250 and the run's end fall in different noise chunks
     task = random_task(20, d=3)
-    full, _ = propagate_members([(task, rule, np.ones(3), 600, 1, 0)], 8)
-    head, _ = propagate_members([(task, rule, np.ones(3), 250, 1, 0)], 8)
-    tail, _ = propagate_members([(task, rule, head[0, -1], 350, 1, 250)], 8)
+    full = propagate_members([(task, rule, np.ones(3), 600, 1, 0)], 8)
+    head = propagate_members([(task, rule, np.ones(3), 250, 1, 0)], 8)
+    tail = propagate_members([(task, rule, head[0, -1], 350, 1, 250)], 8)
     assert np.array_equal(np.concatenate([head[0], tail[0, 1:]]), full[0])
     expected, _ = per_run_propagation(head[0, -1], task.hessian, task.minimizer, rule, 350, 8, 1, 250)
     assert np.array_equal(tail[0], expected)
@@ -316,10 +321,12 @@ ALL_RULES = (transport.StepRule(kind="gradient_descent", step_size=0.05),) + BIT
 
 
 def assert_members_match_oracle(members, omega_seed):
-    states, jacobians = propagate_members(members, omega_seed)
-    finals, final_jacobians = propagate_members(members, omega_seed, final_only=True)
-    assert states.shape == (len(members), max(m[3] for m in members) + 1, members[0][0].dim)
-    assert np.array_equal(final_jacobians, jacobians)
+    states = propagate_members(members, omega_seed)
+    finals = propagate_members(members, omega_seed, final_only=True)
+    n_max = max(m[3] for m in members)
+    assert states.shape == (len(members), n_max + 1, members[0][0].dim)
+    # every power of the members' stack, each member's read at its length
+    powers = list(transport.step_powers(step_matrices(members), range(n_max + 1)))
     for i, (task, rule, theta0, n, realization, offset) in enumerate(members):
         expected, jacobian = per_run_propagation(
             theta0, task.hessian, task.minimizer, rule, n, omega_seed, realization, offset
@@ -327,7 +334,7 @@ def assert_members_match_oracle(members, omega_seed):
         assert np.array_equal(states[i, : n + 1], expected), i
         assert not states[i, n + 1 :].any(), i
         assert np.array_equal(finals[i], expected[-1]), i
-        assert np.array_equal(jacobians[i], jacobian), i
+        assert np.array_equal(powers[n][i], jacobian), i
 
 
 def test_stacked_kernel_matches_per_member_propagate_for_every_rule_kind():
@@ -346,10 +353,10 @@ def test_stacked_kernel_with_mixed_lengths_and_a_zero_step_member():
         for i, n in enumerate(lengths)
     ]
     assert_members_match_oracle(members, omega_seed=2)
-    # a stack of zero-step members returns each start and the identity
-    states, jacobians = propagate_members([members[1]] * 2, omega_seed=2)
-    assert np.array_equal(states, np.ones((2, 1, 6)))
-    assert np.array_equal(jacobians, np.broadcast_to(np.eye(6), (2, 6, 6)))
+    # a stack of zero-step members returns each start, and its power 0 is the identity
+    assert np.array_equal(propagate_members([members[1]] * 2, omega_seed=2), np.ones((2, 1, 6)))
+    identity = next(transport.step_powers(step_matrices([members[1]] * 2), [0]))
+    assert np.array_equal(identity, np.broadcast_to(np.eye(6), (2, 6, 6)))
 
 
 def test_stacked_kernel_offsets_across_a_noise_chunk():
@@ -381,3 +388,37 @@ def test_stacked_kernel_names_the_diverging_member():
         f"propagate: |theta| = {np.linalg.norm(states[first]):.3e} exceeded 1.0e+08 "
         f"at step {11 + first - 1} (task 'runaway')"
     )
+
+
+POWER_EXPONENTS = ([0, 3, 3, 9], [0], [6], [2, 2, 11, 12])
+
+
+@pytest.mark.parametrize("exponents", POWER_EXPONENTS, ids=["zero-repeat-gap", "only-0", "only-6", "repeat-gap"])
+def test_step_powers_match_the_plain_loop_jacobian(exponents):
+    # one matrix and a stack of one member per rule kind, against the
+    # oracle's own Jacobian of a run of k steps
+    members = [(random_task(80 + i), rule, np.ones(6), 0, i, 0) for i, rule in enumerate(ALL_RULES)]
+    stack = list(transport.step_powers(step_matrices(members), exponents))
+    assert len(stack) == len(exponents)
+    for i, (task, rule, theta0, _, realization, _) in enumerate(members):
+        single = list(transport.step_powers(transport.step_map(task, rule)[0], exponents))
+        for k, one, of_stack in zip(exponents, single, stack):
+            _, jacobian = per_run_propagation(theta0, task.hessian, task.minimizer, rule, k, 5, realization)
+            assert np.array_equal(one, jacobian), (i, k)
+            assert np.array_equal(of_stack[i], jacobian), (i, k)
+
+
+@pytest.mark.parametrize(
+    "a, exponents, message",
+    [
+        (np.ones((2, 3)), [1], r"a must be a \(d, d\) matrix or an \(m, d, d\) stack, got shape \(2, 3\)"),
+        (np.eye(3), [-1], "exponents must be >= 0 and non-decreasing, got -1 after 0"),
+        # a descending exponent would otherwise yield the power before it again
+        (np.eye(3), [4, 2, 5], "exponents must be >= 0 and non-decreasing, got 2 after 4"),
+    ],
+    ids=["not-square", "negative", "descending"],
+)
+def test_step_powers_validate_before_yielding(a, exponents, message):
+    with pytest.raises(ValueError, match=r"^step_powers: " + message) as err:
+        next(transport.step_powers(a, exponents))
+    assert "\n" not in str(err.value)
