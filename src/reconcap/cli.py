@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration, usage or I/O error, 2 numerical
-failure during a run, 3 a --check validation failed.  Errors print as a
-single machine-parseable line on stderr:
+Exit codes: 0 success, 1 configuration, usage or I/O error or a run out of
+memory, 2 numerical failure during a run, 3 a --check validation failed.
+Errors print as a single machine-parseable line on stderr:
 ``reconcap-error code=<n> kind=<name> msg=<text>``.
 """
 
@@ -109,6 +109,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_CHECK, "check", exc)
     except OSError as exc:
         return _fail(EXIT_CONFIG, "config", exc)
+    except MemoryError as exc:
+        return _fail(EXIT_CONFIG, "memory", str(exc) or "out of memory")
     except (DivergenceError, FloatingPointError, ValueError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_NUMERICAL, "numerical", exc)
     print(json.dumps(summary, sort_keys=True))

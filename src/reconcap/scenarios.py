@@ -505,17 +505,14 @@ def _composition_rows(d: int, seed: int, trials) -> list:
 
 
 def _product_spectra(seed: int, trials, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-    """Singular values of ``(U_a diag(s_a) V_a^T) (U_b diag(s_b) V_b^T)`` for
-    each trial, with row i of ``s_a`` and ``s_b`` and the four rotations
-    seeded from ``trials[i]``; the rotations of all trials come from one
-    stacked draw and the spectra from one stacked SVD."""
+    """Singular values of ``(U_a diag(s_a) V_a^T) (U_b diag(s_b) V_b^T)`` per
+    trial (row i of ``s_a`` and ``s_b``, rotations k = 0..3 seeded from
+    ``trials[i]``): as U_a and V_b are orthogonal, those of ``diag(s_a) V_a^T
+    U_b diag(s_b)``, from one stacked draw of V_a and U_b and one stacked SVD."""
     n, d_t = s_a.shape
-    seeds = [seed + 104729 * trial + 11 + k for trial in trials for k in range(4)]
-    u_a, v_a, u_b, v_b = random_rotations(d_t, seeds).reshape(n, 4, d_t, d_t).swapaxes(0, 1)
-    eye = np.eye(d_t)
-    a = u_a @ (s_a[:, :, None] * eye) @ v_a.swapaxes(-1, -2)
-    b = u_b @ (s_b[:, :, None] * eye) @ v_b.swapaxes(-1, -2)
-    return singular_values(a @ b)
+    seeds = [seed + 104729 * trial + 11 + k for trial in trials for k in (1, 2)]
+    v_a, u_b = random_rotations(d_t, seeds).reshape(n, 2, d_t, d_t).swapaxes(0, 1)
+    return singular_values(s_a[:, :, None] * (v_a.swapaxes(-1, -2) @ u_b) * s_b[:, None, :])
 
 
 def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
@@ -540,7 +537,7 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
 
     rows = []
     for d_t, members in by_dim.items():
-        for chunk in _blocks(members, 4 * d_t * d_t):
+        for chunk in _blocks(members, 2 * d_t * d_t):
             trials, s_a, s_b = zip(*chunk)
             s_a, s_b = np.array(s_a), np.array(s_b)
             sv_p = _product_spectra(seed, trials, s_a, s_b)
@@ -578,7 +575,8 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     for k, power in enumerate(step_powers(a_mats, range(n_steps + 1))):
         if k:
             theta = a_mats @ theta + shift
-        ranks.append(capacity.effective_rank(power))
+        # A = I - eta (H + wd I) is symmetric like H, so each power's singular values are its |eigenvalues|
+        ranks.append(capacity.spectra_effective_rank(np.sort(np.abs(np.linalg.eigvalsh(power)))[:, ::-1]))
         offset = theta - minimizers
         loss = (0.5 * offset).swapaxes(1, 2) @ (h @ offset)
         vals.append((loss + half_wd * (theta.swapaxes(1, 2) @ theta))[:, 0, 0])

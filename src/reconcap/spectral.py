@@ -113,7 +113,7 @@ def singular_values(a) -> np.ndarray:
 def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
     """Symmetrized V diag(w) V^T for each matrix of a stack; V may have fewer
     columns than rows."""
-    m = eigvecs @ (eigvals[..., None] * np.eye(eigvals.shape[-1])) @ eigvecs.swapaxes(-1, -2)
+    m = (eigvecs * eigvals[..., None, :]) @ eigvecs.swapaxes(-1, -2)
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 

@@ -258,16 +258,34 @@ def per_trial_composition_row(dim: int, seed: int, trial: int) -> list:
 
 def per_trial_product_spectra(seed: int, trial: int, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
     """Singular values of one submultiplicativity trial's product of two
-    factors with spectra ``s_a`` and ``s_b``, one QR per rotation."""
+    factors with spectra ``s_a`` and ``s_b``, as those of diag(s_a) V_a^T U_b
+    diag(s_b) with the trial's two inner rotations (seeds k = 1 and 2), one
+    QR per rotation."""
     first = seed + 104729 * trial + 11
-    u_a, v_a, u_b, v_b = per_seed_rotations(len(s_a), range(first, first + 4))
-    prod = (u_a @ np.diag(s_a) @ v_a.T) @ (u_b @ np.diag(s_b) @ v_b.T)
+    v_a, u_b = per_seed_rotations(len(s_a), [first + 1, first + 2])
+    prod = s_a[:, None] * (v_a.T @ u_b) * s_b[None, :]
     return np.linalg.svd(prod, compute_uv=False)
+
+
+def per_trial_factor_spectra(seed: int, trial: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(dimension, s_a, s_b) of one submultiplicativity trial, drawn from
+    its own task stream: each spectrum uniform in [0.5, 2], then about 30%
+    of its entries zeroed."""
+    gen = rng.stream(seed, rng.STREAM_TASK, trial, 2)
+    d_t = int(gen.integers(2, 33))
+    spectra = []
+    for _ in range(2):
+        s = gen.uniform(0.5, 2.0, size=d_t)
+        s[gen.random(d_t) < 0.3] = 0.0
+        spectra.append(s)
+    return d_t, *spectra
 
 
 def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]:
     """Effective rank of the step-matrix power and regularized loss along
-    one monotonicity trial's 40 gradient steps, stepped one vector at a time."""
+    one monotonicity trial's 40 gradient steps, stepped one vector at a time;
+    each power is symmetric, so its singular values are the |eigenvalues| of
+    its own ``eigvalsh``, sorted descending."""
     h, theta_star = per_trial_controlled_task(dim, seed + 1, trial)
     wd = 0.1 if trial % 2 else 0.0
     a_mat = np.eye(dim) - 0.4 * (h + wd * np.eye(dim))
@@ -279,7 +297,9 @@ def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]
         if k:
             power = a_mat @ power
             theta = a_mat @ theta + shift
-        ranks.append(per_matrix_effective_rank(power))
+        spectrum = np.sort(np.abs(np.linalg.eigvalsh(power)))[::-1]
+        log = per_spectrum_log_volume([spectrum])[0]
+        ranks.append(0.0 if log == float("-inf") else float(np.exp(log / dim)))
         vals.append(half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))
     return ranks, vals
 

@@ -6,13 +6,16 @@ import hashlib
 import numpy as np
 import pytest
 
-from reconcap import scenarios
+from reconcap import capacity, scenarios
 from reconcap.config import ExperimentConfig, default_config
 from reconcap.scenarios import run_scenario
+from reconcap.spectral import spectrum_rank
 
 from _oracles import (
+    per_seed_rotations,
     per_trial_composition_row,
     per_trial_controlled_task,
+    per_trial_factor_spectra,
     per_trial_monotonicity,
     per_trial_product_spectra,
 )
@@ -26,11 +29,13 @@ DIM = 16
 BLOCK = scenarios._BLOCK_FLOATS // (DIM * DIM)
 
 # sha256 of the default run's data files, as written before trials were
-# stacked in blocks
+# stacked in blocks; submultiplicativity.csv as written since each product's
+# spectrum is taken from its two inner rotations (sigma_slack moved by at
+# most 1.8e-15)
 DEFAULT_DIGESTS = {
     "composition.csv": "2ed4c42dac51a956c935cb41a24bad88b82861c89a886997fab85ddd63ade19d",
     "monotonicity.csv": "0636548bf47e8b9c3c4978382be3248e590af9e4b7ed91c804f6aad250d7c29b",
-    "submultiplicativity.csv": "82c496cd723ed9f1e78ae38070bb38221140349393f4cf9f0f5523cc17cb283b",
+    "submultiplicativity.csv": "d54284a0880cc5f7f4585c8c4746ae549e74d0d35276fd5e283b839a205053e8",
     "summary.json": "a7b31efba5b4caf44b21ea742db7a2ec4d3c07a2fa94538c9d0fee03f7ed6e1c",
 }
 
@@ -89,6 +94,72 @@ def test_monotonicity_ledgers_match_per_trial_loop():
         per_ranks, per_vals = per_trial_monotonicity(DIM, SEED, trial)
         assert np.array_equal(ranks[:, i], per_ranks)
         assert np.array_equal(vals[:, i], per_vals)
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_two_rotation_spectra_match_the_dense_four_rotation_product(seed):
+    # every trial of a default-sized run: its product built densely as
+    # U_a S_a V_a^T U_b S_b V_b^T from all four rotations has the spectrum
+    # the run takes from S_a (V_a^T U_b) S_b, the same rank_prod and slack
+    rows = scenarios._submultiplicativity_rows(seed, 1000)
+    by_dim = {}
+    for trial in range(1000):
+        d_t, s_a, s_b = per_trial_factor_spectra(seed, trial)
+        by_dim.setdefault(d_t, []).append((trial, s_a, s_b))
+    for d_t, members in by_dim.items():
+        trials, s_a, s_b = map(np.array, zip(*members))
+        two = scenarios._product_spectra(seed, trials, s_a, s_b)
+        for i, trial in enumerate(trials):
+            first = seed + 104729 * trial + 11
+            u_a, v_a, u_b, v_b = per_seed_rotations(d_t, range(first, first + 4))
+            dense = (u_a * s_a[i]) @ v_a.T @ (u_b * s_b[i]) @ v_b.T
+            sigma = np.linalg.svd(dense, compute_uv=False)
+            tol = 1e-14 * max(sigma[0], 1.0)
+            assert np.max(np.abs(two[i] - sigma)) <= tol, (d_t, trial)
+            assert spectrum_rank(two[i]) == spectrum_rank(sigma) == rows[trial][5], (d_t, trial)
+            sv_a, sv_b = np.sort(s_a[i])[::-1], np.sort(s_b[i])[::-1]
+            slack = np.max(sigma - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b))
+            assert abs(rows[trial][2] - slack) <= tol and rows[trial][6], (d_t, trial)
+
+
+@pytest.mark.parametrize("seed", [SEED, 7, 123])
+def test_ledger_ranks_match_general_svd_ranks(seed):
+    # the ledger's symmetric solve against a general SVD of each power, over
+    # a default run's 200 monotonicity trials
+    trials = range(200)
+    _, ranks, _ = scenarios._monotonicity_ledgers(DIM, seed, trials)
+    h, _ = scenarios._controlled_tasks(DIM, seed + 1, trials)
+    wds = np.array([0.1 if trial % 2 else 0.0 for trial in trials])[:, None, None]
+    a = np.eye(DIM) - 0.4 * (h + wds * np.eye(DIM))
+    power = np.broadcast_to(np.eye(DIM), a.shape)
+    general = []
+    for k in range(41):
+        if k:
+            power = a @ power
+        general.append(capacity.effective_rank(power))
+    general = np.array(general)
+    assert np.max(np.abs(ranks - general)) <= 1e-12
+    assert np.array_equal(ranks == 0.0, general == 0.0)
+    assert np.count_nonzero(general == 0.0) > 0
+
+
+def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
+    # a default run QRs 3,200 rotations (1,000 and 200 controlled tasks, two
+    # inner rotations for each of 1,000 products) and takes 1,000 SVDs, one
+    # per product; its 8,200 ledger powers (200 trials, 41 steps) go through
+    # eigvalsh with the 1,200 PSD checks of its controlled tasks, not svd.
+    # With four rotations per product and an SVD of every power it QR'd 5,200
+    # and took 9,200 SVDs.
+    names = ("qr", "eigvalsh", "eigh", "svd")
+    matrices = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(a, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            matrices[_name] += int(np.prod(np.shape(a)[:-2]))
+            return _call(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    run_scenario(default_config("composition-check"), out_dir=tmp_path, check=True)
+    assert matrices == {"qr": 3200, "eigvalsh": 9400, "eigh": 0, "svd": 1000}
 
 
 def test_blocks_match_per_trial_oracles_at_the_largest_seed():

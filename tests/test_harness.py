@@ -725,7 +725,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.17.0"
+    assert capsys.readouterr().out.strip() == "0.18.0"
 
 
 def test_version_matches_pyproject():
@@ -1008,6 +1008,16 @@ def test_cli_numerical_failure_exits_2(tmp_path, capsys):
         code = cli.main(["run", "--scenario", "esl-gap", "--out-dir", str(tmp_path)])
     assert code == 2
     assert "kind=numerical" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 550. GiB"], ids=["bare", "numpy"])
+def test_cli_memory_error_from_a_run_is_one_line(tmp_path, capsys, message):
+    # raised by a stand-in for the run: nothing is allocated for real
+    with mock.patch.object(cli, "run_scenario", side_effect=MemoryError(message)):
+        code = cli.main(["run", "--scenario", "esl-gap", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert _single_error_line(err, 1, "memory") and err.strip().endswith(message or "out of memory")
 
 
 def _single_error_line(err: str, code: int, kind: str) -> bool:
