@@ -5,7 +5,7 @@ task sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 from .capacity import (
     CapacityReport,
@@ -19,7 +19,6 @@ from .config import (
     ExperimentConfig,
     PairConfig,
     ProbeConfig,
-    RunManifest,
     SweepConfig,
     ThermoConfig,
     ThresholdConfig,
@@ -78,7 +77,6 @@ __all__ = [
     "PairConfig",
     "ProbeConfig",
     "QuadraticTask",
-    "RunManifest",
     "SCENARIOS",
     "StepKind",
     "StepRule",

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration, usage or I/O error or a run out of
-memory, 2 numerical failure during a run, 3 a --check validation failed.
+Exit codes: 0 success, 1 configuration, usage or I/O error or a config load
+or run out of memory, 2 numerical failure during a run, 3 a --check
+validation failed.
 Errors print as a single machine-parseable line on stderr:
 ``reconcap-error code=<n> kind=<name> msg=<text>``.
 """
@@ -86,21 +87,15 @@ def main(argv=None) -> int:
             print(name)
         return EXIT_OK
 
-    if args.command == "validate":
-        try:
-            cfg = load_config(args.config)
-        except (ConfigError, OSError) as exc:
-            return _fail(EXIT_CONFIG, "config", exc)
-        print(f"ok scenario={cfg.scenario} dim={cfg.dim} seed={cfg.master_seed}")
-        return EXIT_OK
-
-    try:
-        if args.config is not None:
-            cfg = load_config(args.config)
-        else:
-            cfg = default_config(args.scenario)
+    try:  # validate's config is required, run's is given or a --scenario
+        cfg = load_config(args.config) if args.config is not None else default_config(args.scenario)
     except (ConfigError, OSError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
+    except MemoryError as exc:
+        return _fail(EXIT_CONFIG, "memory", str(exc) or "out of memory")
+    if args.command == "validate":
+        print(f"ok scenario={cfg.scenario} dim={cfg.dim} seed={cfg.master_seed}")
+        return EXIT_OK
 
     out_dir = args.out_dir or os.environ.get("RECONCAP_OUT_DIR") or None
     try:

@@ -2,9 +2,10 @@
 
 Configs are plain JSON with nested sections.  Loading is strict: unknown keys
 at any level are errors, and each scenario validates the numeric ranges it
-depends on before anything runs.  A RunManifest records what a run produced
-(config snapshot and hash, version, timestamps, per-file checksums, seed
-ledger) so outputs can be audited and replays compared.
+depends on before anything runs.  ``write_manifest`` records what a run
+wrote (config snapshot and hash, version, timestamps, per-file checksums,
+seed ledger) so outputs can be audited and replays compared; ``write_csv``
+and ``write_json`` are the byte-stable writers of every data file.
 """
 
 from __future__ import annotations
@@ -367,55 +368,30 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Audit envelope for one run.  Timestamps make the manifest itself
-    vary between runs; determinism claims cover the data files, whose
+def write_manifest(cfg: ExperimentConfig, out: Path, names, started_at: str) -> None:
+    """Write ``manifest.json`` into ``out``, the audit envelope of one run:
+    config snapshot and hash, version, timestamps, the sha256 of each file
+    in ``names`` and the seed ledger.  The timestamps make the manifest
+    itself vary between runs; determinism claims cover the data files, whose
     checksums recorded here must match across replays."""
-
-    config: dict
-    config_sha256: str
-    artifact_version: str
-    started_at: str
-    finished_at: str = ""
-    files: dict = field(default_factory=dict)
-    seed_ledger: dict = field(default_factory=dict)
-    unit_convention: str = UNIT_CONVENTION
-
-    @classmethod
-    def start(cls, cfg: ExperimentConfig) -> "RunManifest":
-        return cls(
-            config=cfg.to_dict(),
-            config_sha256=config_hash(cfg),
-            artifact_version=_version,
-            started_at=datetime.now(timezone.utc).isoformat(),
-            seed_ledger={
-                "master_seed": cfg.master_seed,
-                "chunk_steps": rng.CHUNK_STEPS,
-                "streams": {
-                    name.removeprefix("STREAM_").lower(): tag
-                    for name, tag in vars(rng).items()
-                    if name.startswith("STREAM_")
-                },
+    write_json(out / "manifest.json", {
+        "artifact_version": _version,
+        "config": cfg.to_dict(),
+        "config_sha256": config_hash(cfg),
+        "files": {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names},
+        "finished_at": datetime.now(timezone.utc).isoformat(),
+        "seed_ledger": {
+            "master_seed": cfg.master_seed,
+            "chunk_steps": rng.CHUNK_STEPS,
+            "streams": {
+                name.removeprefix("STREAM_").lower(): tag
+                for name, tag in vars(rng).items()
+                if name.startswith("STREAM_")
             },
-        )
-
-    def record(self, path) -> None:
-        self.files[Path(path).name] = file_sha256(path)
-
-    def finish(self, path) -> None:
-        self.finished_at = datetime.now(timezone.utc).isoformat()
-        Path(path).write_text(
-            json.dumps(asdict(self), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        },
+        "started_at": started_at,
+        "unit_convention": UNIT_CONVENTION,
+    })
 
 
 def format_float(x) -> str:

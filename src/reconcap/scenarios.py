@@ -1,29 +1,25 @@
 """Named desk-scale experiments over the core machinery.
 
-Each scenario takes a validated ExperimentConfig, writes CSV data plus a
-summary.json into its output directory, and has a paired check_* validator
-used by the CLI's --check flag.  Data files are byte-stable across replays;
-the manifest (timestamps) is the only file allowed to differ.
+Each scenario's runner takes a validated ExperimentConfig and returns its
+summary and its tables, touching no file; ``run_scenario`` writes them.  Each
+runner has a paired check_* validator used by the CLI's --check flag.  Data
+files are byte-stable across replays; the manifest (timestamps) is the only
+file allowed to differ.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import capacity, rng, thermo
-from .config import (
-    ExperimentConfig,
-    RunManifest,
-    save_config,
-    write_csv,
-    write_json,
-)
+from .config import ExperimentConfig, save_config, write_csv, write_json, write_manifest
 from .gaussian import GaussianState
 from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
-from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations, require_psd
+from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations
 from .transport import StepRule, _affine_step, contraction_rates, propagate, step_map, step_powers
 
 
@@ -35,7 +31,7 @@ class CheckError(RuntimeError):
 # esl-gap: relaxation dissipation vs the transport floor
 
 
-def run_esl_gap(cfg: ExperimentConfig, out: Path) -> dict:
+def run_esl_gap(cfg: ExperimentConfig) -> tuple[dict, dict]:
     t_cfg = cfg.thermo
     d = len(t_cfg.start_mean)
     task = QuadraticTask(
@@ -62,11 +58,6 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path) -> dict:
     coarse = thermo.ot_geodesic(g0, g_end, n_coarse)
     coarse_ledger = thermo.geodesic_action_ledger(coarse, task, rule.noise_scale)
 
-    header, rows = thermo.series_rows(states, ledger, g0)
-    write_csv(out / "dynamics.csv", header, rows)
-    header, rows = thermo.series_rows(geo, geo_ledger, g0)
-    write_csv(out / "geodesic.csv", header, rows)
-
     summary = {
         "temperature": rule.noise_scale,
         "step_size": rule.step_size,
@@ -84,8 +75,10 @@ def run_esl_gap(cfg: ExperimentConfig, out: Path) -> dict:
         "geodesic_rel_error": abs(geo_ledger.total - floor) / floor,
         "clamp_events": clamp_events,
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return summary, {
+        "dynamics.csv": thermo.series_rows(states, ledger, g0),
+        "geodesic.csv": thermo.series_rows(geo, geo_ledger, g0),
+    }
 
 
 def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
@@ -108,7 +101,7 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
 # rank-decay: closed-form contraction audit under weight decay
 
 
-def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
+def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
     pair = cfg.decaying_pair()
     a_mat = step_map(pair.task_a, cfg.rule)[0]
     powers = np.fromiter(step_powers(a_mat, range(cfg.n_steps + 1)), (np.float64, a_mat.shape), cfg.n_steps + 1)
@@ -139,8 +132,6 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
     collapse_step = next((k for k, e in enumerate(effs.tolist()) if e == 0.0), None)
     rises = np.concatenate([[0.0], np.diff(effs), np.diff(compats), np.diff(usables)])
 
-    write_csv(out / "rank_decay.csv", header, rows)
-
     # closed-form crossing steps: spectrum ratio under the collapse floor,
     # uniform preserved-direction scale under tau
     ratio_decay = rates[-1] / rates[0]
@@ -159,8 +150,7 @@ def run_rank_decay(cfg: ExperimentConfig, out: Path) -> dict:
         "strict_closed_form_error": float(np.max(strict_errors, initial=0.0)),
         "abs_profile_error": float(np.max(profile_errors, initial=0.0)),
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return summary, {"rank_decay.csv": (header, rows)}
 
 
 def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
@@ -304,13 +294,11 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
     n = len(cells)
     theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
-    label = "anchored-first-task"
-    h, _ = require_psd(anchored, label=label)
     finals = propagate(
-        theta0, h, pairs.task_a.minimizer, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
-        label, final_only=True,
+        theta0, anchored, pairs.task_a.minimizer, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
+        "anchored-first-task", final_only=True,
     )
-    a = _affine_step(h, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)[0]
+    a = _affine_step(anchored, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)[0]
     report = capacity.predict_incompatibility(next(step_powers(a, [k1])), pairs, tau)
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
@@ -362,7 +350,7 @@ SWEEP_HEADER = [
 ]
 
 
-def run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> dict:
+def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     s = cfg.sweep
     cells = [
         (i * len(s.usable_targets) + j, m_target, u_target)
@@ -370,8 +358,6 @@ def run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         for j, u_target in enumerate(s.usable_targets)
     ]
     rows = _sweep_rows(cfg, cells)
-
-    write_csv(out / "sweep.csv", SWEEP_HEADER, rows)
     n_cells = len(rows)
     n_agree = sum(1 for r in rows if r[11])
     pred = [bool(r[8]) for r in rows]
@@ -393,8 +379,7 @@ def run_threshold_sweep(cfg: ExperimentConfig, out: Path) -> dict:
             "true_negative": sum(1 for p, o in zip(pred, obs) if not p and not o),
         },
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return summary, {"sweep.csv": (SWEEP_HEADER, rows)}
 
 
 def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
@@ -437,16 +422,16 @@ def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarr
     """Each trial's controlled task, as stacks ``(n, dim, dim)`` of Hessians
     and ``(n, dim)`` of minimizers: a spectrum in [0.2, 1.8], then a
     minimizer, drawn from the trial's own task stream, under the trial's
-    seeded rotation; the rotations come from one stacked draw and the
-    Hessians are checked in one stacked pass."""
+    seeded rotation; the rotations come from one stacked draw.  Each
+    Hessian is exactly symmetric and PSD by construction, so it is not
+    checked again."""
     draws = rng.draw_each(
         [(seed, rng.STREAM_TASK, trial) for trial in trials],
         lambda gen: (gen.uniform(0.2, 1.8, size=dim), gen.standard_normal(dim)),
     )
     spectra, minimizers = map(np.array, zip(*draws))
     rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
-    h, _ = require_psd(_eigen_rebuild(rots, spectra))
-    return h, minimizers
+    return _eigen_rebuild(rots, spectra), minimizers
 
 
 _COMPOSITION_RULES = (
@@ -567,23 +552,21 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     # vectors are stacked as columns (n, d, 1), so each stacked product
     # matches its per-trial matrix-vector or dot product bit for bit
     shift = shift[:, :, None]
-    minimizers = minimizers[:, :, None]
     paths = [(seed, rng.STREAM_TASK, trial, 3) for trial in trials]
     theta = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))[:, :, None]
-    half_wd = 0.5 * np.array(wds)[:, None, None]
+    half_wd = 0.5 * np.array(wds)
     ranks, vals = [], []
     for k, power in enumerate(step_powers(a_mats, range(n_steps + 1))):
         if k:
             theta = a_mats @ theta + shift
         # A = I - eta (H + wd I) is symmetric like H, so each power's singular values are its |eigenvalues|
         ranks.append(capacity.spectra_effective_rank(np.sort(np.abs(np.linalg.eigvalsh(power)))[:, ::-1]))
-        offset = theta - minimizers
-        loss = (0.5 * offset).swapaxes(1, 2) @ (h @ offset)
-        vals.append((loss + half_wd * (theta.swapaxes(1, 2) @ theta))[:, 0, 0])
+        loss = _half_quadratic(h, theta[..., 0] - minimizers)[0]
+        vals.append(loss + half_wd * (theta.swapaxes(1, 2) @ theta)[:, 0, 0])
     return wds, np.array(ranks), np.array(vals)
 
 
-def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
+def run_composition_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
     d = cfg.dim
     seed = cfg.master_seed
     # a block of trials at a time, its draws freed before the next is drawn
@@ -591,17 +574,7 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         row for trials in _blocks(range(cfg.n_trials), d * d)
         for row in _composition_rows(d, seed, trials)
     ]
-    write_csv(
-        out / "composition.csv",
-        ["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"],
-        comp_rows,
-    )
     sub_rows = _submultiplicativity_rows(seed, cfg.n_trials)
-    write_csv(
-        out / "submultiplicativity.csv",
-        ["trial", "dim", "sigma_slack", "rank_a", "rank_b", "rank_prod", "ok"],
-        sub_rows,
-    )
     n_mono = max(cfg.n_trials // 5, 1)
     mono_rows = []
     for trials in _blocks(range(n_mono), d * d):
@@ -610,11 +583,6 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         mono_rows += [
             [trial, len(ranks) - 1, wd, worst] for trial, wd, worst in zip(trials, wds, rises.max(axis=0))
         ]
-    write_csv(
-        out / "monotonicity.csv",
-        ["trial", "n_steps", "weight_decay", "max_increase"],
-        mono_rows,
-    )
 
     summary = {
         "n_trials": cfg.n_trials,
@@ -623,8 +591,11 @@ def run_composition_check(cfg: ExperimentConfig, out: Path) -> dict:
         "n_monotonicity_trials": n_mono,
         "max_monotonicity_increase": float(np.max([row[3] for row in mono_rows])),
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return summary, {
+        "composition.csv": (["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"], comp_rows),
+        "submultiplicativity.csv": (["trial", "dim", "sigma_slack", "rank_a", "rank_b", "rank_prod", "ok"], sub_rows),
+        "monotonicity.csv": (["trial", "n_steps", "weight_decay", "max_increase"], mono_rows),
+    }
 
 
 def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
@@ -669,7 +640,7 @@ def _spearman(a, b) -> float:
         return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
-def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
+def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
     pair = cfg.decaying_pair()
     a_mat = step_map(pair.task_a, cfg.rule)[0]
     task_a = pair.task_a
@@ -704,8 +675,6 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
     ]
     usable_zero_step = next((row[0] for row in rows if row[2] == 0), None)
 
-    write_csv(out / "proxy.csv", ["step", "pr", "usable", "surviving_normals"], rows)
-
     # calibration: an isotropic task should spread the probe over all of
     # parameter space, so the ratio to dim checks the estimator's scale
     iso_gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 2)
@@ -723,8 +692,7 @@ def run_proxy_probe(cfg: ExperimentConfig, out: Path) -> dict:
         "pr_isotropic": pr_isotropic,
         "pr_isotropic_over_dim": pr_isotropic / cfg.dim,
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return summary, {"proxy.csv": (["step", "pr", "usable", "surviving_normals"], rows)}
 
 
 def check_proxy_probe(summary: dict, cfg: ExperimentConfig) -> None:
@@ -751,18 +719,11 @@ SCENARIOS = {
     "proxy-probe": (run_proxy_probe, check_proxy_probe),
 }
 
-# The CSV files each scenario writes; with config.json and summary.json, all a manifest records.
-DATA_FILES = {
-    "esl-gap": ("dynamics.csv", "geodesic.csv"),
-    "rank-decay": ("rank_decay.csv",),
-    "threshold-sweep": ("sweep.csv",),
-    "composition-check": ("composition.csv", "submultiplicativity.csv", "monotonicity.csv"),
-    "proxy-probe": ("proxy.csv",),
-}
-
 
 def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> dict:
-    """Run one scenario end to end: data files, summary, manifest.
+    """Run one scenario, then write its outputs: config.json first, so a run
+    that raises has written only that file, then the runner's tables as CSV,
+    summary.json and manifest.json.
 
     Returns the summary dict.  With check=True the scenario's validator runs
     on the summary and the config and raises CheckError on violation (after
@@ -771,12 +732,13 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> di
     runner, checker = SCENARIOS[cfg.scenario]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir) / cfg.scenario
     out.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest.start(cfg)
+    started_at = datetime.now(timezone.utc).isoformat()
     save_config(cfg, out / "config.json")
-    summary = runner(cfg, out)
-    for name in ("config.json", "summary.json", *DATA_FILES[cfg.scenario]):
-        manifest.record(out / name)
-    manifest.finish(out / "manifest.json")
+    summary, tables = runner(cfg)
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    write_json(out / "summary.json", summary)
+    write_manifest(cfg, out, ["config.json", "summary.json", *tables], started_at)
     if check:
         checker(summary, cfg)
     return summary

@@ -34,7 +34,7 @@ import numpy as np
 
 from .gaussian import GaussianState, _clamp, clamped_state, covariance_sqrt
 from .spectral import require_symmetric
-from .tasks import QuadraticTask
+from .tasks import QuadraticTask, _half_quadratic
 from .transport import StepKind, StepRule, step_map
 
 LOG_2PI_E = float(np.log(2.0 * np.pi) + 1.0)
@@ -67,9 +67,8 @@ def entropy(g: GaussianState):
 def mean_value(g: GaussianState, task: QuadraticTask):
     """E_q[phi] for the Gaussian ensemble."""
     _check_pair(g, task)
-    d = g.mean - task.minimizer
-    hd = (task.hessian @ d[..., :, None])[..., 0]
-    return _dot(0.5 * d, hd) + 0.5 * _trace(task.hessian @ g.covariance)
+    loss = _half_quadratic(task.hessian, g.mean - task.minimizer)[0]
+    return loss + 0.5 * _trace(task.hessian @ g.covariance)
 
 
 def free_energy(g: GaussianState, task: QuadraticTask, temperature: float):

@@ -147,9 +147,9 @@ def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
     # a default run QRs 3,200 rotations (1,000 and 200 controlled tasks, two
     # inner rotations for each of 1,000 products) and takes 1,000 SVDs, one
     # per product; its 8,200 ledger powers (200 trials, 41 steps) go through
-    # eigvalsh with the 1,200 PSD checks of its controlled tasks, not svd.
-    # With four rotations per product and an SVD of every power it QR'd 5,200
-    # and took 9,200 SVDs.
+    # eigvalsh, not svd, and its 1,200 controlled tasks, PSD by construction,
+    # through no check.  With four rotations per product and an SVD of every
+    # power it QR'd 5,200 and took 9,200 SVDs.
     names = ("qr", "eigvalsh", "eigh", "svd")
     matrices = dict.fromkeys(names, 0)
     for name in names:
@@ -159,7 +159,7 @@ def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     run_scenario(default_config("composition-check"), out_dir=tmp_path, check=True)
-    assert matrices == {"qr": 3200, "eigvalsh": 9400, "eigh": 0, "svd": 1000}
+    assert matrices == {"qr": 3200, "eigvalsh": 8200, "eigh": 0, "svd": 1000}
 
 
 def test_blocks_match_per_trial_oracles_at_the_largest_seed():

@@ -420,10 +420,11 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
 
 def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
     # a default run builds its 81 cells' inputs as stacks: one QR of the
-    # rotations; eigvalsh of tasks A, of tasks B, of Q_A^T H_B Q_A (m_B) and
-    # of the anchored tasks; one SVD of the Jacobians and one of J Q_A; and
-    # no eigh, as its forgetting columns are value differences.  Built cell
-    # by cell the run made 81 QR, 235 eigvalsh, 117 eigh and 162 SVD calls.
+    # rotations; eigvalsh of tasks A, of tasks B and of Q_A^T H_B Q_A (m_B),
+    # the anchored tasks being PSD sums not checked again; one SVD of the
+    # Jacobians and one of J Q_A; and no eigh, as its forgetting columns are
+    # value differences.  Built cell by cell the run made 81 QR, 235
+    # eigvalsh, 117 eigh and 162 SVD calls.
     cfg = default_config("threshold-sweep")
     cfg.validate()
     names = ("qr", "eigvalsh", "eigh", "svd")
@@ -435,7 +436,7 @@ def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     run_scenario(cfg, out_dir=tmp_path, check=True)
-    assert calls == {"qr": 1, "eigvalsh": 4, "eigh": 0, "svd": 2}
+    assert calls == {"qr": 1, "eigvalsh": 3, "eigh": 0, "svd": 2}
 
 
 # sha256 of the default threshold-sweep's data files, as written since each
@@ -558,7 +559,7 @@ def _same_bits(got, expected):
 
 
 @pytest.mark.parametrize("seed", [None, 7, 21, 123, 4294967295])
-def test_lockstep_phase2_matches_per_cell_loops(seed, tmp_path, monkeypatch):
+def test_lockstep_phase2_matches_per_cell_loops(seed, monkeypatch):
     # every member of the sweep's two stacked phase-2 calls over the 81
     # default cells, and every member run again as a one-member stack,
     # against one cell's loops: stage 1 with its repeat exit, and the escape
@@ -573,7 +574,7 @@ def test_lockstep_phase2_matches_per_cell_loops(seed, tmp_path, monkeypatch):
                     return calls[name][1]
 
                 patch.setattr(scenarios, name, recording)
-            scenarios.run_threshold_sweep(_sweep_config(seed, limit), tmp_path)
+            scenarios.run_threshold_sweep(_sweep_config(seed, limit))
 
         args, (theta, loss) = calls["_descend_survivors"]
         assert len(loss) == 81 and args[-1] == limit
@@ -705,10 +706,30 @@ def test_manifest_covers_outputs(tmp_path):
     assert manifest["artifact_version"]
 
 
+# The tables each scenario's runner returns, one CSV file each
+TABLES = {
+    "esl-gap": {"dynamics.csv", "geodesic.csv"},
+    "rank-decay": {"rank_decay.csv"},
+    "threshold-sweep": {"sweep.csv"},
+    "composition-check": {"composition.csv", "submultiplicativity.csv", "monotonicity.csv"},
+    "proxy-probe": {"proxy.csv"},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(scenarios.SCENARIOS))
+def test_runner_returns_its_tables_and_writes_nothing(scenario, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    summary, tables = scenarios.SCENARIOS[scenario][0](default_config(scenario))
+    assert list(tmp_path.iterdir()) == []
+    assert set(tables) == TABLES[scenario] and summary
+    for header, rows in tables.values():
+        assert rows and all(len(row) == len(header) for row in rows)
+
+
 @pytest.mark.parametrize("scenario", sorted(scenarios.SCENARIOS))
 def test_default_run_writes_exactly_its_listed_files(scenario, tmp_path):
     run_scenario(default_config(scenario), out_dir=tmp_path)
-    listed = {"config.json", "summary.json", *scenarios.DATA_FILES[scenario]}
+    listed = {"config.json", "summary.json", *TABLES[scenario]}
     assert {path.name for path in tmp_path.iterdir()} == listed | {"manifest.json"}
     assert set(json.loads((tmp_path / "manifest.json").read_text())["files"]) == listed
 
@@ -725,7 +746,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.18.0"
+    assert capsys.readouterr().out.strip() == "0.19.0"
 
 
 def test_version_matches_pyproject():
@@ -746,7 +767,6 @@ PUBLIC_NAMES = [
     "PairConfig",
     "ProbeConfig",
     "QuadraticTask",
-    "RunManifest",
     "SCENARIOS",
     "STREAM_INIT",
     "STREAM_PROBE",
@@ -1018,6 +1038,25 @@ def test_cli_memory_error_from_a_run_is_one_line(tmp_path, capsys, message):
     assert code == 1
     err = capsys.readouterr().err
     assert _single_error_line(err, 1, "memory") and err.strip().endswith(message or "out of memory")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["validate", "cfg.json"], ["run", "--config", "cfg.json"], ["run", "--scenario", "esl-gap"]],
+    ids=["validate", "run-config", "run-scenario"],
+)
+def test_cli_memory_error_from_loading_a_config_is_one_line(capsys, monkeypatch, command):
+    # raised by stand-ins for the loaders: nothing is read or allocated
+    def out_of_memory(_):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "load_config", out_of_memory)
+    monkeypatch.setattr(cli, "default_config", out_of_memory)
+    with mock.patch.object(cli, "run_scenario") as run:
+        assert cli.main(command) == 1
+    run.assert_not_called()
+    err = capsys.readouterr().err
+    assert _single_error_line(err, 1, "memory") and err.strip().endswith("7.28 TiB")
 
 
 def _single_error_line(err: str, code: int, kind: str) -> bool:

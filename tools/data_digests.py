@@ -3,8 +3,8 @@
 Runs each scenario at its default config and re-seeded at seeds 7 and 21
 (``master_seed`` and ``pair.rotation_seed`` set to the seed, validated
 again), in a temporary directory, and prints one line per data file the
-run wrote (``config.json``, ``summary.json`` and the scenario's CSV files,
-in name order; not ``manifest.json``):
+run's ``manifest.json`` lists (``config.json``, ``summary.json`` and the
+scenario's CSV files, in name order; not ``manifest.json`` itself):
 
     <seed>/<scenario>/<file> <sha256>
 
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -31,7 +32,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from reconcap.config import SCENARIO_NAMES, default_config  # noqa: E402
-from reconcap.scenarios import DATA_FILES, run_scenario  # noqa: E402
+from reconcap.scenarios import run_scenario  # noqa: E402
 
 SEEDS = (None, 7, 21)
 
@@ -53,7 +54,7 @@ def write_digests(root: Path) -> None:
         for scenario in SCENARIO_NAMES:
             out = root / label / scenario
             run_scenario(_config(scenario, seed), out_dir=out)
-            for name in sorted(("config.json", "summary.json", *DATA_FILES[scenario])):
+            for name in sorted(json.loads((out / "manifest.json").read_text())["files"]):
                 digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
                 print(f"{label}/{scenario}/{name} {digest}")
 
