@@ -294,11 +294,11 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
     n = len(cells)
     theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
+    a, b = _affine_step(anchored, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)
     finals = propagate(
-        theta0, anchored, pairs.task_a.minimizer, [rule] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
+        theta0, a, b, [rule.noise_gain()] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
         "anchored-first-task", final_only=True,
     )
-    a = _affine_step(anchored, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)[0]
     report = capacity.predict_incompatibility(next(step_powers(a, [k1])), pairs, tau)
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
@@ -359,13 +359,14 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
     ]
     rows = _sweep_rows(cfg, cells)
     n_cells = len(rows)
-    n_agree = sum(1 for r in rows if r[11])
-    pred = [bool(r[8]) for r in rows]
-    obs = [bool(r[10]) for r in rows]
-    zero_usable_ok = all(
-        r[8] and r[10] for r in rows if r[1] == 0 and r[0] >= 1
-    )
-    forced = [r[15] for r in rows if r[1] == 0 and r[0] >= 1 and r[14]]
+    records = [dict(zip(SWEEP_HEADER, row)) for row in rows]
+    n_agree = sum(1 for r in records if r["agree"])
+    pred = [bool(r["predicted_incompatible"]) for r in records]
+    obs = [bool(r["observed_incompatible"]) for r in records]
+    # cells with no usable direction left but live demand on task B
+    stranded = [r for r in records if r["usable_target"] == 0 and r["m_b_target"] >= 1]
+    zero_usable_ok = all(r["predicted_incompatible"] and r["observed_incompatible"] for r in stranded)
+    forced = [r["forgetting_after_escape"] for r in stranded if r["escape_reached"]]
     summary = {
         "n_cells": n_cells,
         "n_agree": n_agree,
@@ -444,12 +445,14 @@ _COMPOSITION_RULES = (
 
 def _composition_rows(d: int, seed: int, trials) -> list:
     """Each trial's run split in three, recomposed both ways and compared
-    with the unsplit run.  The trials step together: one stacked
-    propagation for the unsplit runs and one for each segment, each
-    drawing its own noise rows, and one ``step_powers`` pass for all four."""
+    with the unsplit run.  The trials step together on one (A, b): a stacked
+    propagation for the unsplit runs and one per segment, each drawing its
+    own noise rows, and one ``step_powers`` pass for all four."""
     n = len(trials)
     h, minimizers = _controlled_tasks(d, seed, trials)
     rules = [_COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)] for trial in trials]
+    a, b = _affine_step(h, minimizers, [rule.step_size for rule in rules], [rule.weight_decay for rule in rules])
+    gains = [rule.noise_gain() for rule in rules]
     draws = rng.draw_each(
         [(seed, rng.STREAM_TASK, trial, 1) for trial in trials],
         lambda gen: (gen.integers(1, 6, size=3), gen.standard_normal(d)),
@@ -457,7 +460,7 @@ def _composition_rows(d: int, seed: int, trials) -> list:
     lens, theta0 = map(np.array, zip(*draws))
 
     def run(start, n_steps, offsets):
-        return propagate(start, h, minimizers, rules, n_steps, seed, trials, offsets, "task")
+        return propagate(start, a, b, gains, n_steps, seed, trials, offsets, "task")
 
     ends = np.cumsum(lens, axis=1)
     starts = ends - lens
@@ -475,7 +478,6 @@ def _composition_rows(d: int, seed: int, trials) -> list:
         worst = np.maximum(worst, np.max(gap, axis=(1, 2)))
         start = seg[members, n_steps]
     exponents = np.vstack([lens.T, ends[:, 2]])
-    a = _affine_step(h, minimizers, [rule.step_size for rule in rules], [rule.weight_decay for rule in rules])[0]
     j1, j2, j3, full_jac = jacs = np.empty((4, n, d, d))
     for k, power in enumerate(step_powers(a, range(int(exponents.max()) + 1))):
         which, member = np.nonzero(exponents == k)
@@ -543,26 +545,23 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
 def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, np.ndarray]:
     """Each trial's weight decay and, along its 40 plain gradient steps, the
     effective rank of the step-matrix power and the regularized loss, as
-    ``(41, len(trials))`` arrays.  The trials step together, one stacked
-    product per step."""
+    ``(41, len(trials))`` arrays: the states of one stacked propagation and
+    the ``step_powers`` of the same step matrices."""
     eta, n_steps = 0.4, 40
+    n = len(trials)
     h, minimizers = _controlled_tasks(d, seed + 1, trials)
     wds = [0.1 if trial % 2 else 0.0 for trial in trials]
-    a_mats, shift = _affine_step(h, minimizers, eta, wds)
-    # vectors are stacked as columns (n, d, 1), so each stacked product
-    # matches its per-trial matrix-vector or dot product bit for bit
-    shift = shift[:, :, None]
+    a, b = _affine_step(h, minimizers, eta, wds)
     paths = [(seed, rng.STREAM_TASK, trial, 3) for trial in trials]
-    theta = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))[:, :, None]
+    theta0 = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))
+    states = propagate(theta0, a, b, [0.0] * n, [n_steps] * n, seed, trials, [0] * n, "monotonicity-ledger")
     half_wd = 0.5 * np.array(wds)
     ranks, vals = [], []
-    for k, power in enumerate(step_powers(a_mats, range(n_steps + 1))):
-        if k:
-            theta = a_mats @ theta + shift
+    for power, theta in zip(step_powers(a, range(n_steps + 1)), states.swapaxes(0, 1)):
         # A = I - eta (H + wd I) is symmetric like H, so each power's singular values are its |eigenvalues|
         ranks.append(capacity.spectra_effective_rank(np.sort(np.abs(np.linalg.eigvalsh(power)))[:, ::-1]))
-        loss = _half_quadratic(h, theta[..., 0] - minimizers)[0]
-        vals.append(loss + half_wd * (theta.swapaxes(1, 2) @ theta)[:, 0, 0])
+        loss = _half_quadratic(h, theta - minimizers)[0]
+        vals.append(loss + half_wd * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0])
     return wds, np.array(ranks), np.array(vals)
 
 

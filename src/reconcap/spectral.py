@@ -53,7 +53,7 @@ def as_matrix(a, *, square: bool = False, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
+def as_vector(v, *, name: str = "vector") -> np.ndarray:
     """Validate and normalize a float64 vector ``(d,)`` or a stack ``(..., d)``
     of them (a copy)."""
     x = np.array(v, dtype=np.float64, copy=True)
@@ -61,8 +61,6 @@ def as_vector(v, *, dim: int | None = None, name: str = "vector") -> np.ndarray:
         raise ValueError(f"{name}: expected a 1-D array or a stack of them, got ndim={x.ndim}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name}: non-finite entries")
-    if dim is not None and x.shape[-1] != dim:
-        raise ValueError(f"{name}: expected length {dim}, got {x.shape[-1]}")
     return x
 
 

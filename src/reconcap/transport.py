@@ -3,12 +3,12 @@
 A step rule turns a task into an update map on parameters; a trajectory is
 the orbit of one initial point.  Tasks are quadratic and noise enters
 additively, so the cumulative Jacobian of an n-step run is the power A^n of
-its step matrix, whatever the noise or the start: ``propagate`` steps a
-stack of runs and returns their states, ``step_powers`` multiplies out the
-powers.  A run split at step k and resumed with step offset k replays the
-same noise and the unsplit run's states, and A^(n-k) @ A^k equals A^n up to
-roundoff, which makes the composition and rank algebra checkable to near
-machine precision.
+its step matrix, whatever the noise or the start.  A caller builds each
+stack's maps once: ``propagate`` steps them and returns the states, and
+``step_powers`` multiplies out the powers of the same matrices.  A run split
+at step k and resumed with step offset k replays the same noise and the
+unsplit run's states, and A^(n-k) @ A^k equals A^n up to roundoff, which
+makes the composition and rank algebra checkable to near machine precision.
 
 Every rule steps the affine map of one task (eta = step_size,
 s = noise_scale, wd = weight_decay, xi row `step` of the standard normal
@@ -71,11 +71,9 @@ class StepRule:
         if self.kind is not StepKind.GRADIENT_DESCENT and self.weight_decay != 0.0:
             raise ValueError("StepRule: weight_decay is defined for gradient_descent only")
 
-    def uses_noise(self) -> bool:
-        return self.kind is not StepKind.GRADIENT_DESCENT
-
     def noise_gain(self) -> float:
-        """The factor g of the noise row a step adds; 0 for plain descent."""
+        """The factor g of the noise row a step adds: 0 for plain descent, and
+        for any rule of noise_scale 0, whose steps then draw no rows."""
         if self.kind is StepKind.NOISY_GRADIENT:
             return self.step_size * self.noise_scale
         if self.kind is StepKind.LANGEVIN:
@@ -131,35 +129,36 @@ def step_powers(a, exponents):
 
 
 def propagate(
-    theta0, hessians, minimizers, rules, n_steps, omega_seed, realizations, step_offsets, label,
-    *, final_only=False,
+    theta0, a, b, gains, n_steps, omega_seed, realizations, step_offsets, label, *, final_only=False,
 ):
-    """Step member i, ``rules[i]`` on the task ``(hessians[i], minimizers[i])``
-    from ``theta0[i]``, for ``n_steps[i]`` steps, the whole stack at once; a
-    noisy member's step k reads row ``step_offsets[i] + k`` of its own
-    ``(omega_seed, realizations[i])`` sequence.  Returns the states ``(m,
-    max(n_steps) + 1, d)``, zero after each member's last (with ``final_only``
-    only the last, ``(m, d)``), each what a lone run reaches, bit for bit;
-    Jacobians come from ``step_powers``.  Inputs of the wrong shape or length,
-    a start that is not finite and a negative step count raise ValueError; a
-    member whose |theta| passes ``DIVERGENCE_LIMIT`` or turns NaN raises
-    DivergenceError, naming the step and ``label``."""
+    """Step member i, the affine map ``x' = a[i] x + b[i] + gains[i] * xi``
+    that the caller built (``step_map`` and ``StepRule.noise_gain``), from
+    ``theta0[i]``, for ``n_steps[i]`` steps, the whole stack at once; xi at
+    step k is row ``step_offsets[i] + k`` of the member's own
+    ``(omega_seed, realizations[i])`` sequence.  A member of gain 0 draws no
+    rows, whatever its rule.  Returns the states ``(m, max(n_steps) + 1,
+    d)``, zero after each member's last (with ``final_only`` only the last,
+    ``(m, d)``), each what a lone run reaches, bit for bit; Jacobians come
+    from ``step_powers`` of the same ``a``.  Inputs of the
+    wrong shape or length, a start that is not finite and a negative step
+    count raise ValueError; a member whose |theta| passes ``DIVERGENCE_LIMIT``
+    or turns NaN raises DivergenceError, naming the step and ``label``."""
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.ndim != 2 or not np.isfinite(theta0).all():
         raise ValueError(
             f"propagate: theta0 must be a finite (m, d) array, got shape {theta0.shape}"
         )
     m, d = theta0.shape
-    hessians = np.asarray(hessians, dtype=np.float64)
-    minimizers = np.asarray(minimizers, dtype=np.float64)
-    if hessians.shape != (m, d, d) or minimizers.shape != (m, d):
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != (m, d, d) or b.shape != (m, d):
         raise ValueError(
-            f"propagate: theta0 {theta0.shape} needs hessians {(m, d, d)} and minimizers "
-            f"{(m, d)}, got {hessians.shape} and {minimizers.shape}"
+            f"propagate: theta0 {theta0.shape} needs a {(m, d, d)} and b {(m, d)}, "
+            f"got {a.shape} and {b.shape}"
         )
-    if any(len(x) != m for x in (rules, n_steps, realizations, step_offsets)):
+    if any(len(x) != m for x in (gains, n_steps, realizations, step_offsets)):
         raise ValueError(
-            f"propagate: rules, n_steps, realizations and step_offsets need {m} entries each"
+            f"propagate: gains, n_steps, realizations and step_offsets need {m} entries each"
         )
     lengths = np.asarray(n_steps)
     if (lengths < 0).any():
@@ -167,11 +166,8 @@ def propagate(
     n_max = int(lengths.max(initial=0))
     # longest first, so the members still stepping at step k are a prefix
     order = np.argsort(-lengths, kind="stable")
-    rules = [rules[i] for i in order]
-    a, b = _affine_step(
-        hessians[order], minimizers[order], [r.step_size for r in rules], [r.weight_decay for r in rules]
-    )
-    noisy = np.array([rule.uses_noise() for rule in rules])
+    a, b, gains = a[order], b[order], np.asarray(gains, dtype=np.float64)[order]
+    noisy = gains != 0.0
     noise = None
     if noisy.any():
         members = order[noisy]
@@ -179,9 +175,8 @@ def propagate(
             omega_seed, rng.STREAM_STEP_NOISE, [realizations[i] for i in members],
             [step_offsets[i] for i in members], lengths[members], d,
         )
-        gains = np.array([rule.noise_gain() for rule in rules if rule.uses_noise()])
         noise = np.zeros((m, n_max, d))
-        noise[noisy, : rows.shape[1]] = gains[:, None, None] * rows
+        noise[noisy, : rows.shape[1]] = gains[noisy, None, None] * rows
     states = np.zeros((m, 1 if final_only else n_max + 1, d))
     states[:, 0] = theta0
     x = theta0[order]

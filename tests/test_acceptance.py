@@ -46,8 +46,6 @@ def test_criterion_01_composition_exactness(criterion):
         # step-matrix power, all read in one pass
         trials = range(1000)
         controlled = [_controlled_task(16, SEED, trial) for trial in trials]
-        h = np.array([task.hessian for task in controlled])
-        minimizers = np.array([task.minimizer for task in controlled])
         trial_rules = [rules[trial % len(rules)] for trial in trials]
         n_total, split, theta0 = [], [], []
         for trial in trials:
@@ -56,17 +54,16 @@ def test_criterion_01_composition_exactness(criterion):
             split.append(int(gen.integers(1, n_total[-1])))
             theta0.append(gen.standard_normal(16))
         n_total, split, theta0 = np.array(n_total), np.array(split), np.array(theta0)
+        # each trial's step map, built once for both its states and its Jacobians
+        a, b = map(np.array, zip(*(step_map(task, rule) for task, rule in zip(controlled, trial_rules))))
+        gains = [rule.noise_gain() for rule in trial_rules]
 
         def run(start, n_steps, offsets):
-            return propagate(
-                start, h, minimizers, trial_rules, n_steps, SEED, trials, offsets, "task",
-                final_only=True,
-            )
+            return propagate(start, a, b, gains, n_steps, SEED, trials, offsets, "task", final_only=True)
 
         end = run(theta0, n_total, [0] * 1000)
         mid = run(theta0, split, [0] * 1000)
         states_exact = np.array_equal(run(mid, n_total - split, split), end)
-        a = np.array([step_map(task, rule)[0] for task, rule in zip(controlled, trial_rules)])
         lengths = np.array([n_total, split, n_total - split])
         full, first, second = np.empty((3, 1000, 16, 16))
         for k, power in enumerate(step_powers(a, range(int(n_total.max()) + 1))):

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from reconcap import capacity, scenarios
+from reconcap import capacity, scenarios, transport
 from reconcap.config import ExperimentConfig, default_config
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import spectrum_rank
@@ -96,6 +96,13 @@ def test_monotonicity_ledgers_match_per_trial_loop():
         assert np.array_equal(vals[:, i], per_vals)
 
 
+def test_monotonicity_ledgers_check_their_states_for_divergence(monkeypatch):
+    # the ledgers' states come from propagate, which checks every one of them
+    monkeypatch.setattr(transport, "DIVERGENCE_LIMIT", 1e-3)
+    with pytest.raises(transport.DivergenceError, match=r"at step 0 \(task 'monotonicity-ledger'\)$"):
+        scenarios._monotonicity_ledgers(DIM, SEED, range(3, 6))
+
+
 @pytest.mark.parametrize("seed", [SEED, 7])
 def test_two_rotation_spectra_match_the_dense_four_rotation_product(seed):
     # every trial of a default-sized run: its product built densely as
@@ -160,6 +167,25 @@ def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
         monkeypatch.setattr(np.linalg, name, counting)
     run_scenario(default_config("composition-check"), out_dir=tmp_path, check=True)
     assert matrices == {"qr": 3200, "eigvalsh": 8200, "eigh": 0, "svd": 1000}
+
+
+@pytest.mark.parametrize("scenario, builds", [("composition-check", 20), ("threshold-sweep", 2)])
+def test_default_run_builds_each_step_map_once(tmp_path, monkeypatch, scenario, builds):
+    # one (A, b) per stack, handed to both propagate and step_powers: 16
+    # composition blocks and 4 ledger blocks; the sweep's phase 1 and its
+    # escape.  Built inside propagate and again for step_powers, they were
+    # 84 and 3.
+    calls = []
+    build = transport._affine_step
+
+    def counting(*args):
+        calls.append(None)
+        return build(*args)
+
+    monkeypatch.setattr(transport, "_affine_step", counting)
+    monkeypatch.setattr(scenarios, "_affine_step", counting)
+    run_scenario(default_config(scenario), out_dir=tmp_path, check=True)
+    assert len(calls) == builds
 
 
 def test_blocks_match_per_trial_oracles_at_the_largest_seed():

@@ -746,7 +746,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.19.0"
+    assert capsys.readouterr().out.strip() == "0.20.0"
 
 
 def test_version_matches_pyproject():

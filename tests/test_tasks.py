@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from reconcap import tasks
 from reconcap.spectral import stable_rank
-from reconcap.transport import StepRule, propagate
+from reconcap.transport import StepRule, propagate, step_map
 
 from _oracles import (
     finite_difference_gradient,
@@ -22,9 +22,10 @@ from _oracles import (
 def descent_gradient(task, theta):
     # the gradient the update rules apply: one plain descent step of size 1
     # moves theta by -grad(theta)
+    rule = StepRule(step_size=1.0)
+    a, b = step_map(task, rule)
     states = propagate(
-        theta[None], task.hessian[None], task.minimizer[None], [StepRule(step_size=1.0)], [1], 0, [0], [0],
-        task.label, final_only=True,
+        theta[None], a[None], b[None], [rule.noise_gain()], [1], 0, [0], [0], task.label, final_only=True,
     )
     return theta - states[0]
 

@@ -84,13 +84,15 @@ def test_step_rule_rejects_nan_and_negative_scales(kwargs):
 
 def propagate_members(members, omega_seed, label="task", **kwargs):
     """``transport.propagate`` over members ``(task, rule, theta0, n_steps,
-    realization, step_offset)``."""
+    realization, step_offset)``, each stepping its ``step_map`` with its
+    rule's noise gain."""
     tasks_, rules, starts, lengths, realizations, offsets = zip(*members)
+    a, b = zip(*(transport.step_map(task, rule) for task, rule in zip(tasks_, rules)))
     return transport.propagate(
         np.array(starts, dtype=float),
-        np.array([task.hessian for task in tasks_]),
-        np.array([task.minimizer for task in tasks_]),
-        rules,
+        np.array(a),
+        np.array(b),
+        [rule.noise_gain() for rule in rules],
         lengths,
         omega_seed,
         realizations,
@@ -197,12 +199,12 @@ def propagate_args(**changes):
     """Arguments of a valid two-member, 6-d ``transport.propagate`` call,
     with some replaced."""
     rule = transport.StepRule(kind="gradient_descent", step_size=0.05)
-    tasks_ = [random_task(72), random_task(73)]
+    a, b = zip(*(transport.step_map(random_task(seed), rule) for seed in (72, 73)))
     args = dict(
         theta0=np.ones((2, 6)),
-        hessians=np.array([task.hessian for task in tasks_]),
-        minimizers=np.array([task.minimizer for task in tasks_]),
-        rules=[rule, rule],
+        a=np.array(a),
+        b=np.array(b),
+        gains=[0.0, 0.0],
         n_steps=[3, 0],
         omega_seed=0,
         realizations=[0, 1],
@@ -217,22 +219,58 @@ def propagate_args(**changes):
     [
         # a 1-d start once failed unpacking its shape
         ({"theta0": np.ones(6)}, r"theta0 must be a finite \(m, d\) array, got shape \(6,\)"),
-        # a 5-d start against 6-d Hessians once failed in matmul
-        ({"theta0": np.ones((2, 5))}, r"needs hessians \(2, 5, 5\) and minimizers \(2, 5\)"),
+        # a 5-d start against 6-d step matrices once failed in matmul
+        ({"theta0": np.ones((2, 5))}, r"needs a \(2, 5, 5\) and b \(2, 5\), got \(2, 6, 6\) and \(2, 6\)"),
         # a NaN start on a member of zero steps once came back unchecked
         ({"theta0": np.array([[1.0] * 6, [np.nan] * 6])}, "theta0 must be a finite"),
-        ({"minimizers": np.zeros((2, 5))}, r"minimizers \(2, 6\)"),
-        ({"step_offsets": [0]}, "need 2 entries each"),
-        ({"rules": [transport.StepRule()]}, "need 2 entries each"),
+        ({"b": np.zeros((2, 5))}, r"b \(2, 6\), got \(2, 6, 6\) and \(2, 5\)"),
+        ({"step_offsets": [0]}, "gains, n_steps, realizations and step_offsets need 2 entries each"),
+        ({"gains": [0.0]}, "need 2 entries each"),
     ],
-    ids=["1d-start", "start-dim", "nan-start", "minimizer-dim", "offsets", "rules"],
+    ids=["1d-start", "start-dim", "nan-start", "b-dim", "offsets", "gains"],
 )
 def test_propagate_validates_its_inputs(changes, message):
     states = transport.propagate(**propagate_args())
-    as_lists = {name: propagate_args()[name].tolist() for name in ("theta0", "hessians", "minimizers")}
+    as_lists = {name: propagate_args()[name].tolist() for name in ("theta0", "a", "b")}
     assert np.array_equal(transport.propagate(**propagate_args(**as_lists)), states)
     with pytest.raises(ValueError, match=r"^propagate: .*" + message):
         transport.propagate(**propagate_args(**changes))
+
+
+def test_propagate_steps_any_affine_map_its_caller_builds(monkeypatch):
+    # non-symmetric step matrices and shifts that no task and rule give, a
+    # gain of 0 (no rows drawn) beside nonzero ones and an offset across a
+    # noise chunk, against a plain loop of each member's 1-D products
+    drawn, draw = [], rng.normal_rows_each
+
+    def recording(master_seed, tag, realizations, *args):
+        drawn.extend(realizations)
+        return draw(master_seed, tag, realizations, *args)
+
+    monkeypatch.setattr(rng, "normal_rows_each", recording)
+    gen = np.random.default_rng(90)
+    m, d, seed = 5, 4, 12
+    a = 0.3 * gen.standard_normal((m, d, d))
+    b, theta0 = gen.standard_normal((2, m, d))
+    gains = [0.0, 0.7, 0.0, 1.3, 0.2]
+    lengths, realizations, offsets = [6, 0, 9, 4, 9], [3, 1, 4, 1, 5], [0, 2, 7, rng.CHUNK_STEPS - 2, 1]
+    args = (theta0, a, b, gains, lengths, seed, realizations, offsets, "affine")
+    states = transport.propagate(*args)
+    finals = transport.propagate(*args, final_only=True)
+    # two calls, each drawing rows for the nonzero gains only
+    assert sorted(drawn) == sorted(2 * [r for r, g in zip(realizations, gains) if g])
+    for i, n in enumerate(lengths):
+        x, expected = theta0[i], [theta0[i]]
+        for k in range(offsets[i], offsets[i] + n):
+            x = a[i] @ x + b[i]
+            if gains[i]:
+                chunk, row = divmod(k, rng.CHUNK_STEPS)
+                noise = rng.stream(seed, rng.STREAM_STEP_NOISE, realizations[i], chunk).standard_normal((row + 1, d))
+                x = x + gains[i] * noise[row]
+            expected.append(x)
+        assert np.array_equal(states[i, : n + 1], expected), i
+        assert not states[i, n + 1 :].any(), i
+        assert np.array_equal(finals[i], expected[-1]), i
 
 
 BITWISE_RULES = (
