@@ -17,6 +17,7 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,12 @@ UNIT_CONVENTION = (
     "entropy in nats; per-step sigma dimensionless; runs compared against the "
     "transport floor W2^2/2 over a unit time horizon (n_steps * step_size <= 1)"
 )
+
+
+# The most steps one threshold-sweep cell may take in a phase: phase 1's k1
+# and each phase-2 stage's ``sweep.phase2_step_limit``.  It bounds the run's
+# work per cell, which validation checks before anything is allocated.
+STEP_BUDGET = 100_000
 
 
 class ConfigError(ValueError):
@@ -266,9 +273,10 @@ class ExperimentConfig:
             raise ConfigError("threshold-sweep: m_b_targets must lie in [0, k_a]")
         if any(not 0 <= u <= self.k_a for u in s.usable_targets):
             raise ConfigError("threshold-sweep: usable_targets must lie in [0, k_a]")
-        if not 0 < s.collapse_strength * eta < 1:
+        # the rate phase 1's k1 takes the log of, as the run rounds it
+        if not 0.0 < 1.0 - eta * s.collapse_strength < 1.0:
             raise ConfigError(
-                "threshold-sweep: eta * collapse_strength must be in (0, 1) for "
+                "threshold-sweep: 1 - eta * collapse_strength must be in (0, 1) for "
                 "monotone contraction"
             )
         if s.settle_steps < 1 or s.phase2_step_limit < 1:
@@ -277,11 +285,30 @@ class ExperimentConfig:
         self._require_positive_thresholds(
             "tau_sigma", "epsilon_a", "epsilon_b", "epsilon_low", "epsilon_high"
         )
+        k1 = self.sweep_phase1_steps()
+        if k1 > STEP_BUDGET:
+            raise ConfigError(
+                f"threshold-sweep: phase 1 takes k1 = {k1} steps per cell, above the "
+                f"step budget of {STEP_BUDGET}; raise sweep.collapse_strength"
+            )
+        if s.phase2_step_limit > STEP_BUDGET:
+            raise ConfigError(
+                f"sweep.phase2_step_limit: {s.phase2_step_limit} is above the step "
+                f"budget of {STEP_BUDGET}"
+            )
         # cells differ only in rotation and demand: the largest demand builds
         # the stiffest task B, and every cell's task A has the default spectrum
         m = max(s.m_b_targets)
         pair = self._task_pair((1.0,) * m + (0.0,) * (self.k_a - m), tilt=s.tilt)
         self._require_stable(max(*pair.a_spectrum, pair.task_b.lam_max))
+
+    def sweep_phase1_steps(self) -> int:
+        """threshold-sweep's phase-1 step count k1, the same in every cell: the
+        steps the anchored rate 1 - eta * collapse_strength takes to fall to
+        ``tau_sigma``, and at least ``sweep.settle_steps``."""
+        contraction = 1.0 - self.rule.step_size * self.sweep.collapse_strength
+        k1 = int(math.ceil(math.log(self.thresholds.tau_sigma) / math.log(contraction)))
+        return max(k1, self.sweep.settle_steps)
 
     def _validate_composition_check(self) -> None:
         # the trials draw their own tasks and step with fixed rules
@@ -413,13 +440,35 @@ def format_float(x) -> str:
 _REPR_FIELDS = frozenset((int, float))
 
 
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
+# Lines write_csv joins into one write: a table's rows reach the file a chunk
+# at a time, and no string of a whole long table is built.
+_CSV_CHUNK_LINES = 256
+
+
+def _csv_lines(header, rows):
+    """The header's line, then each row's, without line ends."""
+    yield ",".join(header)
     for row in rows:
         # a row of plain ints and floats takes repr in one pass over the row
         fmt = repr if _REPR_FIELDS.issuperset(map(type, row)) else format_float
-        lines.append(",".join(map(fmt, row)))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        yield ",".join(map(fmt, row))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each of ``rows`` as one comma-joined line,
+    every field in ``format_float``'s form, ``_CSV_CHUNK_LINES`` lines at a
+    time to the open file.  A field that cannot be written, such as a string
+    that would need quoting, raises after removing the partial file: a
+    failed write leaves no file at ``path``."""
+    path = Path(path)
+    try:
+        with path.open("w", encoding="utf-8") as f:
+            lines = _csv_lines(header, rows)
+            while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
+                f.write("\n".join(chunk) + "\n")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path, payload: dict) -> None:

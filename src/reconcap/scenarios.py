@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,29 @@ from .transport import StepRule, _affine_step, contraction_rates, propagate, ste
 
 class CheckError(RuntimeError):
     """A scenario ran to completion but its output failed validation."""
+
+
+# Floats a stacked draw or stack of step-matrix powers holds per array.  A
+# block takes one QR or SVD instead of one per trial or power, and is dropped
+# before the next block is built, so this bounds the run's peak memory
+# whatever the dimension or the number of steps.
+_BLOCK_FLOATS = 1 << 14
+
+
+def _blocks(items, floats_per_item: int):
+    """Consecutive slices of ``items``, each small enough that a stack of
+    ``floats_per_item`` floats per item stays within the block budget."""
+    size = max(_BLOCK_FLOATS // floats_per_item, 1)
+    return (items[i : i + size] for i in range(0, len(items), size))
+
+
+def _power_blocks(a, exponents):
+    """``step_powers(a, exponents)`` as consecutive stacks, one per slice of
+    ``_blocks(exponents, a.size)``: 64 powers of a 16 x 16 step matrix, and
+    never one stack of every power."""
+    powers = step_powers(a, exponents)
+    for chunk in _blocks(exponents, a.size):
+        yield np.fromiter(islice(powers, len(chunk)), (np.float64, a.shape), len(chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -104,22 +128,29 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
 def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
     pair = cfg.decaying_pair()
     a_mat = step_map(pair.task_a, cfg.rule)[0]
-    powers = np.fromiter(step_powers(a_mat, range(cfg.n_steps + 1)), (np.float64, a_mat.shape), cfg.n_steps + 1)
     rates = np.sort(np.abs(contraction_rates(pair, cfg.rule)))[::-1]
     tau = cfg.thresholds.tau_sigma
 
     header = ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
     header += [f"sv_{i}" for i in range(cfg.dim)]
-    svs = singular_values(powers)
+    # the powers A^0 ... A^n_steps a block at a time, each block's spectra
+    # written into the whole run's ledger
+    n_powers = cfg.n_steps + 1
+    svs, compats, usables = np.empty((n_powers, cfg.dim)), np.empty(n_powers), np.empty(n_powers, dtype=int)
+    start = 0
+    for powers in _power_blocks(a_mat, range(n_powers)):
+        block = slice(start, start + len(powers))
+        svs[block] = singular_values(powers)
+        compats[block], usables[block] = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
+        start = block.stop
     effs = capacity.spectra_effective_rank(svs)
-    compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
     ledger = zip(effs.tolist(), compats.tolist(), usables.tolist(), spectrum_rank(svs).tolist(), svs.tolist())
     rows = [[step_idx, *columns, *sv] for step_idx, (*columns, sv) in enumerate(ledger)]
     # every step's errors, maximized once, where a NaN is kept; the iterated
     # product only resolves singular values down to roughly
     # n_steps * eps * sigma_max, so the strict relative comparison is limited
     # to steps whose closed-form spectrum stays within 1e-3 of its top
-    sv_closed = rates ** np.arange(cfg.n_steps + 1)[:, None]
+    sv_closed = rates ** np.arange(n_powers)[:, None]
     deviation = np.abs(svs - sv_closed)
     profile_errors = np.max(deviation, axis=1) / sv_closed[:, 0]
     window = sv_closed[:, -1] >= 1e-3 * sv_closed[:, 0]
@@ -290,8 +321,7 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     collapsed = [q[:, u:] for q, (*_, u) in zip(pairs.preserving_basis.basis, cells)]
     anchored = np.array([sweep.collapse_strength * c @ c.T for c in collapsed])
     anchored = pairs.task_a.hessian + (anchored + anchored.swapaxes(-1, -2)) / 2.0
-    contraction = 1.0 - eta * sweep.collapse_strength
-    k1 = max(int(math.ceil(math.log(tau) / math.log(contraction))), sweep.settle_steps)
+    k1 = cfg.sweep_phase1_steps()
     n = len(cells)
     theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
     a, b = _affine_step(anchored, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)
@@ -403,20 +433,6 @@ def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # composition-check: group structure, submultiplicativity, monotone descent
-
-
-# Floats a stacked draw of composition-check holds per array.  A block of
-# trials takes one QR (and, where it has one, one SVD) instead of one per
-# trial, and its draws are dropped before the next block is drawn, so this
-# bounds the run's peak memory whatever the dimension.
-_BLOCK_FLOATS = 1 << 14
-
-
-def _blocks(items, floats_per_item: int):
-    """Consecutive slices of ``items``, each small enough that a stack of
-    ``floats_per_item`` floats per item stays within the block budget."""
-    size = max(_BLOCK_FLOATS // floats_per_item, 1)
-    return (items[i : i + size] for i in range(0, len(items), size))
 
 
 def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
@@ -665,9 +681,10 @@ def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
             pr_series.append(capacity.participation_ratio(probes))
         if step_idx < cfg.n_steps:
             samples = samples @ a_mat
-    powers = np.fromiter(step_powers(a_mat, checkpoints), (np.float64, a_mat.shape), len(checkpoints))
-    _, usable = capacity.compatible_effective_rank(powers, basis, tau)
-    usable_series = usable.tolist()
+    usable_series = [
+        u for powers in _power_blocks(a_mat, checkpoints)
+        for u in capacity.compatible_effective_rank(powers, basis, tau)[1].tolist()
+    ]
     rows = [
         [step_idx, pr, u, int(np.sum(normal_rates**step_idx > tau))]
         for step_idx, pr, u in zip(checkpoints, pr_series, usable_series)

@@ -180,7 +180,9 @@ def propagate(
     states = np.zeros((m, 1 if final_only else n_max + 1, d))
     states[:, 0] = theta0
     x = theta0[order]
-    for k, na in enumerate(np.count_nonzero(lengths[:, None] > np.arange(n_max), axis=0).tolist()):
+    # members still stepping at step k: all but those of length k or less
+    active = m - np.cumsum(np.bincount(lengths.astype(int), minlength=n_max + 1))[:n_max]
+    for k, na in enumerate(active.tolist()):
         x = (a[:na] @ x[:na, :, None])[:, :, 0] + b[:na]
         if noise is not None:
             np.add(x, noise[:na, k], out=x, where=noisy[:na, None])

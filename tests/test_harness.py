@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -15,8 +16,9 @@ import numpy as np
 import pytest
 
 import reconcap
-from reconcap import cli, scenarios
+from reconcap import capacity, cli, scenarios, transport
 from reconcap.config import (
+    STEP_BUDGET,
     ConfigError,
     ExperimentConfig,
     PairConfig,
@@ -31,6 +33,7 @@ from reconcap.config import (
     write_csv,
 )
 from reconcap.scenarios import CheckError, run_scenario
+from reconcap.spectral import singular_values, spectrum_rank
 from reconcap.transport import DivergenceError, StepRule
 
 from _oracles import full_length_escape, full_length_stage1, per_cell_stage1
@@ -158,6 +161,11 @@ def test_format_float_and_csv(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[1, 0.5], [2, float(np.float64(0.25))]])
     assert path.read_text() == "a,b\n1,0.5\n2,0.25\n"
+    # rows reach the file a chunk at a time, so a rejected field after the
+    # first chunk removes the partial file, and the earlier file it replaced
+    with pytest.raises(ValueError, match="quoting"):
+        write_csv(path, ["a", "b"], [[i, 0.5] for i in range(300)] + [["a,b", 2]])
+    assert not path.exists()
 
 
 def test_csv_rows_match_per_field_format(tmp_path):
@@ -312,6 +320,59 @@ def test_rank_decay_run(tmp_path):
     assert summary["usable_zero_step"] == summary["usable_zero_step_closed_form"]
     assert summary["final_effective_rank"] == 0.0
     assert summary["max_monotonicity_violation"] <= 1e-10
+
+
+def _unblocked_rank_decay_rows(cfg):
+    # the ledger as one stack of every power A^0 ... A^n_steps, one SVD each
+    pair = cfg.decaying_pair()
+    a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
+    powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
+    svs = singular_values(powers)
+    compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
+    columns = (capacity.spectra_effective_rank(svs), compats, usables, spectrum_rank(svs))
+    return [[k, *(c[k].item() for c in columns), *svs[k].tolist()] for k in range(cfg.n_steps + 1)]
+
+
+@pytest.mark.parametrize("n_steps, block_sizes", [(63, [64]), (64, [64, 1]), (65, [64, 2])])
+def test_rank_decay_blocks_match_one_unblocked_ledger(n_steps, block_sizes):
+    # 64 powers of a 16 x 16 step matrix fill the block budget
+    cfg = dataclasses.replace(default_config("rank-decay"), n_steps=n_steps)
+    cfg.validate()
+    a_mat = transport.step_map(cfg.decaying_pair().task_a, cfg.rule)[0]
+    blocks = list(scenarios._power_blocks(a_mat, range(n_steps + 1)))
+    assert [len(b) for b in blocks] == block_sizes
+    _, tables = scenarios.run_rank_decay(cfg)
+    rows = tables["rank_decay.csv"][1]
+    expected = _unblocked_rank_decay_rows(cfg)
+    assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+
+
+def test_rank_decay_holds_no_stack_of_every_power():
+    # one (n_steps + 1, 16, 16) float64 stack is 41 MB at 20,000 steps, more
+    # than the run may hold at its peak
+    cfg = dataclasses.replace(default_config("rank-decay"), n_steps=20_000)
+    cfg.validate()
+    stack_bytes = (cfg.n_steps + 1) * cfg.dim * cfg.dim * 8
+    tracemalloc.start()
+    try:
+        scenarios.run_rank_decay(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
+
+
+def test_proxy_probe_checkpoints_every_step_in_blocks():
+    # checkpoint_every 1 takes every power: the usable series from blocks
+    # of powers, against one stack of them all
+    cfg = dataclasses.replace(default_config("proxy-probe"), probe=ProbeConfig(checkpoint_every=1))
+    cfg.validate()
+    pair = cfg.decaying_pair()
+    a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
+    powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
+    _, usable = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
+    _, tables = scenarios.run_proxy_probe(cfg)
+    assert [row[2] for row in tables["proxy.csv"][1]] == usable.tolist()
 
 
 def test_rank_decay_check_reports_a_missing_collapse(tmp_path):
@@ -746,7 +807,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.20.0"
+    assert capsys.readouterr().out.strip() == "0.21.0"
 
 
 def test_version_matches_pyproject():
@@ -978,6 +1039,72 @@ def test_import_leaves_scipy_stats_unloaded(tmp_path):
         [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _sweep_config_file(tmp_path, **sweep):
+    payload = default_config("threshold-sweep").to_dict()
+    payload["sweep"].update(sweep)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def _collapse_strength_for_k1(k1_target):
+    # the weakest anchor whose phase 1 takes at most k1_target steps
+    cfg = default_config("threshold-sweep")
+    lo, hi = 1e-9, 1.0
+    for _ in range(200):
+        mid = (lo + hi) / 2.0
+        strength = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, collapse_strength=mid))
+        lo, hi = (lo, mid) if strength.sweep_phase1_steps() <= k1_target else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ({"collapse_strength": 1e-9}, "phase 1 takes k1 = 69077547071 steps per cell"),
+        ({"phase2_step_limit": STEP_BUDGET + 1}, f"phase2_step_limit: {STEP_BUDGET + 1} is above"),
+        # 1 - eta * strength rounds to 1: the run once divided by its log of 0
+        ({"collapse_strength": 1e-17}, "1 - eta * collapse_strength must be in (0, 1)"),
+    ],
+    ids=["k1-over-budget", "phase2-over-budget", "no-contraction"],
+)
+def test_cli_validate_rejects_sweep_over_the_step_budget(tmp_path, capsys, sweep, message):
+    # k1 = 69,077,547,071 steps per cell once validated, and its run then
+    # asked propagate for an array of that many steps
+    path = _sweep_config_file(tmp_path, **sweep)
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert _single_error_line(err, 1, "config") and message in err
+
+
+def test_cli_validate_accepts_sweep_at_the_step_budget(tmp_path, capsys):
+    strength = _collapse_strength_for_k1(STEP_BUDGET)
+    cfg = default_config("threshold-sweep")
+    cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, collapse_strength=strength))
+    assert STEP_BUDGET - 10 < cfg.sweep_phase1_steps() <= STEP_BUDGET
+    path = _sweep_config_file(tmp_path, collapse_strength=strength, phase2_step_limit=STEP_BUDGET)
+    assert cli.main(["validate", str(path)]) == 0
+    assert "ok scenario=threshold-sweep" in capsys.readouterr().out
+    weaker = _sweep_config_file(tmp_path, collapse_strength=strength * (1 - 1e-3))
+    assert cli.main(["validate", str(weaker)]) == 1
+    assert "above the step budget" in capsys.readouterr().err
+
+
+def test_sweep_rows_take_the_validated_phase1_steps(monkeypatch):
+    # the run steps phase 1 for the k1 that validation bounded
+    cfg = default_config("threshold-sweep")
+    steps = []
+
+    def recording(theta0, a, b, gains, n_steps, *args, **kwargs):
+        steps.extend(n_steps)
+        return propagate(theta0, a, b, gains, n_steps, *args, **kwargs)
+
+    propagate = scenarios.propagate
+    monkeypatch.setattr(scenarios, "propagate", recording)
+    scenarios._sweep_rows(cfg, [(0, 1, 1), (1, 2, 0)])
+    assert steps == [cfg.sweep_phase1_steps()] * 2 == [200, 200]
 
 
 def test_cli_validate_missing_file(capsys):
