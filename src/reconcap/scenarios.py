@@ -149,16 +149,18 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
     # every step's errors, maximized once, where a NaN is kept; the iterated
     # product only resolves singular values down to roughly
     # n_steps * eps * sigma_max, so the strict relative comparison is limited
-    # to steps whose closed-form spectrum stays within 1e-3 of its top
+    # to steps whose closed-form spectrum stays within 1e-3 of its top; one
+    # that underflows to 0 divides quietly to NaN or inf, for the check
     sv_closed = rates ** np.arange(n_powers)[:, None]
     deviation = np.abs(svs - sv_closed)
-    profile_errors = np.max(deviation, axis=1) / sv_closed[:, 0]
     window = sv_closed[:, -1] >= 1e-3 * sv_closed[:, 0]
     closed_effs = capacity.spectra_effective_rank(sv_closed[window])
-    strict_errors = np.concatenate([
-        np.abs(effs[window] - closed_effs) / np.maximum(closed_effs, 1.0),
-        np.max(deviation[window] / sv_closed[window], axis=1),
-    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        profile_errors = np.max(deviation, axis=1) / sv_closed[:, 0]
+        strict_errors = np.concatenate([
+            np.abs(effs[window] - closed_effs) / np.maximum(closed_effs, 1.0),
+            np.max(deviation[window] / sv_closed[window], axis=1),
+        ])
     usable_zero_step = next((k for k, u in enumerate(usables.tolist()) if u == 0), None)
     collapse_step = next((k for k, e in enumerate(effs.tolist()) if e == 0.0), None)
     rises = np.concatenate([[0.0], np.diff(effs), np.diff(compats), np.diff(usables)])
@@ -222,53 +224,45 @@ def _descend_survivors(theta_start, survivors, h_b, target, eta, eps_b, limit):
     the first iterate within eps_b or ``limit`` updates.  Returns those
     iterates' (theta, loss), stacked.
 
-    The members update in lockstep, sorted by their count u of surviving
-    directions so that the members of each u share one stacked S @ y and
-    S^T @ H d; the rest of an update is one call over every member still
-    running, and a member leaves the stack when it exits.  Every product is
-    the one a member alone makes, bit for bit; S is never padded, which would
-    regroup its sums.  An update reads only y, so once a member's iterate
-    repeats an earlier one, bit for bit, its iterates cycle from there on and
-    none of them reaches eps_b; the member then jumps to the iterate the
-    limit would reach.  A fixed point is a cycle of period 1.  y is keyed as
-    bytes, so -0.0 and 0.0 differ; a member's keys, in update order, are its
-    whole history, dropped when it exits.
+    ``survivors`` is one ``(n, d, k)`` stack whose columns past a member's
+    surviving count are zero, so that member's y stays +0.0 there and its
+    products, stacked or alone, are all k wide.  The members update in
+    lockstep, one stacked S^T @ H d and one stacked S @ y per round, and a
+    member leaves the stack when it exits; every product is the one a member
+    alone makes, bit for bit.  An update reads only y, so once a member's
+    iterate repeats an earlier one, bit for bit, its iterates cycle from
+    there on and none of them reaches eps_b; the member then jumps to the
+    iterate the limit would reach.  A fixed point is a cycle of period 1.
+    y is keyed as bytes, so -0.0 and 0.0 differ; a member's keys, in update
+    order, are its whole history, dropped when it exits.
     """
-    u = np.array([s.shape[1] for s in survivors], dtype=int)
-    theta, loss = np.empty_like(theta_start), np.empty(len(u))
-    live = np.argsort(u, kind="stable")
-    y = np.zeros((len(u), max(u, default=0)))  # row j: the y of member live[j], in its first u columns
-    th, tg, hb, groups = theta_start[live], target[live], h_b[live], None
-    seen = [{} for _ in u]
+    n, _, k = survivors.shape
+    theta, loss = np.empty_like(theta_start), np.empty(n)
+    live, y = np.arange(n), np.zeros((n, k))
+    s, th, tg, hb = survivors, theta_start, target, h_b
+    seen, width = [{} for _ in range(n)], k * y.itemsize  # a member's key: its row of y.tobytes()
     for n_updates in range(limit + 1):
         if not len(live):
             break
-        if groups is None:  # (rows, u, S) of each run of equal u in live
-            cuts = [0, *(np.flatnonzero(np.diff(u[live])) + 1), len(live)]
-            groups = [(slice(a, b), u[live[a]], np.array([survivors[i] for i in live[a:b]]))
-                      for a, b in zip(cuts, cuts[1:])]
-        for rows, k, s in groups if n_updates else ():
-            y[rows, :k] -= eta * (s.swapaxes(-1, -2) @ h_d[rows, :, None])[..., 0]
+        if n_updates:
+            y -= eta * (s.swapaxes(-1, -2) @ h_d[:, :, None])[..., 0]
         gone = np.zeros(len(live), dtype=bool)
+        keys = y.tobytes()
         for j, i in enumerate(live):
-            mu = seen[i].setdefault(y[j, : u[i]].tobytes(), n_updates)
+            mu = seen[i].setdefault(keys[j * width : (j + 1) * width], n_updates)
             if mu < n_updates:
                 gone[j] = True
                 y_i = np.frombuffer(list(seen[i])[mu + (limit - mu) % (n_updates - mu)])
                 theta[i] = theta_start[i] + survivors[i] @ y_i
                 loss[i] = _half_quadratic(h_b[i], theta[i] - target[i])[0]
-        x = np.empty_like(th)
-        for rows, k, s in groups:
-            np.matmul(s, y[rows, :k, None], out=x[rows, :, None])
-        x = th + x
+        x = th + (s @ y[:, :, None])[..., 0]
         values, h_d = _half_quadratic(hb, x - tg)
         done = ((values <= eps_b) | (n_updates == limit)) & ~gone
         if (gone := gone | done).any():
             theta[live[done]], loss[live[done]] = x[done], values[done]
             for i in live[gone]:
                 seen[i] = None
-            live, y, th, tg, hb, h_d = (v[~gone] for v in (live, y, th, tg, hb, h_d))
-            groups = None
+            live, y, s, th, tg, hb, h_d = (v[~gone] for v in (live, y, s, th, tg, hb, h_d))
     return theta, loss
 
 
@@ -334,7 +328,9 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     # phase 2, stage 1: descend task B inside the surviving preserved directions
     h_a, theta_a = pairs.task_a.hessian, pairs.task_a.minimizer
     h_b, theta_b = pairs.task_b.hessian, pairs.task_b.minimizer
-    survivors = [np.ascontiguousarray(q[:, :u]) for q, (*_, u) in zip(pairs.preserving_basis.basis, cells)]
+    # the preserved basis with each cell's collapsed columns (index >= u) zeroed
+    usable = np.array([u for *_, u in cells])
+    survivors = np.where(np.arange(k_a) < usable[:, None, None], pairs.preserving_basis.basis, 0.0)
     eps_b = limits.epsilon_b
     theta_stage1, loss = _descend_survivors(finals, survivors, h_b, theta_b, eta, eps_b, sweep.phase2_step_limit)
     loss_a_start = _half_quadratic(h_a, finals - theta_a)[0]

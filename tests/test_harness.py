@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -504,7 +505,7 @@ def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
 # step is the affine map A theta + b
 SWEEP_DIGESTS = {
     "summary.json": "279801fd42660d43ec1e7687aff00a18ae59e59e4c6c59827ca66256ad21110b",
-    "sweep.csv": "29ee5079d4513298ce7904b3b388e2c80650997807e667e65ae7fe8e296cda7c",
+    "sweep.csv": "9288dcd80ad1539cc7dc6a987e7ef3572d1acd6f631614c211b6272d692e313e",
 }
 
 
@@ -566,6 +567,23 @@ def test_seeded_runs_are_byte_stable(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tool, "SEEDS", (7, 21))
     tool.main([str(tmp_path)])
     assert capsys.readouterr().out == SEEDED_DIGESTS.read_text()
+
+
+def test_data_digests_do_not_depend_on_blas_threads(tmp_path):
+    # every data file of the five scenarios at all three seeds, with one and
+    # with two BLAS threads; the stacked products are held to single-member
+    # calls bit for bit, which a threaded BLAS must not regroup
+    tool = Path(__file__).resolve().parents[1] / "tools" / "data_digests.py"
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, str(tool)], capture_output=True, text=True, timeout=300, env=env, cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 54
+    assert outputs[0] == outputs[1]
 
 
 def test_data_digests_list_only_the_files_the_run_wrote(tmp_path, monkeypatch, capsys):
@@ -657,12 +675,30 @@ def test_lockstep_phase2_matches_per_cell_loops(seed, monkeypatch):
                     _same_bits(g, e)
 
 
+@pytest.mark.parametrize("seed", [None, 7])
+def test_stage1_members_do_not_depend_on_stack_order(seed, monkeypatch):
+    # the 81 default cells' stage 1 in their given order, reversed and
+    # shuffled: each cell's (theta, loss) bit for bit the same
+    calls = []
+    with monkeypatch.context() as patch:
+        run = scenarios._descend_survivors
+        patch.setattr(scenarios, "_descend_survivors", lambda *args: calls.append(args) or run(*args))
+        scenarios.run_threshold_sweep(_sweep_config(seed, 2000))
+    (args,) = calls
+    theta, loss = scenarios._descend_survivors(*args)
+    assert len(loss) == 81
+    for order in (np.arange(81)[::-1], np.random.default_rng(0).permutation(81)):
+        got_theta, got_loss = scenarios._descend_survivors(*(a[order] for a in args[:4]), *args[4:])
+        _same_bits(got_theta, theta[order])
+        _same_bits(got_loss, loss[order])
+
+
 def test_sweep_early_exits_match_full_length_loops(monkeypatch):
     # (cell_index, m_b_target, usable_target) of the default grid, by seed.
     # At the default limit of 2000 and the default seed: stage 1 reaches
-    # eps_b; u = 0; stage 1 stalls at a fixed point (two cells); stage 1
-    # cycles with period 2.  At seed 7 stage 1 cycles with periods 614 and
-    # 8.  Limits 5, 21 and 37 cut some escapes short of the state within eps_b.
+    # eps_b; u = 0; stage 1 stalls at a fixed point (three cells).  At seed 7
+    # stage 1 cycles with period 2 (both cells).  Limits 5, 21 and 37 cut
+    # some escapes short of the state within eps_b.
     cells = {
         None: [(10, 1, 1), (9, 1, 0), (19, 2, 1), (65, 7, 2), (79, 8, 7)],
         7: [(38, 4, 2), (66, 7, 3)],
@@ -807,7 +843,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.21.0"
+    assert capsys.readouterr().out.strip() == "0.22.0"
 
 
 def test_version_matches_pyproject():
@@ -976,6 +1012,23 @@ def test_cli_rank_decay_that_cannot_run_is_a_config_error(tmp_path, capsys, over
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
+
+
+def test_cli_underflowed_closed_form_fails_check_on_one_stderr_line(tmp_path):
+    # at weight decay 5 the closed-form spectrum underflows to 0 and its
+    # relative errors divide to NaN; the check reports that, and numpy's
+    # divide warnings do not reach stderr ahead of the error line
+    payload = default_config("rank-decay").to_dict()
+    payload["rule"]["weight_decay"] = 5.0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    env = {**os.environ, "PYTHONPATH": str(Path(reconcap.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "reconcap.cli", "run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["reconcap-error code=3 kind=check msg=rank-decay: closed-form mismatch nan"]
 
 
 @pytest.mark.parametrize(
