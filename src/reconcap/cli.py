@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 success, 1 configuration, usage or I/O error or a config load
-or run out of memory, 2 numerical failure during a run, 3 a --check
-validation failed.
+Exit codes: 0 success, 1 configuration, usage or I/O error, a float fault
+while loading a config, or a config load or run out of memory, 2 numerical
+failure (a float fault included) during a run, 3 a --check validation failed.
 Errors print as a single machine-parseable line on stderr:
 ``reconcap-error code=<n> kind=<name> msg=<text>``.
 """
@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import SCENARIO_NAMES, ConfigError, default_config, load_config
-from .scenarios import CheckError, run_scenario
+from .config import ConfigError, default_config, load_config
+from .scenarios import SCENARIOS, CheckError, run_scenario
 from .transport import DivergenceError
 
 EXIT_OK = 0
@@ -50,9 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one scenario and write its outputs")
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="path to a JSON experiment config")
-    src.add_argument(
-        "--scenario", choices=SCENARIO_NAMES, help="run a scenario with its defaults"
-    )
+    src.add_argument("--scenario", choices=list(SCENARIOS), help="run a scenario with its defaults")
     run.add_argument(
         "--out-dir",
         default=None,
@@ -72,6 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a float overflow, or an invalid or divide-by-zero result, raises where numpy
+# would warn, and leaves through the one-line error instead of extra stderr
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -83,13 +84,12 @@ def main(argv=None) -> int:
         return EXIT_OK
 
     if args.command == "scenarios":
-        for name in SCENARIO_NAMES:
-            print(name)
+        print(*SCENARIOS, sep="\n")
         return EXIT_OK
 
     try:  # validate's config is required, run's is given or a --scenario
         cfg = load_config(args.config) if args.config is not None else default_config(args.scenario)
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, OSError, FloatingPointError) as exc:
         return _fail(EXIT_CONFIG, "config", exc)
     except MemoryError as exc:
         return _fail(EXIT_CONFIG, "memory", str(exc) or "out of memory")

@@ -1,11 +1,13 @@
-"""Experiment configuration and run manifests.
+"""Experiment configuration: parsing, type checks, sections and writers.
 
 Configs are plain JSON with nested sections.  Loading is strict: unknown keys
-at any level are errors, and each scenario validates the numeric ranges it
-depends on before anything runs.  ``write_manifest`` records what a run
-wrote (config snapshot and hash, version, timestamps, per-file checksums,
-seed ledger) so outputs can be audited and replays compared; ``write_csv``
-and ``write_json`` are the byte-stable writers of every data file.
+at any level and values of the wrong type are errors, and then the
+scenario's record (``scenarios.SCENARIOS``) validates the numeric ranges its
+run depends on before anything runs.  ``write_manifest`` writes a run's
+``manifest.json`` (config snapshot and hash, version, timestamps, per-file
+checksums, seed ledger) so outputs can be audited and replays compared;
+``write_csv`` and ``write_json`` are the byte-stable writers of every data
+file.
 """
 
 from __future__ import annotations
@@ -23,28 +25,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _version, rng
-from .gaussian import COVARIANCE_FLOOR
-from .tasks import TaskPair, make_task_pair
-from .transport import StepKind, StepRule, contraction_rates
-
-SCENARIO_NAMES = (
-    "esl-gap",
-    "rank-decay",
-    "threshold-sweep",
-    "composition-check",
-    "proxy-probe",
-)
+from .transport import StepRule
 
 UNIT_CONVENTION = (
     "entropy in nats; per-step sigma dimensionless; runs compared against the "
     "transport floor W2^2/2 over a unit time horizon (n_steps * step_size <= 1)"
 )
-
-
-# The most steps one threshold-sweep cell may take in a phase: phase 1's k1
-# and each phase-2 stage's ``sweep.phase2_step_limit``.  It bounds the run's
-# work per cell, which validation checks before anything is allocated.
-STEP_BUDGET = 100_000
 
 
 class ConfigError(ValueError):
@@ -179,190 +165,31 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        """A config from parsed JSON: its keys and value types, then ``validate``."""
         cfg = _build(cls, payload, "config")
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
-        """Check the fields the scenario reads, on the tasks its run steps on."""
-        if self.scenario not in SCENARIO_NAMES:
-            raise ConfigError(
-                f"scenario: {self.scenario!r} not one of {list(SCENARIO_NAMES)}"
-            )
+        """Check the fields the scenario reads, by its record's ``validate``."""
+        scenario = _scenario(self.scenario)
         if self.master_seed < 0:  # every run's seed ledger records it
             raise ConfigError("master_seed: must be >= 0")
-        getattr(self, f"_validate_{self.scenario.replace('-', '_')}")()
+        scenario.validate(self)
 
-    def _require_stable(self, lam_max: float) -> None:
-        try:
-            self.rule.require_stable(lam_max)
-        except ValueError as exc:
-            raise ConfigError(f"rule.{exc}") from exc
 
-    def _require_positive_thresholds(self, *names: str) -> None:
-        for name in names:
-            if not getattr(self.thresholds, name) > 0:
-                raise ConfigError(f"thresholds.{name}: must be > 0")
+def _scenario(name: str):
+    """The ``scenarios.Scenario`` record named ``name``."""
+    from .scenarios import SCENARIOS  # the records import this module
 
-    def _task_pair(self, spectrum_b_on_a, **kwargs) -> TaskPair:
-        """The task pair a run builds, so that building it cannot fail later."""
-        try:
-            return make_task_pair(
-                self.dim, self.k_a, spectrum_b_on_a, self.pair.rotation_seed, **kwargs
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{self.scenario}: {exc}") from exc
-
-    def decaying_pair(self) -> TaskPair:
-        """rank-decay and proxy-probe's pair, built alike by validation and the run."""
-        if self.n_steps < 1:
-            raise ConfigError("n_steps: must be >= 1")
-        if self.rule.kind is not StepKind.GRADIENT_DESCENT or self.rule.weight_decay <= 0:
-            raise ConfigError(f"{self.scenario}: needs gradient_descent with weight_decay > 0")
-        self._require_positive_thresholds("tau_sigma")
-        pair = self._task_pair(self.pair.spectrum_b_on_a, a_spectrum=self.pair.a_spectrum)
-        self._require_stable(max(pair.a_spectrum))
-        return pair
-
-    def _validate_esl_gap(self) -> None:
-        t = self.thermo
-        if self.n_steps < 1:
-            raise ConfigError("n_steps: must be >= 1")
-        if self.rule.kind is not StepKind.LANGEVIN:
-            raise ConfigError("esl-gap: rule.kind must be langevin")
-        if self.rule.noise_scale <= 0:
-            raise ConfigError("esl-gap: rule.noise_scale is the temperature and must be > 0")
-        if len(t.start_mean) != len(t.hessian_spectrum):
-            raise ConfigError("esl-gap: start_mean and hessian_spectrum lengths differ")
-        if not t.hessian_spectrum or min(t.hessian_spectrum) <= 0:
-            raise ConfigError("esl-gap: hessian_spectrum must be nonempty and positive definite")
-        if not t.start_cov_scale >= COVARIANCE_FLOOR:
-            raise ConfigError(f"esl-gap: start_cov_scale must be >= {COVARIANCE_FLOOR:.1e}")
-        if t.n_geodesic_steps < 2:
-            raise ConfigError("esl-gap: n_geodesic_steps must be >= 2")
-        horizon = self.n_steps * self.rule.step_size
-        if horizon > 1.0 + 1e-12:
-            raise ConfigError(
-                f"esl-gap: n_steps * step_size = {horizon:.4f} exceeds the unit-time "
-                "horizon the transport floor is stated for"
-            )
-        self._require_stable(max(t.hessian_spectrum))
-
-    def _validate_rank_decay(self) -> None:
-        pair = self.decaying_pair()
-        # the preserved rate, signed, and the normals' magnitudes: the summary
-        # takes logs of the top rate and of the bottom-to-top ratio, so the
-        # rates must stay inside (0, 1) and apart, by a margin above roundoff
-        rates = contraction_rates(pair, self.rule)
-        rates[self.k_a :] = np.abs(rates[self.k_a :])
-        lo, hi, margin = float(rates.min()), float(rates.max()), 1e-9
-        if not (margin < lo and hi < 1.0 - margin and hi - lo > margin):
-            raise ConfigError(f"rank-decay: contraction rates {lo!r}..{hi!r} not apart in (0, 1)")
-
-    def _validate_threshold_sweep(self) -> None:
-        s = self.sweep
-        eta = self.rule.step_size
-        if self.rule != StepRule(step_size=eta):
-            raise ConfigError(
-                "threshold-sweep: cells step with plain gradient_descent; "
-                "rule may set only step_size"
-            )
-        if not s.m_b_targets or not s.usable_targets:
-            raise ConfigError("threshold-sweep: sweep grids must be nonempty")
-        if any(not 0 <= m <= self.k_a for m in s.m_b_targets):
-            raise ConfigError("threshold-sweep: m_b_targets must lie in [0, k_a]")
-        if any(not 0 <= u <= self.k_a for u in s.usable_targets):
-            raise ConfigError("threshold-sweep: usable_targets must lie in [0, k_a]")
-        # the rate phase 1's k1 takes the log of, as the run rounds it
-        if not 0.0 < 1.0 - eta * s.collapse_strength < 1.0:
-            raise ConfigError(
-                "threshold-sweep: 1 - eta * collapse_strength must be in (0, 1) for "
-                "monotone contraction"
-            )
-        if s.settle_steps < 1 or s.phase2_step_limit < 1:
-            raise ConfigError("threshold-sweep: step counts must be >= 1")
-        # the run reads the first four, its check reads epsilon_high
-        self._require_positive_thresholds(
-            "tau_sigma", "epsilon_a", "epsilon_b", "epsilon_low", "epsilon_high"
-        )
-        k1 = self.sweep_phase1_steps()
-        if k1 > STEP_BUDGET:
-            raise ConfigError(
-                f"threshold-sweep: phase 1 takes k1 = {k1} steps per cell, above the "
-                f"step budget of {STEP_BUDGET}; raise sweep.collapse_strength"
-            )
-        if s.phase2_step_limit > STEP_BUDGET:
-            raise ConfigError(
-                f"sweep.phase2_step_limit: {s.phase2_step_limit} is above the step "
-                f"budget of {STEP_BUDGET}"
-            )
-        # cells differ only in rotation and demand: the largest demand builds
-        # the stiffest task B, and every cell's task A has the default spectrum
-        m = max(s.m_b_targets)
-        pair = self._task_pair((1.0,) * m + (0.0,) * (self.k_a - m), tilt=s.tilt)
-        self._require_stable(max(*pair.a_spectrum, pair.task_b.lam_max))
-
-    def sweep_phase1_steps(self) -> int:
-        """threshold-sweep's phase-1 step count k1, the same in every cell: the
-        steps the anchored rate 1 - eta * collapse_strength takes to fall to
-        ``tau_sigma``, and at least ``sweep.settle_steps``."""
-        contraction = 1.0 - self.rule.step_size * self.sweep.collapse_strength
-        k1 = int(math.ceil(math.log(self.thresholds.tau_sigma) / math.log(contraction)))
-        return max(k1, self.sweep.settle_steps)
-
-    def _validate_composition_check(self) -> None:
-        # the trials draw their own tasks and step with fixed rules
-        if self.dim < 2:
-            raise ConfigError("dim: must be >= 2")
-        if self.n_trials < 1:
-            raise ConfigError("n_trials: must be >= 1")
-
-    def _validate_proxy_probe(self) -> None:
-        self.decaying_pair()
-        if self.probe.checkpoint_every < 1 or self.probe.checkpoint_every > self.n_steps:
-            raise ConfigError("probe.checkpoint_every: must be in [1, n_steps]")
-        if self.probe.n_probe_samples < 2:
-            raise ConfigError("probe.n_probe_samples: must be >= 2")
-        if self.probe.probe_noise < 0:
-            raise ConfigError("probe.probe_noise: must be >= 0")
+    if name not in SCENARIOS:
+        raise ConfigError(f"scenario: {name!r} not one of {list(SCENARIOS)}")
+    return SCENARIOS[name]
 
 
 def default_config(scenario: str) -> ExperimentConfig:
-    """Per-scenario defaults matching the documented desk-scale experiments."""
-    if scenario == "esl-gap":
-        cfg = ExperimentConfig(
-            scenario=scenario,
-            dim=2,
-            k_a=1,
-            n_steps=20,
-            rule=StepRule(kind=StepKind.LANGEVIN, step_size=0.05, noise_scale=0.5),
-            pair=PairConfig(spectrum_b_on_a=(1.0,)),
-        )
-    elif scenario == "rank-decay":
-        cfg = ExperimentConfig(
-            scenario=scenario,
-            n_steps=1400,
-            rule=StepRule(step_size=0.1, weight_decay=0.1),
-        )
-    elif scenario == "threshold-sweep":
-        cfg = ExperimentConfig(
-            scenario=scenario,
-            pair=PairConfig(spectrum_b_on_a=(1.0,) * 8),
-        )
-    elif scenario == "composition-check":
-        cfg = ExperimentConfig(scenario=scenario)
-    elif scenario == "proxy-probe":
-        # weight decay close to the task curvatures keeps the whole run inside
-        # float's resolvable dynamic range, so the probe's shape is not an
-        # artifact of roundoff leaking the preserved directions
-        cfg = ExperimentConfig(
-            scenario=scenario,
-            n_steps=270,
-            rule=StepRule(step_size=0.1, weight_decay=0.5),
-            probe=ProbeConfig(checkpoint_every=4),
-        )
-    else:
-        raise ConfigError(f"scenario: {scenario!r} not one of {list(SCENARIO_NAMES)}")
+    """The validated default config of ``scenario``, held by its record."""
+    cfg = _scenario(scenario).default
     cfg.validate()
     return cfg
 
@@ -385,9 +212,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path) -> None:
-    Path(path).write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -472,6 +297,4 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,31 +1,47 @@
 """Named desk-scale experiments over the core machinery.
 
-Each scenario's runner takes a validated ExperimentConfig and returns its
-summary and its tables, touching no file; ``run_scenario`` writes them.  Each
-runner has a paired check_* validator used by the CLI's --check flag.  Data
-files are byte-stable across replays; the manifest (timestamps) is the only
-file allowed to differ.
+Each scenario is one ``Scenario`` record in ``SCENARIOS``: its default
+config, the validation of the fields it reads, its runner and its check.  A
+runner takes a validated ExperimentConfig and returns its summary and its
+tables, touching no file; ``run_scenario`` writes them, then runs the check
+on request (the CLI's --check).  Data files are byte-stable across replays;
+the manifest (timestamps) is the only file allowed to differ.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import capacity, rng, thermo
-from .config import ExperimentConfig, save_config, write_csv, write_json, write_manifest
-from .gaussian import GaussianState
+from .config import (
+    ConfigError, ExperimentConfig, PairConfig, ProbeConfig, save_config, write_csv, write_json, write_manifest,
+)
+from .gaussian import COVARIANCE_FLOOR, GaussianState
 from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
-from .tasks import QuadraticTask, _half_quadratic, make_task_pair, random_rotations
-from .transport import StepRule, _affine_step, contraction_rates, propagate, step_map, step_powers
+from .tasks import QuadraticTask, TaskPair, _half_quadratic, make_task_pair, random_rotations
+from .transport import StepKind, StepRule, _affine_step, contraction_rates, propagate, step_map, step_powers
 
 
 class CheckError(RuntimeError):
     """A scenario ran to completion but its output failed validation."""
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """A scenario's default config (``default.scenario`` is its name), its
+    validation (ConfigError), its runner and its check (CheckError)."""
+
+    default: ExperimentConfig
+    validate: Callable[[ExperimentConfig], None]
+    run: Callable[[ExperimentConfig], tuple[dict, dict]]
+    check: Callable[[dict, ExperimentConfig], None]
 
 
 # Floats a stacked draw or stack of step-matrix powers holds per array.  A
@@ -51,8 +67,66 @@ def _power_blocks(a, exponents):
         yield np.fromiter(islice(powers, len(chunk)), (np.float64, a.shape), len(chunk))
 
 
+def _require_stable(cfg: ExperimentConfig, lam_max: float) -> None:
+    try:
+        cfg.rule.require_stable(lam_max)
+    except ValueError as exc:
+        raise ConfigError(f"rule.{exc}") from exc
+
+
+def _require_positive_thresholds(cfg: ExperimentConfig, *names: str) -> None:
+    for name in names:
+        if not getattr(cfg.thresholds, name) > 0:
+            raise ConfigError(f"thresholds.{name}: must be > 0")
+
+
+def _task_pair(cfg: ExperimentConfig, spectrum_b_on_a, **kwargs) -> TaskPair:
+    """The task pair a run builds, so that building it cannot fail later."""
+    try:
+        return make_task_pair(cfg.dim, cfg.k_a, spectrum_b_on_a, cfg.pair.rotation_seed, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.scenario}: {exc}") from exc
+
+
+def decaying_pair(cfg: ExperimentConfig) -> TaskPair:
+    """rank-decay and proxy-probe's pair, built alike by validation and the run."""
+    if cfg.n_steps < 1:
+        raise ConfigError("n_steps: must be >= 1")
+    if cfg.rule.kind is not StepKind.GRADIENT_DESCENT or cfg.rule.weight_decay <= 0:
+        raise ConfigError(f"{cfg.scenario}: needs gradient_descent with weight_decay > 0")
+    _require_positive_thresholds(cfg, "tau_sigma")
+    pair = _task_pair(cfg, cfg.pair.spectrum_b_on_a, a_spectrum=cfg.pair.a_spectrum)
+    _require_stable(cfg, max(pair.a_spectrum))
+    return pair
+
+
 # ---------------------------------------------------------------------------
 # esl-gap: relaxation dissipation vs the transport floor
+
+
+def _validate_esl_gap(cfg: ExperimentConfig) -> None:
+    t = cfg.thermo
+    if cfg.n_steps < 1:
+        raise ConfigError("n_steps: must be >= 1")
+    if cfg.rule.kind is not StepKind.LANGEVIN:
+        raise ConfigError("esl-gap: rule.kind must be langevin")
+    if cfg.rule.noise_scale <= 0:
+        raise ConfigError("esl-gap: rule.noise_scale is the temperature and must be > 0")
+    if len(t.start_mean) != len(t.hessian_spectrum):
+        raise ConfigError("esl-gap: start_mean and hessian_spectrum lengths differ")
+    if not t.hessian_spectrum or min(t.hessian_spectrum) <= 0:
+        raise ConfigError("esl-gap: hessian_spectrum must be nonempty and positive definite")
+    if not t.start_cov_scale >= COVARIANCE_FLOOR:
+        raise ConfigError(f"esl-gap: start_cov_scale must be >= {COVARIANCE_FLOOR:.1e}")
+    if t.n_geodesic_steps < 2:
+        raise ConfigError("esl-gap: n_geodesic_steps must be >= 2")
+    horizon = cfg.n_steps * cfg.rule.step_size
+    if horizon > 1.0 + 1e-12:
+        raise ConfigError(
+            f"esl-gap: n_steps * step_size = {horizon:.4f} exceeds the unit-time "
+            "horizon the transport floor is stated for"
+        )
+    _require_stable(cfg, max(t.hessian_spectrum))
 
 
 def run_esl_gap(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -109,9 +183,7 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
     if not summary["slack"] >= -1e-6:
         raise CheckError(f"esl-gap: slack {summary['slack']:.3e} below -1e-6")
     if not summary["geodesic_rel_error"] <= 0.05:
-        raise CheckError(
-            f"esl-gap: geodesic action off the floor by {summary['geodesic_rel_error']:.3%}"
-        )
+        raise CheckError(f"esl-gap: geodesic action off the floor by {summary['geodesic_rel_error']:.3%}")
     # refinement can only lower the discrete action, modulo float fuzz
     if not summary["geodesic_action"] <= summary["geodesic_action_coarse"] + 1e-7:
         raise CheckError("esl-gap: refining the geodesic raised its action")
@@ -125,8 +197,20 @@ def check_esl_gap(summary: dict, cfg: ExperimentConfig) -> None:
 # rank-decay: closed-form contraction audit under weight decay
 
 
+def _validate_rank_decay(cfg: ExperimentConfig) -> None:
+    pair = decaying_pair(cfg)
+    # the preserved rate, signed, and the normals' magnitudes: the summary
+    # takes logs of the top rate and of the bottom-to-top ratio, so the
+    # rates must stay inside (0, 1) and apart, by a margin above roundoff
+    rates = contraction_rates(pair, cfg.rule)
+    rates[cfg.k_a :] = np.abs(rates[cfg.k_a :])
+    lo, hi, margin = float(rates.min()), float(rates.max()), 1e-9
+    if not (margin < lo and hi < 1.0 - margin and hi - lo > margin):
+        raise ConfigError(f"rank-decay: contraction rates {lo!r}..{hi!r} not apart in (0, 1)")
+
+
 def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    pair = cfg.decaying_pair()
+    pair = decaying_pair(cfg)
     a_mat = step_map(pair.task_a, cfg.rule)[0]
     rates = np.sort(np.abs(contraction_rates(pair, cfg.rule)))[::-1]
     tau = cfg.thresholds.tau_sigma
@@ -188,17 +272,11 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
     if not summary["max_monotonicity_violation"] <= 1e-10:
-        raise CheckError(
-            f"rank-decay: rank rose by {summary['max_monotonicity_violation']:.3e}"
-        )
+        raise CheckError(f"rank-decay: rank rose by {summary['max_monotonicity_violation']:.3e}")
     if not summary["strict_closed_form_error"] <= 1e-9:
-        raise CheckError(
-            f"rank-decay: closed-form mismatch {summary['strict_closed_form_error']:.3e}"
-        )
+        raise CheckError(f"rank-decay: closed-form mismatch {summary['strict_closed_form_error']:.3e}")
     if not summary["abs_profile_error"] <= 1e-10:
-        raise CheckError(
-            f"rank-decay: spectrum drifted {summary['abs_profile_error']:.3e} from closed form"
-        )
+        raise CheckError(f"rank-decay: spectrum drifted {summary['abs_profile_error']:.3e} from closed form")
     if summary["final_usable_count"] != 0:
         raise CheckError("rank-decay: usable direction count never hit zero")
     if summary["usable_zero_step"] != summary["usable_zero_step_closed_form"]:
@@ -216,6 +294,63 @@ def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # threshold-sweep: predicted vs observed incompatibility over a target grid
+
+
+# The most steps one threshold-sweep cell may take in a phase: phase 1's k1
+# and each phase-2 stage's ``sweep.phase2_step_limit``.  It bounds the run's
+# work per cell, which validation checks before anything is allocated.
+STEP_BUDGET = 100_000
+
+
+def sweep_phase1_steps(cfg: ExperimentConfig) -> int:
+    """threshold-sweep's phase-1 step count k1, the same in every cell: the
+    steps the anchored rate 1 - eta * collapse_strength takes to fall to
+    ``tau_sigma``, and at least ``sweep.settle_steps``."""
+    contraction = 1.0 - cfg.rule.step_size * cfg.sweep.collapse_strength
+    k1 = int(math.ceil(math.log(cfg.thresholds.tau_sigma) / math.log(contraction)))
+    return max(k1, cfg.sweep.settle_steps)
+
+
+def _validate_threshold_sweep(cfg: ExperimentConfig) -> None:
+    s = cfg.sweep
+    eta = cfg.rule.step_size
+    if cfg.rule != StepRule(step_size=eta):
+        raise ConfigError(
+            "threshold-sweep: cells step with plain gradient_descent; "
+            "rule may set only step_size"
+        )
+    if not s.m_b_targets or not s.usable_targets:
+        raise ConfigError("threshold-sweep: sweep grids must be nonempty")
+    if any(not 0 <= m <= cfg.k_a for m in s.m_b_targets):
+        raise ConfigError("threshold-sweep: m_b_targets must lie in [0, k_a]")
+    if any(not 0 <= u <= cfg.k_a for u in s.usable_targets):
+        raise ConfigError("threshold-sweep: usable_targets must lie in [0, k_a]")
+    # the rate phase 1's k1 takes the log of, as the run rounds it
+    if not 0.0 < 1.0 - eta * s.collapse_strength < 1.0:
+        raise ConfigError(
+            "threshold-sweep: 1 - eta * collapse_strength must be in (0, 1) for "
+            "monotone contraction"
+        )
+    if s.settle_steps < 1 or s.phase2_step_limit < 1:
+        raise ConfigError("threshold-sweep: step counts must be >= 1")
+    # the run reads the first four, its check reads epsilon_high
+    _require_positive_thresholds(cfg, "tau_sigma", "epsilon_a", "epsilon_b", "epsilon_low", "epsilon_high")
+    k1 = sweep_phase1_steps(cfg)
+    if k1 > STEP_BUDGET:
+        raise ConfigError(
+            f"threshold-sweep: phase 1 takes k1 = {k1} steps per cell, above the "
+            f"step budget of {STEP_BUDGET}; raise sweep.collapse_strength"
+        )
+    if s.phase2_step_limit > STEP_BUDGET:
+        raise ConfigError(
+            f"sweep.phase2_step_limit: {s.phase2_step_limit} is above the step "
+            f"budget of {STEP_BUDGET}"
+        )
+    # cells differ only in rotation and demand: the largest demand builds
+    # the stiffest task B, and every cell's task A has the default spectrum
+    m = max(s.m_b_targets)
+    pair = _task_pair(cfg, (1.0,) * m + (0.0,) * (cfg.k_a - m), tilt=s.tilt)
+    _require_stable(cfg, max(*pair.a_spectrum, pair.task_b.lam_max))
 
 
 def _descend_survivors(theta_start, survivors, h_b, target, eta, eps_b, limit):
@@ -315,7 +450,7 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
     collapsed = [q[:, u:] for q, (*_, u) in zip(pairs.preserving_basis.basis, cells)]
     anchored = np.array([sweep.collapse_strength * c @ c.T for c in collapsed])
     anchored = pairs.task_a.hessian + (anchored + anchored.swapaxes(-1, -2)) / 2.0
-    k1 = cfg.sweep_phase1_steps()
+    k1 = sweep_phase1_steps(cfg)
     n = len(cells)
     theta0 = rng.normal_rows_each(cfg.master_seed, rng.STREAM_INIT, realizations, [0] * n, [1] * n, d)[:, 0]
     a, b = _affine_step(anchored, pairs.task_a.minimizer, rule.step_size, rule.weight_decay)
@@ -411,9 +546,7 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
     if not summary["agreement_rate"] >= 0.95:
-        raise CheckError(
-            f"threshold-sweep: agreement {summary['agreement_rate']:.1%} below 95%"
-        )
+        raise CheckError(f"threshold-sweep: agreement {summary['agreement_rate']:.1%} below 95%")
     if not summary["zero_usable_all_incompatible"]:
         raise CheckError(
             "threshold-sweep: a zero-usable cell with live demand was not "
@@ -429,6 +562,14 @@ def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # composition-check: group structure, submultiplicativity, monotone descent
+
+
+def _validate_composition_check(cfg: ExperimentConfig) -> None:
+    # the trials draw their own tasks and step with fixed rules
+    if cfg.dim < 2:
+        raise ConfigError("dim: must be >= 2")
+    if cfg.n_trials < 1:
+        raise ConfigError("n_trials: must be >= 1")
 
 
 def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
@@ -611,9 +752,7 @@ def run_composition_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
     if not summary["max_composition_error"] <= 1e-10:
-        raise CheckError(
-            f"composition-check: split/compose mismatch {summary['max_composition_error']:.3e}"
-        )
+        raise CheckError(f"composition-check: split/compose mismatch {summary['max_composition_error']:.3e}")
     if summary["submultiplicativity_violations"] != 0:
         raise CheckError(
             f"composition-check: {summary['submultiplicativity_violations']} "
@@ -651,8 +790,18 @@ def _spearman(a, b) -> float:
         return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
+def _validate_proxy_probe(cfg: ExperimentConfig) -> None:
+    decaying_pair(cfg)
+    if cfg.probe.checkpoint_every < 1 or cfg.probe.checkpoint_every > cfg.n_steps:
+        raise ConfigError("probe.checkpoint_every: must be in [1, n_steps]")
+    if cfg.probe.n_probe_samples < 2:
+        raise ConfigError("probe.n_probe_samples: must be >= 2")
+    if cfg.probe.probe_noise < 0:
+        raise ConfigError("probe.probe_noise: must be >= 0")
+
+
 def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    pair = cfg.decaying_pair()
+    pair = decaying_pair(cfg)
     a_mat = step_map(pair.task_a, cfg.rule)[0]
     task_a = pair.task_a
     rule = cfg.rule
@@ -716,19 +865,44 @@ def check_proxy_probe(summary: dict, cfg: ExperimentConfig) -> None:
     if summary["usable_last"] != 0:
         raise CheckError("proxy-probe: usable count never collapsed")
     if not summary["pr_isotropic_over_dim"] >= 0.7:
-        raise CheckError(
-            f"proxy-probe: isotropic calibration ratio {summary['pr_isotropic_over_dim']:.3f}"
-        )
+        raise CheckError(f"proxy-probe: isotropic calibration ratio {summary['pr_isotropic_over_dim']:.3f}")
 
 
 # ---------------------------------------------------------------------------
 
 SCENARIOS = {
-    "esl-gap": (run_esl_gap, check_esl_gap),
-    "rank-decay": (run_rank_decay, check_rank_decay),
-    "threshold-sweep": (run_threshold_sweep, check_threshold_sweep),
-    "composition-check": (run_composition_check, check_composition_check),
-    "proxy-probe": (run_proxy_probe, check_proxy_probe),
+    record.default.scenario: record
+    for record in (
+        Scenario(
+            ExperimentConfig(
+                scenario="esl-gap", dim=2, k_a=1, n_steps=20, pair=PairConfig(spectrum_b_on_a=(1.0,)),
+                rule=StepRule(kind=StepKind.LANGEVIN, step_size=0.05, noise_scale=0.5),
+            ),
+            _validate_esl_gap, run_esl_gap, check_esl_gap,
+        ),
+        Scenario(
+            ExperimentConfig(scenario="rank-decay", n_steps=1400, rule=StepRule(step_size=0.1, weight_decay=0.1)),
+            _validate_rank_decay, run_rank_decay, check_rank_decay,
+        ),
+        Scenario(
+            ExperimentConfig(scenario="threshold-sweep", pair=PairConfig(spectrum_b_on_a=(1.0,) * 8)),
+            _validate_threshold_sweep, run_threshold_sweep, check_threshold_sweep,
+        ),
+        Scenario(
+            ExperimentConfig(scenario="composition-check"),
+            _validate_composition_check, run_composition_check, check_composition_check,
+        ),
+        # weight decay close to the task curvatures keeps the whole run inside
+        # float's resolvable dynamic range, so the probe's shape is not an
+        # artifact of roundoff leaking the preserved directions
+        Scenario(
+            ExperimentConfig(
+                scenario="proxy-probe", n_steps=270, rule=StepRule(step_size=0.1, weight_decay=0.5),
+                probe=ProbeConfig(checkpoint_every=4),
+            ),
+            _validate_proxy_probe, run_proxy_probe, check_proxy_probe,
+        ),
+    )
 }
 
 
@@ -737,20 +911,20 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> di
     that raises has written only that file, then the runner's tables as CSV,
     summary.json and manifest.json.
 
-    Returns the summary dict.  With check=True the scenario's validator runs
-    on the summary and the config and raises CheckError on violation (after
-    all files are written, so failures stay inspectable).
+    Returns the summary dict.  With check=True the record's check runs on
+    the summary and the config and raises CheckError on violation (after all
+    files are written, so failures stay inspectable).
     """
-    runner, checker = SCENARIOS[cfg.scenario]
+    scenario = SCENARIOS[cfg.scenario]
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir) / cfg.scenario
     out.mkdir(parents=True, exist_ok=True)
     started_at = datetime.now(timezone.utc).isoformat()
     save_config(cfg, out / "config.json")
-    summary, tables = runner(cfg)
+    summary, tables = scenario.run(cfg)
     for name, (header, rows) in tables.items():
         write_csv(out / name, header, rows)
     write_json(out / "summary.json", summary)
     write_manifest(cfg, out, ["config.json", "summary.json", *tables], started_at)
     if check:
-        checker(summary, cfg)
+        scenario.check(summary, cfg)
     return summary

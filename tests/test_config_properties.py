@@ -13,8 +13,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
 
-from reconcap.config import SCENARIO_NAMES, ConfigError, ExperimentConfig  # noqa: E402
-from reconcap.scenarios import run_scenario  # noqa: E402
+from reconcap.config import ConfigError, ExperimentConfig  # noqa: E402
+from reconcap.scenarios import SCENARIOS, run_scenario  # noqa: E402
 from reconcap.transport import DivergenceError, StepKind  # noqa: E402
 
 
@@ -51,7 +51,7 @@ _THRESHOLDS_WIDE = st.sampled_from([0.0, -1e-3, -1.0]) | _floats(1e-6, 2.0)
 
 @st.composite
 def payloads(draw):
-    scenario = draw(st.sampled_from(SCENARIO_NAMES))
+    scenario = draw(st.sampled_from(tuple(SCENARIOS)))
     dim = draw(st.integers(2, 6))
     k_a = draw(_usually(draw, st.integers(1, dim - 1), st.integers(-1, dim + 1)))
     n_steps = draw(_usually(draw, st.integers(1, 10), st.integers(1, 30)))

@@ -19,7 +19,6 @@ import pytest
 import reconcap
 from reconcap import capacity, cli, scenarios, transport
 from reconcap.config import (
-    STEP_BUDGET,
     ConfigError,
     ExperimentConfig,
     PairConfig,
@@ -33,7 +32,7 @@ from reconcap.config import (
     format_float,
     write_csv,
 )
-from reconcap.scenarios import CheckError, run_scenario
+from reconcap.scenarios import STEP_BUDGET, CheckError, decaying_pair, run_scenario, sweep_phase1_steps
 from reconcap.spectral import singular_values, spectrum_rank
 from reconcap.transport import DivergenceError, StepRule
 
@@ -270,7 +269,7 @@ PASSING_SUMMARIES = {
 
 @pytest.mark.parametrize("scenario", sorted(PASSING_SUMMARIES))
 def test_check_rejects_nan(scenario):
-    checker = scenarios.SCENARIOS[scenario][1]
+    checker = scenarios.SCENARIOS[scenario].check
     cfg = default_config(scenario)
     summary = PASSING_SUMMARIES[scenario]
     checker(summary, cfg)
@@ -325,7 +324,7 @@ def test_rank_decay_run(tmp_path):
 
 def _unblocked_rank_decay_rows(cfg):
     # the ledger as one stack of every power A^0 ... A^n_steps, one SVD each
-    pair = cfg.decaying_pair()
+    pair = decaying_pair(cfg)
     a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
     powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
     svs = singular_values(powers)
@@ -339,7 +338,7 @@ def test_rank_decay_blocks_match_one_unblocked_ledger(n_steps, block_sizes):
     # 64 powers of a 16 x 16 step matrix fill the block budget
     cfg = dataclasses.replace(default_config("rank-decay"), n_steps=n_steps)
     cfg.validate()
-    a_mat = transport.step_map(cfg.decaying_pair().task_a, cfg.rule)[0]
+    a_mat = transport.step_map(decaying_pair(cfg).task_a, cfg.rule)[0]
     blocks = list(scenarios._power_blocks(a_mat, range(n_steps + 1)))
     assert [len(b) for b in blocks] == block_sizes
     _, tables = scenarios.run_rank_decay(cfg)
@@ -368,7 +367,7 @@ def test_proxy_probe_checkpoints_every_step_in_blocks():
     # of powers, against one stack of them all
     cfg = dataclasses.replace(default_config("proxy-probe"), probe=ProbeConfig(checkpoint_every=1))
     cfg.validate()
-    pair = cfg.decaying_pair()
+    pair = decaying_pair(cfg)
     a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
     powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
     _, usable = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
@@ -590,7 +589,7 @@ def test_data_digests_list_only_the_files_the_run_wrote(tmp_path, monkeypatch, c
     # a stale file and a subdirectory in the output tree are neither listed nor read
     tool = _data_digests_tool()
     monkeypatch.setattr(tool, "SEEDS", (7,))
-    monkeypatch.setattr(tool, "SCENARIO_NAMES", ("esl-gap",))
+    monkeypatch.setattr(tool, "SCENARIOS", {"esl-gap": scenarios.SCENARIOS["esl-gap"]})
     out = tmp_path / "7" / "esl-gap"
     (out / "sub").mkdir(parents=True)
     (out / "old.csv").write_text("stale\n")
@@ -816,7 +815,7 @@ TABLES = {
 @pytest.mark.parametrize("scenario", sorted(scenarios.SCENARIOS))
 def test_runner_returns_its_tables_and_writes_nothing(scenario, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    summary, tables = scenarios.SCENARIOS[scenario][0](default_config(scenario))
+    summary, tables = scenarios.SCENARIOS[scenario].run(default_config(scenario))
     assert list(tmp_path.iterdir()) == []
     assert set(tables) == TABLES[scenario] and summary
     for header, rows in tables.values():
@@ -843,7 +842,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.22.0"
+    assert capsys.readouterr().out.strip() == "0.23.0"
 
 
 def test_version_matches_pyproject():
@@ -913,6 +912,24 @@ def test_public_surface():
 def test_cli_scenarios(capsys):
     assert cli.main(["scenarios"]) == 0
     assert "threshold-sweep" in capsys.readouterr().out
+
+
+def test_scenario_names_agree_across_the_records_the_cli_and_the_readme(tmp_path, capsys, monkeypatch):
+    # the README "reads" table has one row per record, in the records' order;
+    # `reconcap scenarios` lists them and `run --scenario` takes each of them
+    names = ["esl-gap", "rank-decay", "threshold-sweep", "composition-check", "proxy-probe"]
+    assert list(scenarios.SCENARIOS) == names
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| scenario | reads |\n| --- | --- |\n", 1)[1].split("\n\n", 1)[0]
+    assert [row.split("|")[1].strip() for row in table.splitlines()] == names
+    assert cli.main(["scenarios"]) == 0
+    assert capsys.readouterr().out.splitlines() == names
+    ran = []
+    monkeypatch.setattr(cli, "run_scenario", lambda cfg, **kwargs: ran.append(cfg.scenario) or {})
+    for name in names:
+        assert cli.main(["run", "--scenario", name, "--out-dir", str(tmp_path)]) == 0
+    assert ran == names
+    assert cli.main(["run", "--scenario", "rank_decay"]) == 1
 
 
 def test_cli_validate_ok(tmp_path, capsys):
@@ -1022,13 +1039,41 @@ def test_cli_underflowed_closed_form_fails_check_on_one_stderr_line(tmp_path):
     payload["rule"]["weight_decay"] = 5.0
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
-    env = {**os.environ, "PYTHONPATH": str(Path(reconcap.__file__).resolve().parents[1])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "reconcap.cli", "run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"],
-        capture_output=True, text=True, timeout=120, env=env,
-    )
+    proc = _cli_in_subprocess("run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check")
     assert proc.returncode == 3
     assert proc.stderr.splitlines() == ["reconcap-error code=3 kind=check msg=rank-decay: closed-form mismatch nan"]
+
+
+def _cli_in_subprocess(*argv):
+    # a fresh interpreter, whose numpy warnings reach stderr as a user's would
+    env = {**os.environ, "PYTHONPATH": str(Path(reconcap.__file__).resolve().parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "reconcap.cli", *argv], capture_output=True, text=True, timeout=120, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "command, scenario, section, key, value, code, kind",
+    [
+        ("validate", "threshold-sweep", "sweep", "tilt", 1e160, 1, "config"),
+        ("run", "proxy-probe", "probe", "probe_noise", 1e153, 2, "numerical"),
+        ("run", "threshold-sweep", "sweep", "offset_scale", 1e200, 2, "numerical"),
+        ("run", "esl-gap", "thermo", "start_cov_scale", 1e200, 2, "numerical"),
+    ],
+    ids=["sweep-tilt", "probe-noise", "sweep-offset", "esl-gap-start-cov"],
+)
+def test_cli_float_fault_is_one_stderr_line(tmp_path, command, scenario, section, key, value, code, kind):
+    # each once wrote numpy RuntimeWarnings to stderr ahead of its error line:
+    # building the tilted pair at validation overflows, and so do the runs'
+    # matmuls; the sweep's offset then ran on to a check of inf losses (exit 3)
+    payload = default_config(scenario).to_dict()
+    payload[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    run_args = ["--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"]
+    proc = _cli_in_subprocess(command, *([str(path)] if command == "validate" else run_args))
+    assert proc.returncode == code
+    assert _single_error_line(proc.stderr, code, kind), proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -1109,7 +1154,7 @@ def _collapse_strength_for_k1(k1_target):
     for _ in range(200):
         mid = (lo + hi) / 2.0
         strength = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, collapse_strength=mid))
-        lo, hi = (lo, mid) if strength.sweep_phase1_steps() <= k1_target else (mid, hi)
+        lo, hi = (lo, mid) if sweep_phase1_steps(strength) <= k1_target else (mid, hi)
     return hi
 
 
@@ -1136,7 +1181,7 @@ def test_cli_validate_accepts_sweep_at_the_step_budget(tmp_path, capsys):
     strength = _collapse_strength_for_k1(STEP_BUDGET)
     cfg = default_config("threshold-sweep")
     cfg = dataclasses.replace(cfg, sweep=dataclasses.replace(cfg.sweep, collapse_strength=strength))
-    assert STEP_BUDGET - 10 < cfg.sweep_phase1_steps() <= STEP_BUDGET
+    assert STEP_BUDGET - 10 < sweep_phase1_steps(cfg) <= STEP_BUDGET
     path = _sweep_config_file(tmp_path, collapse_strength=strength, phase2_step_limit=STEP_BUDGET)
     assert cli.main(["validate", str(path)]) == 0
     assert "ok scenario=threshold-sweep" in capsys.readouterr().out
@@ -1157,7 +1202,7 @@ def test_sweep_rows_take_the_validated_phase1_steps(monkeypatch):
     propagate = scenarios.propagate
     monkeypatch.setattr(scenarios, "propagate", recording)
     scenarios._sweep_rows(cfg, [(0, 1, 1), (1, 2, 0)])
-    assert steps == [cfg.sweep_phase1_steps()] * 2 == [200, 200]
+    assert steps == [sweep_phase1_steps(cfg)] * 2 == [200, 200]
 
 
 def test_cli_validate_missing_file(capsys):

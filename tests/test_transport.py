@@ -3,6 +3,7 @@ import pytest
 
 from reconcap import rng, tasks, transport
 from reconcap.config import default_config
+from reconcap.scenarios import decaying_pair
 
 from _oracles import per_run_propagation, singulars_via_gram
 
@@ -56,7 +57,7 @@ def test_step_jacobian_ignores_noise_scale():
 @pytest.mark.parametrize("scenario", ["rank-decay", "proxy-probe"])
 def test_contraction_rates_are_the_step_matrix_eigenvalues(scenario):
     cfg = default_config(scenario)
-    pair = cfg.decaying_pair()
+    pair = decaying_pair(cfg)
     closed = np.sort(np.abs(transport.contraction_rates(pair, cfg.rule)))
     numeric = np.sort(np.abs(np.linalg.eigvalsh(transport.step_map(pair.task_a, cfg.rule)[0])))
     assert np.all(np.abs(closed - numeric) <= 10 * np.spacing(numeric))

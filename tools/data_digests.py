@@ -31,8 +31,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from reconcap.config import SCENARIO_NAMES, default_config  # noqa: E402
-from reconcap.scenarios import run_scenario  # noqa: E402
+from reconcap.config import default_config  # noqa: E402
+from reconcap.scenarios import SCENARIOS, run_scenario  # noqa: E402
 
 SEEDS = (None, 7, 21)
 
@@ -51,7 +51,7 @@ def _config(scenario: str, seed: int | None):
 def write_digests(root: Path) -> None:
     for seed in SEEDS:
         label = "default" if seed is None else str(seed)
-        for scenario in SCENARIO_NAMES:
+        for scenario in SCENARIOS:
             out = root / label / scenario
             run_scenario(_config(scenario, seed), out_dir=out)
             for name in sorted(json.loads((out / "manifest.json").read_text())["files"]):
