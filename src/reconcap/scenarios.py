@@ -24,7 +24,7 @@ from .config import (
     ConfigError, ExperimentConfig, PairConfig, ProbeConfig, save_config, write_csv, write_json, write_manifest,
 )
 from .gaussian import COVARIANCE_FLOOR, GaussianState
-from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
+from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank, symmetric_singular_values
 from .tasks import QuadraticTask, TaskPair, _half_quadratic, make_task_pair, random_rotations
 from .transport import StepKind, StepRule, _affine_step, contraction_rates, propagate, step_map, step_powers
 
@@ -45,9 +45,9 @@ class Scenario:
 
 
 # Floats a stacked draw or stack of step-matrix powers holds per array.  A
-# block takes one QR or SVD instead of one per trial or power, and is dropped
-# before the next block is built, so this bounds the run's peak memory
-# whatever the dimension or the number of steps.
+# block takes one QR, SVD or eigen-solve instead of one per trial or power,
+# and is dropped before the next block is built, so this bounds the run's
+# peak memory whatever the dimension or the number of steps.
 _BLOCK_FLOATS = 1 << 14
 
 
@@ -80,12 +80,37 @@ def _require_positive_thresholds(cfg: ExperimentConfig, *names: str) -> None:
             raise ConfigError(f"thresholds.{name}: must be > 0")
 
 
+# A run sums squares over samples, dimensions and steps; keeping the largest
+# square it forms from a config's magnitudes this far below float64's
+# largest value, about 1.8e308, leaves room for those sums.
+SQUARE_LIMIT = 1e300
+
+
+def _require_square_below_limit(cfg: ExperimentConfig, field: str, value: float, square: float) -> None:
+    """Reject ``field``'s ``value`` when ``square``, the largest squared
+    magnitude the run forms from it (inf once that overflows), is not below
+    SQUARE_LIMIT."""
+    if not square < SQUARE_LIMIT:
+        raise ConfigError(
+            f"{cfg.scenario}: {field} = {value!r} is too large: the run forms {square:.3e} from it, "
+            f"not below {SQUARE_LIMIT:.0e}"
+        )
+
+
 def _task_pair(cfg: ExperimentConfig, spectrum_b_on_a, **kwargs) -> TaskPair:
-    """The task pair a run builds, so that building it cannot fail later."""
+    """The task pair a run builds, so that building it cannot fail later.  A
+    float fault (under raising errstate) names the config fields of the
+    keyword magnitudes it built with."""
     try:
         return make_task_pair(cfg.dim, cfg.k_a, spectrum_b_on_a, cfg.pair.rotation_seed, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{cfg.scenario}: {exc}") from exc
+    except FloatingPointError as exc:
+        built = ", ".join(
+            f"{section}.{key}={value!r}" for key, value in kwargs.items()
+            for section in ("pair", "sweep") if hasattr(getattr(cfg, section), key)
+        )
+        raise ConfigError(f"{cfg.scenario}: building its task pair with {built}: {exc}") from exc
 
 
 def decaying_pair(cfg: ExperimentConfig) -> TaskPair:
@@ -118,6 +143,9 @@ def _validate_esl_gap(cfg: ExperimentConfig) -> None:
         raise ConfigError("esl-gap: hessian_spectrum must be nonempty and positive definite")
     if not t.start_cov_scale >= COVARIANCE_FLOOR:
         raise ConfigError(f"esl-gap: start_cov_scale must be >= {COVARIANCE_FLOOR:.1e}")
+    # the transport floor's cross term S0^(1/2) S1 S0^(1/2), summed over dim
+    scale = float(t.start_cov_scale)
+    _require_square_below_limit(cfg, "thermo.start_cov_scale", scale, len(t.start_mean) * scale * scale)
     if t.n_geodesic_steps < 2:
         raise ConfigError("esl-gap: n_geodesic_steps must be >= 2")
     horizon = cfg.n_steps * cfg.rule.step_size
@@ -218,13 +246,15 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
     header = ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
     header += [f"sv_{i}" for i in range(cfg.dim)]
     # the powers A^0 ... A^n_steps a block at a time, each block's spectra
-    # written into the whole run's ledger
+    # written into the whole run's ledger: A is symmetric, so a block's
+    # spectra are its |eigenvalues| from one eigen-solve, and those of J Q
+    # take one SVD
     n_powers = cfg.n_steps + 1
     svs, compats, usables = np.empty((n_powers, cfg.dim)), np.empty(n_powers), np.empty(n_powers, dtype=int)
     start = 0
     for powers in _power_blocks(a_mat, range(n_powers)):
         block = slice(start, start + len(powers))
-        svs[block] = singular_values(powers)
+        svs[block] = symmetric_singular_values(powers)
         compats[block], usables[block] = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
         start = block.stop
     effs = capacity.spectra_effective_rank(svs)
@@ -349,8 +379,12 @@ def _validate_threshold_sweep(cfg: ExperimentConfig) -> None:
     # cells differ only in rotation and demand: the largest demand builds
     # the stiffest task B, and every cell's task A has the default spectrum
     m = max(s.m_b_targets)
-    pair = _task_pair(cfg, (1.0,) * m + (0.0,) * (cfg.k_a - m), tilt=s.tilt)
-    _require_stable(cfg, max(*pair.a_spectrum, pair.task_b.lam_max))
+    pair = _task_pair(cfg, (1.0,) * m + (0.0,) * (cfg.k_a - m), tilt=s.tilt, offset_scale=s.offset_scale)
+    lam_max = max(*pair.a_spectrum, pair.task_b.lam_max)
+    _require_stable(cfg, lam_max)
+    # the losses of both tasks at offsets of m demanded directions times offset_scale
+    offset = float(s.offset_scale)
+    _require_square_below_limit(cfg, "sweep.offset_scale", offset, lam_max * m * offset * offset)
 
 
 def _descend_survivors(theta_start, survivors, h_b, target, eta, eps_b, limit):
@@ -711,8 +745,8 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     half_wd = 0.5 * np.array(wds)
     ranks, vals = [], []
     for power, theta in zip(step_powers(a, range(n_steps + 1)), states.swapaxes(0, 1)):
-        # A = I - eta (H + wd I) is symmetric like H, so each power's singular values are its |eigenvalues|
-        ranks.append(capacity.spectra_effective_rank(np.sort(np.abs(np.linalg.eigvalsh(power)))[:, ::-1]))
+        # A = I - eta (H + wd I) is symmetric like H, and so is each power
+        ranks.append(capacity.spectra_effective_rank(symmetric_singular_values(power)))
         loss = _half_quadratic(h, theta - minimizers)[0]
         vals.append(loss + half_wd * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0])
     return wds, np.array(ranks), np.array(vals)
@@ -798,6 +832,11 @@ def _validate_proxy_probe(cfg: ExperimentConfig) -> None:
         raise ConfigError("probe.n_probe_samples: must be >= 2")
     if cfg.probe.probe_noise < 0:
         raise ConfigError("probe.probe_noise: must be >= 0")
+    # the participation ratio squares the probe covariance's trace, about
+    # dim * probe_noise^2
+    noise = float(cfg.probe.probe_noise)
+    spread = cfg.dim * noise * noise
+    _require_square_below_limit(cfg, "probe.probe_noise", noise, spread * spread)
 
 
 def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:

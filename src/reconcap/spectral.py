@@ -108,6 +108,15 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
+def symmetric_singular_values(h) -> np.ndarray:
+    """Singular values in descending order of a symmetric matrix ``(d, d)``,
+    or of each matrix of a stack ``(..., d, d)``: their |eigenvalues|, from
+    one ``eigvalsh`` call, which reads the lower triangle.  Unvalidated, for
+    ledger loops over powers of a step matrix that is symmetric by
+    construction."""
+    return np.sort(np.abs(np.linalg.eigvalsh(h)))[..., ::-1]
+
+
 def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
     """Symmetrized V diag(w) V^T for each matrix of a stack; V may have fewer
     columns than rows."""

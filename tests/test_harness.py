@@ -33,7 +33,7 @@ from reconcap.config import (
     write_csv,
 )
 from reconcap.scenarios import STEP_BUDGET, CheckError, decaying_pair, run_scenario, sweep_phase1_steps
-from reconcap.spectral import singular_values, spectrum_rank
+from reconcap.spectral import spectrum_rank, symmetric_singular_values
 from reconcap.transport import DivergenceError, StepRule
 
 from _oracles import full_length_escape, full_length_stage1, per_cell_stage1
@@ -284,12 +284,12 @@ def test_check_rejects_nan(scenario):
 def test_rank_decay_summary_keeps_a_nan(tmp_path, monkeypatch):
     # one NaN singular value at the last step; max() would drop it
     def with_nan(stack):
-        svs = singular_values(stack)
+        svs = symmetric_singular_values(stack)
         svs[-1, 0] = np.nan
         return svs
 
-    singular_values = scenarios.singular_values
-    monkeypatch.setattr(scenarios, "singular_values", with_nan)
+    symmetric_singular_values = scenarios.symmetric_singular_values
+    monkeypatch.setattr(scenarios, "symmetric_singular_values", with_nan)
     summary = run_scenario(default_config("rank-decay"), out_dir=tmp_path)
     assert np.isnan(summary["abs_profile_error"])
 
@@ -323,11 +323,12 @@ def test_rank_decay_run(tmp_path):
 
 
 def _unblocked_rank_decay_rows(cfg):
-    # the ledger as one stack of every power A^0 ... A^n_steps, one SVD each
+    # the ledger as one stack of every power A^0 ... A^n_steps: one
+    # eigen-solve for their spectra, one SVD for those of J Q
     pair = decaying_pair(cfg)
     a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
     powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
-    svs = singular_values(powers)
+    svs = symmetric_singular_values(powers)
     compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
     columns = (capacity.spectra_effective_rank(svs), compats, usables, spectrum_rank(svs))
     return [[k, *(c[k].item() for c in columns), *svs[k].tolist()] for k in range(cfg.n_steps + 1)]
@@ -500,6 +501,32 @@ def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
     assert calls == {"qr": 1, "eigvalsh": 3, "eigh": 0, "svd": 2}
 
 
+def test_rank_decay_takes_one_eigen_solve_and_one_svd_per_power_block(monkeypatch):
+    # 1,401 powers in 22 blocks of 64: each block's spectra from one
+    # symmetric_singular_values call (one eigvalsh), its J Q spectra from one
+    # SVD; building the pair takes one QR and 3 eigvalsh.  With an SVD for
+    # each block's spectra too, the run made 44 SVD calls.
+    cfg = default_config("rank-decay")
+    names = ("qr", "eigvalsh", "eigh", "svd")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    blocks = []
+
+    def counting_spectra(powers, _call=scenarios.symmetric_singular_values):
+        blocks.append(len(powers))
+        return _call(powers)
+
+    monkeypatch.setattr(scenarios, "symmetric_singular_values", counting_spectra)
+    scenarios.run_rank_decay(cfg)
+    assert blocks == [64] * 21 + [57]
+    assert calls == {"qr": 1, "eigvalsh": 3 + 22, "eigh": 0, "svd": 22}
+
+
 # sha256 of the default threshold-sweep's data files, as written since each
 # step is the affine map A theta + b
 SWEEP_DIGESTS = {
@@ -519,11 +546,13 @@ def test_default_threshold_sweep_is_byte_stable(tmp_path):
 # sha256 of the default data files of the closed-form scenarios, as written
 # while capacity diagnostics took ensembles of one Jacobian; rank-decay's
 # summary.json as written since its errors are against the arithmetic
-# closed-form rates, not eigvalsh of the step matrix
+# closed-form rates, not eigvalsh of the step matrix, and rank-decay's two
+# files as written since its power spectra are |eigenvalues| of the
+# symmetric powers
 CLOSED_FORM_DIGESTS = {
     "rank-decay": {
-        "rank_decay.csv": "8651fb108318d0ac88cc39f619eaf77c2d21c86a6521ec4134a1a23a6580e224",
-        "summary.json": "c63adf47b27e65ec7cdb7c2d6dae5403bfb7ad1853c02c8fab81601c9fe4a62b",
+        "rank_decay.csv": "7fae471d9b2578c0a91b1d0477c7328a86396455730e76d2b844ee9e2fb96e78",
+        "summary.json": "8ad1e62497c4f624478d158e0931c304572f0bc92c67c5f42497b54899df117d",
     },
     "proxy-probe": {
         "proxy.csv": "e51d5f1038dc5c82a107f709d29b705d41fa7f1306abe72d4fd842b4f5663840",
@@ -842,7 +871,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.23.0"
+    assert capsys.readouterr().out.strip() == "0.24.0"
 
 
 def test_version_matches_pyproject():
@@ -1053,27 +1082,58 @@ def _cli_in_subprocess(*argv):
 
 
 @pytest.mark.parametrize(
-    "command, scenario, section, key, value, code, kind",
+    "command, scenario, section, key, value",
     [
-        ("validate", "threshold-sweep", "sweep", "tilt", 1e160, 1, "config"),
-        ("run", "proxy-probe", "probe", "probe_noise", 1e153, 2, "numerical"),
-        ("run", "threshold-sweep", "sweep", "offset_scale", 1e200, 2, "numerical"),
-        ("run", "esl-gap", "thermo", "start_cov_scale", 1e200, 2, "numerical"),
+        ("validate", "threshold-sweep", "sweep", "tilt", 1e160),
+        ("run", "proxy-probe", "probe", "probe_noise", 1e153),
+        ("run", "threshold-sweep", "sweep", "offset_scale", 1e200),
+        ("run", "esl-gap", "thermo", "start_cov_scale", 1e200),
+        ("validate", "proxy-probe", "probe", "probe_noise", 1e153),
+        ("validate", "threshold-sweep", "sweep", "offset_scale", 1e200),
+        ("validate", "esl-gap", "thermo", "start_cov_scale", 1e200),
     ],
-    ids=["sweep-tilt", "probe-noise", "sweep-offset", "esl-gap-start-cov"],
+    ids=["sweep-tilt", "probe-noise", "sweep-offset", "esl-gap-start-cov",
+         "probe-noise-validate", "sweep-offset-validate", "esl-gap-start-cov-validate"],
 )
-def test_cli_float_fault_is_one_stderr_line(tmp_path, command, scenario, section, key, value, code, kind):
+def test_cli_float_fault_is_one_stderr_line(tmp_path, command, scenario, section, key, value):
     # each once wrote numpy RuntimeWarnings to stderr ahead of its error line:
-    # building the tilted pair at validation overflows, and so do the runs'
-    # matmuls; the sweep's offset then ran on to a check of inf losses (exit 3)
+    # building the tilted pair at validation overflows, and so did the runs'
+    # matmuls (the sweep's offset then ran on to a check of inf losses, exit
+    # 3); the tilt's error named neither scenario nor field, and the other
+    # three passed validate and then exited 2 at run.  Now validation
+    # rejects each, naming the scenario and the field.
     payload = default_config(scenario).to_dict()
     payload[section][key] = value
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     run_args = ["--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"]
     proc = _cli_in_subprocess(command, *([str(path)] if command == "validate" else run_args))
-    assert proc.returncode == code
-    assert _single_error_line(proc.stderr, code, kind), proc.stderr
+    assert proc.returncode == 1
+    assert _single_error_line(proc.stderr, 1, "config"), proc.stderr
+    assert f"msg={scenario}: " in proc.stderr and f"{section}.{key}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "scenario, section, key, value",
+    [
+        ("threshold-sweep", "sweep", "offset_scale", 2.4e149),
+        ("proxy-probe", "probe", "probe_noise", 2.4e74),
+        ("esl-gap", "thermo", "start_cov_scale", 7.0e149),
+    ],
+    ids=["sweep-offset", "probe-noise", "esl-gap-start-cov"],
+)
+def test_cli_largest_accepted_magnitude_runs_without_a_float_fault(tmp_path, scenario, section, key, value):
+    # just under SQUARE_LIMIT each run ends in its check (exit 3) or passes,
+    # never in a float fault: the limit leaves the run's sums room
+    payload = default_config(scenario).to_dict()
+    payload[section][key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    proc = _cli_in_subprocess("run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check")
+    assert proc.returncode in (0, 3), proc.stderr
+    bigger = dict(payload, **{section: dict(payload[section], **{key: value * 1.1})})
+    path.write_text(json.dumps(bigger))
+    assert _cli_in_subprocess("validate", str(path)).returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reconcap import spectral, tasks
+from reconcap import spectral, tasks, transport
 
 from _oracles import (
     jacobian_stack,
@@ -125,6 +125,39 @@ def test_singular_values_nonnegative_descending(a):
     s = spectral.singular_values(a)
     assert np.all(s >= 0.0)
     assert np.all(np.diff(s) <= 1e-12)
+
+
+def _assert_symmetric_spectra(h):
+    # |eigenvalues| against the dense SVD: both are backward stable to about
+    # d * eps * sigma_max; descending and non-negative
+    ours = spectral.symmetric_singular_values(h)
+    ref = spectral.singular_values(h)
+    d = h.shape[-1]
+    assert ours.shape == h.shape[:-1]
+    assert np.all(np.abs(ours - ref) <= 4 * d * np.finfo(float).eps * ref[..., :1])
+    assert np.all(ours >= 0.0) and np.all(np.diff(ours, axis=-1) <= 0.0)
+    return ours
+
+
+@pytest.mark.parametrize("d", range(1, 33))
+def test_symmetric_singular_values_match_svd(d):
+    g = np.random.default_rng(d).standard_normal((5, d, d))
+    stack = (g + g.swapaxes(-1, -2)) / 2.0
+    spectra = _assert_symmetric_spectra(stack)
+    assert spectra.shape == (5, d)
+    for member, spectrum in zip(stack, spectra):
+        assert np.array_equal(_assert_symmetric_spectra(member), spectrum)
+
+
+def test_symmetric_singular_values_of_a_block_of_step_powers():
+    # A = I - eta (H + wd I) with eta large enough that some of its rates are
+    # negative; its powers' left products are symmetric only to roundoff
+    pair = tasks.make_task_pair(16, 8, (1.0,) * 8, 7)
+    a = transport.step_map(pair.task_a, transport.StepRule(step_size=0.8, weight_decay=0.1))[0]
+    assert np.linalg.eigvalsh(a)[0] < 0.0
+    powers = np.array(list(transport.step_powers(a, range(64))))
+    spectra = _assert_symmetric_spectra(powers)
+    assert np.array_equal(spectra[0], np.ones(16))
 
 
 def test_as_matrix_rejects_nonfinite():
