@@ -146,6 +146,12 @@ def _validate_esl_gap(cfg: ExperimentConfig) -> None:
     # the transport floor's cross term S0^(1/2) S1 S0^(1/2), summed over dim
     scale = float(t.start_cov_scale)
     _require_square_below_limit(cfg, "thermo.start_cov_scale", scale, len(t.start_mean) * scale * scale)
+    # the mean's squares: mean_value's m^T H m, and the entropy production's
+    # drift |H m|^2, which it then scales by step_size / temperature
+    quad = sum(h * m * m for h, m in zip(t.hessian_spectrum, t.start_mean))
+    drift = sum(h * m * h * m for h, m in zip(t.hessian_spectrum, t.start_mean))
+    square = max(quad, drift, drift * cfg.rule.step_size / cfg.rule.noise_scale)
+    _require_square_below_limit(cfg, "thermo.start_mean", list(t.start_mean), square)
     if t.n_geodesic_steps < 2:
         raise ConfigError("esl-gap: n_geodesic_steps must be >= 2")
     horizon = cfg.n_steps * cfg.rule.step_size
@@ -732,8 +738,8 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
 def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, np.ndarray]:
     """Each trial's weight decay and, along its 40 plain gradient steps, the
     effective rank of the step-matrix power and the regularized loss, as
-    ``(41, len(trials))`` arrays: the states of one stacked propagation and
-    the ``step_powers`` of the same step matrices."""
+    ``(41, len(trials))`` arrays: the states of one stacked propagation, and
+    the spectra of the powers from one eigen-solve of the step matrices."""
     eta, n_steps = 0.4, 40
     n = len(trials)
     h, minimizers = _controlled_tasks(d, seed + 1, trials)
@@ -743,10 +749,14 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     theta0 = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))
     states = propagate(theta0, a, b, [0.0] * n, [n_steps] * n, seed, trials, [0] * n, "monotonicity-ledger")
     half_wd = 0.5 * np.array(wds)
-    ranks, vals = [], []
-    for power, theta in zip(step_powers(a, range(n_steps + 1)), states.swapaxes(0, 1)):
-        # A = I - eta (H + wd I) is symmetric like H, and so is each power
-        ranks.append(capacity.spectra_effective_rank(symmetric_singular_values(power)))
+    # A = I - eta (H + wd I) is symmetric like H, so the singular values of
+    # A^k are its |eigenvalues| multiplied in k times: a product rounds alike
+    # in any layout, where numpy's ``**`` is vectorized for contiguous rows only
+    base = symmetric_singular_values(a)
+    spectra, ranks, vals = np.ones(base.shape), [], []
+    for theta in states.swapaxes(0, 1):
+        ranks.append(capacity.spectra_effective_rank(spectra))
+        spectra = spectra * base
         loss = _half_quadratic(h, theta - minimizers)[0]
         vals.append(loss + half_wd * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0])
     return wds, np.array(ranks), np.array(vals)

@@ -112,8 +112,8 @@ def symmetric_singular_values(h) -> np.ndarray:
     """Singular values in descending order of a symmetric matrix ``(d, d)``,
     or of each matrix of a stack ``(..., d, d)``: their |eigenvalues|, from
     one ``eigvalsh`` call, which reads the lower triangle.  Unvalidated, for
-    ledger loops over powers of a step matrix that is symmetric by
-    construction."""
+    ledgers of a step matrix that is symmetric by construction, or of its
+    powers."""
     return np.sort(np.abs(np.linalg.eigvalsh(h)))[..., ::-1]
 
 

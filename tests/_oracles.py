@@ -284,20 +284,21 @@ def per_trial_factor_spectra(seed: int, trial: int) -> tuple[int, np.ndarray, np
 def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]:
     """Effective rank of the step-matrix power and regularized loss along
     one monotonicity trial's 40 gradient steps, stepped one vector at a time;
-    each power is symmetric, so its singular values are the |eigenvalues| of
-    its own ``eigvalsh``, sorted descending."""
+    the step matrix is symmetric, so the singular values of its k-th power
+    are the |eigenvalues| of its own ``eigvalsh``, sorted descending, each
+    multiplied in k times."""
     h, theta_star = per_trial_controlled_task(dim, seed + 1, trial)
     wd = 0.1 if trial % 2 else 0.0
     a_mat = np.eye(dim) - 0.4 * (h + wd * np.eye(dim))
     shift = 0.4 * h @ theta_star
-    power = np.eye(dim)
+    base = np.sort(np.abs(np.linalg.eigvalsh(a_mat)))[::-1]
     theta = rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(dim)
     ranks, vals = [], []
+    spectrum = np.ones(dim)
     for k in range(41):
         if k:
-            power = a_mat @ power
             theta = a_mat @ theta + shift
-        spectrum = np.sort(np.abs(np.linalg.eigvalsh(power)))[::-1]
+            spectrum = spectrum * base
         log = per_spectrum_log_volume([spectrum])[0]
         ranks.append(0.0 if log == float("-inf") else float(np.exp(log / dim)))
         vals.append(half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))

@@ -1091,17 +1091,21 @@ def _cli_in_subprocess(*argv):
         ("validate", "proxy-probe", "probe", "probe_noise", 1e153),
         ("validate", "threshold-sweep", "sweep", "offset_scale", 1e200),
         ("validate", "esl-gap", "thermo", "start_cov_scale", 1e200),
+        ("run", "esl-gap", "thermo", "start_mean", [1e200, -1.5]),
+        ("validate", "esl-gap", "thermo", "start_mean", [1e200, -1.5]),
     ],
     ids=["sweep-tilt", "probe-noise", "sweep-offset", "esl-gap-start-cov",
-         "probe-noise-validate", "sweep-offset-validate", "esl-gap-start-cov-validate"],
+         "probe-noise-validate", "sweep-offset-validate", "esl-gap-start-cov-validate",
+         "esl-gap-start-mean", "esl-gap-start-mean-validate"],
 )
 def test_cli_float_fault_is_one_stderr_line(tmp_path, command, scenario, section, key, value):
     # each once wrote numpy RuntimeWarnings to stderr ahead of its error line:
     # building the tilted pair at validation overflows, and so did the runs'
     # matmuls (the sweep's offset then ran on to a check of inf losses, exit
     # 3); the tilt's error named neither scenario nor field, and the other
-    # three passed validate and then exited 2 at run.  Now validation
-    # rejects each, naming the scenario and the field.
+    # four passed validate and then exited 2 at run (esl-gap's start_mean in
+    # a matmul of its mean value).  Now validation rejects each, naming the
+    # scenario and the field.
     payload = default_config(scenario).to_dict()
     payload[section][key] = value
     path = tmp_path / "cfg.json"
@@ -1119,8 +1123,9 @@ def test_cli_float_fault_is_one_stderr_line(tmp_path, command, scenario, section
         ("threshold-sweep", "sweep", "offset_scale", 2.4e149),
         ("proxy-probe", "probe", "probe_noise", 2.4e74),
         ("esl-gap", "thermo", "start_cov_scale", 7.0e149),
+        ("esl-gap", "thermo", "start_mean", [4.9e149, -1.5]),
     ],
-    ids=["sweep-offset", "probe-noise", "esl-gap-start-cov"],
+    ids=["sweep-offset", "probe-noise", "esl-gap-start-cov", "esl-gap-start-mean"],
 )
 def test_cli_largest_accepted_magnitude_runs_without_a_float_fault(tmp_path, scenario, section, key, value):
     # just under SQUARE_LIMIT each run ends in its check (exit 3) or passes,
@@ -1131,7 +1136,8 @@ def test_cli_largest_accepted_magnitude_runs_without_a_float_fault(tmp_path, sce
     path.write_text(json.dumps(payload))
     proc = _cli_in_subprocess("run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check")
     assert proc.returncode in (0, 3), proc.stderr
-    bigger = dict(payload, **{section: dict(payload[section], **{key: value * 1.1})})
+    larger = [x * 1.1 for x in value] if isinstance(value, list) else value * 1.1
+    bigger = dict(payload, **{section: dict(payload[section], **{key: larger})})
     path.write_text(json.dumps(bigger))
     assert _cli_in_subprocess("validate", str(path)).returncode == 1
 
