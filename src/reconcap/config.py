@@ -19,10 +19,7 @@ import types
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__ as _version, rng
 from .transport import StepRule
@@ -246,51 +243,41 @@ def write_manifest(cfg: ExperimentConfig, out: Path, names, started_at: str) -> 
     })
 
 
-def format_float(x) -> str:
-    """Shortest round-trip decimal form, used for every CSV float so that
-    replays are byte-identical."""
-    if isinstance(x, str):
-        if "," in x or '"' in x or "\n" in x:
-            raise ValueError(f"write_csv: field {x!r} needs quoting, which the byte-stable format avoids")
-        return x
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x)).lower()
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))
+# Rows write_csv formats and writes at a time: a table reaches the file a
+# block at a time, and no string of a whole long table is built.
+_CSV_BLOCK_ROWS = 256
 
 
-# Field types whose repr is already format_float's form.  bool is not one
-# (repr(True) is "True"), nor is any numpy scalar ("np.float64(0.5)").
-_REPR_FIELDS = frozenset((int, float))
+def _fields(column) -> list:
+    """A column's values as CSV fields: ``true``/``false`` for a bool
+    column, a string column as is, and otherwise each value's ``repr``, the
+    shortest decimal that round-trips a float, so replays are byte-identical."""
+    values = column.tolist()
+    if column.dtype.kind == "b":
+        return ["true" if v else "false" for v in values]
+    if column.dtype.kind != "U":
+        return list(map(repr, values))
+    for v in values:
+        if "," in v or '"' in v or "\n" in v:
+            raise ValueError(f"write_csv: field {v!r} needs quoting, which the byte-stable format avoids")
+    return values
 
 
-# Lines write_csv joins into one write: a table's rows reach the file a chunk
-# at a time, and no string of a whole long table is built.
-_CSV_CHUNK_LINES = 256
-
-
-def _csv_lines(header, rows):
-    """The header's line, then each row's, without line ends."""
-    yield ",".join(header)
-    for row in rows:
-        # a row of plain ints and floats takes repr in one pass over the row
-        fmt = repr if _REPR_FIELDS.issuperset(map(type, row)) else format_float
-        yield ",".join(map(fmt, row))
-
-
-def write_csv(path, header, rows) -> None:
-    """Write ``header`` and then each of ``rows`` as one comma-joined line,
-    every field in ``format_float``'s form, ``_CSV_CHUNK_LINES`` lines at a
-    time to the open file.  A field that cannot be written, such as a string
-    that would need quoting, raises after removing the partial file: a
-    failed write leaves no file at ``path``."""
+def write_csv(path, header, columns) -> None:
+    """Write ``header`` as one comma-joined line, then the rows of
+    ``columns``, one 1-D array per header name, ``_CSV_BLOCK_ROWS`` rows at a
+    time to the open file, each field in ``_fields``' form.  A table that
+    cannot be written, a string that would need quoting or a column shorter
+    than the others, raises after removing the partial file: a failed write
+    leaves no file at ``path``."""
     path = Path(path)
+    n_rows = max(map(len, columns), default=0)
     try:
         with path.open("w", encoding="utf-8") as f:
-            lines = _csv_lines(header, rows)
-            while chunk := list(islice(lines, _CSV_CHUNK_LINES)):
-                f.write("\n".join(chunk) + "\n")
+            f.write(",".join(header) + "\n")
+            for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+                block = (_fields(c[start : start + _CSV_BLOCK_ROWS]) for c in columns)
+                f.write("".join(",".join(row) + "\n" for row in zip(*block, strict=True)))
     except BaseException:
         path.unlink(missing_ok=True)
         raise

@@ -3,8 +3,9 @@
 Each scenario is one ``Scenario`` record in ``SCENARIOS``: its default
 config, the validation of the fields it reads, its runner and its check.  A
 runner takes a validated ExperimentConfig and returns its summary and its
-tables, touching no file; ``run_scenario`` writes them, then runs the check
-on request (the CLI's --check).  Data files are byte-stable across replays;
+tables, touching no file: a table maps each CSV header name, in order, to
+one 1-D column.  ``run_scenario`` writes them, then runs the check on
+request (the CLI's --check).  Data files are byte-stable across replays;
 the manifest (timestamps) is the only file allowed to differ.
 """
 
@@ -67,6 +68,26 @@ def _power_blocks(a, exponents):
         yield np.fromiter(islice(powers, len(chunk)), (np.float64, a.shape), len(chunk))
 
 
+def _concatenate(tables: list) -> dict:
+    """One table of the rows of ``tables``, in order: each column joined."""
+    return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
+
+
+# The most steps a config may ask one run to take: rank-decay's and
+# proxy-probe's n_steps, esl-gap's n_steps and thermo.n_geodesic_steps, and
+# in each threshold-sweep cell phase 1's k1 and each phase-2 stage's
+# ``sweep.phase2_step_limit``.  It bounds a run's work and its step-indexed
+# arrays, which validation checks before anything is allocated.
+STEP_BUDGET = 100_000
+
+
+def _require_step_count(field: str, steps: int, least: int = 1) -> None:
+    if steps < least:
+        raise ConfigError(f"{field}: must be >= {least}")
+    if steps > STEP_BUDGET:
+        raise ConfigError(f"{field}: {steps} is above the step budget of {STEP_BUDGET}")
+
+
 def _require_stable(cfg: ExperimentConfig, lam_max: float) -> None:
     try:
         cfg.rule.require_stable(lam_max)
@@ -115,8 +136,7 @@ def _task_pair(cfg: ExperimentConfig, spectrum_b_on_a, **kwargs) -> TaskPair:
 
 def decaying_pair(cfg: ExperimentConfig) -> TaskPair:
     """rank-decay and proxy-probe's pair, built alike by validation and the run."""
-    if cfg.n_steps < 1:
-        raise ConfigError("n_steps: must be >= 1")
+    _require_step_count("n_steps", cfg.n_steps)
     if cfg.rule.kind is not StepKind.GRADIENT_DESCENT or cfg.rule.weight_decay <= 0:
         raise ConfigError(f"{cfg.scenario}: needs gradient_descent with weight_decay > 0")
     _require_positive_thresholds(cfg, "tau_sigma")
@@ -131,8 +151,7 @@ def decaying_pair(cfg: ExperimentConfig) -> TaskPair:
 
 def _validate_esl_gap(cfg: ExperimentConfig) -> None:
     t = cfg.thermo
-    if cfg.n_steps < 1:
-        raise ConfigError("n_steps: must be >= 1")
+    _require_step_count("n_steps", cfg.n_steps)
     if cfg.rule.kind is not StepKind.LANGEVIN:
         raise ConfigError("esl-gap: rule.kind must be langevin")
     if cfg.rule.noise_scale <= 0:
@@ -152,8 +171,7 @@ def _validate_esl_gap(cfg: ExperimentConfig) -> None:
     drift = sum(h * m * h * m for h, m in zip(t.hessian_spectrum, t.start_mean))
     square = max(quad, drift, drift * cfg.rule.step_size / cfg.rule.noise_scale)
     _require_square_below_limit(cfg, "thermo.start_mean", list(t.start_mean), square)
-    if t.n_geodesic_steps < 2:
-        raise ConfigError("esl-gap: n_geodesic_steps must be >= 2")
+    _require_step_count("thermo.n_geodesic_steps", t.n_geodesic_steps, least=2)
     horizon = cfg.n_steps * cfg.rule.step_size
     if horizon > 1.0 + 1e-12:
         raise ConfigError(
@@ -208,8 +226,8 @@ def run_esl_gap(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "clamp_events": clamp_events,
     }
     return summary, {
-        "dynamics.csv": thermo.series_rows(states, ledger, g0),
-        "geodesic.csv": thermo.series_rows(geo, geo_ledger, g0),
+        "dynamics.csv": thermo.series_table(states, ledger, g0),
+        "geodesic.csv": thermo.series_table(geo, geo_ledger, g0),
     }
 
 
@@ -249,8 +267,6 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
     rates = np.sort(np.abs(contraction_rates(pair, cfg.rule)))[::-1]
     tau = cfg.thresholds.tau_sigma
 
-    header = ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
-    header += [f"sv_{i}" for i in range(cfg.dim)]
     # the powers A^0 ... A^n_steps a block at a time, each block's spectra
     # written into the whole run's ledger: A is symmetric, so a block's
     # spectra are its |eigenvalues| from one eigen-solve, and those of J Q
@@ -264,8 +280,10 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
         compats[block], usables[block] = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
         start = block.stop
     effs = capacity.spectra_effective_rank(svs)
-    ledger = zip(effs.tolist(), compats.tolist(), usables.tolist(), spectrum_rank(svs).tolist(), svs.tolist())
-    rows = [[step_idx, *columns, *sv] for step_idx, (*columns, sv) in enumerate(ledger)]
+    table = {
+        "step": np.arange(n_powers), "effective_rank": effs, "compatible_rank": compats,
+        "usable_count": usables, "rank_j": spectrum_rank(svs), **{f"sv_{i}": svs[:, i] for i in range(cfg.dim)},
+    }
     # every step's errors, maximized once, where a NaN is kept; the iterated
     # product only resolves singular values down to roughly
     # n_steps * eps * sigma_max, so the strict relative comparison is limited
@@ -293,8 +311,8 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     summary = {
         "n_steps": cfg.n_steps,
-        "final_effective_rank": rows[-1][1],
-        "final_usable_count": rows[-1][3],
+        "final_effective_rank": effs[-1].item(),
+        "final_usable_count": usables[-1].item(),
         "usable_zero_step": usable_zero_step,
         "usable_zero_step_closed_form": usable_zero_closed,
         "collapse_step": collapse_step,
@@ -303,7 +321,7 @@ def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "strict_closed_form_error": float(np.max(strict_errors, initial=0.0)),
         "abs_profile_error": float(np.max(profile_errors, initial=0.0)),
     }
-    return summary, {"rank_decay.csv": (header, rows)}
+    return summary, {"rank_decay.csv": table}
 
 
 def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
@@ -330,12 +348,6 @@ def check_rank_decay(summary: dict, cfg: ExperimentConfig) -> None:
 
 # ---------------------------------------------------------------------------
 # threshold-sweep: predicted vs observed incompatibility over a target grid
-
-
-# The most steps one threshold-sweep cell may take in a phase: phase 1's k1
-# and each phase-2 stage's ``sweep.phase2_step_limit``.  It bounds the run's
-# work per cell, which validation checks before anything is allocated.
-STEP_BUDGET = 100_000
 
 
 def sweep_phase1_steps(cfg: ExperimentConfig) -> int:
@@ -367,8 +379,8 @@ def _validate_threshold_sweep(cfg: ExperimentConfig) -> None:
             "threshold-sweep: 1 - eta * collapse_strength must be in (0, 1) for "
             "monotone contraction"
         )
-    if s.settle_steps < 1 or s.phase2_step_limit < 1:
-        raise ConfigError("threshold-sweep: step counts must be >= 1")
+    _require_step_count("sweep.settle_steps", s.settle_steps)
+    _require_step_count("sweep.phase2_step_limit", s.phase2_step_limit)
     # the run reads the first four, its check reads epsilon_high
     _require_positive_thresholds(cfg, "tau_sigma", "epsilon_a", "epsilon_b", "epsilon_low", "epsilon_high")
     k1 = sweep_phase1_steps(cfg)
@@ -376,11 +388,6 @@ def _validate_threshold_sweep(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"threshold-sweep: phase 1 takes k1 = {k1} steps per cell, above the "
             f"step budget of {STEP_BUDGET}; raise sweep.collapse_strength"
-        )
-    if s.phase2_step_limit > STEP_BUDGET:
-        raise ConfigError(
-            f"sweep.phase2_step_limit: {s.phase2_step_limit} is above the step "
-            f"budget of {STEP_BUDGET}"
         )
     # cells differ only in rotation and demand: the largest demand builds
     # the stiffest task B, and every cell's task A has the default spectrum
@@ -467,10 +474,11 @@ def _escape(theta, h_b, target, rule, limit, eps_b):
     return steps, state, reached
 
 
-def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
-    """The rows of sweep cells ``(cell_index, m_target, u_target)``: the
-    cells' task pairs, phase 1, predictions and phase 2 each as one stack.
-    Forgetting is phi_A(end) - phi_A(start of phase 2)."""
+def _sweep_table(cfg: ExperimentConfig, cells) -> dict:
+    """The table of sweep cells ``(cell_index, m_target, u_target)``, one
+    column per ``SWEEP_HEADER`` name and one row per cell: the cells' task
+    pairs, phase 1, predictions and phase 2 each as one stack.  Forgetting is
+    phi_A(end) - phi_A(start of phase 2)."""
     sweep = cfg.sweep
     limits = cfg.thresholds
     d = cfg.dim
@@ -528,7 +536,7 @@ def _sweep_rows(cfg: ExperimentConfig, cells) -> list:
         report.predicted_incompatible_raw, observed, np.equal(report.predicted_incompatible, observed),
         phase2_steps, exit_flag, escape_reached, after_escape,
     )
-    return list(zip(*(np.asarray(c).tolist() for c in columns)))
+    return dict(zip(SWEEP_HEADER, map(np.asarray, columns), strict=True))
 
 
 SWEEP_HEADER = [
@@ -558,30 +566,27 @@ def run_threshold_sweep(cfg: ExperimentConfig) -> tuple[dict, dict]:
         for i, m_target in enumerate(s.m_b_targets)
         for j, u_target in enumerate(s.usable_targets)
     ]
-    rows = _sweep_rows(cfg, cells)
-    n_cells = len(rows)
-    records = [dict(zip(SWEEP_HEADER, row)) for row in rows]
-    n_agree = sum(1 for r in records if r["agree"])
-    pred = [bool(r["predicted_incompatible"]) for r in records]
-    obs = [bool(r["observed_incompatible"]) for r in records]
+    table = _sweep_table(cfg, cells)
+    n_cells = len(cells)
+    n_agree = int(np.count_nonzero(table["agree"]))
+    pred, obs = table["predicted_incompatible"], table["observed_incompatible"]
     # cells with no usable direction left but live demand on task B
-    stranded = [r for r in records if r["usable_target"] == 0 and r["m_b_target"] >= 1]
-    zero_usable_ok = all(r["predicted_incompatible"] and r["observed_incompatible"] for r in stranded)
-    forced = [r["forgetting_after_escape"] for r in stranded if r["escape_reached"]]
+    stranded = (table["usable_target"] == 0) & (table["m_b_target"] >= 1)
+    forced = table["forgetting_after_escape"][stranded & table["escape_reached"]]
     summary = {
         "n_cells": n_cells,
         "n_agree": n_agree,
         "agreement_rate": n_agree / n_cells,
-        "zero_usable_all_incompatible": zero_usable_ok,
-        "forced_exit_forgetting_min": min(forced) if forced else None,
+        "zero_usable_all_incompatible": bool(np.all(pred[stranded] & obs[stranded])),
+        "forced_exit_forgetting_min": forced.min().item() if forced.size else None,
         "confusion": {
-            "true_positive": sum(1 for p, o in zip(pred, obs) if p and o),
-            "false_positive": sum(1 for p, o in zip(pred, obs) if p and not o),
-            "false_negative": sum(1 for p, o in zip(pred, obs) if not p and o),
-            "true_negative": sum(1 for p, o in zip(pred, obs) if not p and not o),
+            "true_positive": int(np.count_nonzero(pred & obs)),
+            "false_positive": int(np.count_nonzero(pred & ~obs)),
+            "false_negative": int(np.count_nonzero(~pred & obs)),
+            "true_negative": int(np.count_nonzero(~pred & ~obs)),
         },
     }
-    return summary, {"sweep.csv": (SWEEP_HEADER, rows)}
+    return summary, {"sweep.csv": table}
 
 
 def check_threshold_sweep(summary: dict, cfg: ExperimentConfig) -> None:
@@ -636,11 +641,12 @@ _COMPOSITION_RULES = (
 )
 
 
-def _composition_rows(d: int, seed: int, trials) -> list:
-    """Each trial's run split in three, recomposed both ways and compared
-    with the unsplit run.  The trials step together on one (A, b): a stacked
-    propagation for the unsplit runs and one per segment, each drawing its
-    own noise rows, and one ``step_powers`` pass for all four."""
+def _composition_table(d: int, seed: int, trials) -> dict:
+    """composition.csv's columns, one row per trial: its run split in three,
+    recomposed both ways and compared with the unsplit run.  The trials step
+    together on one (A, b): a stacked propagation for the unsplit runs and
+    one per segment, each drawing its own noise rows, and one
+    ``step_powers`` pass for all four."""
     n = len(trials)
     h, minimizers = _controlled_tasks(d, seed, trials)
     rules = [_COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)] for trial in trials]
@@ -678,10 +684,10 @@ def _composition_rows(d: int, seed: int, trials) -> list:
     # the run's Jacobian as both associations of J3 J2 J1: J3 (J2 J1) and (J3 J2) J1
     for composed in (j3 @ (j2 @ j1), (j3 @ j2) @ j1):
         worst = np.maximum(worst, np.max(np.abs(composed - full_jac), axis=(1, 2)))
-    return [
-        [trial, *seg_lens, rule.kind.value, err]
-        for trial, seg_lens, rule, err in zip(trials, lens.tolist(), rules, worst.tolist())
-    ]
+    return {
+        "trial": np.asarray(trials), "len_a": lens[:, 0], "len_b": lens[:, 1], "len_c": lens[:, 2],
+        "rule_kind": np.array([rule.kind.value for rule in rules]), "max_abs_error": worst,
+    }
 
 
 def _product_spectra(seed: int, trials, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
@@ -695,9 +701,10 @@ def _product_spectra(seed: int, trials, s_a: np.ndarray, s_b: np.ndarray) -> np.
     return singular_values(s_a[:, :, None] * (v_a.swapaxes(-1, -2) @ u_b) * s_b[:, None, :])
 
 
-def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
-    """Each trial's check that rank and singular values of a product of two
-    random factors are bounded by those of the factors."""
+def _submultiplicativity_table(seed: int, n_trials: int) -> dict:
+    """submultiplicativity.csv's columns, one row per trial in trial order:
+    its check that rank and singular values of a product of two random
+    factors are bounded by those of the factors."""
     # every trial's dimension and factor spectra first, in trial order;
     # then the products, a chunk of equal-dimension trials at a time
     def draw(gen):
@@ -715,7 +722,7 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
     for trial, (d_t, spectra) in enumerate(rng.draw_each(paths, draw)):
         by_dim.setdefault(d_t, []).append((trial, *spectra))
 
-    rows = []
+    tables = []
     for d_t, members in by_dim.items():
         for chunk in _blocks(members, 2 * d_t * d_t):
             trials, s_a, s_b = zip(*chunk)
@@ -727,12 +734,15 @@ def _submultiplicativity_rows(seed: int, n_trials: int) -> list:
             slack = np.max(sv_p - np.minimum(sv_a * sv_b[:, :1], sv_a[:, :1] * sv_b), axis=-1)
             ranks_a = np.sum(s_a > 0.0, axis=-1)
             ranks_b = np.sum(s_b > 0.0, axis=-1)
-            sigma_ok = slack <= 1e-10 * np.maximum(top, 1.0)
-            for i, (trial, rank_p) in enumerate(zip(trials, spectrum_rank(sv_p).tolist())):
-                ok = rank_p <= min(ranks_a[i], ranks_b[i]) and bool(sigma_ok[i])
-                rows.append([trial, d_t, slack[i], ranks_a[i], ranks_b[i], rank_p, ok])
-    rows.sort(key=lambda row: row[0])
-    return rows
+            rank_p = spectrum_rank(sv_p)
+            tables.append({
+                "trial": np.array(trials), "dim": np.full(len(trials), d_t), "sigma_slack": slack,
+                "rank_a": ranks_a, "rank_b": ranks_b, "rank_prod": rank_p,
+                "ok": (rank_p <= np.minimum(ranks_a, ranks_b)) & (slack <= 1e-10 * np.maximum(top, 1.0)),
+            })
+    table = _concatenate(tables)
+    order = np.argsort(table["trial"], kind="stable")
+    return {name: column[order] for name, column in table.items()}
 
 
 def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, np.ndarray]:
@@ -766,32 +776,27 @@ def run_composition_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
     d = cfg.dim
     seed = cfg.master_seed
     # a block of trials at a time, its draws freed before the next is drawn
-    comp_rows = [
-        row for trials in _blocks(range(cfg.n_trials), d * d)
-        for row in _composition_rows(d, seed, trials)
-    ]
-    sub_rows = _submultiplicativity_rows(seed, cfg.n_trials)
+    comp = _concatenate([_composition_table(d, seed, trials) for trials in _blocks(range(cfg.n_trials), d * d)])
+    sub = _submultiplicativity_table(seed, cfg.n_trials)
     n_mono = max(cfg.n_trials // 5, 1)
-    mono_rows = []
+    ledgers = []
     for trials in _blocks(range(n_mono), d * d):
         wds, ranks, vals = _monotonicity_ledgers(d, seed, trials)
         rises = np.concatenate([np.zeros((1, len(trials))), np.diff(ranks, axis=0), np.diff(vals, axis=0)])
-        mono_rows += [
-            [trial, len(ranks) - 1, wd, worst] for trial, wd, worst in zip(trials, wds, rises.max(axis=0))
-        ]
+        ledgers.append({
+            "trial": np.asarray(trials), "n_steps": np.full(len(trials), len(ranks) - 1),
+            "weight_decay": np.array(wds), "max_increase": rises.max(axis=0),
+        })
+    mono = _concatenate(ledgers)
 
     summary = {
         "n_trials": cfg.n_trials,
-        "max_composition_error": float(np.max([row[5] for row in comp_rows])),
-        "submultiplicativity_violations": sum(1 for row in sub_rows if not row[6]),
+        "max_composition_error": float(np.max(comp["max_abs_error"])),
+        "submultiplicativity_violations": int(np.count_nonzero(~sub["ok"])),
         "n_monotonicity_trials": n_mono,
-        "max_monotonicity_increase": float(np.max([row[3] for row in mono_rows])),
+        "max_monotonicity_increase": float(np.max(mono["max_increase"])),
     }
-    return summary, {
-        "composition.csv": (["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"], comp_rows),
-        "submultiplicativity.csv": (["trial", "dim", "sigma_slack", "rank_a", "rank_b", "rank_prod", "ok"], sub_rows),
-        "monotonicity.csv": (["trial", "n_steps", "weight_decay", "max_increase"], mono_rows),
-    }
+    return summary, {"composition.csv": comp, "submultiplicativity.csv": sub, "monotonicity.csv": mono}
 
 
 def check_composition_check(summary: dict, cfg: ExperimentConfig) -> None:
@@ -879,11 +884,11 @@ def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
         u for powers in _power_blocks(a_mat, checkpoints)
         for u in capacity.compatible_effective_rank(powers, basis, tau)[1].tolist()
     ]
-    rows = [
-        [step_idx, pr, u, int(np.sum(normal_rates**step_idx > tau))]
-        for step_idx, pr, u in zip(checkpoints, pr_series, usable_series)
-    ]
-    usable_zero_step = next((row[0] for row in rows if row[2] == 0), None)
+    table = {
+        "step": np.asarray(checkpoints), "pr": np.array(pr_series), "usable": np.array(usable_series),
+        "surviving_normals": np.array([np.count_nonzero(normal_rates**k > tau) for k in checkpoints]),
+    }
+    usable_zero_step = next((k for k, u in zip(checkpoints, usable_series) if u == 0), None)
 
     # calibration: an isotropic task should spread the probe over all of
     # parameter space, so the ratio to dim checks the estimator's scale
@@ -892,7 +897,7 @@ def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
     pr_isotropic = capacity.participation_ratio(iso_samples)
 
     summary = {
-        "n_checkpoints": len(rows),
+        "n_checkpoints": len(checkpoints),
         "spearman_pr_vs_usable": _spearman(pr_series, usable_series),
         "pr_first": pr_series[0],
         "pr_last": pr_series[-1],
@@ -902,7 +907,7 @@ def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "pr_isotropic": pr_isotropic,
         "pr_isotropic_over_dim": pr_isotropic / cfg.dim,
     }
-    return summary, {"proxy.csv": (["step", "pr", "usable", "surviving_normals"], rows)}
+    return summary, {"proxy.csv": table}
 
 
 def check_proxy_probe(summary: dict, cfg: ExperimentConfig) -> None:
@@ -970,8 +975,8 @@ def run_scenario(cfg: ExperimentConfig, out_dir=None, check: bool = False) -> di
     started_at = datetime.now(timezone.utc).isoformat()
     save_config(cfg, out / "config.json")
     summary, tables = scenario.run(cfg)
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
+    for name, table in tables.items():
+        write_csv(out / name, list(table), list(table.values()))
     write_json(out / "summary.json", summary)
     write_manifest(cfg, out, ["config.json", "summary.json", *tables], started_at)
     if check:

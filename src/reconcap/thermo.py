@@ -221,11 +221,12 @@ def esl_slack(ledger: DissipationLedger, g_start: GaussianState, g_end: Gaussian
     return float(ledger.total - 0.5 * w2_gaussian(g_start, g_end) ** 2)
 
 
-def series_rows(
-    path: GaussianState, ledger: DissipationLedger, g_start: GaussianState
-) -> tuple[list, list]:
-    """CSV rows (step, sigma, free_energy, w2_from_start) for one trajectory."""
-    header = ["step", "sigma", "free_energy", "w2_from_start"]
-    sigmas = [0.0] + ledger.per_step_sigma.tolist()
-    columns = zip(sigmas, ledger.free_energy_series.tolist(), w2_gaussian(g_start, path).tolist())
-    return header, [[k, *fields] for k, fields in enumerate(columns)]
+def series_table(path: GaussianState, ledger: DissipationLedger, g_start: GaussianState) -> dict:
+    """One trajectory's CSV columns: step, the sigma of the step into each
+    state (0.0 at the start), free energy and W2 from ``g_start``."""
+    return {
+        "step": np.arange(len(ledger.free_energy_series)),
+        "sigma": np.concatenate([[0.0], ledger.per_step_sigma]),
+        "free_energy": ledger.free_energy_series,
+        "w2_from_start": w2_gaussian(g_start, path),
+    }

@@ -40,6 +40,13 @@ DEFAULT_DIGESTS = {
 }
 
 
+def _assert_columns_match_rows(table, rows):
+    # each column, repr for repr, the oracle rows' fields at its position
+    assert len(table) == len(rows[0])
+    for column, values in zip(table.values(), zip(*rows)):
+        assert repr(column.tolist()) == repr(list(values))
+
+
 @pytest.fixture(scope="module")
 def default_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("composition-default")
@@ -69,10 +76,10 @@ def test_controlled_tasks_match_per_trial_draws(n):
 def test_composition_rows_match_per_trial_propagate_and_compose():
     # a block of every rule kind and split, stepped as four stacked runs
     trials = range(3, 3 + BLOCK)
-    rows = scenarios._composition_rows(DIM, SEED, trials)
-    assert len(rows) == BLOCK
-    for trial, row in zip(trials, rows):
-        assert repr(row) == repr(per_trial_composition_row(DIM, SEED, trial))
+    table = scenarios._composition_table(DIM, SEED, trials)
+    assert list(table) == ["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"]
+    assert len(table["trial"]) == BLOCK
+    _assert_columns_match_rows(table, [per_trial_composition_row(DIM, SEED, trial) for trial in trials])
 
 
 def test_product_spectra_match_per_trial_loop():
@@ -108,7 +115,8 @@ def test_two_rotation_spectra_match_the_dense_four_rotation_product(seed):
     # every trial of a default-sized run: its product built densely as
     # U_a S_a V_a^T U_b S_b V_b^T from all four rotations has the spectrum
     # the run takes from S_a (V_a^T U_b) S_b, the same rank_prod and slack
-    rows = scenarios._submultiplicativity_rows(seed, 1000)
+    table = scenarios._submultiplicativity_table(seed, 1000)
+    assert table["trial"].tolist() == list(range(1000))
     by_dim = {}
     for trial in range(1000):
         d_t, s_a, s_b = per_trial_factor_spectra(seed, trial)
@@ -123,10 +131,10 @@ def test_two_rotation_spectra_match_the_dense_four_rotation_product(seed):
             sigma = np.linalg.svd(dense, compute_uv=False)
             tol = 1e-14 * max(sigma[0], 1.0)
             assert np.max(np.abs(two[i] - sigma)) <= tol, (d_t, trial)
-            assert spectrum_rank(two[i]) == spectrum_rank(sigma) == rows[trial][5], (d_t, trial)
+            assert spectrum_rank(two[i]) == spectrum_rank(sigma) == table["rank_prod"][trial], (d_t, trial)
             sv_a, sv_b = np.sort(s_a[i])[::-1], np.sort(s_b[i])[::-1]
             slack = np.max(sigma - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b))
-            assert abs(rows[trial][2] - slack) <= tol and rows[trial][6], (d_t, trial)
+            assert abs(table["sigma_slack"][trial] - slack) <= tol and table["ok"][trial], (d_t, trial)
 
 
 @pytest.mark.parametrize("seed", [SEED, 7, 123])
@@ -193,12 +201,12 @@ def test_default_run_builds_each_step_map_once(tmp_path, monkeypatch, scenario, 
 def test_blocks_match_per_trial_oracles_at_the_largest_seed():
     trials = range(3, 3 + BLOCK)
     hessians, minimizers = scenarios._controlled_tasks(DIM, WIDE_SEED, trials)
-    rows = scenarios._composition_rows(DIM, WIDE_SEED, trials)
+    table = scenarios._composition_table(DIM, WIDE_SEED, trials)
     for i, trial in enumerate(trials):
         hessian, minimizer = per_trial_controlled_task(DIM, WIDE_SEED, trial)
         assert np.array_equal(hessians[i], hessian)
         assert np.array_equal(minimizers[i], minimizer)
-        assert repr(rows[i]) == repr(per_trial_composition_row(DIM, WIDE_SEED, trial))
+    _assert_columns_match_rows(table, [per_trial_composition_row(DIM, WIDE_SEED, trial) for trial in trials])
     gen = np.random.default_rng(5)
     for d_t in (2, 9, 32):
         s_a, s_b = gen.uniform(0.5, 2.0, size=(2, BLOCK, d_t))

@@ -29,7 +29,6 @@ from reconcap.config import (
     default_config,
     load_config,
     save_config,
-    format_float,
     write_csv,
 )
 from reconcap.scenarios import STEP_BUDGET, CheckError, decaying_pair, run_scenario, sweep_phase1_steps
@@ -150,42 +149,37 @@ def test_composition_check_ignores_rule():
     assert ExperimentConfig.from_dict(payload).rule.step_size == 1.5
 
 
-def test_format_float_and_csv(tmp_path):
-    assert format_float(True) == "true"
-    assert format_float(np.int64(3)) == "3"
-    assert format_float(0.1) == "0.1"
-    assert format_float(1.0 / 3.0) == "0.3333333333333333"
-    assert format_float("langevin") == "langevin"
-    with pytest.raises(ValueError, match="quoting"):
-        format_float("a,b")
+def test_write_csv_formats_columns_and_leaves_no_partial_file(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1, 0.5], [2, float(np.float64(0.25))]])
-    assert path.read_text() == "a,b\n1,0.5\n2,0.25\n"
-    # rows reach the file a chunk at a time, so a rejected field after the
-    # first chunk removes the partial file, and the earlier file it replaced
-    with pytest.raises(ValueError, match="quoting"):
-        write_csv(path, ["a", "b"], [[i, 0.5] for i in range(300)] + [["a,b", 2]])
-    assert not path.exists()
-
-
-def test_csv_rows_match_per_field_format(tmp_path):
-    nan, inf = float("nan"), float("inf")
-    rows = [
-        [0, -0.0, nan, inf, -inf, 1e-300, 2**70, -7],
-        [np.float64(-0.0), np.float64(nan), np.float64(-inf), np.float64(0.1), np.int64(-3), 5, 0.5, 1],
-        [np.bool_(True), np.bool_(False), True, False, np.int64(2**62), "langevin", -0.0, 3],
-        [np.float64(1 / 3), 1, 2.5, np.int32(4), np.float32(0.5), False, np.int64(0), inf],
+    columns = [
+        np.array([0, -7, 3, 2**62, -(2**63), 1]),
+        np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 1 / 3]),
+        np.array([2**70, -(2**70), 0, 1, 2**64, -1], dtype=object),
+        np.array([True, False, True, False, False, True]),
+        np.array(["langevin", "gradient_descent", "", "noisy_gradient", "a b", "x"]),
     ]
-    header = [f"c{i}" for i in range(8)]
-    path = tmp_path / "mixed.csv"
-    write_csv(path, header, rows)
-    expected = [",".join(header)] + [",".join(format_float(v) for v in row) for row in rows]
-    assert path.read_text() == "\n".join(expected) + "\n"
-    assert path.read_text().splitlines()[1] == "0,-0.0,nan,inf,-inf,1e-300,1180591620717411303424,-7"
-    assert path.read_text().splitlines()[3].startswith("true,false,true,false,4611686018427387904,")
-    with pytest.raises(ValueError, match="quoting") as err:
-        write_csv(path, ["a"], [["a,b"]])
-    assert "\n" not in str(err.value)
+    write_csv(path, ["i", "f", "big", "b", "s"], columns)
+    assert path.read_bytes() == (
+        b"i,f,big,b,s\n"
+        b"0,-0.0,1180591620717411303424,true,langevin\n"
+        b"-7,nan,-1180591620717411303424,false,gradient_descent\n"
+        b"3,inf,0,true,\n"
+        b"4611686018427387904,-inf,1,false,noisy_gradient\n"
+        b"-9223372036854775808,1e-300,18446744073709551616,false,a b\n"
+        b"1,0.3333333333333333,-1,true,x\n"
+    )
+    # rows reach the file a block of 256 at a time, so a failure past the
+    # first block removes the partial file, and the earlier file it replaced
+    steps = np.arange(300)
+    for bad, error in (
+        ([steps, np.array(["ok"] * 299 + ["a,b"])], "needs quoting"),
+        ([steps, np.arange(299.0)], "shorter"),
+    ):
+        write_csv(path, ["a"], [steps])
+        with pytest.raises(ValueError, match=error) as err:
+            write_csv(path, ["a", "b"], bad)
+        assert "\n" not in str(err.value)
+        assert not path.exists()
 
 
 # -- scenario runs ----------------------------------------------------------
@@ -322,7 +316,7 @@ def test_rank_decay_run(tmp_path):
     assert summary["max_monotonicity_violation"] <= 1e-10
 
 
-def _unblocked_rank_decay_rows(cfg):
+def _unblocked_rank_decay_columns(cfg):
     # the ledger as one stack of every power A^0 ... A^n_steps: one
     # eigen-solve for their spectra, one SVD for those of J Q
     pair = decaying_pair(cfg)
@@ -331,7 +325,7 @@ def _unblocked_rank_decay_rows(cfg):
     svs = symmetric_singular_values(powers)
     compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
     columns = (capacity.spectra_effective_rank(svs), compats, usables, spectrum_rank(svs))
-    return [[k, *(c[k].item() for c in columns), *svs[k].tolist()] for k in range(cfg.n_steps + 1)]
+    return [list(range(cfg.n_steps + 1)), *(c.tolist() for c in columns), *svs.T.tolist()]
 
 
 @pytest.mark.parametrize("n_steps, block_sizes", [(63, [64]), (64, [64, 1]), (65, [64, 2])])
@@ -343,9 +337,10 @@ def test_rank_decay_blocks_match_one_unblocked_ledger(n_steps, block_sizes):
     blocks = list(scenarios._power_blocks(a_mat, range(n_steps + 1)))
     assert [len(b) for b in blocks] == block_sizes
     _, tables = scenarios.run_rank_decay(cfg)
-    rows = tables["rank_decay.csv"][1]
-    expected = _unblocked_rank_decay_rows(cfg)
-    assert [list(map(repr, row)) for row in rows] == [list(map(repr, row)) for row in expected]
+    table = tables["rank_decay.csv"]
+    expected = _unblocked_rank_decay_columns(cfg)
+    assert list(table)[:5] == ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
+    assert [repr(column.tolist()) for column in table.values()] == list(map(repr, expected))
 
 
 def test_rank_decay_holds_no_stack_of_every_power():
@@ -356,11 +351,15 @@ def test_rank_decay_holds_no_stack_of_every_power():
     stack_bytes = (cfg.n_steps + 1) * cfg.dim * cfg.dim * 8
     tracemalloc.start()
     try:
-        scenarios.run_rank_decay(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        _, tables = scenarios.run_rank_decay(cfg)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < stack_bytes
+    # the returned table is dim + 5 eight-byte columns, about 0.17 KB a step,
+    # held while it is alive; the bound leaves twice that
+    assert held < 2 * (cfg.n_steps + 1) * (cfg.dim + 5) * 8
+    assert len(tables["rank_decay.csv"]["step"]) == cfg.n_steps + 1
 
 
 def test_proxy_probe_checkpoints_every_step_in_blocks():
@@ -373,7 +372,7 @@ def test_proxy_probe_checkpoints_every_step_in_blocks():
     powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
     _, usable = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
     _, tables = scenarios.run_proxy_probe(cfg)
-    assert [row[2] for row in tables["proxy.csv"][1]] == usable.tolist()
+    assert tables["proxy.csv"]["usable"].tolist() == usable.tolist()
 
 
 def test_rank_decay_check_reports_a_missing_collapse(tmp_path):
@@ -748,14 +747,17 @@ def test_sweep_early_exits_match_full_length_loops(monkeypatch):
 
                 with monkeypatch.context() as patch:
                     patch.setattr(scenarios, "_half_quadratic", counting)
-                    row = scenarios._sweep_rows(cfg, [cell])[0]
+                    table = scenarios._sweep_table(cfg, [cell])
                 with monkeypatch.context() as patch:
                     patch.setattr(scenarios, "_descend_survivors", _stage1_per_member(full_length_stage1))
                     patch.setattr(scenarios, "_escape", _escape_per_member)
-                    oracle = scenarios._sweep_rows(cfg, [cell])[0]
-                assert [repr(x) for x in row] == [repr(x) for x in oracle]
+                    oracle = scenarios._sweep_table(cfg, [cell])
+                assert list(table) == list(oracle) == scenarios.SWEEP_HEADER
+                assert [repr(c.tolist()) for c in table.values()] == [repr(c.tolist()) for c in oracle.values()]
 
-                u, stage1_reached, escape_reached = row[1], row[7], row[14]
+                u, stage1_reached, escape_reached = (
+                    table[name][0] for name in ("usable_target", "stage1_reached", "escape_reached")
+                )
                 if stage1_reached:
                     seen.add("stage 1 reached")
                     assert jumps == 0
@@ -831,13 +833,21 @@ def test_manifest_covers_outputs(tmp_path):
     assert manifest["artifact_version"]
 
 
-# The tables each scenario's runner returns, one CSV file each
+# The tables each scenario's runner returns, one CSV file each, by header
+_SERIES_HEADER = ["step", "sigma", "free_energy", "w2_from_start"]
 TABLES = {
-    "esl-gap": {"dynamics.csv", "geodesic.csv"},
-    "rank-decay": {"rank_decay.csv"},
-    "threshold-sweep": {"sweep.csv"},
-    "composition-check": {"composition.csv", "submultiplicativity.csv", "monotonicity.csv"},
-    "proxy-probe": {"proxy.csv"},
+    "esl-gap": {"dynamics.csv": _SERIES_HEADER, "geodesic.csv": _SERIES_HEADER},
+    "rank-decay": {
+        "rank_decay.csv": ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
+        + [f"sv_{i}" for i in range(16)],
+    },
+    "threshold-sweep": {"sweep.csv": scenarios.SWEEP_HEADER},
+    "composition-check": {
+        "composition.csv": ["trial", "len_a", "len_b", "len_c", "rule_kind", "max_abs_error"],
+        "submultiplicativity.csv": ["trial", "dim", "sigma_slack", "rank_a", "rank_b", "rank_prod", "ok"],
+        "monotonicity.csv": ["trial", "n_steps", "weight_decay", "max_increase"],
+    },
+    "proxy-probe": {"proxy.csv": ["step", "pr", "usable", "surviving_normals"]},
 }
 
 
@@ -846,9 +856,13 @@ def test_runner_returns_its_tables_and_writes_nothing(scenario, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     summary, tables = scenarios.SCENARIOS[scenario].run(default_config(scenario))
     assert list(tmp_path.iterdir()) == []
-    assert set(tables) == TABLES[scenario] and summary
-    for header, rows in tables.values():
-        assert rows and all(len(row) == len(header) for row in rows)
+    assert set(tables) == set(TABLES[scenario]) and summary
+    for name, table in tables.items():
+        assert list(table) == TABLES[scenario][name]
+        n_rows = len(table[TABLES[scenario][name][0]])
+        assert n_rows and all(column.ndim == 1 and len(column) == n_rows for column in table.values())
+        # the fields write_csv writes, as perfbench's tracer counts them
+        assert sum(len(column) for column in table.values()) == n_rows * len(table)
 
 
 @pytest.mark.parametrize("scenario", sorted(scenarios.SCENARIOS))
@@ -871,7 +885,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.24.0"
+    assert capsys.readouterr().out.strip() == "0.25.0"
 
 
 def test_version_matches_pyproject():
@@ -1018,7 +1032,7 @@ def test_cli_validate_rejects_sweep_whose_stacked_pairs_cannot_build(tmp_path, c
     sweep = SweepConfig(m_b_targets=(0, 4), usable_targets=(0, 4))
     cfg = ExperimentConfig(scenario="threshold-sweep", dim=7, k_a=4, sweep=sweep)
     with pytest.raises(ValueError) as run:
-        scenarios._sweep_rows(cfg, [(0, 0, 0), (1, 0, 4), (2, 4, 0), (3, 4, 4)])
+        scenarios._sweep_table(cfg, [(0, 0, 0), (1, 0, 4), (2, 4, 0), (3, 4, 4)])
     assert "positive spectrum index 3 has no partner (d - k_a = 3)" in str(run.value)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg.to_dict()))
@@ -1256,6 +1270,37 @@ def test_cli_validate_accepts_sweep_at_the_step_budget(tmp_path, capsys):
     assert "above the step budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "scenario, section, key, overrides",
+    [
+        ("rank-decay", None, "n_steps", {}),
+        ("proxy-probe", None, "n_steps", {}),
+        # the unit-time horizon n_steps * step_size <= 1 holds at the budget
+        ("esl-gap", None, "n_steps", {"rule": {"step_size": 1.0 / STEP_BUDGET}}),
+        ("esl-gap", "thermo", "n_geodesic_steps", {}),
+    ],
+    ids=["rank-decay-n-steps", "proxy-probe-n-steps", "esl-gap-n-steps", "esl-gap-geodesic-steps"],
+)
+def test_cli_validate_bounds_step_counts_by_the_step_budget(tmp_path, capsys, scenario, section, key, overrides):
+    # each once validated at any size, and its run then allocated arrays of
+    # that many steps and looped over them
+    field = f"{section}.{key}" if section else key
+    for steps, code in ((STEP_BUDGET, 0), (STEP_BUDGET + 1, 1)):
+        payload = default_config(scenario).to_dict()
+        for name, value in overrides.items():
+            payload[name].update(value)
+        (payload[section] if section else payload)[key] = steps
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        assert cli.main(["validate", str(path)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert _single_error_line(err, 1, "config")
+            assert f"msg={field}: {steps} is above the step budget of {STEP_BUDGET}" in err
+        else:
+            assert f"ok scenario={scenario}" in out and not err
+
+
 def test_sweep_rows_take_the_validated_phase1_steps(monkeypatch):
     # the run steps phase 1 for the k1 that validation bounded
     cfg = default_config("threshold-sweep")
@@ -1267,7 +1312,7 @@ def test_sweep_rows_take_the_validated_phase1_steps(monkeypatch):
 
     propagate = scenarios.propagate
     monkeypatch.setattr(scenarios, "propagate", recording)
-    scenarios._sweep_rows(cfg, [(0, 1, 1), (1, 2, 0)])
+    scenarios._sweep_table(cfg, [(0, 1, 1), (1, 2, 0)])
     assert steps == [sweep_phase1_steps(cfg)] * 2 == [200, 200]
 
 

@@ -326,15 +326,17 @@ def test_simulated_run_pays_more_than_the_floor():
     assert slack > 0.0
 
 
-def test_series_rows_shape():
+def test_series_table_shape():
     task = toy_task()
     rule = hot_rule()
     g0 = GaussianState(mean=np.zeros(2), covariance=np.eye(2))
     states, ledger, _ = thermo.simulate_relaxation(g0, task, rule, 5)
-    header, rows = thermo.series_rows(states, ledger, g0)
-    assert header == ["step", "sigma", "free_energy", "w2_from_start"]
-    assert len(rows) == 6
-    assert rows[0][3] == 0.0
+    table = thermo.series_table(states, ledger, g0)
+    assert list(table) == ["step", "sigma", "free_energy", "w2_from_start"]
+    assert all(column.shape == (6,) for column in table.values())
+    assert table["step"].tolist() == list(range(6))
+    assert table["sigma"].tolist() == [0.0, *ledger.per_step_sigma.tolist()]
+    assert table["w2_from_start"][0] == 0.0
 
 
 def test_ledger_rejects_non_finite_values():
