@@ -149,8 +149,35 @@ def test_composition_check_ignores_rule():
     assert ExperimentConfig.from_dict(payload).rule.step_size == 1.5
 
 
-def test_write_csv_formats_columns_and_leaves_no_partial_file(tmp_path):
+def test_format_float_and_csv(tmp_path):
+    # each column is formatted by its dtype: repr for numbers, true/false for
+    # bools, strings as they are
     path = tmp_path / "t.csv"
+    write_csv(
+        path,
+        ["a", "b", "c", "d"],
+        [np.array([1, 2]), np.array([0.5, 0.25]), np.array([True, False]), np.array(["langevin", "x"])],
+    )
+    assert path.read_text() == "a,b,c,d\n1,0.5,true,langevin\n2,0.25,false,x\n"
+    write_csv(path, ["f"], [np.array([0.1, 1.0 / 3.0])])
+    assert path.read_text() == "f\n0.1\n0.3333333333333333\n"
+    # rows reach the file a block of 256 at a time, so a failure past the
+    # first block removes the partial file, and the earlier file it replaced
+    steps = np.arange(300)
+    for bad, error in (
+        ([steps, np.array(["ok"] * 299 + ["a,b"])], "needs quoting"),
+        ([steps, np.arange(299.0)], "shorter"),
+    ):
+        write_csv(path, ["a"], [steps])
+        with pytest.raises(ValueError, match=error) as err:
+            write_csv(path, ["a", "b"], bad)
+        assert "\n" not in str(err.value)
+        assert not path.exists()
+
+
+def test_csv_rows_match_per_field_format(tmp_path):
+    # the edge values of every column kind, pinned byte for byte
+    path = tmp_path / "mixed.csv"
     columns = [
         np.array([0, -7, 3, 2**62, -(2**63), 1]),
         np.array([-0.0, np.nan, np.inf, -np.inf, 1e-300, 1 / 3]),
@@ -168,18 +195,6 @@ def test_write_csv_formats_columns_and_leaves_no_partial_file(tmp_path):
         b"-9223372036854775808,1e-300,18446744073709551616,false,a b\n"
         b"1,0.3333333333333333,-1,true,x\n"
     )
-    # rows reach the file a block of 256 at a time, so a failure past the
-    # first block removes the partial file, and the earlier file it replaced
-    steps = np.arange(300)
-    for bad, error in (
-        ([steps, np.array(["ok"] * 299 + ["a,b"])], "needs quoting"),
-        ([steps, np.arange(299.0)], "shorter"),
-    ):
-        write_csv(path, ["a"], [steps])
-        with pytest.raises(ValueError, match=error) as err:
-            write_csv(path, ["a", "b"], bad)
-        assert "\n" not in str(err.value)
-        assert not path.exists()
 
 
 # -- scenario runs ----------------------------------------------------------
