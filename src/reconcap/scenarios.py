@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -25,9 +24,9 @@ from .config import (
     ConfigError, ExperimentConfig, PairConfig, ProbeConfig, save_config, write_csv, write_json, write_manifest,
 )
 from .gaussian import COVARIANCE_FLOOR, GaussianState
-from .spectral import RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank, symmetric_singular_values
+from .spectral import RANK_TOL_ABS, RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
 from .tasks import QuadraticTask, TaskPair, _half_quadratic, make_task_pair, random_rotations
-from .transport import StepKind, StepRule, _affine_step, contraction_rates, propagate, step_map, step_powers
+from .transport import StepKind, StepRule, _affine_step, contraction_rates, propagate, step_eigen, step_powers
 
 
 class CheckError(RuntimeError):
@@ -46,7 +45,7 @@ class Scenario:
 
 
 # Floats a stacked draw or stack of step-matrix powers holds per array.  A
-# block takes one QR, SVD or eigen-solve instead of one per trial or power,
+# block takes one QR or SVD instead of one per trial or power,
 # and is dropped before the next block is built, so this bounds the run's
 # peak memory whatever the dimension or the number of steps.
 _BLOCK_FLOATS = 1 << 14
@@ -57,15 +56,6 @@ def _blocks(items, floats_per_item: int):
     ``floats_per_item`` floats per item stays within the block budget."""
     size = max(_BLOCK_FLOATS // floats_per_item, 1)
     return (items[i : i + size] for i in range(0, len(items), size))
-
-
-def _power_blocks(a, exponents):
-    """``step_powers(a, exponents)`` as consecutive stacks, one per slice of
-    ``_blocks(exponents, a.size)``: 64 powers of a 16 x 16 step matrix, and
-    never one stack of every power."""
-    powers = step_powers(a, exponents)
-    for chunk in _blocks(exponents, a.size):
-        yield np.fromiter(islice(powers, len(chunk)), (np.float64, a.shape), len(chunk))
 
 
 def _concatenate(tables: list) -> dict:
@@ -139,7 +129,8 @@ def decaying_pair(cfg: ExperimentConfig) -> TaskPair:
     _require_step_count("n_steps", cfg.n_steps)
     if cfg.rule.kind is not StepKind.GRADIENT_DESCENT or cfg.rule.weight_decay <= 0:
         raise ConfigError(f"{cfg.scenario}: needs gradient_descent with weight_decay > 0")
-    _require_positive_thresholds(cfg, "tau_sigma")
+    if not 0.0 < cfg.thresholds.tau_sigma < 1.0:
+        raise ConfigError("thresholds.tau_sigma: must be in (0, 1), as the singular values of A^0 Q are 1")
     pair = _task_pair(cfg, cfg.pair.spectrum_b_on_a, a_spectrum=cfg.pair.a_spectrum)
     _require_stable(cfg, max(pair.a_spectrum))
     return pair
@@ -160,11 +151,19 @@ def _validate_esl_gap(cfg: ExperimentConfig) -> None:
         raise ConfigError("esl-gap: start_mean and hessian_spectrum lengths differ")
     if not t.hessian_spectrum or min(t.hessian_spectrum) <= 0:
         raise ConfigError("esl-gap: hessian_spectrum must be nonempty and positive definite")
+    if 1.0 - cfg.rule.step_size * min(t.hessian_spectrum) == 1.0:
+        raise ConfigError(
+            f"rule.step_size: {cfg.rule.step_size!r} moves no state, as 1 - step_size * "
+            "min(thermo.hessian_spectrum) rounds to 1"
+        )
     if not t.start_cov_scale >= COVARIANCE_FLOOR:
         raise ConfigError(f"esl-gap: start_cov_scale must be >= {COVARIANCE_FLOOR:.1e}")
-    # the transport floor's cross term S0^(1/2) S1 S0^(1/2), summed over dim
-    scale = float(t.start_cov_scale)
+    # the transport floor's cross term S0^(1/2) S1 S0^(1/2), summed over dim,
+    # and the entropy production's T^2 tr(S0^-1)
+    scale, temperature = float(t.start_cov_scale), float(cfg.rule.noise_scale)
     _require_square_below_limit(cfg, "thermo.start_cov_scale", scale, len(t.start_mean) * scale * scale)
+    square = temperature * temperature * len(t.start_mean) / scale
+    _require_square_below_limit(cfg, "rule.noise_scale", temperature, square)
     # the mean's squares: mean_value's m^T H m, and the entropy production's
     # drift |H m|^2, which it then scales by step_size / temperature
     quad = sum(h * m * m for h, m in zip(t.hessian_spectrum, t.start_mean))
@@ -263,42 +262,35 @@ def _validate_rank_decay(cfg: ExperimentConfig) -> None:
 
 def run_rank_decay(cfg: ExperimentConfig) -> tuple[dict, dict]:
     pair = decaying_pair(cfg)
-    a_mat = step_map(pair.task_a, cfg.rule)[0]
+    log_rates, eigvecs = step_eigen(pair.task_a.hessian, cfg.rule.step_size, cfg.rule.weight_decay)
     rates = np.sort(np.abs(contraction_rates(pair, cfg.rule)))[::-1]
     tau = cfg.thresholds.tau_sigma
 
-    # the powers A^0 ... A^n_steps a block at a time, each block's spectra
-    # written into the whole run's ledger: A is symmetric, so a block's
-    # spectra are its |eigenvalues| from one eigen-solve, and those of J Q
-    # take one SVD
-    n_powers = cfg.n_steps + 1
-    svs, compats, usables = np.empty((n_powers, cfg.dim)), np.empty(n_powers), np.empty(n_powers, dtype=int)
-    start = 0
-    for powers in _power_blocks(a_mat, range(n_powers)):
-        block = slice(start, start + len(powers))
-        svs[block] = symmetric_singular_values(powers)
-        compats[block], usables[block] = capacity.compatible_effective_rank(powers, pair.preserving_basis, tau)
-        start = block.stop
-    effs = capacity.spectra_effective_rank(svs)
+    # every power's spectra from the one eigen-solve: log sigma(A^k) is
+    # k log|lambda|, and those of J Q take one SVD per block of powers, whose
+    # scaled (d, k_a) matrices and the SVD's copies take at most d * d floats
+    steps = np.arange(cfg.n_steps + 1)
+    log_svs = np.multiply.outer(steps, np.sort(log_rates)[::-1])
+    log_compats = np.concatenate([
+        capacity.power_log_spectra(log_rates, eigvecs, pair.preserving_basis, block)
+        for block in _blocks(steps, eigvecs.size)
+    ])
+    svs, effs = np.exp(log_svs), capacity.spectra_effective_rank(log_svs)
+    compats, usables = capacity.spectra_effective_rank(log_compats), capacity.usable_count(log_compats, tau)
     table = {
-        "step": np.arange(n_powers), "effective_rank": effs, "compatible_rank": compats,
+        "step": steps, "effective_rank": effs, "compatible_rank": compats,
         "usable_count": usables, "rank_j": spectrum_rank(svs), **{f"sv_{i}": svs[:, i] for i in range(cfg.dim)},
     }
-    # every step's errors, maximized once, where a NaN is kept; the iterated
-    # product only resolves singular values down to roughly
-    # n_steps * eps * sigma_max, so the strict relative comparison is limited
-    # to steps whose closed-form spectrum stays within 1e-3 of its top; one
-    # that underflows to 0 divides quietly to NaN or inf, for the check
-    sv_closed = rates ** np.arange(n_powers)[:, None]
-    deviation = np.abs(svs - sv_closed)
-    window = sv_closed[:, -1] >= 1e-3 * sv_closed[:, 0]
-    closed_effs = capacity.spectra_effective_rank(sv_closed[window])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        profile_errors = np.max(deviation, axis=1) / sv_closed[:, 0]
-        strict_errors = np.concatenate([
-            np.abs(effs[window] - closed_effs) / np.maximum(closed_effs, 1.0),
-            np.max(deviation[window] / sv_closed[window], axis=1),
-        ])
+    # every step's errors against the closed form, compared in logs so that
+    # nothing divides by an underflowed value, and maximized once, where a
+    # NaN is kept; the profile error is max_i |sigma_i - closed_i| / closed_0
+    log_closed = np.multiply.outer(steps, np.log(rates))
+    closed_effs = capacity.spectra_effective_rank(log_closed)
+    gap = log_svs - log_closed
+    profile_errors = np.max(np.exp(log_closed - log_closed[:, :1]) * np.abs(np.expm1(gap)), axis=1)
+    strict_errors = np.concatenate([
+        np.abs(effs - closed_effs) / np.maximum(closed_effs, 1.0), np.max(np.abs(gap), axis=1),
+    ])
     usable_zero_step = next((k for k, u in enumerate(usables.tolist()) if u == 0), None)
     collapse_step = next((k for k, e in enumerate(effs.tolist()) if e == 0.0), None)
     rises = np.concatenate([[0.0], np.diff(effs), np.diff(compats), np.diff(usables)])
@@ -506,7 +498,10 @@ def _sweep_table(cfg: ExperimentConfig, cells) -> dict:
         theta0, a, b, [rule.noise_gain()] * n, [k1] * n, cfg.master_seed, realizations, [0] * n,
         "anchored-first-task", final_only=True,
     )
-    report = capacity.predict_incompatibility(next(step_powers(a, [k1])), pairs, tau)
+    # the cells' Jacobians A^k1, through one eigen-solve of the anchored stack
+    log_rates, eigvecs = step_eigen(anchored, rule.step_size, rule.weight_decay)
+    log_compatible = capacity.power_log_spectra(log_rates, eigvecs, pairs.preserving_basis, k1)
+    report = capacity.predict_incompatibility(k1 * np.sort(log_rates)[:, ::-1], log_compatible, pairs, tau)
 
     # phase 2, stage 1: descend task B inside the surviving preserved directions
     h_a, theta_a = pairs.task_a.hessian, pairs.task_a.minimizer
@@ -749,7 +744,8 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     """Each trial's weight decay and, along its 40 plain gradient steps, the
     effective rank of the step-matrix power and the regularized loss, as
     ``(41, len(trials))`` arrays: the states of one stacked propagation, and
-    the spectra of the powers from one eigen-solve of the step matrices."""
+    the log spectra of the powers, k log|lambda|, from one eigen-solve of the
+    step matrices."""
     eta, n_steps = 0.4, 40
     n = len(trials)
     h, minimizers = _controlled_tasks(d, seed + 1, trials)
@@ -759,17 +755,12 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     theta0 = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))
     states = propagate(theta0, a, b, [0.0] * n, [n_steps] * n, seed, trials, [0] * n, "monotonicity-ledger")
     half_wd = 0.5 * np.array(wds)
-    # A = I - eta (H + wd I) is symmetric like H, so the singular values of
-    # A^k are its |eigenvalues| multiplied in k times: a product rounds alike
-    # in any layout, where numpy's ``**`` is vectorized for contiguous rows only
-    base = symmetric_singular_values(a)
-    spectra, ranks, vals = np.ones(base.shape), [], []
+    log_spectra = np.multiply.outer(np.arange(n_steps + 1), np.sort(step_eigen(h, eta, wds)[0])[:, ::-1])
+    vals = []
     for theta in states.swapaxes(0, 1):
-        ranks.append(capacity.spectra_effective_rank(spectra))
-        spectra = spectra * base
         loss = _half_quadratic(h, theta - minimizers)[0]
         vals.append(loss + half_wd * (theta[:, None, :] @ theta[:, :, None])[:, 0, 0])
-    return wds, np.array(ranks), np.array(vals)
+    return wds, capacity.spectra_effective_rank(log_spectra), np.array(vals)
 
 
 def run_composition_check(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -856,33 +847,41 @@ def _validate_proxy_probe(cfg: ExperimentConfig) -> None:
 
 def run_proxy_probe(cfg: ExperimentConfig) -> tuple[dict, dict]:
     pair = decaying_pair(cfg)
-    a_mat = step_map(pair.task_a, cfg.rule)[0]
     task_a = pair.task_a
     rule = cfg.rule
     basis = pair.preserving_basis
     tau = cfg.thresholds.tau_sigma
+    log_rates, eigvecs = step_eigen(task_a.hessian, rule.step_size, rule.weight_decay)
+    # H's eigenvalues m - wd in V's basis, its roundoff on the preserved
+    # directions, which would leak them, set to 0
+    curvature = np.diagonal(eigvecs.T @ task_a.hessian @ eigvecs).copy()
+    curvature[curvature <= RANK_TOL_REL * curvature.max()] = 0.0
 
     # one fixed ensemble pushed through the deterministic step map; probes are
-    # plain first-task gradients of the ensemble, with optional sensor noise
+    # plain first-task gradients of the ensemble (task A's minimizer is the
+    # origin), with optional sensor noise.  In V's basis, which moves no
+    # participation ratio, those at step k are the samples' coordinates times
+    # |lambda|^k (m - wd): a sign of lambda^k reflects a coordinate, which
+    # moves no ratio, and a reflected noise row is as likely as the row
     p_cfg = cfg.probe
     gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 0)
-    samples = gen.standard_normal((p_cfg.n_probe_samples, cfg.dim)) + task_a.minimizer
+    coords = gen.standard_normal((p_cfg.n_probe_samples, cfg.dim)) @ eigvecs
     normal_rates = np.abs(contraction_rates(pair, rule)[cfg.k_a :])
+    live_rates = np.where(curvature > 0.0, np.exp(log_rates), 0.0)
+    # without noise the ratio does not depend on scale: the largest |lambda| is 1
+    scale = 1.0 if p_cfg.probe_noise > 0.0 else max(live_rates.max(), RANK_TOL_ABS)
 
     checkpoints = range(0, cfg.n_steps + 1, p_cfg.checkpoint_every)
     pr_series = []
-    for step_idx in range(cfg.n_steps + 1):
-        if step_idx % p_cfg.checkpoint_every == 0:
-            probes = (samples - task_a.minimizer) @ task_a.hessian
-            if p_cfg.probe_noise > 0.0:
-                noise_gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 1, step_idx)
-                probes = probes + p_cfg.probe_noise * noise_gen.standard_normal(probes.shape)
-            pr_series.append(capacity.participation_ratio(probes))
-        if step_idx < cfg.n_steps:
-            samples = samples @ a_mat
+    for step_idx in checkpoints:
+        probes = coords * ((live_rates / scale) ** step_idx * curvature)
+        if p_cfg.probe_noise > 0.0:
+            noise_gen = rng.stream(cfg.master_seed, rng.STREAM_PROBE, 1, step_idx)
+            probes = probes + p_cfg.probe_noise * noise_gen.standard_normal(probes.shape) @ eigvecs
+        pr_series.append(capacity.participation_ratio(probes))
     usable_series = [
-        u for powers in _power_blocks(a_mat, checkpoints)
-        for u in capacity.compatible_effective_rank(powers, basis, tau)[1].tolist()
+        u for block in _blocks(checkpoints, eigvecs.size)
+        for u in capacity.usable_count(capacity.power_log_spectra(log_rates, eigvecs, basis, block), tau).tolist()
     ]
     table = {
         "step": np.asarray(checkpoints), "pr": np.array(pr_series), "usable": np.array(usable_series),
@@ -946,9 +945,6 @@ SCENARIOS = {
             ExperimentConfig(scenario="composition-check"),
             _validate_composition_check, run_composition_check, check_composition_check,
         ),
-        # weight decay close to the task curvatures keeps the whole run inside
-        # float's resolvable dynamic range, so the probe's shape is not an
-        # artifact of roundoff leaking the preserved directions
         Scenario(
             ExperimentConfig(
                 scenario="proxy-probe", n_steps=270, rule=StepRule(step_size=0.1, weight_decay=0.5),

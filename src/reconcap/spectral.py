@@ -8,7 +8,8 @@ Conventions fixed here and used across the library:
   of vectors or spectra; a single one is a stack with no leading axes;
 * spectra are reported in descending order;
 * a singular value counts as zero when it falls at or below
-  ``max(RANK_TOL_REL * sigma_max, RANK_TOL_ABS)``;
+  ``max(RANK_TOL_REL * sigma_max, RANK_TOL_ABS)``, a rule ``log_volume``
+  applies to log spectra, so that no spectrum under- or overflows;
 * ``spectrum_rank`` counts the singular values above
   ``SPECTRUM_RANK_TOL * sigma_max``;
 * a collapsed direction makes a log Gram volume exactly ``-inf``, which is
@@ -108,15 +109,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def symmetric_singular_values(h) -> np.ndarray:
-    """Singular values in descending order of a symmetric matrix ``(d, d)``,
-    or of each matrix of a stack ``(..., d, d)``: their |eigenvalues|, from
-    one ``eigvalsh`` call, which reads the lower triangle.  Unvalidated, for
-    ledgers of a step matrix that is symmetric by construction, or of its
-    powers."""
-    return np.sort(np.abs(np.linalg.eigvalsh(h)))[..., ::-1]
-
-
 def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
     """Symmetrized V diag(w) V^T for each matrix of a stack; V may have fewer
     columns than rows."""
@@ -124,21 +116,22 @@ def _eigen_rebuild(eigvecs: np.ndarray, eigvals: np.ndarray) -> np.ndarray:
     return (m + m.swapaxes(-1, -2)) / 2.0
 
 
-def log_volume(s):
-    """log det of the Gram matrix with descending singular values ``s``,
-    computed as ``2 * sum(log sigma_i)``; a float for one spectrum ``(k,)``,
-    an array ``(...)`` for a stack of spectra ``(..., k)``.
+def log_volume(log_s):
+    """log det of the Gram matrix with descending log singular values
+    ``log_s``, computed as ``2 * sum(log sigma_i)``; a float for one spectrum
+    ``(k,)``, an array ``(...)`` for a stack of spectra ``(..., k)``.
 
     A spectrum whose smallest singular value is at or below the collapse
     cutoff gets exactly ``-inf``, so a collapsed direction zeroes the
     exponentiated volume no matter what the other directions do.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.size == 0:
+    log_s = np.asarray(log_s, dtype=np.float64)
+    if log_s.size == 0:
         raise ValueError("log_volume: empty spectrum")
-    collapsed = s[..., -1] <= np.maximum(RANK_TOL_REL * s[..., 0], RANK_TOL_ABS)
-    # collapsed spectra sum log(1) instead of log(0), then take -inf
-    total = 2.0 * np.sum(np.log(np.where(collapsed[..., None], 1.0, s)), axis=-1)
+    cutoff = np.maximum(np.log(RANK_TOL_REL) + log_s[..., 0], np.log(RANK_TOL_ABS))
+    collapsed = log_s[..., -1] <= cutoff
+    # collapsed spectra sum zeros instead of a -inf, then take -inf
+    total = 2.0 * np.sum(np.where(collapsed[..., None], 0.0, log_s), axis=-1)
     return np.where(collapsed, NEGATIVE_INFINITY, total)[()]
 
 

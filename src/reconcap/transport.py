@@ -5,7 +5,8 @@ the orbit of one initial point.  Tasks are quadratic and noise enters
 additively, so the cumulative Jacobian of an n-step run is the power A^n of
 its step matrix, whatever the noise or the start.  A caller builds each
 stack's maps once: ``propagate`` steps them and returns the states, and
-``step_powers`` multiplies out the powers of the same matrices.  A run split
+``step_eigen`` gives the spectra of every power of the same matrices from
+one eigen-solve; ``step_powers`` multiplies the powers out.  A run split
 at step k and resumed with step offset k replays the same noise and the
 unsplit run's states, and A^(n-k) @ A^k equals A^n up to roundoff, which
 makes the composition and rank algebra checkable to near machine precision.
@@ -97,6 +98,17 @@ def _affine_step(hessian, minimizer, step_size, weight_decay) -> tuple[np.ndarra
     return a, ((eta * hessian) @ minimizer[..., None])[..., 0]
 
 
+def step_eigen(hessian, step_size, weight_decay) -> tuple[np.ndarray, np.ndarray]:
+    """``(log|lambda|, V)`` of ``_affine_step``'s A = V diag(lambda) V^T (or
+    stacks), from one ``eigh`` of H + wd I whose eigenvalues m give lambda =
+    1 - eta * m, as ``contraction_rates`` forms it: A^k has the singular
+    values exp(k log|lambda|), and a lambda of exactly 0 gives -inf."""
+    eye = np.eye(hessian.shape[-1])
+    m, v = np.linalg.eigh(hessian + np.asarray(weight_decay)[..., None, None] * eye)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(1.0 - np.asarray(step_size)[..., None] * m)), v
+
+
 def step_map(task: QuadraticTask, rule: StepRule) -> tuple[np.ndarray, np.ndarray]:
     """``(A, b)`` of the affine step ``theta' = A theta + b`` before noise."""
     return _affine_step(task.hessian, task.minimizer, rule.step_size, rule.weight_decay)
@@ -138,8 +150,8 @@ def propagate(
     ``(omega_seed, realizations[i])`` sequence.  A member of gain 0 draws no
     rows, whatever its rule.  Returns the states ``(m, max(n_steps) + 1,
     d)``, zero after each member's last (with ``final_only`` only the last,
-    ``(m, d)``), each what a lone run reaches, bit for bit; Jacobians come
-    from ``step_powers`` of the same ``a``.  Inputs of the
+    ``(m, d)``), each what a lone run reaches, bit for bit; Jacobians are
+    powers of the same ``a``.  Inputs of the
     wrong shape or length, a start that is not finite and a negative step
     count raise ValueError; a member whose |theta| passes ``DIVERGENCE_LIMIT``
     or turns NaN raises DivergenceError, naming the step and ``label``."""

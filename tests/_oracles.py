@@ -27,6 +27,9 @@ gradient at one offset as 1-D products, the arithmetic every sweep oracle
 and the stacked ``tasks._half_quadratic`` are held to, and ``task_value``
 is a task's loss at one point from it.  ``forgetting_floor`` is the
 curvature floor on a task's loss that criterion 8 holds ``task_value`` to.
+``product_log_spectra`` takes a power's spectra from the explicit product,
+inside the window where the product resolves them, which the eigen route of
+``transport.step_eigen`` and ``capacity.power_log_spectra`` is held to.
 ``STREAM_ORACLE`` is the stream tag of the tests' own draws, which no run
 of the package reads.  Three builders
 supply test inputs and targets instead: ``sample_batch`` (seeded Gaussian
@@ -98,30 +101,47 @@ def per_matrix_singular_values(stack) -> np.ndarray:
     return np.array([np.linalg.svd(m, compute_uv=False) for m in stack])
 
 
-def per_spectrum_log_volume(spectra) -> np.ndarray:
-    """log Gram volume of each descending spectrum, one spectrum at a time:
-    -inf at or below the collapse cutoff, else 2 sum log sigma."""
+def per_spectrum_log_volume(log_spectra) -> np.ndarray:
+    """log Gram volume of each descending log spectrum, one spectrum at a
+    time: -inf at or below the collapse cutoff, else 2 sum log sigma."""
     out = []
-    for s in spectra:
-        if s[-1] <= max(RANK_TOL_REL * s[0], RANK_TOL_ABS):
+    for ls in log_spectra:
+        if ls[-1] <= max(math.log(RANK_TOL_REL) + ls[0], math.log(RANK_TOL_ABS)):
             out.append(float("-inf"))
         else:
-            out.append(float(2.0 * np.sum(np.log(s))))
+            out.append(float(2.0 * np.sum(ls)))
     return np.array(out)
 
 
 def per_matrix_effective_rank(jacobian) -> float:
     """Effective rank of one Jacobian, from its own SVD."""
-    log = per_spectrum_log_volume(per_matrix_singular_values([jacobian]))[0]
+    with np.errstate(divide="ignore"):
+        log = per_spectrum_log_volume(np.log(per_matrix_singular_values([jacobian])))[0]
     return 0.0 if log == float("-inf") else float(np.exp(log / np.shape(jacobian)[-1]))
 
 
 def per_matrix_compatible_rank(jacobian, basis: np.ndarray, tau: float) -> tuple[float, int]:
-    """(compatible rank, usable count) of one Jacobian, from its own SVD."""
+    """(compatible rank, usable count) of one Jacobian, from its own SVD; the
+    count compares the singular values themselves with tau."""
     sigma = per_matrix_singular_values([jacobian @ basis])
-    log = per_spectrum_log_volume(sigma)[0]
+    with np.errstate(divide="ignore"):
+        log = per_spectrum_log_volume(np.log(sigma))[0]
     rank = 0.0 if log == float("-inf") else float(np.exp(log / basis.shape[1]))
     return rank, int(np.sum(sigma[0] > tau))
+
+
+def product_log_spectra(powers, basis=None, window: float = 1e-3) -> np.ndarray:
+    """log singular values of each explicit power A^k, or of A^k Q for a
+    basis Q, one SVD per matrix, NaN where sigma is under ``window`` times
+    that matrix's largest: a product of k factors resolves sigma_i only to
+    about k eps sigma_max, so it checks an eigen route only inside that
+    window."""
+    out = []
+    for power in powers:
+        sigma = np.linalg.svd(power if basis is None else power @ basis, compute_uv=False)
+        with np.errstate(divide="ignore"):
+            out.append(np.where(sigma >= window * sigma[0], np.log(sigma), np.nan))
+    return np.array(out)
 
 
 def per_seed_rotations(dim: int, seeds) -> np.ndarray:
@@ -284,22 +304,20 @@ def per_trial_factor_spectra(seed: int, trial: int) -> tuple[int, np.ndarray, np
 def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]:
     """Effective rank of the step-matrix power and regularized loss along
     one monotonicity trial's 40 gradient steps, stepped one vector at a time;
-    the step matrix is symmetric, so the singular values of its k-th power
-    are the |eigenvalues| of its own ``eigvalsh``, sorted descending, each
-    multiplied in k times."""
+    the step matrix A = I - 0.4 (H + wd I) is symmetric, so the log singular
+    values of its k-th power are k log|1 - 0.4 m| for the eigenvalues m of
+    the trial's own ``eigh`` of H + wd I, sorted descending."""
     h, theta_star = per_trial_controlled_task(dim, seed + 1, trial)
     wd = 0.1 if trial % 2 else 0.0
     a_mat = np.eye(dim) - 0.4 * (h + wd * np.eye(dim))
     shift = 0.4 * h @ theta_star
-    base = np.sort(np.abs(np.linalg.eigvalsh(a_mat)))[::-1]
+    base = np.sort(np.log(np.abs(1.0 - 0.4 * np.linalg.eigh(h + wd * np.eye(dim))[0])))[::-1]
     theta = rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(dim)
     ranks, vals = [], []
-    spectrum = np.ones(dim)
     for k in range(41):
         if k:
             theta = a_mat @ theta + shift
-            spectrum = spectrum * base
-        log = per_spectrum_log_volume([spectrum])[0]
+        log = per_spectrum_log_volume([k * base])[0]
         ranks.append(0.0 if log == float("-inf") else float(np.exp(log / dim)))
         vals.append(half_quadratic(h, theta - theta_star)[0] + 0.5 * wd * float(theta @ theta))
     return ranks, vals

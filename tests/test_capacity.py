@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from reconcap import capacity
 from reconcap.config import ThresholdConfig
+from reconcap.capacity import log_singular_values
 from reconcap.spectral import SubspaceBasis
 from reconcap.tasks import QuadraticTask, make_task_pair
+from reconcap.transport import StepRule, step_eigen, step_map, step_powers
 
 from _oracles import (
     forgetting_floor,
     jacobian_stack,
     per_matrix_compatible_rank,
     per_matrix_effective_rank,
+    product_log_spectra,
     task_value,
 )
 
@@ -69,14 +72,68 @@ def test_prediction_flags_overdemand():
     # crush two of the three preserved directions
     j_bad = contraction_jacobian(6, [q[:, 1], q[:, 2]])
     tau = THRESHOLDS.tau_sigma
-    report = capacity.predict_incompatibility(j_bad, pair, tau)
+    logs = log_singular_values(j_bad), log_singular_values(j_bad @ q)
+    report = capacity.predict_incompatibility(*logs, pair, tau)
     assert report.usable_direction_count == 1
     assert report.m_b == pytest.approx(2.0, abs=1e-9)
     assert report.predicted_incompatible
+    # the log spectra give the general Jacobian's diagnostics
+    assert report.effective_rank == capacity.effective_rank(j_bad) == 0.0
+    _, usable = capacity.compatible_effective_rank(j_bad, pair.preserving_basis, tau)
+    assert report.usable_direction_count == usable
     # leave everything open and the demand fits
-    report_ok = capacity.predict_incompatibility(np.eye(6), pair, tau)
+    report_ok = capacity.predict_incompatibility(np.zeros(6), np.zeros(3), pair, tau)
     assert report_ok.usable_direction_count == 3
+    assert report_ok.effective_rank == 1.0
     assert not report_ok.predicted_incompatible
+
+
+@pytest.mark.parametrize("step_size", [0.1, 0.8])
+def test_power_log_spectra_match_the_step_powers_product(step_size):
+    # the eigen route against the explicit products A^k and A^k Q, inside the
+    # window where each product resolves them; at eta 0.8 some of the rates
+    # are negative, and the preserved ones no longer the largest
+    pair = make_task_pair(16, 8, (1.0,) * 8, 7)
+    rule = StepRule(step_size=step_size, weight_decay=0.1)
+    exponents = list(range(0, 201, 5))
+    powers = np.array(list(step_powers(step_map(pair.task_a, rule)[0], exponents)))
+    log_rates, eigvecs = step_eigen(pair.task_a.hessian, rule.step_size, rule.weight_decay)
+    ours = (
+        np.multiply.outer(exponents, np.sort(log_rates)[::-1]),
+        capacity.power_log_spectra(log_rates, eigvecs, pair.preserving_basis, exponents),
+    )
+    refs = product_log_spectra(powers), product_log_spectra(powers, pair.preserving_basis.basis)
+    for got, ref in zip(ours, refs):
+        window = ~np.isnan(ref)
+        assert got.shape == ref.shape and np.count_nonzero(window) > ref.shape[0]
+        assert np.max(np.abs(got[window] - ref[window])) <= 1e-12
+
+
+def test_power_log_spectra_of_a_stack_match_each_member():
+    # the sweep's form: one exponent of a stack of step matrices
+    spectra = [(1.0,) * m + (0.0,) * (8 - m) for m in range(4)]
+    pairs = make_task_pair(16, 8, spectra, [3, 4, 5, 6])
+    log_rates, eigvecs = step_eigen(pairs.task_a.hessian, 0.1, 0.2)
+    stacked = capacity.power_log_spectra(log_rates, eigvecs, pairs.preserving_basis, 40)
+    assert stacked.shape == (4, 8)
+    for i, q in enumerate(pairs.preserving_basis.basis):
+        alone = step_eigen(pairs.task_a.hessian[i], 0.1, 0.2)
+        basis = SubspaceBasis(ambient_dim=16, dim=8, basis=q)
+        assert np.array_equal(capacity.power_log_spectra(*alone, basis, [40])[0], stacked[i])
+        power = next(step_powers(np.eye(16) - 0.1 * (pairs.task_a.hessian[i] + 0.2 * np.eye(16)), [40]))
+        assert np.max(np.abs(stacked[i] - product_log_spectra([power], q)[0])) <= 1e-12
+
+
+def test_power_log_spectra_of_a_zero_rate_raise_no_float_fault():
+    # a rate of exactly 0 has log -inf: A^0 is still I, and A^k a collapse
+    h = np.diag([2.0, 1.0, 0.0])
+    log_rates, eigvecs = step_eigen(h, 0.5, 0.0)
+    assert log_rates.tolist() == [0.0, np.log(0.5), float("-inf")]
+    with np.errstate(all="raise"):
+        logs = capacity.power_log_spectra(log_rates, eigvecs, axis_basis(3, [0, 1, 2]), [0, 1, 2])
+        half = np.log(0.5)
+        assert logs.tolist() == [[0.0] * 3, [0.0, half, float("-inf")], [0.0, 2 * half, float("-inf")]]
+        assert capacity.spectra_effective_rank(logs).tolist() == [1.0, 0.0, 0.0]
 
 
 

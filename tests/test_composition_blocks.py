@@ -161,12 +161,12 @@ def test_ledger_ranks_match_general_svd_ranks(seed):
 def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
     # a default run QRs 3,200 rotations (1,000 and 200 controlled tasks, two
     # inner rotations for each of 1,000 products) and takes 1,000 SVDs, one
-    # per product; its 200 ledger step matrices go through one eigvalsh each,
-    # whose |eigenvalues| to the k-th power are the spectra of all 41 powers,
+    # per product; its 200 ledger step matrices go through one eigh each, of
+    # H + wd I, whose log rates times k are the spectra of all 41 powers,
     # and its 1,200 controlled tasks, PSD by construction, through no check.
     # With four rotations per product and an SVD of every power it QR'd
     # 5,200 and took 9,200 SVDs; with an eigvalsh of every power it took
-    # 8,200 of those.
+    # 8,200 of those, and with an eigvalsh of each step matrix, 200.
     names = ("qr", "eigvalsh", "eigh", "svd")
     matrices = dict.fromkeys(names, 0)
     for name in names:
@@ -176,13 +176,13 @@ def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     run_scenario(default_config("composition-check"), out_dir=tmp_path, check=True)
-    assert matrices == {"qr": 3200, "eigvalsh": 200, "eigh": 0, "svd": 1000}
+    assert matrices == {"qr": 3200, "eigvalsh": 0, "eigh": 200, "svd": 1000}
 
 
 @pytest.mark.parametrize("scenario, builds", [("composition-check", 20), ("threshold-sweep", 2)])
 def test_default_run_builds_each_step_map_once(tmp_path, monkeypatch, scenario, builds):
     # one (A, b) per stack, handed to both propagate and step_powers (the
-    # ledgers' A to their eigen-solve): 16 composition blocks and 4 ledger
+    # ledgers' H to their eigen-solve): 16 composition blocks and 4 ledger
     # blocks; the sweep's phase 1 and its escape.  Built inside propagate
     # and again for step_powers, they were 84 and 3.
     calls = []

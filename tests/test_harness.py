@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -32,7 +33,7 @@ from reconcap.config import (
     write_csv,
 )
 from reconcap.scenarios import STEP_BUDGET, CheckError, decaying_pair, run_scenario, sweep_phase1_steps
-from reconcap.spectral import spectrum_rank, symmetric_singular_values
+from reconcap.spectral import spectrum_rank
 from reconcap.transport import DivergenceError, StepRule
 
 from _oracles import full_length_escape, full_length_stage1, per_cell_stage1
@@ -291,16 +292,18 @@ def test_check_rejects_nan(scenario):
 
 
 def test_rank_decay_summary_keeps_a_nan(tmp_path, monkeypatch):
-    # one NaN singular value at the last step; max() would drop it
-    def with_nan(stack):
-        svs = symmetric_singular_values(stack)
-        svs[-1, 0] = np.nan
-        return svs
+    # one NaN effective rank at the last step, in each ledger of ranks;
+    # max() would drop it from the errors and the rank rises
+    def with_nan(log_spectra):
+        ranks = spectra_effective_rank(log_spectra)
+        ranks[-1] = np.nan
+        return ranks
 
-    symmetric_singular_values = scenarios.symmetric_singular_values
-    monkeypatch.setattr(scenarios, "symmetric_singular_values", with_nan)
+    spectra_effective_rank = capacity.spectra_effective_rank
+    monkeypatch.setattr(capacity, "spectra_effective_rank", with_nan)
     summary = run_scenario(default_config("rank-decay"), out_dir=tmp_path)
-    assert np.isnan(summary["abs_profile_error"])
+    assert np.isnan(summary["strict_closed_form_error"])
+    assert np.isnan(summary["max_monotonicity_violation"])
 
 
 def test_composition_summary_keeps_a_nan(tmp_path, monkeypatch):
@@ -332,26 +335,37 @@ def test_rank_decay_run(tmp_path):
 
 
 def _unblocked_rank_decay_columns(cfg):
-    # the ledger as one stack of every power A^0 ... A^n_steps: one
-    # eigen-solve for their spectra, one SVD for those of J Q
+    # the ledger of every power A^0 ... A^n_steps at once: their spectra
+    # from the eigen-solve, those of J Q from one SVD of one stack
     pair = decaying_pair(cfg)
-    a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
-    powers = np.array(list(transport.step_powers(a_mat, range(cfg.n_steps + 1))))
-    svs = symmetric_singular_values(powers)
-    compats, usables = capacity.compatible_effective_rank(powers, pair.preserving_basis, cfg.thresholds.tau_sigma)
-    columns = (capacity.spectra_effective_rank(svs), compats, usables, spectrum_rank(svs))
-    return [list(range(cfg.n_steps + 1)), *(c.tolist() for c in columns), *svs.T.tolist()]
+    log_rates, eigvecs = transport.step_eigen(pair.task_a.hessian, cfg.rule.step_size, cfg.rule.weight_decay)
+    steps = range(cfg.n_steps + 1)
+    log_svs = np.multiply.outer(steps, np.sort(log_rates)[::-1])
+    log_compats = capacity.power_log_spectra(log_rates, eigvecs, pair.preserving_basis, steps)
+    svs = np.exp(log_svs)
+    columns = (
+        capacity.spectra_effective_rank(log_svs), capacity.spectra_effective_rank(log_compats),
+        capacity.usable_count(log_compats, cfg.thresholds.tau_sigma), spectrum_rank(svs),
+    )
+    return [list(steps), *(c.tolist() for c in columns), *svs.T.tolist()]
 
 
 @pytest.mark.parametrize("n_steps, block_sizes", [(63, [64]), (64, [64, 1]), (65, [64, 2])])
-def test_rank_decay_blocks_match_one_unblocked_ledger(n_steps, block_sizes):
+def test_rank_decay_blocks_match_one_unblocked_ledger(n_steps, block_sizes, monkeypatch):
     # 64 powers of a 16 x 16 step matrix fill the block budget
     cfg = dataclasses.replace(default_config("rank-decay"), n_steps=n_steps)
     cfg.validate()
-    a_mat = transport.step_map(decaying_pair(cfg).task_a, cfg.rule)[0]
-    blocks = list(scenarios._power_blocks(a_mat, range(n_steps + 1)))
-    assert [len(b) for b in blocks] == block_sizes
+    blocks = []
+    power_log_spectra = capacity.power_log_spectra
+
+    def counting(log_rates, eigvecs, basis, exponents):
+        blocks.append(len(exponents))
+        return power_log_spectra(log_rates, eigvecs, basis, exponents)
+
+    monkeypatch.setattr(capacity, "power_log_spectra", counting)
     _, tables = scenarios.run_rank_decay(cfg)
+    monkeypatch.undo()
+    assert blocks == block_sizes
     table = tables["rank_decay.csv"]
     expected = _unblocked_rank_decay_columns(cfg)
     assert list(table)[:5] == ["step", "effective_rank", "compatible_rank", "usable_count", "rank_j"]
@@ -443,7 +457,8 @@ def test_threshold_sweep_reduced(tmp_path):
 
 def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     # one stacked propagation takes the 200 phase-1 steps of each cell and
-    # nothing else, and one step_powers call gives their Jacobians A^200;
+    # nothing else, and one eigen-solve of the 9 step matrices gives the
+    # spectra of their Jacobians A^200, with no product of them;
     # the stacked escape evaluates task B's loss at each escaping cell's
     # start and after each of its phase2_steps steps, and at nothing else
     cfg = ExperimentConfig(
@@ -451,18 +466,18 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
         sweep=SweepConfig(m_b_targets=(0, 2, 8), usable_targets=(0, 2, 8)),
     )
     cfg.validate()
-    stacks, powers, escaping = [], [], []
+    stacks, solves, powers, escaping = [], [], [], []
     escape_evals, in_escape = 0, False
-    propagate, step_powers = scenarios.propagate, scenarios.step_powers
+    propagate, step_eigen = scenarios.propagate, scenarios.step_eigen
     escape, half_quadratic = scenarios._escape, scenarios._half_quadratic
 
     def counting_stack(*args, **kwargs):
         stacks.append(list(args[4]))
         return propagate(*args, **kwargs)
 
-    def counting_powers(a, exponents):
-        powers.append((list(exponents), len(a)))
-        return step_powers(a, exponents)
+    def counting_eigen(hessian, *args):
+        solves.append(hessian.shape)
+        return step_eigen(hessian, *args)
 
     def counting_escape(theta, *args):
         nonlocal in_escape
@@ -480,7 +495,8 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
         return half_quadratic(h, d)
 
     monkeypatch.setattr(scenarios, "propagate", counting_stack)
-    monkeypatch.setattr(scenarios, "step_powers", counting_powers)
+    monkeypatch.setattr(scenarios, "step_eigen", counting_eigen)
+    monkeypatch.setattr(scenarios, "step_powers", lambda *args: powers.append(args))
     monkeypatch.setattr(scenarios, "_escape", counting_escape)
     monkeypatch.setattr(scenarios, "_half_quadratic", counting_losses)
     run_scenario(cfg, out_dir=tmp_path)
@@ -488,7 +504,7 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
     column = lines[0].split(",").index("phase2_steps")
     phase2_steps = [int(line.split(",")[column]) for line in lines[1:]]
     assert stacks == [[200] * 9]
-    assert powers == [([200], 9)]
+    assert solves == [(9, 16, 16)] and powers == []
     assert len(escaping) == 1
     assert escape_evals == sum(phase2_steps) + escaping[0]
     assert sum(phase2_steps) == 69
@@ -497,10 +513,11 @@ def test_threshold_sweep_reduced_step_count(tmp_path, monkeypatch):
 def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
     # a default run builds its 81 cells' inputs as stacks: one QR of the
     # rotations; eigvalsh of tasks A, of tasks B and of Q_A^T H_B Q_A (m_B),
-    # the anchored tasks being PSD sums not checked again; one SVD of the
-    # Jacobians and one of J Q_A; and no eigh, as its forgetting columns are
-    # value differences.  Built cell by cell the run made 81 QR, 235
-    # eigvalsh, 117 eigh and 162 SVD calls.
+    # the anchored tasks being PSD sums not checked again; one eigh of the
+    # anchored tasks, whose rates give the spectra of the Jacobians, and one
+    # SVD of the scaled J Q_A; its forgetting columns are value differences.
+    # Built cell by cell the run made 81 QR, 235 eigvalsh, 117 eigh and 162
+    # SVD calls; from the products A^k1, no eigh and 2 SVD calls.
     cfg = default_config("threshold-sweep")
     cfg.validate()
     names = ("qr", "eigvalsh", "eigh", "svd")
@@ -512,14 +529,14 @@ def test_threshold_sweep_decomposes_each_stack_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     run_scenario(cfg, out_dir=tmp_path, check=True)
-    assert calls == {"qr": 1, "eigvalsh": 3, "eigh": 0, "svd": 2}
+    assert calls == {"qr": 1, "eigvalsh": 3, "eigh": 1, "svd": 1}
 
 
 def test_rank_decay_takes_one_eigen_solve_and_one_svd_per_power_block(monkeypatch):
-    # 1,401 powers in 22 blocks of 64: each block's spectra from one
-    # symmetric_singular_values call (one eigvalsh), its J Q spectra from one
-    # SVD; building the pair takes one QR and 3 eigvalsh.  With an SVD for
-    # each block's spectra too, the run made 44 SVD calls.
+    # 1,401 powers: the spectra of all from one eigh of H + wd I, those of
+    # J Q from one SVD per block of 64; building the pair takes one QR and 3
+    # eigvalsh.  From the products, with an eigvalsh for each block's
+    # spectra, the run made 25 eigvalsh calls; with an SVD, 44 SVD calls.
     cfg = default_config("rank-decay")
     names = ("qr", "eigvalsh", "eigh", "svd")
     calls = dict.fromkeys(names, 0)
@@ -531,21 +548,22 @@ def test_rank_decay_takes_one_eigen_solve_and_one_svd_per_power_block(monkeypatc
         monkeypatch.setattr(np.linalg, name, counting)
     blocks = []
 
-    def counting_spectra(powers, _call=scenarios.symmetric_singular_values):
-        blocks.append(len(powers))
-        return _call(powers)
+    def counting_spectra(log_rates, eigvecs, basis, exponents, _call=capacity.power_log_spectra):
+        blocks.append(len(exponents))
+        return _call(log_rates, eigvecs, basis, exponents)
 
-    monkeypatch.setattr(scenarios, "symmetric_singular_values", counting_spectra)
+    monkeypatch.setattr(capacity, "power_log_spectra", counting_spectra)
     scenarios.run_rank_decay(cfg)
     assert blocks == [64] * 21 + [57]
-    assert calls == {"qr": 1, "eigvalsh": 3 + 22, "eigh": 0, "svd": 22}
+    assert calls == {"qr": 1, "eigvalsh": 3, "eigh": 1, "svd": 22}
 
 
 # sha256 of the default threshold-sweep's data files, as written since each
-# step is the affine map A theta + b
+# step is the affine map A theta + b; sweep.csv as written since the
+# Jacobians' spectra come from one eigen-solve of the step matrices
 SWEEP_DIGESTS = {
     "summary.json": "279801fd42660d43ec1e7687aff00a18ae59e59e4c6c59827ca66256ad21110b",
-    "sweep.csv": "9288dcd80ad1539cc7dc6a987e7ef3572d1acd6f631614c211b6272d692e313e",
+    "sweep.csv": "b43905f49036830e86d1170914654e8946f7d8abc03fe896cc1fdb8f029158aa",
 }
 
 
@@ -557,20 +575,18 @@ def test_default_threshold_sweep_is_byte_stable(tmp_path):
     assert digests == SWEEP_DIGESTS
 
 
-# sha256 of the default data files of the closed-form scenarios, as written
-# while capacity diagnostics took ensembles of one Jacobian; rank-decay's
-# summary.json as written since its errors are against the arithmetic
-# closed-form rates, not eigvalsh of the step matrix, and rank-decay's two
-# files as written since its power spectra are |eigenvalues| of the
-# symmetric powers
+# sha256 of the default data files of the closed-form scenarios: esl-gap's
+# as written while capacity diagnostics took ensembles of one Jacobian;
+# rank-decay's and proxy-probe's as written since every power's spectra
+# come from one eigen-solve of the step matrix, k log|lambda|
 CLOSED_FORM_DIGESTS = {
     "rank-decay": {
-        "rank_decay.csv": "7fae471d9b2578c0a91b1d0477c7328a86396455730e76d2b844ee9e2fb96e78",
-        "summary.json": "8ad1e62497c4f624478d158e0931c304572f0bc92c67c5f42497b54899df117d",
+        "rank_decay.csv": "ed72a4b7930b2dc52346002fba04a3d5625bac35c1428d15509e72ef0232cd95",
+        "summary.json": "0b2c284833ac3b918e8d81bea24aa522e99e04d170e3c226e8b9a600672c479f",
     },
     "proxy-probe": {
-        "proxy.csv": "e51d5f1038dc5c82a107f709d29b705d41fa7f1306abe72d4fd842b4f5663840",
-        "summary.json": "5823c0b2a078961c537c8f0d12eae1b13d9b3fc819a27380576be302f60820dd",
+        "proxy.csv": "c27ede3d46c39b1b0901d39d1db88b97fd2716fd3a6ad27dd912c63d05a52b65",
+        "summary.json": "6957f5783b454b511ea37624ce4d932c5d111fa8418950935c9f999b0c2970da",
     },
     "esl-gap": {
         "dynamics.csv": "e30b89b283e5a2217e02833c6ba2704b4b19ffe4f8cf1f6d05b35a77cc41149f",
@@ -900,7 +916,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.25.0"
+    assert capsys.readouterr().out.strip() == "0.26.0"
 
 
 def test_version_matches_pyproject():
@@ -1089,17 +1105,79 @@ def test_cli_rank_decay_that_cannot_run_is_a_config_error(tmp_path, capsys, over
     assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
 
 
-def test_cli_underflowed_closed_form_fails_check_on_one_stderr_line(tmp_path):
-    # at weight decay 5 the closed-form spectrum underflows to 0 and its
-    # relative errors divide to NaN; the check reports that, and numpy's
-    # divide warnings do not reach stderr ahead of the error line
+def test_cli_underflowed_spectrum_passes_check_with_nothing_on_stderr(tmp_path):
+    # at weight decay 5 the spectrum underflows to 0.0 in the file, all of it
+    # from step 1,076, but every check reads its logs: the closed form is
+    # matched at every step, and no numpy warning reaches stderr
     payload = default_config("rank-decay").to_dict()
     payload["rule"]["weight_decay"] = 5.0
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(payload))
     proc = _cli_in_subprocess("run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check")
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == ["reconcap-error code=3 kind=check msg=rank-decay: closed-form mismatch nan"]
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
+    assert summary["strict_closed_form_error"] <= 1e-11
+    last = (tmp_path / "o" / "rank_decay.csv").read_text().splitlines()[-1].split(",")
+    assert set(last[5:]) == {"0.0"}
+
+
+def test_rank_decay_at_the_step_budget_passes_its_check():
+    # 100,000 steps: the strict closed-form error grows as k times the
+    # eigenvalue error, and stays under the check's 1e-9
+    cfg = dataclasses.replace(default_config("rank-decay"), n_steps=STEP_BUDGET)
+    cfg.validate()
+    record = scenarios.SCENARIOS["rank-decay"]
+    summary, _ = record.run(cfg)
+    record.check(summary, cfg)
+    assert summary["strict_closed_form_error"] <= 1e-10
+
+
+def test_proxy_probe_at_light_weight_decay_tracks_the_usable_count():
+    # at weight decay 0.1 the normals fall below roundoff of the preserved
+    # directions long before the run ends; stepped by products, the probes
+    # leaked those directions and the correlation read -0.358
+    rule = StepRule(step_size=0.1, weight_decay=0.1)
+    cfg = dataclasses.replace(default_config("proxy-probe"), n_steps=1400, rule=rule)
+    cfg.validate()
+    record = scenarios.SCENARIOS["proxy-probe"]
+    summary, _ = record.run(cfg)
+    record.check(summary, cfg)
+    assert summary["spearman_pr_vs_usable"] >= 0.8
+
+
+def test_proxy_probe_with_a_rate_of_exactly_zero_raises_no_float_fault():
+    # eta (a + wd) = 1 on the one normal direction: its rate is exactly 0 at
+    # this seed, log|lambda| is -inf, and after step 0 the probes vanish
+    rule = StepRule(step_size=0.5, weight_decay=0.5)
+    pair_cfg = PairConfig(spectrum_b_on_a=(1.0,), a_spectrum=(1.5,), rotation_seed=0)
+    cfg = dataclasses.replace(default_config("proxy-probe"), dim=2, k_a=1, rule=rule, pair=pair_cfg)
+    cfg.validate()
+    assert -np.inf in transport.step_eigen(decaying_pair(cfg).task_a.hessian, 0.5, 0.5)[0]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        summary, tables = scenarios.run_proxy_probe(cfg)
+    assert tables["proxy.csv"]["pr"].tolist() == [1.0] + [0.0] * (len(tables["proxy.csv"]["pr"]) - 1)
+    assert summary["usable_first"] == 1 and summary["usable_last"] == 0
+
+
+def test_noisy_proxy_probe_matches_the_stepped_probes():
+    # with sensor noise the probes are not rescaled: their ratios match
+    # probes stepped one matrix product at a time, x' = x A, and taken as
+    # x H plus the noise rows, as the run once computed them
+    probe = ProbeConfig(checkpoint_every=4, probe_noise=0.05)
+    cfg = dataclasses.replace(default_config("proxy-probe"), probe=probe)
+    cfg.validate()
+    _, tables = scenarios.run_proxy_probe(cfg)
+    pair = decaying_pair(cfg)
+    a_mat = transport.step_map(pair.task_a, cfg.rule)[0]
+    samples = reconcap.stream(cfg.master_seed, reconcap.STREAM_PROBE, 0).standard_normal((256, cfg.dim))
+    expected = []
+    for k in range(cfg.n_steps + 1):
+        if k % 4 == 0:
+            noise = reconcap.stream(cfg.master_seed, reconcap.STREAM_PROBE, 1, k).standard_normal(samples.shape)
+            expected.append(capacity.participation_ratio(samples @ pair.task_a.hessian + 0.05 * noise))
+        samples = samples @ a_mat
+    assert np.allclose(tables["proxy.csv"]["pr"], expected, rtol=1e-9, atol=0.0)
 
 
 def _cli_in_subprocess(*argv):
@@ -1122,10 +1200,13 @@ def _cli_in_subprocess(*argv):
         ("validate", "esl-gap", "thermo", "start_cov_scale", 1e200),
         ("run", "esl-gap", "thermo", "start_mean", [1e200, -1.5]),
         ("validate", "esl-gap", "thermo", "start_mean", [1e200, -1.5]),
+        ("run", "esl-gap", "rule", "noise_scale", 1e200),
+        ("validate", "esl-gap", "rule", "noise_scale", 1e200),
     ],
     ids=["sweep-tilt", "probe-noise", "sweep-offset", "esl-gap-start-cov",
          "probe-noise-validate", "sweep-offset-validate", "esl-gap-start-cov-validate",
-         "esl-gap-start-mean", "esl-gap-start-mean-validate"],
+         "esl-gap-start-mean", "esl-gap-start-mean-validate", "esl-gap-temperature",
+         "esl-gap-temperature-validate"],
 )
 def test_cli_float_fault_is_one_stderr_line(tmp_path, command, scenario, section, key, value):
     # each once wrote numpy RuntimeWarnings to stderr ahead of its error line:
@@ -1195,6 +1276,42 @@ def test_cli_threshold_the_run_reads_is_validated(tmp_path, capsys, scenario, th
     err = capsys.readouterr().err
     assert err.startswith("reconcap-error code=1 kind=config") and err.count("\n") == 1
     assert f"thresholds.{next(iter(thresholds))}" in err
+
+
+@pytest.mark.parametrize(
+    "scenario, tau", [("rank-decay", 2.0), ("rank-decay", 1.0), ("proxy-probe", 2.0)],
+    ids=["rank-decay-two", "rank-decay-one", "proxy-probe-two"],
+)
+def test_cli_validate_rejects_tau_sigma_of_one_or_more(tmp_path, capsys, scenario, tau):
+    # the singular values of A^0 Q are 1, so no such tau leaves a count to
+    # follow: these validated, then failed their checks (rank-decay's closed
+    # form said step -68 at 2.0 and step 0 at 1.0; proxy-probe's correlation
+    # read nan)
+    payload = default_config(scenario).to_dict()
+    payload["thresholds"]["tau_sigma"] = tau
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert _single_error_line(err, 1, "config") and "thresholds.tau_sigma" in err
+    payload["thresholds"]["tau_sigma"] = math.nextafter(1.0, 0.0)
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 0
+
+
+def test_cli_validate_rejects_an_esl_gap_step_that_moves_no_state(tmp_path, capsys):
+    # at eta 1e-100, 1 - eta * h rounds to 1 for every curvature: the run
+    # ended where it began and its relative geodesic error divided 0 by 0
+    payload = default_config("esl-gap").to_dict()
+    payload["rule"]["step_size"] = 1e-100
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert _single_error_line(err, 1, "config") and "msg=rule.step_size: " in err
+    payload["rule"]["step_size"] = 1e-6
+    path.write_text(json.dumps(payload))
+    assert cli.main(["validate", str(path)]) == 0
 
 
 def test_sweep_check_enforces_forced_exit_threshold(tmp_path):

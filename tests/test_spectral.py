@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from reconcap import spectral, tasks, transport
+from reconcap import capacity, spectral, tasks, transport
 
 from _oracles import (
     jacobian_stack,
@@ -35,7 +35,7 @@ def test_singular_values_match_gram_route(rows, cols, seed):
 
 
 def log_gram_volume(j):
-    return spectral.log_volume(spectral.singular_values(j))
+    return spectral.log_volume(capacity.log_singular_values(j))
 
 
 def test_log_gram_volume_frozen_value():
@@ -94,7 +94,7 @@ def test_log_volume_of_projection_matches_slogdet():
     jq = j @ spectral.SubspaceBasis(ambient_dim=6, dim=3, basis=q).basis
     sign, logdet = np.linalg.slogdet(jq.T @ jq)
     assert sign > 0
-    assert spectral.log_volume(spectral.singular_values(jq)) == pytest.approx(logdet, abs=1e-12)
+    assert spectral.log_volume(capacity.log_singular_values(jq)) == pytest.approx(logdet, abs=1e-12)
 
 
 def test_require_symmetric_symmetrizes_and_rejects():
@@ -127,36 +127,42 @@ def test_singular_values_nonnegative_descending(a):
     assert np.all(np.diff(s) <= 1e-12)
 
 
-def _assert_symmetric_spectra(h):
-    # |eigenvalues| against the dense SVD: both are backward stable to about
-    # d * eps * sigma_max; descending and non-negative
-    ours = spectral.symmetric_singular_values(h)
-    ref = spectral.singular_values(h)
-    d = h.shape[-1]
-    assert ours.shape == h.shape[:-1]
-    assert np.all(np.abs(ours - ref) <= 4 * d * np.finfo(float).eps * ref[..., :1])
+def _assert_symmetric_spectra(h, step_size, weight_decay, powers, exponents):
+    # the singular values of the powers A^k of A = I - eta (H + wd I) from
+    # one eigen-solve of H + wd I, exp(k log|lambda|) in descending order,
+    # against the dense SVD of each power: both are backward stable to
+    # about k d eps sigma_max
+    log_rates, _ = transport.step_eigen(h, step_size, weight_decay)
+    ours = np.exp(np.multiply.outer(exponents, np.sort(log_rates)[..., ::-1]))
+    ref = spectral.singular_values(powers)
+    bound = 4 * h.shape[-1] * max(np.max(exponents), 1) * np.finfo(float).eps
+    assert ours.shape == ref.shape
+    assert np.all(np.abs(ours - ref) <= bound * ref[..., :1])
     assert np.all(ours >= 0.0) and np.all(np.diff(ours, axis=-1) <= 0.0)
     return ours
 
 
 @pytest.mark.parametrize("d", range(1, 33))
 def test_symmetric_singular_values_match_svd(d):
+    # the spectra of a stack of five symmetric step matrices, and of each alone
     g = np.random.default_rng(d).standard_normal((5, d, d))
-    stack = (g + g.swapaxes(-1, -2)) / 2.0
-    spectra = _assert_symmetric_spectra(stack)
+    stack = (g @ g.swapaxes(-1, -2)) / (4.0 * d)
+    a = np.eye(d) - 0.3 * (stack + 0.1 * np.eye(d))
+    spectra = _assert_symmetric_spectra(stack, 0.3, 0.1, a, 1)
     assert spectra.shape == (5, d)
-    for member, spectrum in zip(stack, spectra):
-        assert np.array_equal(_assert_symmetric_spectra(member), spectrum)
+    for h, member, spectrum in zip(stack, a, spectra):
+        assert np.array_equal(_assert_symmetric_spectra(h, 0.3, 0.1, member, 1), spectrum)
 
 
 def test_symmetric_singular_values_of_a_block_of_step_powers():
     # A = I - eta (H + wd I) with eta large enough that some of its rates are
     # negative; its powers' left products are symmetric only to roundoff
     pair = tasks.make_task_pair(16, 8, (1.0,) * 8, 7)
-    a = transport.step_map(pair.task_a, transport.StepRule(step_size=0.8, weight_decay=0.1))[0]
+    rule = transport.StepRule(step_size=0.8, weight_decay=0.1)
+    a = transport.step_map(pair.task_a, rule)[0]
     assert np.linalg.eigvalsh(a)[0] < 0.0
     powers = np.array(list(transport.step_powers(a, range(64))))
-    spectra = _assert_symmetric_spectra(powers)
+    spectra = _assert_symmetric_spectra(pair.task_a.hessian, rule.step_size, rule.weight_decay, powers, range(64))
     assert np.array_equal(spectra[0], np.ones(16))
 
 
@@ -171,8 +177,9 @@ def test_as_matrix_rejects_nonfinite():
 @pytest.mark.parametrize("d", STACK_DIMS)
 def test_stacked_spectral_calls_match_per_matrix_loop(d):
     stack = jacobian_stack(d)
-    s = spectral.singular_values(stack)
-    assert np.array_equal(s, per_matrix_singular_values(stack))
+    s = capacity.log_singular_values(stack)
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(s, np.log(per_matrix_singular_values(stack)))
     logs = spectral.log_volume(s)
     assert np.array_equal(logs, per_spectrum_log_volume(s))
     # the rank-deficient and the collapsed member, and no one else
@@ -199,7 +206,9 @@ def test_stacked_spectrum_rank_matches_per_row_loop():
 
 @pytest.mark.filterwarnings("error")
 def test_log_volume_of_zero_singular_value_is_minus_inf_without_log_zero():
-    spectra = np.array([[3.0, 2.0, 1.0], [3.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+    # log spectra whose zero singular values are -inf: nothing turns NaN
+    spectra = np.log([[3.0, 2.0, 1.0], [3.0, 2.0, 1.0], [1.0, 1.0, 1.0]])
+    spectra[1, 2] = spectra[2] = float("-inf")
     logs = spectral.log_volume(spectra)
     assert logs[0] == pytest.approx(2.0 * np.log(6.0), rel=1e-15)
     assert logs[1] == logs[2] == float("-inf")
