@@ -5,7 +5,7 @@ task sequences, and dissipation accounting for Gaussian relaxation, all on
 quadratic tasks where the dynamics stay closed-form.
 """
 
-__version__ = "0.26.0"
+__version__ = "0.27.0"
 
 from .capacity import (
     CapacityReport,

@@ -5,6 +5,10 @@ is derived from an explicit integer path (master seed, stream tag, realization
 index, chunk index, ...).  ``stream`` builds a fresh generator per path;
 ``draw_each`` re-keys one generator before each path and never lets it out,
 so any draw can be replayed in isolation and no consumer perturbs another.
+SeedSequence pads a path's 32-bit words with zeros to four, so paths equal
+up to trailing zeros within four words are one stream: ``(s, 2)``, ``(s, 2,
+0)`` and ``(s, 2, 0, 0)`` derive one key.  Draw sites that must not share a
+stream take paths that are not such zero-padded copies of one another.
 
 Per-step noise is keyed by chunk, not by step: step k of a (stream,
 realization) sequence is row ``k % CHUNK_STEPS`` of the block drawn from the
@@ -44,8 +48,9 @@ def stream(master_seed: int, *path: int) -> np.random.Generator:
 
     The key is hashed from the integer path via SeedSequence, then drives a
     Philox counter-based bit generator.  Identical paths give bit-identical
-    streams on a given platform; distinct paths give statistically independent
-    streams.
+    streams on a given platform, and so do paths equal up to trailing zeros
+    within four 32-bit words (an entry of 2**32 or more takes several); any
+    other distinct paths give statistically independent streams.
     """
     entropy = (int(master_seed),) + tuple(int(p) for p in path)
     # Philox(key=...) would first seed itself from OS entropy, then overwrite

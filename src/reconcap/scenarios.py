@@ -25,7 +25,7 @@ from .config import (
 )
 from .gaussian import COVARIANCE_FLOOR, GaussianState
 from .spectral import RANK_TOL_ABS, RANK_TOL_REL, _eigen_rebuild, singular_values, spectrum_rank
-from .tasks import QuadraticTask, TaskPair, _half_quadratic, make_task_pair, random_rotations
+from .tasks import QuadraticTask, TaskPair, _half_quadratic, make_task_pair, sign_fixed_q
 from .transport import StepKind, StepRule, _affine_step, contraction_rates, propagate, step_eigen, step_powers
 
 
@@ -178,6 +178,35 @@ def _validate_esl_gap(cfg: ExperimentConfig) -> None:
             "horizon the transport floor is stated for"
         )
     _require_stable(cfg, max(t.hessian_spectrum))
+    _require_resolved_floor(cfg)
+
+
+def _require_resolved_floor(cfg: ExperimentConfig) -> None:
+    """Reject a step that moves the state too little for the run to resolve
+    its transport floor W2^2 / 2.  The run takes W2^2 as |dm|^2 + tr S0 +
+    tr S_n - 2 tr (S_n^1/2 S0 S_n^1/2)^1/2, whose rounding is about dim ulps
+    of the traces; W2^2 has to exceed that 20 times, as the check holds the
+    geodesic action to the floor within 5%.  The end state is the moment
+    recursion's in closed form, per curvature h with a = 1 - eta (h + wd):
+    mean a^n m0 and variance c - (1 - a^2n) (c - 2 T eta / (1 - a^2)),
+    without the covariance clamp, with 1 - a^2 = m (2 - m) for m = eta (h +
+    wd) and 1 - a^k taken without cancellation."""
+    t, rule, n = cfg.thermo, cfg.rule, cfg.n_steps
+    # > 0 for every curvature, as 1 - eta * min(hessian_spectrum) is not 1
+    m = rule.step_size * (np.array(t.hessian_spectrum) + rule.weight_decay)
+
+    def gap(k):  # 1 - a^k
+        return np.where(m < 0.5, -np.expm1(k * np.log1p(-np.minimum(m, 0.5))), 1.0 - (1.0 - m) ** k)
+
+    c = float(t.start_cov_scale)
+    drop = gap(2 * n) * (c - 2.0 * rule.noise_scale * rule.step_size / (m * (2.0 - m)))
+    w2_sq = np.sum((gap(n) * np.array(t.start_mean)) ** 2) + np.sum((drop / (math.sqrt(c) + np.sqrt(c - drop))) ** 2)
+    rounding = len(m) * np.finfo(np.float64).eps * np.sum(2.0 * c - drop)
+    if not w2_sq > 20.0 * rounding:
+        raise ConfigError(
+            f"rule.step_size: {rule.step_size!r} moves the state too little for the run to resolve its "
+            f"transport floor: W2^2 = {w2_sq:.3e} is not 20 times the rounding {rounding:.3e} of its traces"
+        )
 
 
 def run_esl_gap(cfg: ExperimentConfig) -> tuple[dict, dict]:
@@ -612,20 +641,36 @@ def _validate_composition_check(cfg: ExperimentConfig) -> None:
         raise ConfigError("n_trials: must be >= 1")
 
 
-def _controlled_tasks(dim: int, seed: int, trials) -> tuple[np.ndarray, np.ndarray]:
+# Each composition-check draw site keys trial t on its own path (seed,
+# STREAM_TASK, t, k), one k per site.  Paths equal up to trailing zeros are
+# one stream, so k = 0 is also (seed, STREAM_TASK, t) and no other site of
+# the run may take that path.
+_KEY_TASK, _KEY_SPLIT, _KEY_FACTORS, _KEY_LEDGER_START = 0, 1, 2, 3
+_KEY_LEDGER_TASK, _KEY_TASK_ROTATION, _KEY_LEDGER_ROTATION, _KEY_PRODUCT_ROTATION = 4, 5, 6, 7
+
+
+def _trial_rotations(dim: int, seed: int, trials, key: int) -> np.ndarray:
+    """One Haar rotation ``(dim, dim)`` per trial, drawn from the trial's
+    path ``(seed, STREAM_TASK, trial, key)``: one ``draw_each`` call and one
+    stacked QR."""
+    paths = [(seed, rng.STREAM_TASK, trial, key) for trial in trials]
+    return sign_fixed_q(np.array(rng.draw_each(paths, lambda gen: gen.standard_normal((dim, dim)))))
+
+
+def _controlled_tasks(dim: int, seed: int, trials, keys) -> tuple[np.ndarray, np.ndarray]:
     """Each trial's controlled task, as stacks ``(n, dim, dim)`` of Hessians
     and ``(n, dim)`` of minimizers: a spectrum in [0.2, 1.8], then a
-    minimizer, drawn from the trial's own task stream, under the trial's
-    seeded rotation; the rotations come from one stacked draw.  Each
-    Hessian is exactly symmetric and PSD by construction, so it is not
+    minimizer, drawn from the trial's path ``(seed, STREAM_TASK, trial,
+    keys[0])``, under the rotation drawn from its path ending in ``keys[1]``.
+    Each Hessian is exactly symmetric and PSD by construction, so it is not
     checked again."""
+    task_key, rotation_key = keys
     draws = rng.draw_each(
-        [(seed, rng.STREAM_TASK, trial) for trial in trials],
+        [(seed, rng.STREAM_TASK, trial, task_key) for trial in trials],
         lambda gen: (gen.uniform(0.2, 1.8, size=dim), gen.standard_normal(dim)),
     )
     spectra, minimizers = map(np.array, zip(*draws))
-    rots = random_rotations(dim, [seed + 7919 * trial + 1 for trial in trials])
-    return _eigen_rebuild(rots, spectra), minimizers
+    return _eigen_rebuild(_trial_rotations(dim, seed, trials, rotation_key), spectra), minimizers
 
 
 _COMPOSITION_RULES = (
@@ -643,12 +688,12 @@ def _composition_table(d: int, seed: int, trials) -> dict:
     one per segment, each drawing its own noise rows, and one
     ``step_powers`` pass for all four."""
     n = len(trials)
-    h, minimizers = _controlled_tasks(d, seed, trials)
+    h, minimizers = _controlled_tasks(d, seed, trials, (_KEY_TASK, _KEY_TASK_ROTATION))
     rules = [_COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)] for trial in trials]
     a, b = _affine_step(h, minimizers, [rule.step_size for rule in rules], [rule.weight_decay for rule in rules])
     gains = [rule.noise_gain() for rule in rules]
     draws = rng.draw_each(
-        [(seed, rng.STREAM_TASK, trial, 1) for trial in trials],
+        [(seed, rng.STREAM_TASK, trial, _KEY_SPLIT) for trial in trials],
         lambda gen: (gen.integers(1, 6, size=3), gen.standard_normal(d)),
     )
     lens, theta0 = map(np.array, zip(*draws))
@@ -686,14 +731,14 @@ def _composition_table(d: int, seed: int, trials) -> dict:
 
 
 def _product_spectra(seed: int, trials, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-    """Singular values of ``(U_a diag(s_a) V_a^T) (U_b diag(s_b) V_b^T)`` per
-    trial (row i of ``s_a`` and ``s_b``, rotations k = 0..3 seeded from
-    ``trials[i]``): as U_a and V_b are orthogonal, those of ``diag(s_a) V_a^T
-    U_b diag(s_b)``, from one stacked draw of V_a and U_b and one stacked SVD."""
-    n, d_t = s_a.shape
-    seeds = [seed + 104729 * trial + 11 + k for trial in trials for k in (1, 2)]
-    v_a, u_b = random_rotations(d_t, seeds).reshape(n, 2, d_t, d_t).swapaxes(0, 1)
-    return singular_values(s_a[:, :, None] * (v_a.swapaxes(-1, -2) @ u_b) * s_b[:, None, :])
+    """Singular values of a product of two factors with spectra ``s_a`` and
+    ``s_b`` (row i of each, for ``trials[i]``), (U_a S_a V_a^T) (U_b S_b
+    V_b^T) for independent Haar rotations.  The outer rotations do not move
+    the spectrum and V_a^T U_b is itself Haar, so each trial takes those of
+    ``S_a R S_b`` for one Haar rotation R drawn from its own path: one
+    stacked draw and QR, and one stacked SVD."""
+    rot = _trial_rotations(s_a.shape[1], seed, trials, _KEY_PRODUCT_ROTATION)
+    return singular_values(s_a[:, :, None] * rot * s_b[:, None, :])
 
 
 def _submultiplicativity_table(seed: int, n_trials: int) -> dict:
@@ -713,7 +758,7 @@ def _submultiplicativity_table(seed: int, n_trials: int) -> dict:
         return d_t, spectra
 
     by_dim = {}
-    paths = [(seed, rng.STREAM_TASK, trial, 2) for trial in range(n_trials)]
+    paths = [(seed, rng.STREAM_TASK, trial, _KEY_FACTORS) for trial in range(n_trials)]
     for trial, (d_t, spectra) in enumerate(rng.draw_each(paths, draw)):
         by_dim.setdefault(d_t, []).append((trial, *spectra))
 
@@ -748,10 +793,10 @@ def _monotonicity_ledgers(d: int, seed: int, trials) -> tuple[list, np.ndarray, 
     step matrices."""
     eta, n_steps = 0.4, 40
     n = len(trials)
-    h, minimizers = _controlled_tasks(d, seed + 1, trials)
+    h, minimizers = _controlled_tasks(d, seed, trials, (_KEY_LEDGER_TASK, _KEY_LEDGER_ROTATION))
     wds = [0.1 if trial % 2 else 0.0 for trial in trials]
     a, b = _affine_step(h, minimizers, eta, wds)
-    paths = [(seed, rng.STREAM_TASK, trial, 3) for trial in trials]
+    paths = [(seed, rng.STREAM_TASK, trial, _KEY_LEDGER_START) for trial in trials]
     theta0 = np.array(rng.draw_each(paths, lambda gen: gen.standard_normal(d)))
     states = propagate(theta0, a, b, [0.0] * n, [n_steps] * n, seed, trials, [0] * n, "monotonicity-ledger")
     half_wd = 0.5 * np.array(wds)

@@ -74,18 +74,25 @@ def restricted_hessian(task_b: QuadraticTask, q_a: SubspaceBasis) -> np.ndarray:
     return (g + g.swapaxes(-1, -2)) / 2.0
 
 
-def random_rotations(dim: int, seeds) -> np.ndarray:
-    """Haar-ish orthogonal matrices ``(len(seeds), dim, dim)`` from one
-    stacked QR with sign-fixed diagonals; rotation i is drawn from its own
-    stream ``(seeds[i], STREAM_TASK)``, all keyed in one ``draw_each`` call."""
-    paths = [(seed, rng.STREAM_TASK) for seed in seeds]
-    g = rng.draw_each(paths, lambda gen: gen.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(np.array(g))
+def sign_fixed_q(g: np.ndarray) -> np.ndarray:
+    """The Q of each matrix of a stack ``(n, d, d)``, from one stacked QR,
+    with column signs fixed so that R has a nonnegative diagonal: for
+    standard normal matrices, Haar-distributed orthogonal matrices
+    (Mezzadri, Notices AMS 2007)."""
+    q, r = np.linalg.qr(g)
     # Fix signs so the factorization (and hence the rotation) is unique.
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0.0] = 1.0
     q *= signs[:, None, :]
     return q
+
+
+def random_rotations(dim: int, seeds) -> np.ndarray:
+    """Haar orthogonal matrices ``(len(seeds), dim, dim)`` by ``sign_fixed_q``;
+    rotation i is drawn from its own stream ``(seeds[i], STREAM_TASK)``, all
+    keyed in one ``draw_each`` call."""
+    paths = [(seed, rng.STREAM_TASK) for seed in seeds]
+    return sign_fixed_q(np.array(rng.draw_each(paths, lambda gen: gen.standard_normal((dim, dim)))))
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,11 @@ its own Jacobian, the plain-loop product that ``transport.step_powers``
 is held to, and uses nothing from ``reconcap.transport``.  The
 ``per_trial_*`` functions are composition-check's draws, rows and ledgers
 redone one trial at a time, which its stacked blocks must match bit for
-bit.  ``per_pair_task_pair`` is the task-pair build as one seed's plain
-loop, with its checks and messages, which every member of a stacked
+bit; ``four_rotation_product_spectra`` builds a submultiplicativity product
+densely from four rotations of the tests' own streams, which the run's
+one-rotation spectra must match in distribution.  ``per_pair_task_pair``
+is the task-pair build as one seed's plain loop, with its checks and
+messages, which every member of a stacked
 ``make_task_pair`` must match bit for bit; it uses no constructor of
 ``reconcap.tasks``.  ``per_cell_stage1`` is one sweep cell's stage-1 loop
 with its exit on a repeated iterate, which every member of the sweep's
@@ -144,15 +147,20 @@ def product_log_spectra(powers, basis=None, window: float = 1e-3) -> np.ndarray:
     return np.array(out)
 
 
-def per_seed_rotations(dim: int, seeds) -> np.ndarray:
-    """Sign-fixed QR rotation of each seed's own task stream, one QR per seed."""
+def per_path_rotations(dim: int, paths) -> np.ndarray:
+    """Sign-fixed QR rotation of each key path's own stream, one QR per path."""
     out = []
-    for seed in seeds:
-        q, r = np.linalg.qr(rng.stream(seed, rng.STREAM_TASK).standard_normal((dim, dim)))
+    for path in paths:
+        q, r = np.linalg.qr(rng.stream(*path).standard_normal((dim, dim)))
         signs = np.sign(np.diag(r))
         signs[signs == 0.0] = 1.0
         out.append(q * signs)
     return np.array(out)
+
+
+def per_seed_rotations(dim: int, seeds) -> np.ndarray:
+    """Sign-fixed QR rotation of each seed's own task stream, one QR per seed."""
+    return per_path_rotations(dim, [(seed, rng.STREAM_TASK) for seed in seeds])
 
 
 def per_pair_task_pair(d, k_a, spectrum_b_on_a, rotation_seed, *, a_spectrum=None, offset_scale=0.0, tilt=0.0):
@@ -216,12 +224,19 @@ def per_pair_task_pair(d, k_a, spectrum_b_on_a, rotation_seed, *, a_spectrum=Non
     return {"h_a": h_a, "h_b": h_b, "theta_b": np.zeros(d) + offset, "basis": null_dirs, "m_b": m_b}
 
 
-def per_trial_controlled_task(dim: int, seed: int, trial: int) -> tuple[np.ndarray, np.ndarray]:
+# composition-check's draw sites: trial t draws at (seed, STREAM_TASK, t, k)
+COMPOSITION_TASK_KEYS = (0, 5)  # the split runs' task: spectrum and minimizer, rotation
+LEDGER_TASK_KEYS = (4, 6)  # the monotonicity ledger's task
+SPLIT_KEY, FACTORS_KEY, LEDGER_START_KEY, PRODUCT_ROTATION_KEY = 1, 2, 3, 7
+
+
+def per_trial_controlled_task(dim: int, seed: int, trial: int, keys=COMPOSITION_TASK_KEYS):
     """(hessian, minimizer) of composition-check's controlled task of one
-    trial, from that trial's task stream and one per-seed rotation."""
-    gen = rng.stream(seed, rng.STREAM_TASK, trial)
+    trial: its spectrum and minimizer drawn from the trial's path ending in
+    ``keys[0]``, its rotation from the one ending in ``keys[1]``, one QR."""
+    gen = rng.stream(seed, rng.STREAM_TASK, trial, keys[0])
     spectrum = gen.uniform(0.2, 1.8, size=dim)
-    rot = per_seed_rotations(dim, [seed + 7919 * trial + 1])[0]
+    rot = per_path_rotations(dim, [(seed, rng.STREAM_TASK, trial, keys[1])])[0]
     h = rot @ np.diag(spectrum) @ rot.T
     return (h + h.T) / 2.0, gen.standard_normal(dim)
 
@@ -261,7 +276,7 @@ def per_trial_composition_row(dim: int, seed: int, trial: int) -> list:
 
     h, theta_star = per_trial_controlled_task(dim, seed, trial)
     rule = _COMPOSITION_RULES[trial % len(_COMPOSITION_RULES)]
-    gen = rng.stream(seed, rng.STREAM_TASK, trial, 1)
+    gen = rng.stream(seed, rng.STREAM_TASK, trial, SPLIT_KEY)
     lens = [int(x) for x in gen.integers(1, 6, size=3)]
     theta0 = gen.standard_normal(dim)
     full, full_jac = per_run_propagation(theta0, h, theta_star, rule, sum(lens), seed, trial)
@@ -278,20 +293,28 @@ def per_trial_composition_row(dim: int, seed: int, trial: int) -> list:
 
 def per_trial_product_spectra(seed: int, trial: int, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
     """Singular values of one submultiplicativity trial's product of two
-    factors with spectra ``s_a`` and ``s_b``, as those of diag(s_a) V_a^T U_b
-    diag(s_b) with the trial's two inner rotations (seeds k = 1 and 2), one
-    QR per rotation."""
-    first = seed + 104729 * trial + 11
-    v_a, u_b = per_seed_rotations(len(s_a), [first + 1, first + 2])
-    prod = s_a[:, None] * (v_a.T @ u_b) * s_b[None, :]
+    factors with spectra ``s_a`` and ``s_b``, as those of diag(s_a) R
+    diag(s_b) with the trial's one rotation R, one QR."""
+    rot = per_path_rotations(len(s_a), [(seed, rng.STREAM_TASK, trial, PRODUCT_ROTATION_KEY)])[0]
+    prod = s_a[:, None] * rot * s_b[None, :]
     return np.linalg.svd(prod, compute_uv=False)
+
+
+def four_rotation_product_spectra(seed: int, trial: int, s_a: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """Singular values of the dense product (U_a S_a V_a^T) (U_b S_b V_b^T)
+    of two factors with spectra ``s_a`` and ``s_b``, each rotation drawn
+    from its own oracle stream of the trial: the product as the
+    submultiplicativity criterion states it, with no rotation dropped."""
+    paths = [(seed, STREAM_ORACLE, trial, k) for k in range(4)]
+    u_a, v_a, u_b, v_b = per_path_rotations(len(s_a), paths)
+    return np.linalg.svd((u_a * s_a) @ v_a.T @ (u_b * s_b) @ v_b.T, compute_uv=False)
 
 
 def per_trial_factor_spectra(seed: int, trial: int) -> tuple[int, np.ndarray, np.ndarray]:
     """(dimension, s_a, s_b) of one submultiplicativity trial, drawn from
     its own task stream: each spectrum uniform in [0.5, 2], then about 30%
     of its entries zeroed."""
-    gen = rng.stream(seed, rng.STREAM_TASK, trial, 2)
+    gen = rng.stream(seed, rng.STREAM_TASK, trial, FACTORS_KEY)
     d_t = int(gen.integers(2, 33))
     spectra = []
     for _ in range(2):
@@ -307,12 +330,12 @@ def per_trial_monotonicity(dim: int, seed: int, trial: int) -> tuple[list, list]
     the step matrix A = I - 0.4 (H + wd I) is symmetric, so the log singular
     values of its k-th power are k log|1 - 0.4 m| for the eigenvalues m of
     the trial's own ``eigh`` of H + wd I, sorted descending."""
-    h, theta_star = per_trial_controlled_task(dim, seed + 1, trial)
+    h, theta_star = per_trial_controlled_task(dim, seed, trial, LEDGER_TASK_KEYS)
     wd = 0.1 if trial % 2 else 0.0
     a_mat = np.eye(dim) - 0.4 * (h + wd * np.eye(dim))
     shift = 0.4 * h @ theta_star
     base = np.sort(np.log(np.abs(1.0 - 0.4 * np.linalg.eigh(h + wd * np.eye(dim))[0])))[::-1]
-    theta = rng.stream(seed, rng.STREAM_TASK, trial, 3).standard_normal(dim)
+    theta = rng.stream(seed, rng.STREAM_TASK, trial, LEDGER_START_KEY).standard_normal(dim)
     ranks, vals = [], []
     for k in range(41):
         if k:

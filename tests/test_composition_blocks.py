@@ -1,18 +1,23 @@
 """composition-check's stacked trial blocks against per-trial oracles, and
 its default outputs pinned byte for byte."""
 
+import functools
 import hashlib
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from reconcap import capacity, scenarios, transport
+from reconcap import capacity, rng, scenarios, transport
 from reconcap.config import ExperimentConfig, default_config
 from reconcap.scenarios import run_scenario
 from reconcap.spectral import spectrum_rank
 
 from _oracles import (
-    per_seed_rotations,
+    PRODUCT_ROTATION_KEY,
+    STREAM_ORACLE,
+    four_rotation_product_spectra,
+    per_path_rotations,
     per_trial_composition_row,
     per_trial_controlled_task,
     per_trial_factor_spectra,
@@ -21,22 +26,24 @@ from _oracles import (
 )
 
 SEED = 2024
-# the largest master seed: every rotation seed past it (seed + 7919 * trial +
-# 1, seed + 104729 * trial + 11 + k) is 2**32 or more, a two-word key path
-WIDE_SEED = 2**32 - 1
+# a master seed of 2**32 or more, which SeedSequence splits into two words:
+# every key path of the run is then five words long and takes its key from
+# SeedSequence itself, path by path, not from the vectorized pass
+WIDE_SEED = 2**32 + 5
 DIM = 16
 # trials per block of controlled tasks at DIM
 BLOCK = scenarios._BLOCK_FLOATS // (DIM * DIM)
+COMPOSITION_KEYS = (scenarios._KEY_TASK, scenarios._KEY_TASK_ROTATION)
+LEDGER_KEYS = (scenarios._KEY_LEDGER_TASK, scenarios._KEY_LEDGER_ROTATION)
 
-# sha256 of the default run's data files, as written before trials were
-# stacked in blocks; submultiplicativity.csv as written since each product's
-# spectrum is taken from its two inner rotations (sigma_slack moved by at
-# most 1.8e-15)
+# sha256 of the default run's data files, as written since each product's
+# spectrum is taken from one rotation and every rotation is keyed on its
+# trial's own path
 DEFAULT_DIGESTS = {
-    "composition.csv": "2ed4c42dac51a956c935cb41a24bad88b82861c89a886997fab85ddd63ade19d",
+    "composition.csv": "5e96d6c1513ccf79830716cdf5659912745ad07d4603b49e198474cc872469f0",
     "monotonicity.csv": "0636548bf47e8b9c3c4978382be3248e590af9e4b7ed91c804f6aad250d7c29b",
-    "submultiplicativity.csv": "d54284a0880cc5f7f4585c8c4746ae549e74d0d35276fd5e283b839a205053e8",
-    "summary.json": "a7b31efba5b4caf44b21ea742db7a2ec4d3c07a2fa94538c9d0fee03f7ed6e1c",
+    "submultiplicativity.csv": "accbd20e6ef855bb5b998f819f7bf12df3a8c39419c82d30e184d1ef44fc05a3",
+    "summary.json": "6dbb30aee87a0e37fc9fe81a446ec5a45e2d4187cc5c985c789ec35657d064a8",
 }
 
 
@@ -65,7 +72,7 @@ def test_default_run_is_byte_stable(default_run):
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
 def test_controlled_tasks_match_per_trial_draws(n):
     trials = range(5, 5 + n)
-    hessians, minimizers = scenarios._controlled_tasks(DIM, SEED, trials)
+    hessians, minimizers = scenarios._controlled_tasks(DIM, SEED, trials, COMPOSITION_KEYS)
     assert len(hessians) == len(minimizers) == n
     for trial, h, m in zip(trials, hessians, minimizers):
         hessian, minimizer = per_trial_controlled_task(DIM, SEED, trial)
@@ -110,31 +117,52 @@ def test_monotonicity_ledgers_check_their_states_for_divergence(monkeypatch):
         scenarios._monotonicity_ledgers(DIM, SEED, range(3, 6))
 
 
-@pytest.mark.parametrize("seed", [SEED, 7])
-def test_two_rotation_spectra_match_the_dense_four_rotation_product(seed):
-    # every trial of a default-sized run: its product built densely as
-    # U_a S_a V_a^T U_b S_b V_b^T from all four rotations has the spectrum
-    # the run takes from S_a (V_a^T U_b) S_b, the same rank_prod and slack
-    table = scenarios._submultiplicativity_table(seed, 1000)
-    assert table["trial"].tolist() == list(range(1000))
+@functools.lru_cache(maxsize=None)
+def _default_products(seed):
+    """A default run's submultiplicativity table and, per trial in trial
+    order, its factor spectra and its product's one-rotation spectrum."""
     by_dim = {}
     for trial in range(1000):
         d_t, s_a, s_b = per_trial_factor_spectra(seed, trial)
         by_dim.setdefault(d_t, []).append((trial, s_a, s_b))
-    for d_t, members in by_dim.items():
+    products = {}
+    for members in by_dim.values():
         trials, s_a, s_b = map(np.array, zip(*members))
-        two = scenarios._product_spectra(seed, trials, s_a, s_b)
-        for i, trial in enumerate(trials):
-            first = seed + 104729 * trial + 11
-            u_a, v_a, u_b, v_b = per_seed_rotations(d_t, range(first, first + 4))
-            dense = (u_a * s_a[i]) @ v_a.T @ (u_b * s_b[i]) @ v_b.T
-            sigma = np.linalg.svd(dense, compute_uv=False)
-            tol = 1e-14 * max(sigma[0], 1.0)
-            assert np.max(np.abs(two[i] - sigma)) <= tol, (d_t, trial)
-            assert spectrum_rank(two[i]) == spectrum_rank(sigma) == table["rank_prod"][trial], (d_t, trial)
-            sv_a, sv_b = np.sort(s_a[i])[::-1], np.sort(s_b[i])[::-1]
-            slack = np.max(sigma - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b))
-            assert abs(table["sigma_slack"][trial] - slack) <= tol and table["ok"][trial], (d_t, trial)
+        for trial, a, b, sigma in zip(trials, s_a, s_b, scenarios._product_spectra(seed, trials, s_a, s_b)):
+            products[int(trial)] = (a, b, sigma)
+    return scenarios._submultiplicativity_table(seed, 1000), [products[trial] for trial in range(1000)]
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_one_rotation_spectra_match_the_dense_product_with_outer_rotations(seed):
+    # every trial of a default-sized run: U (S_a R S_b) V^T, built densely
+    # with its one rotation R and two more orthogonal factors U and V, has
+    # the spectrum the run takes from S_a R S_b, the same rank_prod and slack
+    table, products = _default_products(seed)
+    assert table["trial"].tolist() == list(range(1000))
+    for trial, (s_a, s_b, one) in enumerate(products):
+        d_t = len(s_a)
+        (rot,) = per_path_rotations(d_t, [(seed, rng.STREAM_TASK, trial, PRODUCT_ROTATION_KEY)])
+        u, v = per_path_rotations(d_t, [(seed, STREAM_ORACLE, trial, k) for k in (4, 5)])
+        sigma = np.linalg.svd(u @ (s_a[:, None] * rot * s_b[None, :]) @ v.T, compute_uv=False)
+        tol = 1e-14 * max(sigma[0], 1.0)
+        assert np.max(np.abs(one - sigma)) <= tol, (d_t, trial)
+        assert spectrum_rank(one) == spectrum_rank(sigma) == table["rank_prod"][trial], (d_t, trial)
+        sv_a, sv_b = np.sort(s_a)[::-1], np.sort(s_b)[::-1]
+        slack = np.max(sigma - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b))
+        assert abs(table["sigma_slack"][trial] - slack) <= tol and table["ok"][trial], (d_t, trial)
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_one_rotation_top_singular_values_follow_the_four_rotation_law(seed):
+    # one Haar rotation R stands for V_a^T U_b of two independent ones: over
+    # a default run's 1,000 trials the top product singular value has the
+    # law of the dense product of four rotations.  0.087 is the two-sample
+    # Kolmogorov-Smirnov critical value at alpha = 0.001 for 1,000 + 1,000
+    _, products = _default_products(seed)
+    one = [sigma[0] for _, _, sigma in products]
+    four = [four_rotation_product_spectra(seed, trial, s_a, s_b)[0] for trial, (s_a, s_b, _) in enumerate(products)]
+    assert ks_2samp(one, four).statistic < 0.087
 
 
 @pytest.mark.parametrize("seed", [SEED, 7, 123])
@@ -143,7 +171,7 @@ def test_ledger_ranks_match_general_svd_ranks(seed):
     # a default run's 200 monotonicity trials
     trials = range(200)
     _, ranks, _ = scenarios._monotonicity_ledgers(DIM, seed, trials)
-    h, _ = scenarios._controlled_tasks(DIM, seed + 1, trials)
+    h, _ = scenarios._controlled_tasks(DIM, seed, trials, LEDGER_KEYS)
     wds = np.array([0.1 if trial % 2 else 0.0 for trial in trials])[:, None, None]
     a = np.eye(DIM) - 0.4 * (h + wds * np.eye(DIM))
     power = np.broadcast_to(np.eye(DIM), a.shape)
@@ -159,14 +187,15 @@ def test_ledger_ranks_match_general_svd_ranks(seed):
 
 
 def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
-    # a default run QRs 3,200 rotations (1,000 and 200 controlled tasks, two
-    # inner rotations for each of 1,000 products) and takes 1,000 SVDs, one
-    # per product; its 200 ledger step matrices go through one eigh each, of
+    # a default run QRs 2,200 rotations (1,000 and 200 controlled tasks, one
+    # rotation for each of 1,000 products) and takes 1,000 SVDs, one per
+    # product; its 200 ledger step matrices go through one eigh each, of
     # H + wd I, whose log rates times k are the spectra of all 41 powers,
     # and its 1,200 controlled tasks, PSD by construction, through no check.
     # With four rotations per product and an SVD of every power it QR'd
-    # 5,200 and took 9,200 SVDs; with an eigvalsh of every power it took
-    # 8,200 of those, and with an eigvalsh of each step matrix, 200.
+    # 5,200 and took 9,200 SVDs; with two rotations per product, 3,200; with
+    # an eigvalsh of every power it took 8,200 of those, and with an
+    # eigvalsh of each step matrix, 200.
     names = ("qr", "eigvalsh", "eigh", "svd")
     matrices = dict.fromkeys(names, 0)
     for name in names:
@@ -176,7 +205,7 @@ def test_composition_check_decomposes_each_matrix_once(tmp_path, monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counting)
     run_scenario(default_config("composition-check"), out_dir=tmp_path, check=True)
-    assert matrices == {"qr": 3200, "eigvalsh": 0, "eigh": 200, "svd": 1000}
+    assert matrices == {"qr": 2200, "eigvalsh": 0, "eigh": 200, "svd": 1000}
 
 
 @pytest.mark.parametrize("scenario, builds", [("composition-check", 20), ("threshold-sweep", 2)])
@@ -200,7 +229,7 @@ def test_default_run_builds_each_step_map_once(tmp_path, monkeypatch, scenario, 
 
 def test_blocks_match_per_trial_oracles_at_the_largest_seed():
     trials = range(3, 3 + BLOCK)
-    hessians, minimizers = scenarios._controlled_tasks(DIM, WIDE_SEED, trials)
+    hessians, minimizers = scenarios._controlled_tasks(DIM, WIDE_SEED, trials, COMPOSITION_KEYS)
     table = scenarios._composition_table(DIM, WIDE_SEED, trials)
     for i, trial in enumerate(trials):
         hessian, minimizer = per_trial_controlled_task(DIM, WIDE_SEED, trial)
@@ -214,6 +243,34 @@ def test_blocks_match_per_trial_oracles_at_the_largest_seed():
         for i, trial in enumerate(trials):
             expected = per_trial_product_spectra(WIDE_SEED, trial, s_a[i], s_b[i])
             assert np.array_equal(stacked[i], expected), (d_t, trial)
+
+
+def test_every_draw_site_of_a_run_derives_its_own_keys(tmp_path, monkeypatch):
+    # each Philox key a small run derives, with the path it came from: a key
+    # derived again (a segment re-reading its noise rows) must come from the
+    # same path.  Paths equal up to trailing zeros give one key, which once
+    # let trial 0's rotation, keyed (seed + 1, STREAM_TASK), share the
+    # stream of the ledger's trial-0 task draw, (seed + 1, STREAM_TASK, 0).
+    derived = []
+    keys = rng._keys
+
+    def recording(paths):
+        out = keys(paths)
+        derived.extend(zip(map(tuple, paths), map(tuple, out)))
+        return out
+
+    monkeypatch.setattr(rng, "_keys", recording)
+    monkeypatch.setattr(rng, "stream", lambda *path: pytest.fail(f"stream{path} bypasses draw_each"))
+    cfg = ExperimentConfig(scenario="composition-check", dim=4, n_trials=12)
+    cfg.validate()
+    run_scenario(cfg, out_dir=tmp_path, check=True)
+    paths_of = {}
+    for path, key in derived:
+        paths_of.setdefault(key, set()).add(path)
+    shared = {key: paths for key, paths in paths_of.items() if len(paths) > 1}
+    assert not shared
+    # trial draws, rotations, products and ledger starts, and noise chunks
+    assert len(paths_of) > 12 * 4
 
 
 def test_single_trial_run_is_the_first_row_of_the_default(default_run, tmp_path):

@@ -916,7 +916,7 @@ def test_manifest_leaves_out_a_stale_file(tmp_path):
 
 def test_cli_version(capsys):
     assert cli.main(["version"]) == 0
-    assert capsys.readouterr().out.strip() == "0.26.0"
+    assert capsys.readouterr().out.strip() == "0.27.0"
 
 
 def test_version_matches_pyproject():
@@ -1312,6 +1312,27 @@ def test_cli_validate_rejects_an_esl_gap_step_that_moves_no_state(tmp_path, caps
     payload["rule"]["step_size"] = 1e-6
     path.write_text(json.dumps(payload))
     assert cli.main(["validate", str(path)]) == 0
+
+
+@pytest.mark.parametrize("step_size", [1e-8, 1e-9, 1e-10, 1e-12, 1e-14, 1e-15])
+def test_cli_esl_gap_step_runs_to_a_check_or_is_named_at_validate(tmp_path, capsys, step_size):
+    # at eta 1e-12 to 1e-15, 1 - eta * h does not round to 1, but W2^2 / 2
+    # between the start and the end state did: the run's transport floor
+    # read 0 and its relative geodesic error divided by it (exit 2).  A step
+    # whose floor the run cannot resolve is now named at validate; a step it
+    # accepts runs to its check, which may fail (exit 3) but not divide by 0
+    payload = default_config("esl-gap").to_dict()
+    payload["rule"]["step_size"] = step_size
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    if step_size < 1e-9:
+        assert cli.main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert _single_error_line(err, 1, "config") and "msg=rule.step_size: " in err
+        assert "transport floor" in err
+    else:
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o"), "--check"]) in (0, 3)
 
 
 def test_sweep_check_enforces_forced_exit_threshold(tmp_path):
