@@ -11,7 +11,7 @@ from scipy.stats import ks_2samp
 from reconcap import capacity, rng, scenarios, transport
 from reconcap.config import ExperimentConfig, default_config
 from reconcap.scenarios import run_scenario
-from reconcap.spectral import spectrum_rank
+from reconcap.spectral import singular_values, spectrum_rank
 
 from _oracles import (
     PRODUCT_ROTATION_KEY,
@@ -151,6 +151,34 @@ def test_one_rotation_spectra_match_the_dense_product_with_outer_rotations(seed)
         sv_a, sv_b = np.sort(s_a)[::-1], np.sort(s_b)[::-1]
         slack = np.max(sigma - np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b))
         assert abs(table["sigma_slack"][trial] - slack) <= tol and table["ok"][trial], (d_t, trial)
+
+
+@pytest.mark.parametrize("seed", [SEED, 7])
+def test_two_rotation_spectra_match_the_dense_four_rotation_product(seed):
+    # every trial of a default-sized run: its factor spectra, with all four
+    # rotations of U_a S_a V_a^T U_b S_b V_b^T drawn, have the product
+    # spectrum that the run's stacked SVD takes from S_a (V_a^T U_b) S_b;
+    # that reduction is what lets the run draw one rotation for V_a^T U_b.
+    # The dense product's rank is the run's rank_prod, and its singular
+    # values are bounded as the run's are
+    table, products = _default_products(seed)
+    by_dim = {}
+    for trial, (s_a, s_b, _) in enumerate(products):
+        by_dim.setdefault(len(s_a), []).append((trial, s_a, s_b))
+    for d_t, members in by_dim.items():
+        trials, s_a, s_b = map(np.array, zip(*members))
+        mid = []
+        for trial in trials:
+            _, v_a, u_b, _ = per_path_rotations(d_t, [(seed, STREAM_ORACLE, trial, k) for k in range(4)])
+            mid.append(v_a.T @ u_b)
+        two = singular_values(s_a[:, :, None] * np.array(mid) * s_b[:, None, :])
+        for i, trial in enumerate(trials):
+            sigma = four_rotation_product_spectra(seed, trial, s_a[i], s_b[i])
+            tol = 1e-14 * max(sigma[0], 1.0)
+            assert np.max(np.abs(two[i] - sigma)) <= tol, (d_t, trial)
+            assert spectrum_rank(two[i]) == spectrum_rank(sigma) == table["rank_prod"][trial], (d_t, trial)
+            sv_a, sv_b = np.sort(s_a[i])[::-1], np.sort(s_b[i])[::-1]
+            assert np.all(sigma <= np.minimum(sv_a * sv_b[0], sv_a[0] * sv_b) + tol), (d_t, trial)
 
 
 @pytest.mark.parametrize("seed", [SEED, 7])
